@@ -4,8 +4,9 @@
 
 Outputs are deterministic: facts are sorted, JSON key order is fixed, and
 partitioned runs are assembled in entity order regardless of worker timing.
-Exit codes: 0 success, 1 rule or data error, 2 enumeration cap exceeded,
-3 check-mode target not recognized.
+Exit codes: 0 success, 1 rule or data error, 2 enumeration cap exceeded (or
+recursion or memory exhausted during enumeration), 3 check-mode target not
+recognized.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EnumerationCapExceeded, IoError, ParseError, TimeloomError
+from .errors import (
+    EnumerationCapExceeded,
+    IoError,
+    ParseError,
+    ResourceExhausted,
+    TimeloomError,
+)
 from .ingest import ingest, validate_dataset
 from .language import TES, parse_tes
 from .model import (
@@ -151,9 +158,20 @@ def partition_dataset(dataset: Dataset, argpos: int) -> list[tuple[Value, Datase
             for k in sorted(groups, key=value_key)]
 
 
+def _solve(fn, *args, **kwargs):
+    """Call timeline or recognize_timeline, turning Python's recursion and
+    memory limits into ResourceExhausted."""
+    try:
+        return fn(*args, **kwargs)
+    except RecursionError:
+        raise ResourceExhausted("recursion limit exceeded during enumeration") from None
+    except MemoryError:
+        raise ResourceExhausted("out of memory during enumeration") from None
+
+
 def _entity_job(job: tuple) -> tuple:
     key, dataset, tes, mode, cap = job
-    return key, timeline(dataset, tes, mode, cap)
+    return key, _solve(timeline, dataset, tes, mode, cap)
 
 
 def _run_entities(jobs: list[tuple]) -> list[tuple]:
@@ -201,7 +219,7 @@ def run(config: RunConfig) -> int:
             raise IoError(f"bad check target {config.check_target_path}: {e}") from None
         if kind not in ("consistent", "preferred"):
             raise IoError(f"bad check target kind {kind!r}")
-        ok = recognize_timeline(dataset, tes, facts, mode=kind, cap=config.cap)
+        ok = _solve(recognize_timeline, dataset, tes, facts, mode=kind, cap=config.cap)
         _write(config, {"recognized": ok})
         return 0 if ok else 3
 
@@ -217,7 +235,7 @@ def run(config: RunConfig) -> int:
         doc = {"mode": config.mode, "partition_by": config.partition_by,
                "entities": entities, "exhaustive": exhaustive}
     else:
-        result = timeline(dataset, tes, config.mode, config.cap)
+        result = _solve(timeline, dataset, tes, config.mode, config.cap)
         doc = result_to_json(result, tes, config.now, config.max_models)
         exhaustive = result.exhaustive
     _write(config, doc)
@@ -289,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return run(config)
-    except EnumerationCapExceeded as e:
+    except (EnumerationCapExceeded, ResourceExhausted) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TimeloomError as e:

@@ -105,6 +105,10 @@ class EnumerationCapExceeded(TimeloomError):
         super().__init__(f"enumeration cap of {cap} candidates exceeded")
 
 
+class ResourceExhausted(TimeloomError):
+    """Enumeration ran past Python's recursion limit or out of memory."""
+
+
 class TooLarge(TimeloomError):
     """A brute-force oracle was asked to enumerate an infeasibly large set."""
 

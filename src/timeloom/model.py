@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvalidInterval, SortError, UnboundVariable
 
@@ -351,8 +351,20 @@ def fact_key(f) -> tuple:
     return (3, f.pred, args_key(f.args), interval_key(f.interval), f.level)
 
 
+def _group_by_args(facts: Iterable, positions: tuple[int, ...]) -> dict[tuple, list]:
+    """Facts grouped by their argument values at `positions`, order kept."""
+    index: dict[tuple, list] = {}
+    for f in facts:
+        index.setdefault(tuple([f.args[i] for i in positions]), []).append(f)
+    return index
+
+
 class Dataset:
-    """An immutable collection of atemporal and observation facts."""
+    """An immutable collection of atemporal and observation facts.
+
+    `probe` narrows a predicate's facts to those with given values at some
+    argument positions through a hash index built on first use.
+    """
 
     def __init__(self, facts: Iterable[AtemporalFact | ObservationFact] = ()):
         atemporal: dict[str, list[AtemporalFact]] = {}
@@ -371,6 +383,7 @@ class Dataset:
         self._atemporal = {p: tuple(sorted(fs, key=fact_key)) for p, fs in atemporal.items()}
         self._observations = {p: tuple(sorted(fs, key=fact_key)) for p, fs in observations.items()}
         self._all = frozenset(seen)
+        self._indexes: dict[tuple, dict[tuple, list]] = {}
 
     @property
     def facts(self) -> frozenset:
@@ -382,6 +395,18 @@ class Dataset:
     def observations(self, pred: str) -> tuple[ObservationFact, ...]:
         return self._observations.get(pred, ())
 
+    def probe(self, kind: type, pred: str, positions: tuple[int, ...],
+              values: tuple) -> Sequence[AtemporalFact | ObservationFact]:
+        """Facts of one kind (AtemporalFact or ObservationFact) and predicate
+        whose arguments at `positions` equal `values`. Do not mutate."""
+        facts = (self._atemporal if kind is AtemporalFact else self._observations).get(pred, ())
+        if not positions:
+            return facts
+        index = self._indexes.get((kind, pred, positions))
+        if index is None:
+            index = self._indexes[kind, pred, positions] = _group_by_args(facts, positions)
+        return index.get(values, ())
+
     def __len__(self) -> int:
         return len(self._all)
 
@@ -390,12 +415,16 @@ class Dataset:
 
 
 class EventStore:
-    """Annotated event facts indexed by predicate and by (predicate, args) key."""
+    """Annotated event facts indexed by predicate, by (predicate, args) key,
+    and by values at chosen argument positions (built on first `probe`,
+    then kept up to date by `add`)."""
 
     def __init__(self, facts: Iterable[AnnotatedEventFact] = ()):
         self._facts: set[AnnotatedEventFact] = set()
         self._by_pred: dict[str, list[AnnotatedEventFact]] = {}
         self._by_key: dict[tuple, list[AnnotatedEventFact]] = {}
+        # pred -> positions -> values at those positions -> facts
+        self._indexes: dict[str, dict[tuple[int, ...], dict[tuple, list]]] = {}
         self.add_all(facts)
 
     def add(self, f: AnnotatedEventFact) -> bool:
@@ -404,6 +433,8 @@ class EventStore:
         self._facts.add(f)
         self._by_pred.setdefault(f.pred, []).append(f)
         self._by_key.setdefault(f.key, []).append(f)
+        for positions, index in self._indexes.get(f.pred, {}).items():
+            index.setdefault(tuple([f.args[i] for i in positions]), []).append(f)
         return True
 
     def add_all(self, facts: Iterable[AnnotatedEventFact]) -> list[AnnotatedEventFact]:
@@ -414,6 +445,22 @@ class EventStore:
 
     def by_key(self, pred: str, args: tuple[Value, ...]) -> tuple[AnnotatedEventFact, ...]:
         return tuple(self._by_key.get((pred, args), ()))
+
+    def probe(self, pred: str, positions: tuple[int, ...],
+              values: tuple) -> Sequence[AnnotatedEventFact]:
+        """Facts of `pred` whose arguments at `positions` equal `values`,
+        without copying; the result must not be mutated or held across an
+        `add`. With every position given this reads the (pred, args) map."""
+        facts = self._by_pred.get(pred, ())
+        if not positions or not facts:
+            return facts
+        if len(positions) == len(facts[0].args):
+            return self._by_key.get((pred, values), ())
+        indexes = self._indexes.setdefault(pred, {})
+        index = indexes.get(positions)
+        if index is None:
+            index = indexes[positions] = _group_by_args(facts, positions)
+        return index.get(values, ())
 
     @property
     def facts(self) -> frozenset:

@@ -7,7 +7,7 @@ and fires each test as soon as its variables are bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidSpec, SortError
@@ -27,18 +27,21 @@ from .language import (
 from .model import (
     STAR,
     AnnotatedEventFact,
+    AtemporalFact,
     Const,
     Dataset,
     EventStore,
     Interval,
     IntervalTerm,
     Nat,
+    ObservationFact,
     SortKind,
     Star,
     StarTerm,
     Term,
     Var,
     allen_relation,
+    args_key,
     eval_term,
     term_vars,
 )
@@ -110,14 +113,31 @@ def _match_atom(atom, fact, binding: dict, sorts: Mapping[str, SortKind]) -> dic
     return b
 
 
-def _candidates(atom, dataset: Dataset, events: EventStore | None):
+def _candidates(atom, binding: Mapping, dataset: Dataset, events: EventStore | None):
+    """The facts that can match an atom under a binding: its predicate's
+    facts narrowed through a hash index on the argument positions the
+    binding or a constant fixes. `_match_atom` still checks each one."""
+    positions, values = [], []
+    for i, term in enumerate(atom.args):
+        if isinstance(term, Var):
+            if term.name not in binding:
+                continue
+            values.append(binding[term.name])
+        elif isinstance(term, Const):
+            values.append(term.name)
+        elif isinstance(term, Nat):
+            values.append(term.value)
+        else:
+            continue
+        positions.append(i)
+    positions, values = tuple(positions), tuple(values)
     if isinstance(atom, AtemporalAtom):
-        return dataset.atemporal(atom.pred)
+        return dataset.probe(AtemporalFact, atom.pred, positions, values)
     if isinstance(atom, ObservationAtom):
-        return dataset.observations(atom.pred)
+        return dataset.probe(ObservationFact, atom.pred, positions, values)
     if events is None:
         return ()
-    return events.by_pred(atom.pred)
+    return events.probe(atom.pred, positions, values)
 
 
 def _is_test(lit: Literal) -> bool:
@@ -171,7 +191,7 @@ def _eval_test(lit: Literal, binding: dict, dataset: Dataset,
     else:
         result = any(
             _match_atom(a, f, binding, sorts) is not None
-            for f in _candidates(a, dataset, events))
+            for f in _candidates(a, binding, dataset, events))
     return result != lit.negated
 
 
@@ -243,7 +263,8 @@ def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],
         # expand the binder with the fewest candidates under current binding
         best_i, best_cands = None, None
         for i, (idx, lit) in enumerate(todo):
-            cands = forced_facts if idx == forced_idx else _candidates(lit.atom, dataset, events)
+            cands = (forced_facts if idx == forced_idx
+                     else _candidates(lit.atom, binding, dataset, events))
             if best_cands is None or len(cands) < len(best_cands):
                 best_i, best_cands = i, cands
                 if not cands:
@@ -265,20 +286,48 @@ def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],
 
 @dataclass(frozen=True)
 class AuxStore:
-    """Grounded existence, termination, and window facts for simple events."""
+    """Grounded existence, termination, and window facts for simple events,
+    grouped by event instance in one pass at construction."""
 
     exists: frozenset[tuple[EventKey, int, int]]  # (key, timepoint, level)
     ends: frozenset[tuple[EventKey, int, int]]
     windows: frozenset[tuple[EventKey, int]]
     default_windows: frozenset[tuple[str, int]] = frozenset()  # per predicate
+    # key -> (timepoint, level) pairs, key -> windows, pred -> default windows
+    _exists_by_key: dict = field(init=False, repr=False, compare=False)
+    _ends_by_key: dict = field(init=False, repr=False, compare=False)
+    _windows_by_key: dict = field(init=False, repr=False, compare=False)
+    _defaults_by_pred: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, triples in (("_exists_by_key", self.exists), ("_ends_by_key", self.ends)):
+            grouped: dict[EventKey, list[tuple[int, int]]] = {}
+            for k, t, lvl in triples:
+                grouped.setdefault(k, []).append((t, lvl))
+            object.__setattr__(self, name, grouped)
+        for name, pairs in (("_windows_by_key", self.windows),
+                            ("_defaults_by_pred", self.default_windows)):
+            grouped = {}
+            for k, w in pairs:
+                grouped.setdefault(k, set()).add(w)
+            object.__setattr__(self, name, grouped)
 
     def keys(self) -> list[EventKey]:
-        """Event instances with at least one existence fact, sorted."""
-        return sorted({k for k, _, _ in self.exists})
+        """Event instances with at least one existence fact, sorted (numbers
+        before symbols at each argument)."""
+        return sorted(self._exists_by_key, key=lambda k: (k[0], args_key(k[1])))
+
+    def exists_of(self, key: EventKey) -> list[tuple[int, int]]:
+        """(timepoint, level) of each existence fact of one instance."""
+        return self._exists_by_key.get(key, [])
+
+    def ends_of(self, key: EventKey) -> list[tuple[int, int]]:
+        """(timepoint, level) of each termination fact of one instance."""
+        return self._ends_by_key.get(key, [])
 
     def window_values(self, key: EventKey) -> list[int]:
-        return sorted({w for k, w in self.windows if k == key}
-                      | {w for p, w in self.default_windows if p == key[0]})
+        return sorted(self._windows_by_key.get(key, set())
+                      | self._defaults_by_pred.get(key[0], set()))
 
     def window_for(self, key: EventKey) -> int:
         return self.window_values(key)[0]
@@ -356,10 +405,8 @@ class LevelTimepoints:
 
 
 def level_timepoints(aux: AuxStore, key: EventKey) -> LevelTimepoints:
-    ex = [(t, lvl) for k, t, lvl in aux.exists if k == key]
-    en = [(t, lvl) for k, t, lvl in aux.ends if k == key]
-    levels = [lvl for _, lvl in ex + en]
-    top = max(levels, default=0)
+    ex, en = aux.exists_of(key), aux.ends_of(key)
+    top = max((lvl for _, lvl in ex + en), default=0)
     ex_cum, en_cum = [], []
     for lvl in range(1, top + 1):
         ex_cum.append(tuple(sorted({t for t, l in ex if l <= lvl})))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .errors import EnumerationCapExceeded, GuardViolated
 from .language import TES
@@ -42,15 +43,28 @@ def temporal_conflict(a, b) -> bool:
     return i.start < j.start < ei or j.start < i.start < ej
 
 
-def is_consistent(facts, tes: TES, dataset: Dataset) -> bool:
-    """Whether a set of event facts violates no temporal or domain constraint."""
-    by_key: dict[tuple, list] = {}
+def _instances(facts) -> dict[tuple, list]:
+    """Facts grouped by event instance, the (pred, args) key; only facts of
+    one instance can clash."""
+    groups: dict[tuple, list] = {}
     for f in facts:
-        by_key.setdefault(f.key, []).append(f)
-    for group in by_key.values():
+        groups.setdefault(f.key, []).append(f)
+    return groups
+
+
+def clash_pairs(facts) -> Iterator[tuple]:
+    """Every clashing pair among the facts, testing pairs within one event
+    instance only."""
+    for group in _instances(facts).values():
         for a, b in combinations(group, 2):
             if temporal_conflict(a, b):
-                return False
+                yield a, b
+
+
+def is_consistent(facts, tes: TES, dataset: Dataset) -> bool:
+    """Whether a set of event facts violates no temporal or domain constraint."""
+    if next(clash_pairs(facts), None) is not None:
+        return False
     if not tes.constraints:
         return True
     store = EventStore(facts)
@@ -95,17 +109,15 @@ def _repairs_conflict_graph(se: SimpleSet, budget: _Budget,
     Facts in no conflict belong to every repair; over the rest, maximal
     compatible groups are enumerated directly.
     """
-    facts = sorted(se, key=fact_key)
-    conflicted = [f for f in facts
-                  if any(g != f and temporal_conflict(f, g) for g in facts)]
-    conflicted_set = set(conflicted)
-    core = frozenset(f for f in facts if f not in conflicted_set)
+    pairs = list(clash_pairs(se))
+    conflicted = sorted({f for pair in pairs for f in pair}, key=fact_key)
+    core = frozenset(se).difference(conflicted)
     n = len(conflicted)
-    compat = [set() for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        if not temporal_conflict(conflicted[i], conflicted[j]):
-            compat[i].add(j)
-            compat[j].add(i)
+    pos = {f: i for i, f in enumerate(conflicted)}
+    compat = [set(range(n)) - {i} for i in range(n)]
+    for a, b in pairs:
+        compat[pos[a]].discard(pos[b])
+        compat[pos[b]].discard(pos[a])
 
     def extend(chosen: set[int], allowed: set[int], seen: set[int]) -> None:
         if not allowed and not seen:
@@ -189,9 +201,10 @@ def _level_slices(r: SimpleSet, levels: tuple[int, ...]) -> tuple[frozenset, ...
     return tuple(frozenset(f for f in r if f.level == lvl) for lvl in levels)
 
 
-def _dominates(better: SimpleSet, worse: SimpleSet, levels: tuple[int, ...]) -> bool:
-    """Strictly larger at the first confidence level where the two differ."""
-    for a, b in zip(_level_slices(better, levels), _level_slices(worse, levels)):
+def _dominates(better: tuple[frozenset, ...], worse: tuple[frozenset, ...]) -> bool:
+    """Given two repairs' level slices: strictly larger at the first
+    confidence level where the two differ."""
+    for a, b in zip(better, worse):
         if a != b:
             return b < a
     return False
@@ -199,8 +212,9 @@ def _dominates(better: SimpleSet, worse: SimpleSet, levels: tuple[int, ...]) -> 
 
 def _filter_preferred(reps: tuple[SimpleSet, ...]) -> tuple[SimpleSet, ...]:
     levels = tuple(sorted({f.level for r in reps for f in r}))
-    return tuple(r for r in reps
-                 if not any(_dominates(rp, r, levels) for rp in reps if rp != r))
+    slices = [_level_slices(r, levels) for r in reps]
+    return tuple(r for r, s in zip(reps, slices)
+                 if not any(_dominates(sp, s) for rp, sp in zip(reps, slices) if rp != r))
 
 
 def greedy_preferred(se: SimpleSet, tes: TES) -> SimpleSet:
@@ -215,10 +229,12 @@ def greedy_preferred(se: SimpleSet, tes: TES) -> SimpleSet:
     if any(lvl != 1 for lvl in tes.termination_levels()):
         raise GuardViolated("TerminationLevelAboveOne")
     kept: set[AnnotatedEventFact] = set()
-    for lvl in sorted({f.level for f in se}):
-        for f in sorted((f for f in se if f.level == lvl), key=fact_key):
-            if not any(temporal_conflict(f, g) for g in kept):
-                kept.add(f)
+    for group in _instances(se).values():
+        chosen: list[AnnotatedEventFact] = []
+        for f in sorted(group, key=lambda f: (f.level, fact_key(f))):
+            if not any(temporal_conflict(f, g) for g in chosen):
+                chosen.append(f)
+        kept.update(chosen)
     return frozenset(kept)
 
 
@@ -246,8 +262,7 @@ def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     if se is None:
         se = infer_all_simple(dataset, tes)
     if not tes.has_domain_constraints:
-        return frozenset(f for f in se
-                         if not any(g != f and temporal_conflict(f, g) for g in se))
+        return frozenset(se).difference(f for pair in clash_pairs(se) for f in pair)
     rep = repairs(dataset, tes, se=se, cap=cap)
     if not rep.exhaustive:
         raise EnumerationCapExceeded(cap)

@@ -8,6 +8,7 @@ from datetime import date
 import pytest
 
 from timeloom import AnnotatedEventFact, Interval, TimelineResult
+from timeloom import cli
 from timeloom.cli import fact_to_json, main, result_from_json
 
 from conftest import TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
@@ -122,6 +123,34 @@ def test_cap_raise_exits_2(figured, capsys):
     assert rc == 2
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_recursion_and_memory_exhaustion_exit_2(ward, monkeypatch, capsys, exc):
+    def exhausted(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(cli, "timeline", exhausted)
+    monkeypatch.setattr(cli, "recognize_timeline", exhausted)
+    (ward / "one.facts").write_text("obs adm(p1, 0).\n")  # one entity: no worker pool
+    target = ward / "target.json"
+    target.write_text(json.dumps({"facts": [P1_JSON]}))
+    base = ("run", "--rules", str(ward / "care.tes"), "--data", str(ward / "one.facts"))
+    for extra in (("--mode", "consistent"), ("--mode", "check", "--check", str(target)),
+                  ("--mode", "naive", "--partition-by", "0")):
+        assert run_cli(*base, *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_mixed_symbol_and_number_arguments(ward, capsys):
+    (ward / "mixed.facts").write_text("obs adm(p1, 0).\nobs adm(7, 1).\n")
+    rc = run_cli("run", "--rules", str(ward / "care.tes"),
+                 "--data", str(ward / "mixed.facts"), "--format", "tsv")
+    assert rc == 0
+    assert capsys.readouterr().out == ("0\tsimple\tabth\t7\t1\t1\t1\n"
+                                       "0\tsimple\tabth\tp1\t0\t0\t1\n")
 
 
 def fig_fact(a, b, level):

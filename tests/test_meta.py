@@ -1,5 +1,8 @@
 """Meta-event inference: joins, negation, recursion, strata, levels."""
 
+import itertools
+import random
+
 import pytest
 
 from timeloom import (
@@ -108,3 +111,46 @@ def test_meta_over_meta_interval_vars():
     got = infer_meta(tes, Dataset([]), simple)
     assert ev("spans", (), 4, 9, 2) in got
     assert not any(f.pred == "spans" and f.interval == Interval(0, 2) for f in got)
+
+
+def test_recursive_probe_index_sees_later_passes():
+    # seg joins two segments of equal width that meet, so a width-4 segment
+    # needs two width-2 segments that the same pass added. Each semi-naive
+    # pass probes seg with one argument bound: the index on that position
+    # is built in the first pass and must take in every fact the later
+    # passes add.
+    tes = parse_tes(
+        "decl persistent step/2.\ndecl meta seg/2.\n"
+        "meta seg(X, Y, I, L) :- step(X, Y, I, L).\n"
+        "meta seg(X, Z, [T1, T4], max(L1, L2)) :- seg(X, Y, [T1, T2], L1),"
+        " seg(Y, Z, [T2, T4], L2), minus(T2, T1) <= minus(T4, T2),"
+        " minus(T4, T2) <= minus(T2, T1).")
+    rng = random.Random(5)
+    widest = 0
+    for _ in range(40):
+        simple = {ev("step", (i, i + 1), i, i + 1, rng.randint(1, 2))
+                  for i in range(12) if rng.random() < 0.85}
+        for _ in range(rng.randint(0, 4)):
+            a = rng.randrange(12)
+            simple.add(ev("step", (rng.randrange(13), rng.randrange(13)), a,
+                          a + rng.randint(1, 2), rng.randint(1, 2)))
+        got = infer_meta(tes, Dataset([]), frozenset(simple))
+        assert got == brute_segments(simple)
+        widest = max([widest] + [f.interval.end - f.interval.start for f in got])
+    assert widest >= 4
+
+
+def brute_segments(simple):
+    """The seg rules applied to every pair of known facts until nothing new
+    appears."""
+    segs = {AnnotatedEventFact("seg", f.args, f.interval, f.level) for f in simple}
+    while True:
+        new = {AnnotatedEventFact("seg", (p.args[0], q.args[1]),
+                                  Interval(p.interval.start, q.interval.end),
+                                  max(p.level, q.level))
+               for p, q in itertools.product(segs, repeat=2)
+               if p.args[1] == q.args[0] and p.interval.end == q.interval.start
+               and p.interval.end - p.interval.start == q.interval.end - q.interval.start}
+        if new <= segs:
+            return frozenset(segs)
+        segs |= new

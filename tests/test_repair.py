@@ -26,6 +26,7 @@ from timeloom import (
     temporal_conflict,
     timeline,
 )
+from timeloom.repair import clash_pairs
 
 from conftest import (
     PLAIN_TES,
@@ -68,6 +69,24 @@ def test_temporal_conflict_table():
     assert temporal_conflict(fig(9, 9, 1), fig(9, 10, 2))
     assert not temporal_conflict(fig(2, 4, 1), fig(9, 10, 2))
     assert not temporal_conflict(fig(9, 9, 1), fig(1, 7, 2))
+
+
+def test_clash_pairs_match_all_pairs_scan():
+    rng = random.Random(3)
+    shared = [Interval(2, 5), Interval(2, 7), Interval(4, STAR), Interval(6, 6)]
+    for _ in range(300):
+        facts = set(random_fact_set(rng, max_facts=14))
+        # equal intervals on different instances never clash
+        for iv in rng.sample(shared, rng.randint(0, 3)):
+            facts.add(AnnotatedEventFact(rng.choice("ef"), (rng.choice("abc"),), iv,
+                                         rng.randint(1, 3)))
+        facts = sorted(facts, key=repr)
+        want = {frozenset((a, b)) for i, a in enumerate(facts) for b in facts[i + 1:]
+                if temporal_conflict(a, b)}
+        got = [frozenset(pair) for pair in clash_pairs(facts)]
+        assert len(got) == len(set(got))
+        assert set(got) == want
+        assert is_consistent(facts, PLAIN_TES, EMPTY) == (not want)
 
 
 def test_is_consistent_pairwise():
