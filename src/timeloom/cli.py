@@ -268,7 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--check", help="target timeline JSON (mode check)")
     r.add_argument("--now", type=int, help="clamp ongoing ends to N+1 for display")
     r.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="enumeration cap on candidate subsets")
+                   help="enumeration budget: repairs emitted plus dead-end "
+                        "branches; candidate subsets examined instead when "
+                        "there are constraints and some rule negates an "
+                        "event or uses start/end")
     r.add_argument("--max-models", type=int, help="emit at most this many models")
     r.add_argument("--partition-by", type=int,
                    help="argument position to split entities on")

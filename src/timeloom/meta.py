@@ -8,16 +8,25 @@ the newest facts.
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
+from typing import Callable, Mapping
+
 from .errors import LevelOverflow
 from .language import TES, AnnEventAtom, EventAtom, MetaRule
 from .model import AnnotatedEventFact, Dataset, EventStore, Interval, eval_term
 from .query import eval_body
 
 
-def _fire(rule: MetaRule, dataset: Dataset, store: EventStore,
-          delta: tuple | None) -> set[AnnotatedEventFact]:
-    out: set[AnnotatedEventFact] = set()
-    for binding in eval_body(rule.body, rule.var_sorts, dataset, store, delta):
+def _fire(rule: MetaRule, dataset: Dataset, store: EventStore, delta: tuple | None,
+          witnesses: bool) -> list[tuple[tuple, AnnotatedEventFact]]:
+    """Each head fact the rule derives, beside the event facts its body
+    matched (empty without `witnesses`)."""
+    results = eval_body(rule.body, rule.var_sorts, dataset, store, delta, witnesses)
+    if not witnesses:
+        results = [(b, ()) for b in results]
+    out: list[tuple[tuple, AnnotatedEventFact]] = []
+    for binding, matched in results:
         interval = eval_term(rule.interval, binding)
         if interval is None:  # empty intersection or inverted endpoints
             continue
@@ -26,7 +35,7 @@ def _fire(rule: MetaRule, dataset: Dataset, store: EventStore,
         if not isinstance(level, int) or level < 1:
             raise LevelOverflow(f"rule for {rule.pred} computed level {level}")
         args = tuple(eval_term(a, binding) for a in rule.args)
-        out.add(AnnotatedEventFact(rule.pred, args, interval, level))
+        out.append((matched, AnnotatedEventFact(rule.pred, args, interval, level)))
     return out
 
 
@@ -37,33 +46,105 @@ def _recursive_positions(rule: MetaRule, stratum: frozenset[str]) -> list[int]:
             and lit.atom.pred in stratum]
 
 
+Fired = list[tuple[tuple, AnnotatedEventFact]]
+
+
+def _close(tes: TES, dataset: Dataset, store: EventStore,
+           absorb: Callable[[Fired], list[AnnotatedEventFact]],
+           witnesses: bool = False) -> None:
+    """Evaluate the strata in order, each to a fixpoint by semi-naive passes.
+
+    `absorb` receives one pass's firings (see `_fire`) and returns the facts
+    that changed, which the next pass joins against. It must add new facts
+    to the store; the store is not touched while a pass fires.
+    """
+    for stratum in tes.strata:
+        members = frozenset(stratum)
+        rules = [r for r in tes.meta_rules if r.pred in members]
+        if not rules:
+            continue
+        delta = absorb([x for r in rules for x in _fire(r, dataset, store, None, witnesses)])
+        recursive = [(r, _recursive_positions(r, members)) for r in rules]
+        recursive = [(r, ps) for r, ps in recursive if ps]
+        while delta:
+            fired: Fired = []
+            for rule, positions in recursive:
+                for pos in positions:
+                    pred = rule.body[pos].atom.pred
+                    fresh = [f for f in delta if f.pred == pred]
+                    if fresh:
+                        fired += _fire(rule, dataset, store, (pos, fresh), witnesses)
+            delta = absorb(fired)
+
+
 def infer_meta(tes: TES, dataset: Dataset,
                simple: frozenset[AnnotatedEventFact]) -> frozenset[AnnotatedEventFact]:
     """All meta-event facts derivable from the dataset and simple events."""
     store = EventStore()
     store.add_all(simple)
     derived: set[AnnotatedEventFact] = set()
-    for stratum in tes.strata:
-        members = frozenset(stratum)
-        rules = [r for r in tes.meta_rules if r.pred in members]
-        if not rules:
-            continue
-        delta = store.add_all(frozenset().union(
-            *(_fire(r, dataset, store, None) for r in rules)))
+
+    def absorb(fired: Fired) -> list[AnnotatedEventFact]:
+        delta = store.add_all({f for _, f in fired})
         derived.update(delta)
-        recursive = [(r, _recursive_positions(r, members)) for r in rules]
-        recursive = [(r, ps) for r, ps in recursive if ps]
-        while delta:
-            new: set[AnnotatedEventFact] = set()
-            for rule, positions in recursive:
-                for pos in positions:
-                    pred = rule.body[pos].atom.pred
-                    fresh = [f for f in delta if f.pred == pred]
-                    if fresh:
-                        new |= _fire(rule, dataset, store, (pos, fresh))
-            delta = store.add_all(new)
-            derived.update(delta)
+        return delta
+
+    _close(tes, dataset, store, absorb)
     return frozenset(derived)
+
+
+Supports = list[frozenset]
+
+
+def _add_minimal(antichain: Supports, s: frozenset) -> bool:
+    """Add `s` to a list of pairwise incomparable sets unless a member is a
+    subset of it, dropping the members it is a subset of. True if added."""
+    if any(t <= s for t in antichain):
+        return False
+    antichain[:] = [t for t in antichain if not s < t]
+    antichain.append(s)
+    return True
+
+
+def combine_supports(matched: tuple[AnnotatedEventFact, ...],
+                     why: Mapping[AnnotatedEventFact, Supports],
+                     spend: Callable[[], None]) -> list[frozenset]:
+    """The simple-fact sets supporting one body match: one support of each
+    matched fact, in every combination. A fact missing from `why` supports
+    itself. The first combination is free; `spend` is called once for each
+    further one, before any is built."""
+    options = [why.get(f, (frozenset((f,)),)) for f in matched]
+    for _ in range(prod(len(o) for o in options) - 1):
+        spend()
+    return [frozenset().union(*combo) for combo in product(*options)]
+
+
+def meta_provenance(tes: TES, dataset: Dataset, simple: frozenset[AnnotatedEventFact],
+                    spend: Callable[[], None]) -> dict[AnnotatedEventFact, Supports]:
+    """Why-provenance of the meta closure: each derivable meta fact with the
+    minimal sets of simple facts from which the rules derive it.
+
+    For monotone rule sets (no negated event atoms, no extremum tests) a
+    meta fact is derivable from a subset of `simple` exactly when the
+    subset contains one of its supports. The closure runs the same passes
+    as `infer_meta`; a pass re-joins every fact whose supports grew, and
+    `spend` is charged as `combine_supports` says.
+    """
+    store = EventStore()
+    store.add_all(simple)
+    why: dict[AnnotatedEventFact, Supports] = {}
+
+    def absorb(fired: Fired) -> list[AnnotatedEventFact]:
+        changed: dict[AnnotatedEventFact, None] = {}
+        for matched, fact in fired:
+            for s in combine_supports(matched, why, spend):
+                if _add_minimal(why.setdefault(fact, []), s):
+                    changed[fact] = None
+        store.add_all(changed)
+        return list(changed)
+
+    _close(tes, dataset, store, absorb, witnesses=True)
+    return why
 
 
 def infer_timeline_facts(tes: TES, dataset: Dataset,

@@ -231,10 +231,15 @@ def _extremum_holds(a: ExtremumTest, binding: dict, events: EventStore | None) -
 
 def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],
               dataset: Dataset, events: EventStore | None = None,
-              delta: tuple | None = None) -> list[dict]:
+              delta: tuple | None = None, witnesses: bool = False) -> list:
     """All variable bindings satisfying the body; one empty dict for an
     empty ground body. `delta` optionally forces one binder literal (by
-    index) to match within a restricted fact collection (semi-naive step)."""
+    index) to match within a restricted fact collection (semi-naive step).
+
+    With `witnesses`, each result is a (binding, facts) pair instead: the
+    event facts the positive event atoms matched. A binding then repeats
+    once per combination of matching facts, as when an atom without a level
+    matches an interval held at several levels."""
     binders: list[tuple[int, Literal]] = []
     tests: list[Literal] = []
     for idx, lit in enumerate(body):
@@ -244,9 +249,10 @@ def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],
             binders.append((idx, lit))
     forced_idx, forced_facts = delta if delta is not None else (None, None)
 
-    results: list[dict] = []
+    results: list = []
 
-    def run(binding: dict, todo: list[tuple[int, Literal]], pending: list[Literal]) -> None:
+    def run(binding: dict, todo: list[tuple[int, Literal]], pending: list[Literal],
+            matched: tuple) -> None:
         ready = []
         rest = []
         bound = set(binding)
@@ -258,7 +264,7 @@ def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],
         if not todo:
             if rest:  # unbound test variables: unreachable for safe rules
                 raise SortError("test with unbound variables after all binders")
-            results.append(binding)
+            results.append((binding, matched) if witnesses else binding)
             return
         # expand the binder with the fewest candidates under current binding
         best_i, best_cands = None, None
@@ -274,9 +280,10 @@ def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],
         for fact in best_cands:
             nb = _match_atom(lit.atom, fact, binding, sorts)
             if nb is not None:
-                run(nb, remaining, rest)
+                run(nb, remaining, rest, matched + (fact,)
+                    if witnesses and isinstance(fact, AnnotatedEventFact) else matched)
 
-    run({}, binders, tests)
+    run({}, binders, tests, ())
     return results
 
 

@@ -6,17 +6,22 @@ event instance carry clashing intervals and no domain constraint body is
 satisfiable over the data plus the facts. Repairs are the maximal
 consistent subsets of the inferred simple events; the four timeline modes
 differ only in which repairs they keep.
+
+When consistency is downward closed (monotone rules, or no constraints)
+the repairs are the maximal sets containing no minimal inconsistent set:
+the maximal independent sets of one conflict hypergraph, enumerated per
+connected component. Other rule sets scan candidate subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, product
+from typing import Callable, Iterator
 
 from .errors import EnumerationCapExceeded, GuardViolated
 from .language import TES
-from .meta import infer_meta
+from .meta import combine_supports, infer_meta, meta_provenance
 from .model import AnnotatedEventFact, Dataset, EventStore, _end_rank, fact_key
 from .query import eval_body
 from .simple import infer_all_simple
@@ -102,70 +107,229 @@ def _canonical(found: set[SimpleSet]) -> tuple[SimpleSet, ...]:
     return tuple(sorted(found, key=lambda r: sorted(fact_key(f) for f in r)))
 
 
-def _repairs_conflict_graph(se: SimpleSet, budget: _Budget,
-                            found: set[SimpleSet]) -> None:
-    """Maximal conflict-free subsets when consistency is purely pairwise.
+def _downward_closed(tes: TES) -> bool:
+    """Whether every subset of a consistent set is consistent: with monotone
+    rules, and without constraints, where consistency is pairwise whatever
+    the meta rules."""
+    return tes.is_monotone or not tes.has_domain_constraints
 
-    Facts in no conflict belong to every repair; over the rest, maximal
-    compatible groups are enumerated directly.
+
+def _minimal_edges(edges) -> list[frozenset]:
+    """The edges no other edge is a proper subset of, each once, smallest
+    first."""
+    kept: list[frozenset] = []
+    by_fact: dict = {}
+    for e in sorted(set(edges), key=len):
+        if any(k <= e for f in e for k in by_fact.get(f, ())):
+            continue
+        kept.append(e)
+        for f in e:
+            by_fact.setdefault(f, []).append(e)
+    if kept and not kept[0]:
+        return kept[:1]
+    return kept
+
+
+def conflict_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset,
+                        spend: Callable[[], None]) -> list[frozenset]:
+    """The minimal inconsistent subsets of `se` under a monotone rule set.
+
+    Clashing pairs are edges of size 2. Each constraint is ground once over
+    all of `se` (and, when it mentions meta events, over their closure); the
+    simple facts behind each satisfying binding, through the meta facts'
+    why-provenance, form an edge. A subset of `se` is consistent exactly
+    when it contains no edge. An empty edge means no subset is consistent.
+    `spend` is charged for alternative supports (see `combine_supports`).
     """
-    pairs = list(clash_pairs(se))
-    conflicted = sorted({f for pair in pairs for f in pair}, key=fact_key)
-    core = frozenset(se).difference(conflicted)
-    n = len(conflicted)
-    pos = {f: i for i, f in enumerate(conflicted)}
-    compat = [set(range(n)) - {i} for i in range(n)]
-    for a, b in pairs:
-        compat[pos[a]].discard(pos[b])
-        compat[pos[b]].discard(pos[a])
+    edges: list[frozenset] = [frozenset(pair) for pair in clash_pairs(se)]
+    if tes.constraints:
+        store = EventStore(se)
+        why = meta_provenance(tes, dataset, se, spend) if tes.constraints_mention_meta() else {}
+        store.add_all(why)
+        for c in tes.constraints:
+            for _, matched in eval_body(c.body, c.var_sorts, dataset, store, witnesses=True):
+                edges.extend(combine_supports(matched, why, spend))
+    return _minimal_edges(edges)
 
-    def extend(chosen: set[int], allowed: set[int], seen: set[int]) -> None:
-        if not allowed and not seen:
+
+def _components(edges: list[frozenset]) -> list[tuple[list, list[frozenset]]]:
+    """Connected components of a hypergraph, each as its facts in canonical
+    order and its edges."""
+    parent: dict = {}
+
+    def root(f):
+        while parent.setdefault(f, f) != f:
+            parent[f] = parent[parent[f]]
+            f = parent[f]
+        return f
+
+    for e in edges:
+        first, *rest = e
+        for f in rest:
+            parent[root(f)] = root(first)
+    groups: dict = {}
+    for e in edges:
+        groups.setdefault(root(next(iter(e))), []).append(e)
+    comps = []
+    for comp_edges in groups.values():
+        facts = sorted({f for e in comp_edges for f in e}, key=fact_key)
+        comps.append((facts, comp_edges))
+    comps.sort(key=lambda c: fact_key(c[0][0]))
+    return comps
+
+
+def _independent_pairwise(n: int, edges: list[tuple[int, ...]],
+                          budget: _Budget) -> Iterator[frozenset[int]]:
+    """Maximal independent sets of a graph on 0..n-1: Bron–Kerbosch with a
+    pivot over the complement graph, iterative, one frame per chosen vertex.
+    A leaf that some skipped vertex could still extend is a dead end."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def branches(allowed: set[int], seen: set[int]) -> Iterator[int]:
+        # the pivot has the most compatible allowed vertices (the fewest
+        # allowed neighbours, itself counted); only it and its neighbours
+        # need a branch of their own
+        pivot = min(allowed | seen,
+                    key=lambda u: len(adj[u] & allowed) + (u in allowed))
+        return iter(sorted(allowed & (adj[pivot] | {pivot})))
+
+    chosen: list[int] = []
+    root = set(range(n))
+    stack = [(root, set(), branches(root, set()))]
+    while stack:
+        allowed, seen, todo = stack[-1]
+        v = next(todo, None)
+        if v is None:
+            stack.pop()
+            if stack:
+                chosen.pop()
+            continue
+        sub_allowed = allowed - adj[v]
+        sub_allowed.discard(v)
+        sub_seen = seen - adj[v]
+        allowed.discard(v)
+        seen.add(v)
+        chosen.append(v)
+        if sub_allowed:
+            stack.append((sub_allowed, sub_seen, branches(sub_allowed, sub_seen)))
+            continue
+        if sub_seen:
             budget.spend()
-            found.add(core | frozenset(conflicted[i] for i in chosen))
-            return
-        pivot = max(allowed | seen, key=lambda v: len(compat[v] & allowed))
-        for v in sorted(allowed - compat[pivot]):
-            extend(chosen | {v}, allowed & compat[v], seen & compat[v])
-            allowed = allowed - {v}
-            seen = seen | {v}
-
-    extend(set(), set(range(n)), set())
-
-
-def _repairs_monotone(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget,
-                      found: set[SimpleSet]) -> None:
-    """Maximal consistent subsets when consistency is downward closed:
-    grow/skip each fact in turn, then confirm nothing skipped while addable
-    could still be added."""
-    facts = sorted(se, key=fact_key)
-
-    def rec(i: int, kept: frozenset, live_dropped: tuple) -> None:
-        if i == len(facts):
-            for g in live_dropped:
-                budget.spend()
-                if is_consistent(kept | {g}, tes, dataset):
-                    return
-            found.add(kept)
-            return
-        f = facts[i]
-        budget.spend()
-        if is_consistent(kept | {f}, tes, dataset):
-            rec(i + 1, kept | {f}, live_dropped)
-            rec(i + 1, kept, live_dropped + (f,))
         else:
-            # stays inadmissible against any superset, no justification needed
-            rec(i + 1, kept, live_dropped)
+            yield frozenset(chosen)
+        chosen.pop()
 
-    budget.spend()
-    if is_consistent(frozenset(), tes, dataset):
-        rec(0, frozenset(), ())
+
+def _independent_hyper(n: int, edges: list[tuple[int, ...]],
+                       budget: _Budget) -> Iterator[frozenset[int]]:
+    """Maximal independent sets of a hypergraph on 0..n-1: decide each
+    vertex in turn, include before exclude, iterative.
+
+    A vertex is included unless that completes an edge. An excluded vertex
+    must end up blocked: some edge of it with every other member included.
+    The exclude branch is cut, a dead end, as soon as some excluded vertex
+    has no edge left without another excluded member. So every leaf reached
+    is a maximal independent set, and every path ends in one or in a dead
+    end.
+    """
+    of: list[list[int]] = [[] for _ in range(n)]
+    for k, e in enumerate(edges):
+        for v in e:
+            of[v].append(k)
+    room = [len(e) - 1 for e in edges]  # members not yet included, less one
+    excluded_in = [0] * len(edges)
+    excluded = [False] * n
+
+    def blockable(v: int) -> bool:
+        return any(excluded_in[k] == 1 for k in of[v])
+
+    def set_excluded(v: int, on: bool) -> None:
+        excluded[v] = on
+        for k in of[v]:
+            excluded_in[k] += 1 if on else -1
+
+    def set_included(v: int, on: bool) -> None:
+        for k in of[v]:
+            room[k] += -1 if on else 1
+
+    choice: list[bool] = []  # the decision for vertices 0..len-1
+    tried = [0] * (n + 1)  # per depth: 0 none, 1 include tried, 2 both tried
+    depth = 0
+    while depth >= 0:
+        if depth == n:
+            yield frozenset(v for v in range(n) if choice[v])
+        elif tried[depth] == 0:
+            tried[depth] = 1
+            if all(room[k] > 0 for k in of[depth]):
+                set_included(depth, True)
+                choice.append(True)
+                depth += 1
+                tried[depth] = 0
+                continue
+        if depth < n and tried[depth] == 1:
+            tried[depth] = 2
+            set_excluded(depth, True)
+            if blockable(depth) and all(
+                    blockable(y) for k in of[depth] for y in edges[k]
+                    if y != depth and excluded[y]):
+                choice.append(False)
+                depth += 1
+                tried[depth] = 0
+                continue
+            set_excluded(depth, False)
+            budget.spend()
+        # this depth is exhausted: undo the decision above it
+        depth -= 1
+        if depth >= 0:
+            if choice.pop():
+                set_included(depth, False)
+            else:
+                set_excluded(depth, False)
+
+
+def _repairs_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget,
+                        found: set[SimpleSet]) -> None:
+    """Maximal independent sets of the conflict hypergraph, which are the
+    repairs when consistency is downward closed.
+
+    A fact in a one-fact edge is in no repair; a fact in no edge is in every
+    repair. The other facts split into connected components, enumerated one
+    at a time, and the repairs are the core plus one result per component.
+    The budget pays once per repair emitted and once per dead end. A
+    component stops once it has more results than the budget has left,
+    since their product would exceed it anyway.
+    """
+    edges = conflict_hypergraph(se, tes, dataset, budget.spend)
+    if edges and not edges[0]:
+        return
+    excluded = {f for e in edges if len(e) == 1 for f in e}
+    edges = [e for e in edges if len(e) > 1]
+    core = frozenset(se).difference(excluded, *edges)
+    parts: list[list[frozenset]] = []
+    for facts, comp_edges in _components(edges):
+        pos = {f: i for i, f in enumerate(facts)}
+        indexed = [tuple(sorted(pos[f] for f in e)) for e in comp_edges]
+        pairwise = all(len(e) == 2 for e in indexed)
+        search = _independent_pairwise if pairwise else _independent_hyper
+        results: list[frozenset] = []
+        for chosen in search(len(facts), indexed, budget):
+            results.append(frozenset(facts[i] for i in chosen))
+            if len(results) > budget.left:
+                break
+        parts.append(results)
+    for combo in product(*parts):
+        budget.spend()
+        found.add(core.union(*combo))
 
 
 def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget,
                      found: set[SimpleSet]) -> None:
     """Maximal consistent subsets under arbitrary constraints: scan subsets
-    by decreasing size, keeping those no earlier consistent set contains."""
+    by decreasing size, keeping those no earlier consistent set contains.
+    The budget pays once per subset examined."""
     facts = sorted(se, key=fact_key)
     consistent_seen: list[frozenset] = []
     for size in range(len(facts), -1, -1):
@@ -180,16 +344,17 @@ def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget,
 
 def repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
             cap: int = DEFAULT_CAP) -> RepairSet:
-    """Enumerate repairs; a capped run returns the sound partial result."""
+    """Enumerate repairs; a capped run returns the sound partial result.
+
+    `cap` bounds the work: repairs emitted plus dead ends when consistency
+    is downward closed, candidate subsets examined otherwise."""
     if se is None:
         se = infer_all_simple(dataset, tes)
     budget = _Budget(cap)
     found: set[SimpleSet] = set()
     try:
-        if not tes.has_domain_constraints:
-            _repairs_conflict_graph(se, budget, found)
-        elif tes.is_monotone:
-            _repairs_monotone(se, tes, dataset, budget, found)
+        if _downward_closed(tes):
+            _repairs_hypergraph(se, tes, dataset, budget, found)
         else:
             _repairs_general(se, tes, dataset, budget, found)
         return RepairSet(_canonical(found), True)
@@ -313,9 +478,11 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
     """Decide whether a given event set is one of the mode's timelines.
 
     Shape first: the simple part must be inferable and the meta part must be
-    exactly what the rules derive from it. Consistency and maximality follow;
-    with monotone rules maximality needs only single-fact probes, and the
-    preferred check compares against same-or-stronger-level slices.
+    exactly what the rules derive from it. When consistency is downward
+    closed, the conflict hypergraph decides the rest: the simple part
+    contains no edge, every fact left out completes an edge with it, and
+    for the preferred check with its same-or-stronger-level slice. Other
+    rule sets look the candidate up among the enumerated repairs.
     """
     if mode not in ("consistent", "preferred"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -328,21 +495,30 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
         return False
     if candidate != s_se | infer_meta(tes, dataset, s_se):
         return False
-    if not is_consistent(s_se, tes, dataset):
-        return False
-    rest = sorted(se - s_se, key=fact_key)
-    if tes.is_monotone:
-        for sigma in rest:
-            if is_consistent(s_se | {sigma}, tes, dataset):
-                return False
-        if mode == "preferred":
-            for sigma in rest:
-                prefix = frozenset(f for f in s_se if f.level <= sigma.level)
-                if is_consistent(prefix | {sigma}, tes, dataset):
-                    return False
-        return True
-    rep = repairs(dataset, tes, se=se, cap=cap)
-    if not rep.exhaustive:
-        raise EnumerationCapExceeded(cap)
-    pool = _filter_preferred(rep.repairs) if mode == "preferred" else rep.repairs
-    return s_se in set(pool)
+    if not _downward_closed(tes):
+        rep = repairs(dataset, tes, se=se, cap=cap)
+        if not rep.exhaustive:
+            raise EnumerationCapExceeded(cap)
+        pool = _filter_preferred(rep.repairs) if mode == "preferred" else rep.repairs
+        return s_se in set(pool)
+    try:
+        edges = conflict_hypergraph(se, tes, dataset, _Budget(cap).spend)
+    except _CapHit:
+        raise EnumerationCapExceeded(cap) from None
+    by_fact: dict = {}
+    for e in edges:
+        if e <= s_se:
+            return False
+        for f in e:
+            by_fact.setdefault(f, []).append(e)
+
+    def completes_edge(sigma, kept: frozenset) -> bool:
+        return any(e - {sigma} <= kept for e in by_fact.get(sigma, ()))
+
+    for sigma in se - s_se:
+        if not completes_edge(sigma, s_se):
+            return False
+        if mode == "preferred" and not completes_edge(
+                sigma, frozenset(f for f in s_se if f.level <= sigma.level)):
+            return False
+    return True

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from timeloom import Dataset, parse_tes
+from timeloom import AtemporalFact, Dataset, ObservationFact, parse_tes
 from timeloom.query import LevelTimepoints
 
 TWO_LEVEL_NONPERSISTENT = """
@@ -122,10 +122,35 @@ def random_fact_set(rng: random.Random, max_facts=12, max_levels=3, horizon=12):
     return frozenset(facts)
 
 
+# constraint kinds for random_ruleful_instance(varied_constraints=True); the
+# dataset holds flag(on) and a few mark observations, never flag(off)
+VARIED_CONSTRAINTS = (
+    # one event atom beside a data atom: edges of size 1
+    ("constraint :- e([T, _]), mark(T).",),
+    # the default two-atom constraint
+    ("constraint :- e([T, T2]), p([T, T3]).",),
+    # three event atoms: edges of size 3 (or 2 when an e fact repeats)
+    ("constraint :- e([T1, _]), p([T2, _]), e([T3, _]), T1 < T2, T2 < T3.",),
+    # over meta events built by a positive join, one or two strata deep
+    ("meta m(inter(I, J), max(L1, L2)) :- e(I, L1), p(J, L2).",
+     "constraint :- m([T, _]), T < 5."),
+    ("meta m(inter(I, J), max(L1, L2)) :- e(I, L1), p(J, L2).",
+     "meta n(inter(I, J), L1) :- m(I, L1), e(J, _).",
+     "constraint :- n([T1, T2]), T1 < T2."),
+    # never fires
+    ("constraint :- e([T, _]), flag(off).",),
+    # data only, always fires: no repair at all
+    ("constraint :- flag(on).",),
+)
+
+
 def random_ruleful_instance(rng: random.Random, allow_constraints=True,
-                            end_levels=(1, 2, 3), extra=()):
+                            end_levels=(1, 2, 3), extra=(),
+                            varied_constraints=False):
     """A (dataset, tes) pair with ground simple-event rules and sometimes a
-    positive-only (monotone) constraint."""
+    positive-only (monotone) constraint. With `varied_constraints` it
+    always has one monotone constraint drawn from VARIED_CONSTRAINTS, and
+    the declarations and data those use."""
     lines = ["decl nonpersistent e/0.", "decl persistent p/0."]
     horizon = 10
     for _ in range(rng.randint(1, 7)):
@@ -137,11 +162,19 @@ def random_ruleful_instance(rng: random.Random, allow_constraints=True,
         lines.append(f"exists_pers(p, {rng.randrange(horizon)}, {rng.randint(1, 3)}).")
     for _ in range(rng.randint(0, 2)):
         lines.append(f"ends(p, {rng.randrange(horizon)}, {rng.choice(end_levels)}).")
-    if allow_constraints and rng.random() < 0.5:
+    facts = []
+    if varied_constraints:
+        lines += ["decl atemporal flag/1.", "decl observation mark/0.",
+                  "decl meta m/0.", "decl meta n/0."]
+        lines.extend(rng.choice(VARIED_CONSTRAINTS))
+        facts.append(AtemporalFact("flag", ("on",)))
+        facts += [ObservationFact("mark", (), rng.randrange(horizon))
+                  for _ in range(rng.randint(0, 2))]
+    elif allow_constraints and rng.random() < 0.5:
         # positive-only: an e and a p interval may not start together
         lines.append("constraint :- e([T, T2]), p([T, T3]).")
     lines.extend(extra)
-    return Dataset([]), parse_tes("\n".join(lines))
+    return Dataset(facts), parse_tes("\n".join(lines))
 
 
 def random_guard_instance(rng: random.Random, max_facts=12):

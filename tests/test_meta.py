@@ -15,6 +15,7 @@ from timeloom import (
     infer_timeline_facts,
     parse_tes,
 )
+from timeloom.meta import meta_provenance
 
 
 def ev(pred, args, a, b, level):
@@ -154,3 +155,45 @@ def brute_segments(simple):
         if new <= segs:
             return frozenset(segs)
         segs |= new
+
+
+PROVENANCE_RULES = (
+    # a join, and a second stratum over it
+    "decl persistent p/1.\ndecl persistent q/1.\ndecl meta m/1.\ndecl meta n/0.\n"
+    "meta m(X, inter(I, J), max(L1, L2)) :- p(X, I, L1), q(X, J, L2).\n"
+    "meta n(I, L) :- m(_, I, L).",
+    # a recursive stratum whose facts have several derivations
+    "decl persistent step/2.\ndecl meta reach/2.\n"
+    "meta reach(X, Y, I, L) :- step(X, Y, I, L).\n"
+    "meta reach(X, Z, inter(I, J), max(L1, L2)) :- reach(X, Y, I, L1), step(Y, Z, J, L2).",
+)
+
+
+def test_provenance_decides_derivability_of_every_subset():
+    rng = random.Random(23)
+    several = 0
+    for round_ in range(60):
+        tes = parse_tes(PROVENANCE_RULES[round_ % 2])
+        simple = set()
+        for _ in range(rng.randint(1, 8)):
+            a = rng.randrange(6)
+            iv = Interval(a, a + rng.randint(0, 4))
+            if round_ % 2 == 0:
+                simple.add(AnnotatedEventFact(rng.choice("pq"), (rng.choice("ab"),), iv,
+                                              rng.randint(1, 2)))
+            else:
+                simple.add(AnnotatedEventFact("step", (rng.randrange(4), rng.randrange(4)),
+                                              iv, rng.randint(1, 2)))
+        simple = sorted(simple, key=repr)
+        spent = []
+        why = meta_provenance(tes, Dataset([]), frozenset(simple), lambda: spent.append(1))
+        assert set(why) == infer_meta(tes, Dataset([]), frozenset(simple))
+        for supports in why.values():
+            assert supports and all(not s < t for s in supports for t in supports)
+        several += len(spent) > 0
+        for k in range(len(simple) + 1):
+            for subset in itertools.combinations(simple, k):
+                subset = frozenset(subset)
+                want = infer_meta(tes, Dataset([]), subset)
+                assert want == {m for m, sups in why.items() if any(s <= subset for s in sups)}
+    assert several > 5

@@ -7,6 +7,7 @@ import pytest
 from timeloom import (
     STAR,
     AnnotatedEventFact,
+    AtemporalFact,
     Dataset,
     EnumerationCapExceeded,
     GuardViolated,
@@ -26,11 +27,12 @@ from timeloom import (
     temporal_conflict,
     timeline,
 )
-from timeloom.repair import clash_pairs
+from timeloom.repair import clash_pairs, conflict_hypergraph
 
 from conftest import (
     PLAIN_TES,
     TWO_LEVEL_NONPERSISTENT,
+    VARIED_CONSTRAINTS,
     random_fact_set,
     random_guard_instance,
     random_ruleful_instance,
@@ -211,6 +213,98 @@ def test_cap_propagates_and_cautious_raises():
         cautious_core(EMPTY, tes, se=se, cap=3)
     pref = preferred_repairs(EMPTY, tes, se=se, cap=3)
     assert not pref.exhaustive
+
+
+# q is never derived, so the constraint never fires
+NEVER_FIRES = parse_tes("decl persistent e/1.\ndecl persistent q/0.\n"
+                        "constraint :- e(X, [T1, T2]), q([T1, T3]).")
+
+
+def test_conflict_free_facts_with_idle_constraint_give_one_repair():
+    for n in (14, 1200):
+        se = frozenset(ev(0, 1, 1, args=(i,)) for i in range(n))
+        rep = repairs(EMPTY, NEVER_FIRES, se=se, cap=1)
+        assert rep.exhaustive
+        assert rep.repairs == (se,)
+        assert cautious_core(EMPTY, NEVER_FIRES, se=se, cap=1) == se
+        assert preferred_repairs(EMPTY, NEVER_FIRES, se=se, cap=1).repairs == (se,)
+
+
+def test_independent_instances_multiply_within_cap():
+    # four instances, each with four facts sharing a start: 4^4 repairs
+    se = frozenset(ev(0, end, 1, args=(i,)) for i in range(4) for end in range(1, 5))
+    rep = repairs(EMPTY, NEVER_FIRES, se=se, cap=256)
+    assert rep.exhaustive and len(rep.repairs) == 256
+    assert all(len(r) == 4 and is_consistent(r, NEVER_FIRES, EMPTY) for r in rep.repairs)
+    capped = repairs(EMPTY, NEVER_FIRES, se=se, cap=255)
+    assert not capped.exhaustive
+    assert set(capped.repairs) < set(rep.repairs)
+
+
+def test_long_components_need_no_recursion():
+    # two or three links in a row form an edge: one component of 2400 facts
+    # whose repairs keep over a thousand of them
+    links = frozenset(AnnotatedEventFact("e", (i, i + 1), Interval(0, 1), 1)
+                      for i in range(2400))
+    for body in ("e(A, B, _), e(B, C, _)", "e(A, B, _), e(B, C, _), e(C, D, _)"):
+        tes = parse_tes(f"decl persistent e/2.\nconstraint :- {body}.")
+        rep = repairs(EMPTY, tes, se=links, cap=3)
+        assert not rep.exhaustive and 1 <= len(rep.repairs) <= 3
+        r = rep.repairs[0]
+        assert len(r) > 1000 and is_consistent(r, tes, EMPTY)
+        left_out = sorted(links - r, key=lambda f: f.args)
+        assert not any(is_consistent(r | {f}, tes, EMPTY) for f in left_out[::100])
+
+
+def test_hyperedges_are_minimal_constraint_witnesses():
+    tes = parse_tes(
+        "decl persistent e/0.\ndecl persistent p/0.\ndecl meta m/0.\n"
+        "meta m(inter(I, J), max(L1, L2)) :- e(I, L1), p(J, L2).\n"
+        "constraint :- m([T, _]), T < 5.")
+    e1, e2 = fig(0, 9, 1), fig(3, 9, 2)  # e1 and e2 clash
+    p = AnnotatedEventFact("p", (), Interval(3, 4), 1)
+    edges = conflict_hypergraph(frozenset({e1, e2, p}), tes, EMPTY, lambda: None)
+    # m([3,4]) at level 1 from {e1, p} and at level 2 from {e2, p}
+    assert len(edges) == 3
+    assert set(edges) == {frozenset({e1, e2}), frozenset({e1, p}), frozenset({e2, p})}
+    always = parse_tes("decl atemporal flag/0.\ndecl persistent e/0.\n"
+                       "constraint :- flag.")
+    flagged = Dataset([AtemporalFact("flag", ())])
+    assert conflict_hypergraph(frozenset({e1}), always, flagged, lambda: None) == [frozenset()]
+
+
+def test_hypergraph_path_matches_brute_on_varied_constraints():
+    # repairs, preferred repairs, cautious cores and recognition
+    rng = random.Random(41)
+    checked, kinds, widest, none = 0, set(), 0, 0
+    while checked < 520:
+        dataset, tes = random_ruleful_instance(rng, varied_constraints=True)
+        se = infer_all_simple(dataset, tes)
+        if len(se) > 9:
+            continue
+        # the predicates a constraint body names tell the kinds apart
+        kinds.add(tuple(lit.atom.pred for lit in tes.constraints[0].body
+                        if hasattr(lit.atom, "pred")))
+        reps = brute_repairs(dataset, tes, se=se)
+        got = repairs(dataset, tes, se=se)
+        assert got.exhaustive
+        assert got.repairs == reps
+        pref = preferred_repairs(dataset, tes, se=se)
+        assert pref.exhaustive
+        assert pref.repairs == brute_preferred(reps)
+        core = frozenset.intersection(*reps) if reps else frozenset()
+        assert cautious_core(dataset, tes, se=se) == core
+        for cand in set(reps) | {frozenset(), se, core}:
+            full = cand | infer_meta(tes, dataset, cand)
+            assert recognize_timeline(dataset, tes, full) == (cand in reps)
+            assert recognize_timeline(dataset, tes, full, mode="preferred") == (
+                cand in pref.repairs)
+        edges = conflict_hypergraph(se, tes, dataset, lambda: None)
+        widest = max([widest] + [len(e) for e in edges])
+        none += not reps
+        checked += 1
+    assert len(kinds) == len(VARIED_CONSTRAINTS)
+    assert widest >= 3 and none > 0
 
 
 def test_greedy_guard_violations():
