@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -39,6 +43,10 @@ from .model import (
     value_key,
 )
 from .repair import DEFAULT_CAP, TimelineResult, recognize_timeline, timeline
+
+# silent unless the application configures logging
+log = logging.getLogger("timeloom")
+log.addHandler(logging.NullHandler())
 
 
 @dataclass(frozen=True)
@@ -84,23 +92,28 @@ def fact_from_json(d: dict) -> AnnotatedEventFact:
     return AnnotatedEventFact(d["pred"], tuple(d["args"]), interval, d["level"])
 
 
-def model_to_json(model: frozenset, tes: TES, now: int | None = None) -> dict:
-    simple = sorted((f for f in model if tes.is_simple_pred(f.pred)), key=fact_key)
-    meta = sorted((f for f in model if not tes.is_simple_pred(f.pred)), key=fact_key)
-    return {"simple": [fact_to_json(f, now) for f in simple],
-            "meta": [fact_to_json(f, now) for f in meta]}
-
-
 def model_from_json(d: dict) -> frozenset:
     return frozenset(fact_from_json(x) for x in d["simple"] + d["meta"])
 
 
 def result_to_json(result: TimelineResult, tes: TES, now: int | None = None,
                    max_models: int | None = None) -> dict:
+    """A run's models as JSON-ready dicts, each model's facts sorted into
+    its simple and meta sections. Each distinct fact becomes one dict that
+    every model holding it shares, so `render_document` encodes it once."""
     models = result.models[:max_models] if max_models is not None else result.models
-    return {"mode": result.mode,
-            "models": [model_to_json(m, tes, now) for m in models],
-            "exhaustive": result.exhaustive}
+
+    def entry(f: AnnotatedEventFact) -> tuple:
+        return fact_key(f), tes.is_simple_pred(f.pred), fact_to_json(f, now)
+
+    if len(models) > 1:  # one entry, and so one dict, per distinct fact
+        entry = cache(entry)
+    out = []
+    for m in models:
+        entries = sorted(map(entry, m), key=itemgetter(0))
+        out.append({"simple": [d for _, simple, d in entries if simple],
+                    "meta": [d for _, simple, d in entries if not simple]})
+    return {"mode": result.mode, "models": out, "exhaustive": result.exhaustive}
 
 
 def result_from_json(doc: dict) -> TimelineResult:
@@ -123,10 +136,60 @@ def _tsv_fact_rows(prefix: list[str], d: dict, with_clamp: bool) -> list[str]:
     return rows
 
 
+def _json_indented(doc) -> str:
+    """`json.dumps(doc, indent=2)` for a document of dicts with string keys,
+    lists, strings, numbers, booleans and None. A dict or list that lists
+    hold more than once, at the same depth, is encoded once: a repeat
+    reuses the text its first occurrence wrote."""
+    out: list[str] = []
+    spans: dict[tuple[int, int], tuple[int, int]] = {}  # (id, depth) -> out[a:b]
+    texts: dict[tuple[int, int], str] = {}
+
+    def write(o, depth: int, item: bool = False) -> None:
+        if isinstance(o, str):
+            out.append(encode_basestring_ascii(o))
+            return
+        if type(o) is int:
+            out.append(repr(o))
+            return
+        if not isinstance(o, (dict, list, tuple)):
+            out.append(json.dumps(o))
+            return
+        if not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
+            return
+        key = (id(o), depth) if item else None
+        if key in spans:
+            if key not in texts:
+                a, b = spans[key]
+                texts[key] = "".join(out[a:b])
+            out.append(texts[key])
+            return
+        start = len(out)
+        pad = "\n" + "  " * (depth + 1)
+        if isinstance(o, dict):
+            out.append("{")
+            for i, (k, v) in enumerate(o.items()):
+                out.append(("," if i else "") + pad + encode_basestring_ascii(k) + ": ")
+                write(v, depth + 1)
+            out.append("\n" + "  " * depth + "}")
+        else:
+            out.append("[")
+            for i, v in enumerate(o):
+                out.append(("," if i else "") + pad)
+                write(v, depth + 1, True)
+            out.append("\n" + "  " * depth + "]")
+        if item:
+            spans[key] = (start, len(out))
+
+    write(doc, 0)
+    return "".join(out)
+
+
 def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
     """Render a run document as JSON or as flat tab-separated rows."""
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return _json_indented(doc) + "\n"
     rows: list[str] = []
     if "recognized" in doc:
         return f"recognized\t{str(doc['recognized']).lower()}\n"
@@ -182,7 +245,8 @@ def _run_entities(jobs: list[tuple]) -> list[tuple]:
         except TimeloomError:
             raise
         except (OSError, RuntimeError, pickle.PicklingError):
-            pass  # no worker pool available here; fall back to in-process
+            log.warning("no worker pool (running %d entities in-process)", len(jobs),
+                        exc_info=True)
     return [_entity_job(j) for j in jobs]
 
 

@@ -3,14 +3,16 @@
 Each stratum is evaluated to a fixpoint before the next begins, so negated
 event references and extremum tests always see a completed collection.
 Within a stratum, repeated passes restrict one body literal at a time to
-the newest facts.
+the newest facts. Under monotone rules, many models are closed from the
+closure of the facts they share, each adding only what its own facts
+derive.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import prod
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import LevelOverflow
 from .language import TES, AnnEventAtom, EventAtom, MetaRule
@@ -39,58 +41,103 @@ def _fire(rule: MetaRule, dataset: Dataset, store: EventStore, delta: tuple | No
     return out
 
 
-def _recursive_positions(rule: MetaRule, stratum: frozenset[str]) -> list[int]:
+def _event_positions(rule: MetaRule, preds: frozenset[str] | None = None) -> list[int]:
+    """The body positions of the rule's positive event atoms, only those
+    over `preds` when given."""
     return [i for i, lit in enumerate(rule.body)
             if not lit.negated
             and isinstance(lit.atom, (EventAtom, AnnEventAtom))
-            and lit.atom.pred in stratum]
+            and (preds is None or lit.atom.pred in preds)]
 
 
 Fired = list[tuple[tuple, AnnotatedEventFact]]
 
 
+def _fire_delta(joins: list[tuple[MetaRule, list[int]]], delta: list[AnnotatedEventFact],
+                dataset: Dataset, store: EventStore, witnesses: bool) -> Fired:
+    """Each rule fired once per listed position, that position restricted to
+    the facts of `delta` over its predicate."""
+    fired: Fired = []
+    for rule, positions in joins:
+        for pos in positions:
+            pred = rule.body[pos].atom.pred
+            fresh = [f for f in delta if f.pred == pred]
+            if fresh:
+                fired += _fire(rule, dataset, store, (pos, fresh), witnesses)
+    return fired
+
+
 def _close(tes: TES, dataset: Dataset, store: EventStore,
            absorb: Callable[[Fired], list[AnnotatedEventFact]],
-           witnesses: bool = False) -> None:
+           witnesses: bool = False, new: list[AnnotatedEventFact] | None = None) -> None:
     """Evaluate the strata in order, each to a fixpoint by semi-naive passes.
 
     `absorb` receives one pass's firings (see `_fire`) and returns the facts
     that changed, which the next pass joins against. It must add new facts
     to the store; the store is not touched while a pass fires.
+
+    With `new`, the store already holds the closure of its other facts, and
+    `new` lists the facts added since; the rules must be monotone. Then the
+    first pass of a stratum joins only bindings that match some new fact at
+    a positive event atom, and each stratum's derived facts count as new for
+    the strata after it.
     """
     for stratum in tes.strata:
         members = frozenset(stratum)
         rules = [r for r in tes.meta_rules if r.pred in members]
         if not rules:
             continue
-        delta = absorb([x for r in rules for x in _fire(r, dataset, store, None, witnesses)])
-        recursive = [(r, _recursive_positions(r, members)) for r in rules]
+        if new is None:
+            fired = [x for r in rules for x in _fire(r, dataset, store, None, witnesses)]
+        else:
+            fired = _fire_delta([(r, _event_positions(r)) for r in rules], new,
+                                dataset, store, witnesses)
+        delta = absorb(fired)
+        derived = list(delta)
+        recursive = [(r, _event_positions(r, members)) for r in rules]
         recursive = [(r, ps) for r, ps in recursive if ps]
         while delta:
-            fired: Fired = []
-            for rule, positions in recursive:
-                for pos in positions:
-                    pred = rule.body[pos].atom.pred
-                    fresh = [f for f in delta if f.pred == pred]
-                    if fresh:
-                        fired += _fire(rule, dataset, store, (pos, fresh), witnesses)
-            delta = absorb(fired)
+            delta = absorb(_fire_delta(recursive, delta, dataset, store, witnesses))
+            derived += delta
+        if new is not None:
+            new = new + derived
+
+
+def _adding_to(store: EventStore) -> Callable[[Fired], list[AnnotatedEventFact]]:
+    """The `_close` absorber that adds each derived fact to the store."""
+    return lambda fired: store.add_all([f for _, f in fired])
 
 
 def infer_meta(tes: TES, dataset: Dataset,
                simple: frozenset[AnnotatedEventFact]) -> frozenset[AnnotatedEventFact]:
     """All meta-event facts derivable from the dataset and simple events."""
-    store = EventStore()
-    store.add_all(simple)
-    derived: set[AnnotatedEventFact] = set()
+    store = EventStore(simple)
+    _close(tes, dataset, store, _adding_to(store))
+    return store.facts.difference(simple)
 
-    def absorb(fired: Fired) -> list[AnnotatedEventFact]:
-        delta = store.add_all({f for _, f in fired})
-        derived.update(delta)
-        return delta
 
-    _close(tes, dataset, store, absorb)
-    return frozenset(derived)
+def close_models(tes: TES, dataset: Dataset,
+                 models: Sequence[frozenset[AnnotatedEventFact]]
+                 ) -> tuple[frozenset[AnnotatedEventFact], ...]:
+    """Each set of simple events together with the meta facts derivable
+    from it, in order.
+
+    Monotone rules derive from a superset everything they derive from the
+    set, so the facts all models share are closed once; each model then
+    extends a copy of that closure with its own facts (incremental view
+    maintenance). A single model, or rules that negate an event or test a
+    start or end, are closed from scratch.
+    """
+    if len(models) < 2 or not tes.is_monotone:
+        return tuple(m | infer_meta(tes, dataset, m) for m in models)
+    shared = EventStore(frozenset.intersection(*models))
+    _close(tes, dataset, shared, _adding_to(shared))
+    closed = []
+    for m in models:
+        store = shared.copy()
+        _close(tes, dataset, store, _adding_to(store), new=store.add_all(m))
+        closed.append(store.facts)
+    return tuple(closed)
 
 
 Supports = list[frozenset]

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 from .errors import EnumerationCapExceeded, GuardViolated
 from .language import TES
-from .meta import combine_supports, infer_meta, meta_provenance
+from .meta import close_models, combine_supports, infer_meta, meta_provenance
 from .model import AnnotatedEventFact, Dataset, EventStore, _end_rank, fact_key
 from .query import eval_body
 from .simple import infer_all_simple
@@ -104,7 +104,10 @@ class _Budget:
 
 
 def _canonical(found: set[SimpleSet]) -> tuple[SimpleSet, ...]:
-    return tuple(sorted(found, key=lambda r: sorted(fact_key(f) for f in r)))
+    if len(found) < 2:
+        return tuple(found)
+    keys = {f: fact_key(f) for f in frozenset().union(*found)}
+    return tuple(sorted(found, key=lambda r: sorted(map(keys.__getitem__, r))))
 
 
 def _downward_closed(tes: TES) -> bool:
@@ -290,33 +293,51 @@ def _independent_hyper(n: int, edges: list[tuple[int, ...]],
                 set_excluded(depth, False)
 
 
+def _split_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget
+                      ) -> tuple[SimpleSet, list[tuple[list, list[tuple[int, ...]]]]] | None:
+    """The conflict hypergraph of `se` as the facts in no edge, which are in
+    every repair, and the connected components of the edges of two or more
+    facts, each as its facts and its edges over their indexes. A fact in a
+    one-fact edge is in no repair. None when no subset is consistent."""
+    edges = conflict_hypergraph(se, tes, dataset, budget.spend)
+    if edges and not edges[0]:
+        return None
+    core = frozenset(se).difference(*edges)
+    comps = []
+    for facts, comp_edges in _components([e for e in edges if len(e) > 1]):
+        pos = {f: i for i, f in enumerate(facts)}
+        comps.append((facts, [tuple(sorted(pos[f] for f in e)) for e in comp_edges]))
+    return core, comps
+
+
+def _component_results(facts: list, edges: list[tuple[int, ...]],
+                       budget: _Budget) -> Iterator[frozenset]:
+    """The maximal independent sets of one component, as sets of facts."""
+    pairwise = all(len(e) == 2 for e in edges)
+    search = _independent_pairwise if pairwise else _independent_hyper
+    for chosen in search(len(facts), edges, budget):
+        yield frozenset(facts[i] for i in chosen)
+
+
 def _repairs_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget,
                         found: set[SimpleSet]) -> None:
     """Maximal independent sets of the conflict hypergraph, which are the
-    repairs when consistency is downward closed.
+    repairs when consistency is downward closed: the facts in no edge plus
+    one result per component, each component enumerated on its own.
 
-    A fact in a one-fact edge is in no repair; a fact in no edge is in every
-    repair. The other facts split into connected components, enumerated one
-    at a time, and the repairs are the core plus one result per component.
     The budget pays once per repair emitted and once per dead end. A
     component stops once it has more results than the budget has left,
     since their product would exceed it anyway.
     """
-    edges = conflict_hypergraph(se, tes, dataset, budget.spend)
-    if edges and not edges[0]:
+    split = _split_hypergraph(se, tes, dataset, budget)
+    if split is None:
         return
-    excluded = {f for e in edges if len(e) == 1 for f in e}
-    edges = [e for e in edges if len(e) > 1]
-    core = frozenset(se).difference(excluded, *edges)
+    core, comps = split
     parts: list[list[frozenset]] = []
-    for facts, comp_edges in _components(edges):
-        pos = {f: i for i, f in enumerate(facts)}
-        indexed = [tuple(sorted(pos[f] for f in e)) for e in comp_edges]
-        pairwise = all(len(e) == 2 for e in indexed)
-        search = _independent_pairwise if pairwise else _independent_hyper
+    for facts, edges in comps:
         results: list[frozenset] = []
-        for chosen in search(len(facts), indexed, budget):
-            results.append(frozenset(facts[i] for i in chosen))
+        for result in _component_results(facts, edges, budget):
+            results.append(result)
             if len(results) > budget.left:
                 break
         parts.append(results)
@@ -420,23 +441,37 @@ def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
                   cap: int = DEFAULT_CAP) -> SimpleSet:
     """Facts present in every repair.
 
-    Without domain constraints this is exactly the facts in no conflict;
-    otherwise the repairs are enumerated, and a capped enumeration raises
-    rather than return an unsound core.
+    Without domain constraints this is exactly the facts in no conflict.
+    When consistency is downward closed it is the facts in no hyperedge
+    plus, per component, the facts in every one of its results; the budget
+    pays per component result and per dead end. Otherwise the repairs are
+    enumerated. A capped run raises rather than return an unsound core.
     """
     if se is None:
         se = infer_all_simple(dataset, tes)
     if not tes.has_domain_constraints:
         return frozenset(se).difference(f for pair in clash_pairs(se) for f in pair)
-    rep = repairs(dataset, tes, se=se, cap=cap)
-    if not rep.exhaustive:
-        raise EnumerationCapExceeded(cap)
-    if not rep.repairs:
-        return frozenset()
-    core = set(rep.repairs[0])
-    for r in rep.repairs[1:]:
-        core &= r
-    return frozenset(core)
+    if not _downward_closed(tes):
+        rep = repairs(dataset, tes, se=se, cap=cap)
+        if not rep.exhaustive:
+            raise EnumerationCapExceeded(cap)
+        return frozenset.intersection(*rep.repairs) if rep.repairs else frozenset()
+    budget = _Budget(cap)
+    try:
+        split = _split_hypergraph(se, tes, dataset, budget)
+        if split is None:
+            return frozenset()
+        core, comps = split
+        kept = set(core)
+        for facts, edges in comps:
+            common = None
+            for result in _component_results(facts, edges, budget):
+                budget.spend()
+                common = result if common is None else common & result
+            kept |= common
+    except _CapHit:
+        raise EnumerationCapExceeded(cap) from None
+    return frozenset(kept)
 
 
 @dataclass(frozen=True)
@@ -469,8 +504,7 @@ def timeline(dataset: Dataset, tes: TES, mode: str = "consistent",
         rep = preferred_repairs(dataset, tes, se=se, cap=cap)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    models = tuple(r | infer_meta(tes, dataset, r) for r in rep.repairs)
-    return TimelineResult(mode, models, rep.exhaustive)
+    return TimelineResult(mode, close_models(tes, dataset, rep.repairs), rep.exhaustive)
 
 
 def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consistent",

@@ -1,15 +1,17 @@
 """End-to-end command-line runs: documents, formats, and exit codes."""
 
 import json
+import logging
 import subprocess
 import sys
 from datetime import date
 
 import pytest
 
-from timeloom import AnnotatedEventFact, Interval, TimelineResult
+from timeloom import AnnotatedEventFact, Interval, TimelineResult, ingest, parse_tes, timeline
 from timeloom import cli
-from timeloom.cli import fact_to_json, main, result_from_json
+from timeloom.cli import fact_to_json, main, partition_dataset, render_document, result_from_json
+from timeloom.model import fact_key
 
 from conftest import TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
 
@@ -320,3 +322,110 @@ def test_module_entry_point(ward):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["models"][0]["simple"] == [P1_JSON, P2_JSON]
+
+
+# ongoing ends and zero-arity facts (e/0), two repairs, meta facts, and
+# symbols that JSON must escape
+RENDER_RULES = TWO_LEVEL_PERSISTENT + """\
+decl observation adm/1.
+decl nonpersistent abth/1.
+decl meta treated/1.
+exists(abth(P), T, 1) :- adm(P, T).
+window(abth(P), 2).
+meta treated(P, inter(I, J), max(L1, L2)) :- abth(P, I, L1), e(J, L2).
+"""
+
+RENDER_FACTS = """obs adm('say "hi"', 3).\nobs adm('back\\slash', 4).\nobs adm('café ✓', 5).\nobs adm(p1, 0).\n"""
+
+
+def reference_doc(dataset, tes, mode, now=None, max_models=None):
+    """The run document built directly: every fact its own dict, each model
+    sorted by fact_key into its simple and meta sections."""
+    result = timeline(dataset, tes, mode)
+    models = result.models[:max_models] if max_models is not None else result.models
+
+    def section(m, simple):
+        return [fact_to_json(f, now) for f in sorted(m, key=fact_key)
+                if tes.is_simple_pred(f.pred) == simple]
+
+    return {"mode": mode,
+            "models": [{"simple": section(m, True), "meta": section(m, False)} for m in models],
+            "exhaustive": result.exhaustive}
+
+
+@pytest.fixture
+def rendered(tmp_path):
+    (tmp_path / "render.tes").write_text(RENDER_RULES)
+    (tmp_path / "render.facts").write_text(RENDER_FACTS)
+    (tmp_path / "never.tes").write_text(
+        "decl atemporal flag/0.\ndecl observation adm/1.\ndecl nonpersistent abth/1.\n"
+        "exists(abth(P), T, 1) :- adm(P, T).\nwindow(abth(P), 2).\nconstraint :- flag.\n")
+    (tmp_path / "never.facts").write_text("atemporal flag.\nobs adm(p1, 0).\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("rules,mode,extra", [
+    ("never", "consistent", ()),  # the constraint fires on the data alone
+    ("render", "naive", ()),
+    ("render", "consistent", ()),
+    ("render", "consistent", ("--now", "12")),
+    ("render", "preferred", ("--now", "3")),
+    ("render", "cautious", ()),
+    ("render", "consistent", ("--max-models", "1")),
+    ("render", "consistent", ("--partition-by", "0")),
+    ("render", "consistent", ("--partition-by", "0", "--now", "12")),
+])
+def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
+    rules_path, facts_path = rendered / f"{rules}.tes", rendered / f"{rules}.facts"
+    tes = parse_tes(rules_path.read_text())
+    dataset = ingest([(str(facts_path), None)])
+    opts = dict(zip(extra[::2], extra[1::2]))
+    now = int(opts["--now"]) if "--now" in opts else None
+    max_models = int(opts["--max-models"]) if "--max-models" in opts else None
+    if "--partition-by" in opts:
+        pos = int(opts["--partition-by"])
+        entities = [{"entity": key, **reference_doc(ds, tes, mode, now)}
+                    for key, ds in partition_dataset(dataset, pos)]
+        doc = {"mode": mode, "partition_by": pos, "entities": entities, "exhaustive": True}
+    else:
+        doc = reference_doc(dataset, tes, mode, now, max_models)
+    if rules == "never":
+        assert doc["models"] == []
+    else:
+        text = json.dumps(doc)
+        assert '"end": "*"' in text and '"args": []' in text
+        assert "\\\\" in text and '\\"' in text and "\\u00e9" in text
+
+    args = ("run", "--rules", str(rules_path), "--data", str(facts_path),
+            "--mode", mode, *extra)
+    assert run_cli(*args) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+    assert run_cli(*args, "--format", "tsv") == 0
+    assert capsys.readouterr().out == render_document(doc, "tsv", with_clamp=now is not None)
+
+
+def test_render_document_encodes_shared_objects_like_json_dumps():
+    leaf = {"pred": "e", "args": [], "interval": {"start": 0, "end": "*"}, "level": 1}
+    doc = {"a": [leaf, leaf, {"nested": [leaf]}], "b": leaf, "c": {}, "d": [[]],
+           "e": [True, False, None, 1.5, -3, "\u00e9\"\\\n"], "é": (1, leaf)}
+    assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
+    assert render_document({"recognized": True}, "json") == '{\n  "recognized": true\n}\n'
+
+
+def test_pool_failure_is_logged_and_output_unchanged(ward, monkeypatch, caplog, capsys):
+    args = ("run", "--rules", str(ward / "care.tes"), "--data", str(ward / "ward.facts"),
+            "--mode", "consistent", "--partition-by", "0")
+    assert run_cli(*args) == 0
+    pooled = capsys.readouterr().out
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise OSError("no semaphores here")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    with caplog.at_level(logging.WARNING, logger="timeloom"):
+        assert run_cli(*args) == 0
+    assert capsys.readouterr().out == pooled
+    [record] = [r for r in caplog.records if r.name == "timeloom"]
+    assert "in-process" in record.getMessage()
+    assert isinstance(record.exc_info[1], OSError)

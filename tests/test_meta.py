@@ -9,13 +9,18 @@ from timeloom import (
     AnnotatedEventFact,
     AtemporalFact,
     Dataset,
+    EventStore,
     Interval,
     LevelOverflow,
+    infer_all_simple,
     infer_meta,
     infer_timeline_facts,
     parse_tes,
+    repairs,
 )
-from timeloom.meta import meta_provenance
+from timeloom.meta import close_models, meta_provenance
+
+from conftest import random_ruleful_instance
 
 
 def ev(pred, args, a, b, level):
@@ -197,3 +202,55 @@ def test_provenance_decides_derivability_of_every_subset():
                 want = infer_meta(tes, Dataset([]), subset)
                 assert want == {m for m, sups in why.items() if any(s <= subset for s in sups)}
     assert several > 5
+
+
+# meta rules over the e/0 and p/0 events of random_ruleful_instance
+CLOSURE_RULES = (
+    # one join
+    ("decl meta a/0.", "meta a(inter(I, J), max(L1, L2)) :- e(I, L1), p(J, L2)."),
+    # two strata: b reads a only
+    ("decl meta a/0.", "decl meta b/0.",
+     "meta a(inter(I, J), max(L1, L2)) :- e(I, L1), p(J, L2).",
+     "meta b(I, L) :- a(I, L)."),
+    # a recursive stratum
+    ("decl meta r/0.", "meta r(I, L) :- p(I, L).",
+     "meta r(inter(I, J), max(L1, L2)) :- r(I, L1), e(J, L2)."),
+    # not monotone: a negated event atom, an extremum test
+    ("decl meta lone/0.", "meta lone(I, L) :- e(I, L), not p(_, _)."),
+    ("decl meta first/0.", "meta first([T, T2], L) :- e([T, T2], L), start(e, T)."),
+)
+
+
+def test_close_models_matches_closing_each_model():
+    # the repairs, and random subsets of the simple events, as model lists
+    rng = random.Random(17)
+    grown = [0] * len(CLOSURE_RULES)  # models whose closure outgrows the shared one
+    for draw in range(300):
+        kind = draw % len(CLOSURE_RULES)
+        dataset, tes = random_ruleful_instance(rng, allow_constraints=False,
+                                               extra=CLOSURE_RULES[kind])
+        assert tes.is_monotone == (kind < 3)
+        se = infer_all_simple(dataset, tes)
+        subsets = tuple(frozenset(f for f in se if rng.random() < 0.7) for _ in range(3))
+        for models in (repairs(dataset, tes, se=se).repairs, subsets):
+            want = tuple(m | infer_meta(tes, dataset, m) for m in models)
+            assert close_models(tes, dataset, models) == want
+            if len(models) > 1:
+                shared = infer_meta(tes, dataset, frozenset.intersection(*models))
+                grown[kind] += sum(len(w) - len(m) > len(shared) for m, w in zip(models, want))
+    assert min(grown) > 20
+
+
+def test_close_models_copies_no_store_for_one_model_or_nonmonotone_rules(monkeypatch):
+    def no_copy(self):
+        raise AssertionError("store copied")
+
+    monkeypatch.setattr(EventStore, "copy", no_copy)
+    rng = random.Random(3)
+    for draw in range(40):
+        rules = CLOSURE_RULES[draw % len(CLOSURE_RULES)]
+        dataset, tes = random_ruleful_instance(rng, allow_constraints=False, extra=rules)
+        reps = repairs(dataset, tes).repairs
+        for models in ([reps[0]], reps if not tes.is_monotone else []):
+            want = tuple(m | infer_meta(tes, dataset, m) for m in models)
+            assert close_models(tes, dataset, models) == want

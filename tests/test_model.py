@@ -205,3 +205,17 @@ def test_event_store():
     assert set(s.by_pred("e")) == {f1, f2}
     assert s.by_key("e", ("a",)) == (f1,)
     assert len(s) == 2 and f1 in s
+
+
+def test_event_store_copy_is_independent():
+    f1 = AnnotatedEventFact("e", ("a", 1), Interval(0, 2), 1)
+    f2 = AnnotatedEventFact("e", ("a", 2), Interval(1, 3), 2)
+    s = EventStore([f1])
+    assert list(s.probe("e", (0,), ("a",))) == [f1]  # builds the index
+    c = s.copy()
+    assert c.add(f2)
+    assert list(c.probe("e", (0,), ("a",))) == [f1, f2]
+    assert list(s.probe("e", (0,), ("a",))) == [f1]
+    assert c.by_pred("e") == (f1, f2) and s.by_pred("e") == (f1,)
+    assert c.by_key("e", ("a", 2)) == (f2,) and s.by_key("e", ("a", 2)) == ()
+    assert f2 in c and f2 not in s and len(s) == 1

@@ -241,6 +241,18 @@ def test_independent_instances_multiply_within_cap():
     assert set(capped.repairs) < set(rep.repairs)
 
 
+def test_cautious_core_is_taken_per_component():
+    # seven instances of four clashing facts: 4^7 repairs, past the default
+    # cap, but only 28 component results
+    clashing = frozenset(ev(0, end, 1, args=(i,)) for i in range(7) for end in range(1, 5))
+    free = frozenset(ev(0, 1, 1, args=(i,)) for i in range(7, 10))
+    assert not repairs(EMPTY, NEVER_FIRES, se=clashing | free).exhaustive
+    assert cautious_core(EMPTY, NEVER_FIRES, se=clashing | free) == free
+    assert cautious_core(EMPTY, NEVER_FIRES, se=clashing | free, cap=28) == free
+    with pytest.raises(EnumerationCapExceeded):
+        cautious_core(EMPTY, NEVER_FIRES, se=clashing | free, cap=27)
+
+
 def test_long_components_need_no_recursion():
     # two or three links in a row form an edge: one component of 2400 facts
     # whose repairs keep over a thousand of them
