@@ -122,18 +122,14 @@ def result_from_json(doc: dict) -> TimelineResult:
                           doc["exhaustive"])
 
 
-def _tsv_fact_rows(prefix: list[str], d: dict, with_clamp: bool) -> list[str]:
-    rows = []
-    for section in ("simple", "meta"):
-        for fj in d[section]:
-            row = prefix + [section, fj["pred"],
-                            ",".join(str(a) for a in fj["args"]),
-                            str(fj["interval"]["start"]), str(fj["interval"]["end"]),
-                            str(fj["level"])]
-            if with_clamp:
-                row.append(str(fj["interval"].get("clamped_end", "")))
-            rows.append("\t".join(row))
-    return rows
+def _tsv_fact_row(section: str, fj: dict, with_clamp: bool) -> str:
+    """One fact's TSV fields after the row prefix, with the line end."""
+    iv = fj["interval"]
+    row = [section, fj["pred"], ",".join(str(a) for a in fj["args"]),
+           str(iv["start"]), str(iv["end"]), str(fj["level"])]
+    if with_clamp:
+        row.append(str(iv.get("clamped_end", "")))
+    return "\t".join(row) + "\n"
 
 
 def _json_indented(doc) -> str:
@@ -190,17 +186,29 @@ def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
     """Render a run document as JSON or as flat tab-separated rows."""
     if fmt == "json":
         return _json_indented(doc) + "\n"
-    rows: list[str] = []
     if "recognized" in doc:
         return f"recognized\t{str(doc['recognized']).lower()}\n"
+    rows: list[str] = []
+    # models share one dict per distinct fact, so a fact's text is built once
+    texts: dict[tuple[int, str], str] = {}  # (id of a fact dict, section) -> text
+
+    def model_rows(prefix: str, m: dict) -> None:
+        for section in ("simple", "meta"):
+            for fj in m[section]:
+                key = (id(fj), section)
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = _tsv_fact_row(section, fj, with_clamp)
+                rows.append(prefix + text)
+
     if "entities" in doc:
         for ent in doc["entities"]:
             for mi, m in enumerate(ent["models"]):
-                rows += _tsv_fact_rows([str(ent["entity"]), str(mi)], m, with_clamp)
+                model_rows(f"{ent['entity']}\t{mi}\t", m)
     else:
         for mi, m in enumerate(doc["models"]):
-            rows += _tsv_fact_rows([str(mi)], m, with_clamp)
-    return "".join(r + "\n" for r in rows)
+            model_rows(f"{mi}\t", m)
+    return "".join(rows)
 
 
 # ---------------------------------------------------------------------------

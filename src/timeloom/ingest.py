@@ -17,6 +17,7 @@ columns, and the timestamp column:
 from __future__ import annotations
 
 import csv
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,12 +29,65 @@ from .errors import (
     ParseError,
     UndeclaredPredicate,
 )
-from .language import TES, PredKind, _tokenize
+from .language import NATURAL, TES, PredKind, _tokenize
 from .model import AtemporalFact, Dataset, Fact, ObservationFact
 
 
+# Blanks and `#` comments between tokens. A comment runs to the end of its
+# line (`$` under re.M), so backtracking cannot end it early and read the rest
+# of the line as statements.
+_BLANK = r"[ \t\r\n]*(?:#[^\n]*$[ \t\r\n]*)*"
+# A word character other than a decimal digit, `_` or A-Z starts a name. That
+# is every start the lexer reads as a name, plus non-ASCII capitals and
+# numerics such as "²", which `_is_name` turns away.
+_NAME = r"[^\W\d_A-Z]\w*"
+_VALUE = rf"(?:'[^'\n]*'|{NATURAL.pattern}|{_NAME})"
+_STMT = re.compile(
+    rf"{_BLANK}(atemporal|obs)(?!\w){_BLANK}({_NAME}){_BLANK}"
+    rf"(?:\({_BLANK}({_VALUE}(?:{_BLANK},{_BLANK}{_VALUE})*){_BLANK}\){_BLANK})?\.",
+    re.M)
+# One statement's argument text, already matched by _STMT: a comment (no
+# group), a quoted symbol with its quotes, a natural, or a name.
+_ARG = re.compile(rf"#[^\n]*|('[^'\n]*')|({NATURAL.pattern})|(\w+)")
+_END = re.compile(rf"{_BLANK}\Z", re.M)
+
+
+def _is_name(word: str) -> bool:
+    """The lexer's test of a name's first character."""
+    return word[0].isalpha() and not word[0].isupper()
+
+
 def parse_fact_text(text: str) -> list[Fact]:
-    """Parse native fact statements into atemporal and observation facts."""
+    """Parse native fact statements into atemporal and observation facts.
+
+    Statements are matched by one compiled pattern; text it rejects is
+    handed to the token walk, which raises the ParseError with its line and
+    column."""
+    facts: list[Fact] = []
+    check_names = not text.isascii()
+    match, split = _STMT.match, _ARG.findall
+    pos = 0
+    while m := match(text, pos):
+        kw, name, args = m.groups()
+        parts = split(args) if args else ()
+        if check_names and not all(map(_is_name, [name, *(w for _, _, w in parts if w)])):
+            return _parse_fact_tokens(text)
+        vals = [int(n) if n else (w or q[1:-1]) for q, n, w in parts if q or n or w]
+        if kw == "atemporal":
+            facts.append(AtemporalFact(name, tuple(vals)))
+        elif vals and type(vals[-1]) is int:
+            facts.append(ObservationFact(name, tuple(vals[:-1]), vals[-1]))
+        else:
+            return _parse_fact_tokens(text)
+        pos = m.end()
+    if not _END.match(text, pos):
+        return _parse_fact_tokens(text)
+    return facts
+
+
+def _parse_fact_tokens(text: str) -> list[Fact]:
+    """The token walk over `language._tokenize`: the reference for
+    `parse_fact_text`, and the source of its error messages."""
     toks = _tokenize(text)
     i = 0
 
@@ -129,7 +183,7 @@ def parse_mapping(text: str) -> dict:
 def _timestamp(raw: str, fmt: str) -> int:
     raw = raw.strip()
     if fmt == "epoch":
-        if not raw.isdigit():
+        if not NATURAL.fullmatch(raw):
             raise MalformedTimestamp(f"timestamp {raw!r} is not a natural number")
         return int(raw)
     try:
@@ -146,7 +200,7 @@ def _timestamp(raw: str, fmt: str) -> int:
 
 def _cell(raw: str):
     raw = raw.strip()
-    return int(raw) if raw.isdigit() else raw
+    return int(raw) if NATURAL.fullmatch(raw) else raw
 
 
 def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:

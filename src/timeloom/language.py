@@ -31,6 +31,7 @@ ongoing interval end, and `#` starts a comment.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Union
 
@@ -300,6 +301,10 @@ class _Token:
     col: int
 
 
+# A natural is a run of ASCII digits in rule files, fact files, CSV cells and
+# epoch timestamps alike. (str.isdigit also accepts "²", which int() rejects.)
+NATURAL = re.compile(r"[0-9]+")
+
 _PUNCT = {
     ":-": "ARROW", "<=": "LE", "!=": "NEQ", "<": "LT", "(": "LPAREN",
     ")": "RPAREN", "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ".": "PERIOD",
@@ -347,14 +352,6 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("NAT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
         if c.isalpha() or c == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -368,6 +365,13 @@ def _tokenize(text: str) -> list[_Token]:
                 toks.append(_Token("VAR", word, line, start_col))
             else:
                 toks.append(_Token("IDENT", word, line, start_col))
+            col += j - i
+            i = j
+            continue
+        nat = NATURAL.match(text, i)
+        if nat:
+            j = nat.end()
+            toks.append(_Token("NAT", text[i:j], line, start_col))
             col += j - i
             i = j
             continue

@@ -314,6 +314,40 @@ def test_rule_and_data_errors_exit_1(ward, capsys):
     capsys.readouterr()
 
 
+SUP_RULES = """\
+decl observation lab/1.
+decl nonpersistent hi/1.
+exists(hi(P), T, 1) :- lab(P, T), T < 5.
+window(hi(P), 2).
+"""
+
+
+@pytest.mark.parametrize("rules,data,mapping,message", [
+    (SUP_RULES, "obs lab(p1, 5\u00b2).\n", None, "unexpected character '\u00b2' at line 1"),
+    (SUP_RULES.replace("T < 5", "T < 5\u00b2"), "obs lab(p1, 5).\n", None,
+     "unexpected character '\u00b2' at line 3"),
+    (SUP_RULES.replace("lab/1", "lab/1\u00b2"), "obs lab(p1, 5).\n", None,
+     "unexpected character '\u00b2' at line 1"),
+    (SUP_RULES, "p1,5\u00b2\n", "predicate=lab\ncolumns=0\ntimestamp_column=1\n",
+     "timestamp '5\u00b2' is not a natural number"),
+], ids=["fact-value", "rule-comparison", "rule-arity", "csv-timestamp"])
+def test_non_ascii_digits_exit_1(tmp_path, capsys, rules, data, mapping, message):
+    """str.isdigit accepts "\u00b2" but int() does not: naturals are ASCII
+    digits, so these inputs are errors rather than tracebacks."""
+    (tmp_path / "r.tes").write_text(rules)
+    args = ["run", "--rules", str(tmp_path / "r.tes")]
+    if mapping is None:
+        (tmp_path / "d.facts").write_text(data)
+        args += ["--data", str(tmp_path / "d.facts")]
+    else:
+        (tmp_path / "d.csv").write_text(data)
+        (tmp_path / "d.map").write_text(mapping)
+        args += ["--data", str(tmp_path / "d.csv"), "--map", str(tmp_path / "d.map")]
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_module_entry_point(ward):
     proc = subprocess.run(
         [sys.executable, "-m", "timeloom", "run",
@@ -351,6 +385,24 @@ def reference_doc(dataset, tes, mode, now=None, max_models=None):
     return {"mode": mode,
             "models": [{"simple": section(m, True), "meta": section(m, False)} for m in models],
             "exhaustive": result.exhaustive}
+
+
+def reference_tsv(doc, with_clamp):
+    """The TSV rows of a run document, each built from its fact's dict."""
+    def rows(prefix, m):
+        for section in ("simple", "meta"):
+            for fj in m[section]:
+                iv = fj["interval"]
+                row = [*prefix, section, fj["pred"], ",".join(map(str, fj["args"])),
+                       str(iv["start"]), str(iv["end"]), str(fj["level"])]
+                if with_clamp:
+                    row.append(str(iv.get("clamped_end", "")))
+                yield "\t".join(row) + "\n"
+
+    if "entities" in doc:
+        return "".join(r for ent in doc["entities"] for i, m in enumerate(ent["models"])
+                       for r in rows([str(ent["entity"]), str(i)], m))
+    return "".join(r for i, m in enumerate(doc["models"]) for r in rows([str(i)], m))
 
 
 @pytest.fixture
@@ -401,7 +453,9 @@ def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
     assert run_cli(*args) == 0
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
     assert run_cli(*args, "--format", "tsv") == 0
-    assert capsys.readouterr().out == render_document(doc, "tsv", with_clamp=now is not None)
+    tsv = capsys.readouterr().out
+    assert tsv == render_document(doc, "tsv", with_clamp=now is not None)
+    assert tsv == reference_tsv(doc, with_clamp=now is not None)
 
 
 def test_render_document_encodes_shared_objects_like_json_dumps():

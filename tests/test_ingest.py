@@ -1,5 +1,7 @@
 """Native fact files, CSV mappings, timestamp handling, and dataset checks."""
 
+import importlib
+import random
 from datetime import date
 
 import pytest
@@ -17,7 +19,7 @@ from timeloom import (
     parse_fact_text,
     validate_dataset,
 )
-from timeloom.ingest import parse_mapping, read_csv_mapped
+from timeloom.ingest import _parse_fact_tokens, parse_mapping, read_csv_mapped
 
 from conftest import therapy_tes  # noqa: F401
 
@@ -39,17 +41,111 @@ def test_parse_fact_text():
     ]
 
 
-@pytest.mark.parametrize("text", [
-    "atemporal ab(a)",          # missing period
-    "fact f(1).",               # unknown keyword
-    "obs adm(p1).",             # symbol where the timestamp belongs
-    "obs adm.",                 # no timestamp at all
-    "obs adm(p1, 5) obs",       # statement runs into the next
-    "atemporal ab(a,).",        # dangling comma
-])
+# each text with the token walk's message, line and column
+REJECTED = {
+    "atemporal ab(a)": ("expected '.', found ''", 1, 17),  # missing period
+    "fact f(1).": ("expected 'atemporal' or 'obs', found 'fact'", 1, 1),  # unknown keyword
+    # a symbol where the timestamp belongs, and no timestamp at all
+    "obs adm(p1).": ("observation adm needs a natural timestamp last", 1, 5),
+    "obs adm.": ("observation adm needs a natural timestamp last", 1, 5),
+    "obs adm(p1, 5) obs": ("expected '.', found 'obs'", 1, 16),  # runs into the next
+    "atemporal ab(a,).": ("expected a constant or natural, found ')'", 1, 16),  # dangling comma
+    # naturals are ASCII digits: int() rejects "\u00b2", and "\u0665" is no longer 5
+    "obs lab(p1,\n  5\u00b2).": ("unexpected character '\u00b2'", 2, 4),
+    "obs lab(p1, \u0665).": ("unexpected character '\u0665'", 1, 13),
+}
+
+
+@pytest.mark.parametrize("text", list(REJECTED))
 def test_parse_fact_text_rejects(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_fact_text(text)
+    assert (info.value.message, info.value.line, info.value.col) == REJECTED[text]
+
+
+# Pieces of random fact texts for the differential test below: names the
+# lexer reads as names (lowercase, non-ASCII, titlecase) or not (capitals,
+# underscores, non-decimal numerics), quoted symbols, and blanks and comments
+# that may swallow what follows them on their line.
+GOOD_NAMES = ("adm", "ab", "x1", "lab_2", "obs", "atemporal", "\u00e9mission", "\u01c5x",
+              "\u03b1\u03b2", "caf\u00e9\u00b2")
+BAD_NAMES = ("Adm", "X", "\u00c9mile", "_x", "_", "\u00b2x", "\u2167", "\u0665")
+QUOTED = ("'amox/clav 875'", "''", "'S\u00e3o Paulo'", "'a#b'", "'5'", "'Ab'", "'\u2713'")
+BAD_QUOTED = ("'two\nlines'", "'it's'", "'open")
+BLANKS = ("", " ", "  ", "\t", "\n", "\r\n", " # note 'x' obs p(1).\n", "#\n")
+MUTANTS = ("(", ")", ",", ".", "'", "#", "\n", " ", "_", "A", "\u00c9", "\u00b2", "\u0665",
+           "5", ":-", "/", "x", "obs ", "atemporal ", "\f", "\u00a0", "# )")
+
+
+def random_fact_text(rng):
+    ascii_only = rng.random() < 0.5  # where the pattern alone must tell names apart
+
+    def pick(pool):
+        return rng.choice([p for p in pool if p.isascii()] if ascii_only else pool)
+
+    def blank():
+        return pick(BLANKS) if rng.random() < 0.3 else rng.choice(("", " "))
+
+    def name():
+        return pick(BAD_NAMES if rng.random() < 0.04 else GOOD_NAMES)
+
+    def value():
+        r = rng.random()
+        if r < 0.35:
+            return str(rng.randrange(0, 10 ** rng.randrange(1, 12)))
+        if r < 0.55:
+            return pick(BAD_QUOTED if rng.random() < 0.02 else QUOTED)
+        return name()
+
+    out = []
+    for _ in range(rng.randrange(0, 8)):
+        kw = "fact" if rng.random() < 0.02 else rng.choice(("obs", "atemporal"))
+        after_kw = "" if rng.random() < 0.02 else pick((" ", "\t", "\n", " #c\n"))
+        out += [blank(), kw, after_kw, name(), blank()]
+        if kw == "obs" or rng.random() < 0.7:
+            vals = [value() for _ in range(rng.randrange(kw != "obs", 4))]
+            if kw == "obs" and rng.random() < 0.97:
+                vals.append(str(rng.randrange(100)))
+            if rng.random() < 0.02:  # empty parentheses
+                vals = []
+            sep = [blank() + "," + blank() for _ in vals]
+            out += ["(", blank(), *[v + s for v, s in zip(vals, sep[1:] + [""])], blank(), ")"]
+        out += [blank(), "."]
+    out.append(blank())
+    text = "".join(out)
+    if text and rng.random() < 0.3:  # insert, replace or delete one character
+        i = rng.randrange(len(text))
+        cut = rng.randrange(2)
+        text = text[:i] + pick(MUTANTS + ("",)) + text[i + cut:]
+    return text
+
+
+def test_parse_fact_text_matches_the_token_walk(monkeypatch):
+    """The statement pattern gives the token walk's facts, or its ParseError
+    with the same message, line and column, and valid text never reaches the
+    token walk."""
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ParseError as e:
+            return (e.message, e.line, e.col)
+
+    rng = random.Random(20261018)
+    texts = [random_fact_text(rng) for _ in range(600)]
+    want = [outcome(_parse_fact_tokens, t) for t in texts]
+    assert [outcome(parse_fact_text, t) for t in texts] == want
+    valid = [(t, w) for t, w in zip(texts, want) if isinstance(w, list)]
+    assert 150 < len(valid) < 450, len(valid)  # both kinds of text are well represented
+    assert sum(len(w) for _, w in valid) > 300
+
+    def no_token_walk(text):
+        raise AssertionError(f"valid text reached the token walk: {text!r}")
+
+    # the package's `ingest` function hides the module of the same name
+    ingest_module = importlib.import_module("timeloom.ingest")
+    monkeypatch.setattr(ingest_module, "_parse_fact_tokens", no_token_walk)
+    for text, facts in valid:
+        assert parse_fact_text(text) == facts
 
 
 MAPPING = """\
@@ -91,10 +187,12 @@ def test_parse_mapping_rejects(text):
 
 def test_read_csv_mapped_epoch():
     m = parse_mapping("predicate=adm\ncolumns=0,1\ntimestamp_column=2")
-    rows = "p1,amox,5\n\np2, 7 ,12\n"
+    rows = "p1,amox,5\n\np2, 7 ,12\np3,5\u00b2,13\np4,\u0665,14\n"
     assert read_csv_mapped(rows, m) == [
         ObservationFact("adm", ("p1", "amox"), 5),
         ObservationFact("adm", ("p2", 7), 12),  # numeric cells become naturals
+        ObservationFact("adm", ("p3", "5\u00b2"), 13),  # only ASCII digits do
+        ObservationFact("adm", ("p4", "\u0665"), 14),
     ]
 
 
@@ -126,6 +224,7 @@ def test_rfc3339_timestamps():
     ("-3", "epoch"),
     ("1.5", "epoch"),
     ("2021-03-01T00:00:00Z", "epoch"),
+    ("5\u00b2", "epoch"),                   # a digit to str.isdigit, not to int()
 ])
 def test_bad_timestamps(cell, fmt):
     m = parse_mapping(f"predicate=lab\ntimestamp_column=0\ntimestamp_format={fmt}")
