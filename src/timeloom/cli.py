@@ -31,7 +31,7 @@ from .errors import (
     TimeloomError,
 )
 from .ingest import ingest, validate_dataset
-from .language import TES, parse_tes
+from .language import NATURAL, TES, parse_tes
 from .model import (
     STAR,
     AnnotatedEventFact,
@@ -92,10 +92,6 @@ def fact_from_json(d: dict) -> AnnotatedEventFact:
     return AnnotatedEventFact(d["pred"], tuple(d["args"]), interval, d["level"])
 
 
-def model_from_json(d: dict) -> frozenset:
-    return frozenset(fact_from_json(x) for x in d["simple"] + d["meta"])
-
-
 def result_to_json(result: TimelineResult, tes: TES, now: int | None = None,
                    max_models: int | None = None) -> dict:
     """A run's models as JSON-ready dicts, each model's facts sorted into
@@ -118,7 +114,8 @@ def result_to_json(result: TimelineResult, tes: TES, now: int | None = None,
 
 def result_from_json(doc: dict) -> TimelineResult:
     return TimelineResult(doc["mode"],
-                          tuple(model_from_json(m) for m in doc["models"]),
+                          tuple(frozenset(map(fact_from_json, m["simple"] + m["meta"]))
+                                for m in doc["models"]),
                           doc["exhaustive"])
 
 
@@ -338,18 +335,30 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--mode", default="naive",
                    choices=["naive", "consistent", "preferred", "cautious", "check"])
     r.add_argument("--check", help="target timeline JSON (mode check)")
-    r.add_argument("--now", type=int, help="clamp ongoing ends to N+1 for display")
-    r.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    r.add_argument("--now", metavar="N", help="clamp ongoing ends to N+1 for display")
+    r.add_argument("--cap", metavar="N", default=str(DEFAULT_CAP),
                    help="enumeration budget: repairs emitted plus dead-end "
-                        "branches; candidate subsets examined instead when "
-                        "there are constraints and some rule negates an "
-                        "event or uses start/end")
-    r.add_argument("--max-models", type=int, help="emit at most this many models")
-    r.add_argument("--partition-by", type=int,
+                        "branches (for preferred, results plus each level's "
+                        "dead ends; for cautious, only alternative provenance "
+                        "supports of constraint matches); candidate subsets "
+                        "examined instead when there are constraints and some "
+                        "rule negates an event or uses start/end")
+    r.add_argument("--max-models", metavar="N", help="emit at most this many models")
+    r.add_argument("--partition-by", metavar="N",
                    help="argument position to split entities on")
     r.add_argument("--format", default="json", choices=["json", "tsv"])
     r.add_argument("--out", help="write output here instead of stdout")
     return p
+
+
+def _natural(flag: str, text: str | None) -> int | None:
+    """A numeric option's value, read like every natural in the input:
+    ASCII digits only."""
+    if text is None:
+        return None
+    if not NATURAL.fullmatch(text):
+        raise ValueError(f"{flag} takes a natural number, not {text!r}")
+    return int(text)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -363,9 +372,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if maps:
         raise ValueError(f"{len(maps)} unused --map file(s)")
     return RunConfig(rules_path=args.rules, data_paths=tuple(pairs), mode=args.mode,
-                     check_target_path=args.check, now=args.now,
-                     max_models=args.max_models, cap=args.cap,
-                     output_format=args.format, partition_by=args.partition_by,
+                     check_target_path=args.check, now=_natural("--now", args.now),
+                     max_models=_natural("--max-models", args.max_models),
+                     cap=_natural("--cap", args.cap), output_format=args.format,
+                     partition_by=_natural("--partition-by", args.partition_by),
                      out_path=args.out)
 
 
@@ -385,13 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EnumerationCapExceeded, ResourceExhausted) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except TimeloomError as e:
-        where = ""
-        if getattr(e, "line", None):
-            where = f" (line {e.line})"
-        print(f"error: {e}{where}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (TimeloomError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

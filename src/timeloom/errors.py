@@ -100,14 +100,15 @@ class GuardViolated(TimeloomError):
 class EnumerationCapExceeded(TimeloomError):
     """Repair enumeration spent its budget before completing. Under monotone
     rules the budget counts repairs emitted plus dead-end branches (and
-    alternative provenance supports of constraint matches); otherwise it
-    counts the candidate subsets examined."""
+    alternative provenance supports of constraint matches, all that the
+    cautious core spends); otherwise it counts the candidate subsets
+    examined."""
 
     def __init__(self, cap: int):
         self.cap = cap
         super().__init__(f"enumeration cap of {cap} exceeded (repairs emitted plus "
-                         "dead ends, or candidate subsets examined under "
-                         "non-monotone rules)")
+                         "dead ends and provenance supports, or candidate subsets "
+                         "examined under non-monotone rules)")
 
 
 class ResourceExhausted(TimeloomError):

@@ -140,6 +140,14 @@ def _parse_fact_tokens(text: str) -> list[Fact]:
 # CSV mapping
 
 
+def _column_index(key: str, text: str) -> int:
+    """A column index: a natural counted from 0, in ASCII digits."""
+    text = text.strip()
+    if not NATURAL.fullmatch(text):
+        raise MappingError(key, f"{key}: {text!r} is not a column index (0, 1, ...)")
+    return int(text)
+
+
 def parse_mapping(text: str) -> dict:
     """Parse a key=value mapping file for CSV ingestion."""
     known = {"predicate", "columns", "timestamp_column", "timestamp_format"}
@@ -161,21 +169,13 @@ def parse_mapping(text: str) -> dict:
         raise MappingError(None, "mapping needs a predicate")
     if "timestamp_column" not in raw:
         raise MappingError(None, "mapping needs a timestamp_column")
-    try:
-        ts_col = int(raw["timestamp_column"])
-    except ValueError:
-        raise MappingError("timestamp_column", "must be a column index") from None
+    ts_col = _column_index("timestamp_column", raw["timestamp_column"])
     cols: tuple[int, ...] = ()
     if raw.get("columns"):
-        try:
-            cols = tuple(int(c.strip()) for c in raw["columns"].split(","))
-        except ValueError:
-            raise MappingError("columns", "must be comma-separated column indexes") from None
+        cols = tuple(_column_index("columns", c) for c in raw["columns"].split(","))
     fmt = raw.get("timestamp_format", "epoch")
     if fmt not in ("epoch", "rfc3339"):
         raise MappingError("timestamp_format", f"unknown format {fmt!r}")
-    if ts_col < 0 or any(c < 0 for c in cols):
-        raise MappingError("columns", "column indexes start at 0")
     return {"predicate": raw["predicate"], "columns": cols,
             "timestamp_column": ts_col, "timestamp_format": fmt}
 
@@ -243,7 +243,10 @@ def ingest(pairs: list[tuple[str, str | None]]) -> Dataset:
                 raise IoError(f"cannot read {map_path}: {e}") from None
             facts.extend(read_csv_mapped(text, parse_mapping(map_text)))
         else:
-            facts.extend(parse_fact_text(text))
+            try:
+                facts.extend(parse_fact_text(text))
+            except ParseError as e:
+                raise ParseError(f"{data_path}: {e.message}", e.line, e.col) from None
     return Dataset(facts)
 
 

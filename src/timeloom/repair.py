@@ -9,8 +9,11 @@ differ only in which repairs they keep.
 
 When consistency is downward closed (monotone rules, or no constraints)
 the repairs are the maximal sets containing no minimal inconsistent set:
-the maximal independent sets of one conflict hypergraph, enumerated per
-connected component. Other rule sets scan candidate subsets.
+the maximal independent sets of one conflict hypergraph. Every mode reads
+that hypergraph, split into the facts in no edge and connected components:
+repairs and preferred repairs are products of per-component results, and
+the cautious core is the facts in no edge. Other rule sets scan candidate
+subsets.
 """
 
 from __future__ import annotations
@@ -48,19 +51,13 @@ def temporal_conflict(a, b) -> bool:
     return i.start < j.start < ei or j.start < i.start < ej
 
 
-def _instances(facts) -> dict[tuple, list]:
-    """Facts grouped by event instance, the (pred, args) key; only facts of
-    one instance can clash."""
+def clash_pairs(facts) -> Iterator[tuple]:
+    """Every clashing pair among the facts, testing pairs within one event
+    instance, the (pred, args) key, only."""
     groups: dict[tuple, list] = {}
     for f in facts:
         groups.setdefault(f.key, []).append(f)
-    return groups
-
-
-def clash_pairs(facts) -> Iterator[tuple]:
-    """Every clashing pair among the facts, testing pairs within one event
-    instance only."""
-    for group in _instances(facts).values():
+    for group in groups.values():
         for a, b in combinations(group, 2):
             if temporal_conflict(a, b):
                 yield a, b
@@ -294,41 +291,57 @@ def _independent_hyper(n: int, edges: list[tuple[int, ...]],
 
 
 def _split_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget
-                      ) -> tuple[SimpleSet, list[tuple[list, list[tuple[int, ...]]]]] | None:
+                      ) -> tuple[SimpleSet, list[tuple[list, list[frozenset]]]] | None:
     """The conflict hypergraph of `se` as the facts in no edge, which are in
     every repair, and the connected components of the edges of two or more
-    facts, each as its facts and its edges over their indexes. A fact in a
-    one-fact edge is in no repair. None when no subset is consistent."""
+    facts. A fact in a one-fact edge is in no repair. None when no subset is
+    consistent."""
     edges = conflict_hypergraph(se, tes, dataset, budget.spend)
     if edges and not edges[0]:
         return None
     core = frozenset(se).difference(*edges)
-    comps = []
-    for facts, comp_edges in _components([e for e in edges if len(e) > 1]):
-        pos = {f: i for i, f in enumerate(facts)}
-        comps.append((facts, [tuple(sorted(pos[f] for f in e)) for e in comp_edges]))
-    return core, comps
+    return core, _components([e for e in edges if len(e) > 1])
 
 
-def _component_results(facts: list, edges: list[tuple[int, ...]],
-                       budget: _Budget) -> Iterator[frozenset]:
-    """The maximal independent sets of one component, as sets of facts."""
-    pairwise = all(len(e) == 2 for e in edges)
-    search = _independent_pairwise if pairwise else _independent_hyper
-    for chosen in search(len(facts), edges, budget):
-        yield frozenset(facts[i] for i in chosen)
+def _component_results(facts: list, edges: list[frozenset], budget: _Budget,
+                       level: Callable[[AnnotatedEventFact], int]) -> Iterator[frozenset]:
+    """One component's results, level by level, strongest first: with P the
+    facts chosen at stronger levels, the maximal independent sets of a
+    level's facts under the edges `e - P` of each edge `e` inside P and the
+    level. A reduced edge of one fact excludes that fact. With every fact at
+    one level these are the component's maximal independent sets; by fact
+    level they are its preferred results."""
+    levels = sorted({level(f) for f in facts})
+
+    def extend(k: int, chosen: frozenset) -> Iterator[frozenset]:
+        if k == len(levels):
+            yield chosen
+            return
+        layer = [f for f in facts if level(f) == levels[k]]
+        pool = chosen.union(layer)
+        reduced = {e - chosen for e in edges if e <= pool}
+        barred = {f for e in reduced if len(e) == 1 for f in e}
+        live_edges = [e for e in reduced if not e & barred]
+        touched = {f for e in live_edges for f in e}
+        kept = chosen.union(f for f in layer if f not in barred and f not in touched)
+        live = [f for f in layer if f in touched]  # in canonical order
+        pos = {f: i for i, f in enumerate(live)}
+        index_edges = [tuple(pos[f] for f in e) for e in live_edges]
+        pairwise = all(len(e) == 2 for e in index_edges)
+        search = _independent_pairwise if pairwise else _independent_hyper
+        for pick in search(len(live), index_edges, budget) if live else ((),):
+            yield from extend(k + 1, kept.union(live[i] for i in pick))
+
+    return extend(0, frozenset())
 
 
-def _repairs_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget,
-                        found: set[SimpleSet]) -> None:
-    """Maximal independent sets of the conflict hypergraph, which are the
-    repairs when consistency is downward closed: the facts in no edge plus
-    one result per component, each component enumerated on its own.
-
+def _repairs_factored(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget,
+                      level: Callable[[AnnotatedEventFact], int]) -> Iterator[SimpleSet]:
+    """The facts in no edge plus one result per component: the repairs when
+    consistency is downward closed, or by fact level the preferred repairs.
     The budget pays once per repair emitted and once per dead end. A
     component stops once it has more results than the budget has left,
-    since their product would exceed it anyway.
-    """
+    since their product would exceed it anyway."""
     split = _split_hypergraph(se, tes, dataset, budget)
     if split is None:
         return
@@ -336,18 +349,18 @@ def _repairs_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budg
     parts: list[list[frozenset]] = []
     for facts, edges in comps:
         results: list[frozenset] = []
-        for result in _component_results(facts, edges, budget):
+        for result in _component_results(facts, edges, budget, level):
             results.append(result)
             if len(results) > budget.left:
                 break
         parts.append(results)
     for combo in product(*parts):
         budget.spend()
-        found.add(core.union(*combo))
+        yield core.union(*combo)
 
 
-def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget,
-                     found: set[SimpleSet]) -> None:
+def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset,
+                     budget: _Budget) -> Iterator[SimpleSet]:
     """Maximal consistent subsets under arbitrary constraints: scan subsets
     by decreasing size, keeping those no earlier consistent set contains.
     The budget pays once per subset examined."""
@@ -359,8 +372,18 @@ def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget,
             budget.spend()
             if is_consistent(s, tes, dataset):
                 if not any(s < t for t in consistent_seen):
-                    found.add(s)
+                    yield s
                 consistent_seen.append(s)
+
+
+def _collect(found: Iterator[SimpleSet]) -> RepairSet:
+    """An enumeration's repairs; not exhaustive when it hit the cap."""
+    seen: set[SimpleSet] = set()
+    try:
+        seen.update(found)
+    except _CapHit:
+        return RepairSet(_canonical(seen), False)
+    return RepairSet(_canonical(seen), True)
 
 
 def repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
@@ -371,41 +394,29 @@ def repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     is downward closed, candidate subsets examined otherwise."""
     if se is None:
         se = infer_all_simple(dataset, tes)
-    budget = _Budget(cap)
-    found: set[SimpleSet] = set()
-    try:
-        if _downward_closed(tes):
-            _repairs_hypergraph(se, tes, dataset, budget, found)
-        else:
-            _repairs_general(se, tes, dataset, budget, found)
-        return RepairSet(_canonical(found), True)
-    except _CapHit:
-        return RepairSet(_canonical(found), False)
-
-
-def _level_slices(r: SimpleSet, levels: tuple[int, ...]) -> tuple[frozenset, ...]:
-    return tuple(frozenset(f for f in r if f.level == lvl) for lvl in levels)
-
-
-def _dominates(better: tuple[frozenset, ...], worse: tuple[frozenset, ...]) -> bool:
-    """Given two repairs' level slices: strictly larger at the first
-    confidence level where the two differ."""
-    for a, b in zip(better, worse):
-        if a != b:
-            return b < a
-    return False
+    if _downward_closed(tes):
+        return _collect(_repairs_factored(se, tes, dataset, _Budget(cap), lambda f: 0))
+    return _collect(_repairs_general(se, tes, dataset, _Budget(cap)))
 
 
 def _filter_preferred(reps: tuple[SimpleSet, ...]) -> tuple[SimpleSet, ...]:
-    levels = tuple(sorted({f.level for r in reps for f in r}))
-    slices = [_level_slices(r, levels) for r in reps]
-    return tuple(r for r, s in zip(reps, slices)
-                 if not any(_dominates(sp, s) for rp, sp in zip(reps, slices) if rp != r))
+    """The repairs no other repair beats: strictly larger at the first
+    confidence level where the two differ."""
+    levels = sorted({f.level for r in reps for f in r})
+    slices = {r: [frozenset(f for f in r if f.level == lvl) for lvl in levels] for r in reps}
+
+    def beats(better: SimpleSet, worse: SimpleSet) -> bool:
+        for a, b in zip(slices[better], slices[worse]):
+            if a != b:
+                return b < a
+        return False
+
+    return tuple(r for r in reps if not any(beats(rp, r) for rp in reps))
 
 
 def greedy_preferred(se: SimpleSet, tes: TES) -> SimpleSet:
-    """Single-pass preferred repair: keep every strongest-level fact, then
-    sweep weaker levels adding whatever does not clash with the kept set.
+    """The single preferred repair: every strongest-level fact, then at each
+    weaker level whatever does not clash with the facts kept so far.
 
     Only valid without domain constraints and with all termination rules at
     the strongest level; otherwise raises GuardViolated.
@@ -414,25 +425,22 @@ def greedy_preferred(se: SimpleSet, tes: TES) -> SimpleSet:
         raise GuardViolated("DomainConstraintsPresent")
     if any(lvl != 1 for lvl in tes.termination_levels()):
         raise GuardViolated("TerminationLevelAboveOne")
-    kept: set[AnnotatedEventFact] = set()
-    for group in _instances(se).values():
-        chosen: list[AnnotatedEventFact] = []
-        for f in sorted(group, key=lambda f: (f.level, fact_key(f))):
-            if not any(temporal_conflict(f, g) for g in chosen):
-                chosen.append(f)
-        kept.update(chosen)
-    return frozenset(kept)
+    return preferred_repairs(Dataset(()), tes, se=se).repairs[0]
 
 
 def preferred_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
                       cap: int = DEFAULT_CAP) -> RepairSet:
     """Repairs preferred under the level ordering: no other repair beats them
-    at their first differing confidence level."""
+    at their first differing confidence level.
+
+    When consistency is downward closed they are the product of each
+    component's level-wise results, and `cap` bounds the results emitted
+    plus each level's dead ends. Otherwise the repairs are enumerated and
+    filtered."""
     if se is None:
         se = infer_all_simple(dataset, tes)
-    if (not tes.has_domain_constraints
-            and all(lvl == 1 for lvl in tes.termination_levels())):
-        return RepairSet((greedy_preferred(se, tes),), True)
+    if _downward_closed(tes):
+        return _collect(_repairs_factored(se, tes, dataset, _Budget(cap), lambda f: f.level))
     rep = repairs(dataset, tes, se=se, cap=cap)
     return RepairSet(_filter_preferred(rep.repairs), rep.exhaustive)
 
@@ -441,37 +449,24 @@ def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
                   cap: int = DEFAULT_CAP) -> SimpleSet:
     """Facts present in every repair.
 
-    Without domain constraints this is exactly the facts in no conflict.
-    When consistency is downward closed it is the facts in no hyperedge
-    plus, per component, the facts in every one of its results; the budget
-    pays per component result and per dead end. Otherwise the repairs are
-    enumerated. A capped run raises rather than return an unsound core.
-    """
+    When consistency is downward closed these are the facts in no edge of
+    the conflict hypergraph (none when it has the empty edge): a fact of a
+    minimal edge `e` is missing from any repair extending `e` less that
+    fact. `cap` then bounds only alternative provenance supports. Otherwise
+    the repairs are enumerated. A capped run raises rather than return an
+    unsound core."""
     if se is None:
         se = infer_all_simple(dataset, tes)
-    if not tes.has_domain_constraints:
-        return frozenset(se).difference(f for pair in clash_pairs(se) for f in pair)
     if not _downward_closed(tes):
         rep = repairs(dataset, tes, se=se, cap=cap)
         if not rep.exhaustive:
             raise EnumerationCapExceeded(cap)
         return frozenset.intersection(*rep.repairs) if rep.repairs else frozenset()
-    budget = _Budget(cap)
     try:
-        split = _split_hypergraph(se, tes, dataset, budget)
-        if split is None:
-            return frozenset()
-        core, comps = split
-        kept = set(core)
-        for facts, edges in comps:
-            common = None
-            for result in _component_results(facts, edges, budget):
-                budget.spend()
-                common = result if common is None else common & result
-            kept |= common
+        split = _split_hypergraph(se, tes, dataset, _Budget(cap))
     except _CapHit:
         raise EnumerationCapExceeded(cap) from None
-    return frozenset(kept)
+    return frozenset() if split is None else split[0]
 
 
 @dataclass(frozen=True)

@@ -115,9 +115,11 @@ def test_cap_writes_partial_output_and_exits_2(figured):
 
 
 def test_cap_raise_exits_2(figured, capsys):
+    # a negated event atom: cautious scans subsets, one per unit of the cap
     constrained = figured / "constrained.tes"
     constrained.write_text(TWO_LEVEL_NONPERSISTENT
-                           + "constraint :- e([T1, T2]), e([T3, T4]), T2 < T3.\n")
+                           + "constraint :- e([T1, T2]), e([T3, T4]), T2 < T3, "
+                             "not e([T2, T3]).\n")
     out = figured / "never.json"
     rc = run_cli("run", "--rules", str(constrained),
                  "--data", str(figured / "empty.facts"),
@@ -125,6 +127,43 @@ def test_cap_raise_exits_2(figured, capsys):
     assert rc == 2
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+# seven instances of one level-1 interval against three weaker ones sharing
+# its start (each level ends it earlier), and a constraint that never fires
+SEVEN_RULES = """\
+decl observation seen/1.
+decl observation stop2/1.
+decl observation stop3/1.
+decl observation stop4/1.
+decl atemporal flag/0.
+decl persistent e/1.
+exists_pers(e(P), T, 1) :- seen(P, T).
+ends(e(P), T, 2) :- stop2(P, T).
+ends(e(P), T, 3) :- stop3(P, T).
+ends(e(P), T, 4) :- stop4(P, T).
+constraint :- e(P, [T1, T2]), flag.
+"""
+
+SEVEN_FACTS = "".join(f"obs seen(p{i}, 0).\nobs stop2(p{i}, 5).\n"
+                      f"obs stop3(p{i}, 3).\nobs stop4(p{i}, 1).\n" for i in range(7))
+
+
+def test_preferred_of_many_independent_instances_exits_0(tmp_path, capsys):
+    (tmp_path / "seven.tes").write_text(SEVEN_RULES)
+    (tmp_path / "seven.facts").write_text(SEVEN_FACTS)
+    args = ("run", "--rules", str(tmp_path / "seven.tes"),
+            "--data", str(tmp_path / "seven.facts"))
+    assert run_cli(*args, "--mode", "naive") == 0
+    assert len(json.loads(capsys.readouterr().out)["models"][0]["simple"]) == 28
+    assert run_cli(*args, "--mode", "consistent") == 2  # 4^7 repairs
+    capsys.readouterr()
+    assert run_cli(*args, "--mode", "preferred") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exhaustive"] is True and len(doc["models"]) == 1
+    assert doc["models"][0]["simple"] == [
+        {"pred": "e", "args": [f"p{i}"], "interval": {"start": 0, "end": "*"}, "level": 1}
+        for i in range(7)]
 
 
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
@@ -346,6 +385,24 @@ def test_non_ascii_digits_exit_1(tmp_path, capsys, rules, data, mapping, message
     assert run_cli(*args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_data_file_error_names_the_file(ward, capsys):
+    bad = ward / "bad.facts"
+    bad.write_text("obs adm(p3, 4).\nobs adm(p3, 5\u00b2).\n")
+    assert run_cli("run", "--rules", str(ward / "care.tes"),
+                   "--data", str(ward / "ward.facts"), "--data", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: unexpected character '\u00b2' at line 2, col 14\n"
+
+
+@pytest.mark.parametrize("option", ["--now", "--cap", "--max-models", "--partition-by"])
+@pytest.mark.parametrize("value", ["1_0", "\u0665", "-1"])
+def test_numeric_options_take_ascii_naturals(ward, capsys, option, value):
+    assert run_cli("run", "--rules", str(ward / "care.tes"),
+                   "--data", str(ward / "ward.facts"), option, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and option in err
 
 
 def test_module_entry_point(ward):

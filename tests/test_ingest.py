@@ -179,6 +179,10 @@ def test_parse_mapping():
     "predicate=adm\npredicate=lab\ntimestamp_column=0",  # duplicate key
     "predicate adm\ntimestamp_column=0",                # not key=value
     "predicate=adm\ntimestamp_column=0\ntimestamp_format=unix",  # unknown format
+    "predicate=adm\ntimestamp_column=1_0",              # int() syntax, not a natural
+    "predicate=adm\ntimestamp_column=\u0665",           # a non-ASCII digit
+    "predicate=adm\ntimestamp_column=0\ncolumns=0,1_0",
+    "predicate=adm\ntimestamp_column=0\ncolumns=\u0665",
 ])
 def test_parse_mapping_rejects(text):
     with pytest.raises(MappingError):

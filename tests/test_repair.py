@@ -8,6 +8,7 @@ from timeloom import (
     STAR,
     AnnotatedEventFact,
     AtemporalFact,
+    Cnf3,
     Dataset,
     EnumerationCapExceeded,
     GuardViolated,
@@ -16,12 +17,14 @@ from timeloom import (
     brute_preferred,
     brute_repairs,
     cautious_core,
+    encode_3sat_cautious,
     greedy_preferred,
     infer_all_simple,
     infer_meta,
     is_consistent,
     parse_tes,
     preferred_repairs,
+    probe_fact,
     recognize_timeline,
     repairs,
     temporal_conflict,
@@ -155,13 +158,28 @@ def test_empty_event_set_has_one_empty_repair():
     assert cautious_core(EMPTY, PLAIN_TES, se=frozenset()) == frozenset()
 
 
+# a level-2 termination rule: outside the guard of greedy_preferred, so
+# weaker levels may hold several preferred choices
+LEVEL_2_ENDS = parse_tes(
+    "decl nonpersistent e/1.\nexists(e(x), 0, 1).\nends(e(x), 3, 2).\nwindow(e(X), 1).")
+
+
 def test_conflict_graph_path_matches_brute():
     rng = random.Random(7)
+    assert LEVEL_2_ENDS.termination_levels() == {2}
+    several = 0
     for _ in range(40):
         se = random_fact_set(rng)
+        reps = brute_repairs(EMPTY, PLAIN_TES, se=se)
         got = repairs(EMPTY, PLAIN_TES, se=se)
         assert got.exhaustive
-        assert got.repairs == brute_repairs(EMPTY, PLAIN_TES, se=se)
+        assert got.repairs == reps
+        pref = preferred_repairs(EMPTY, LEVEL_2_ENDS, se=se)
+        assert pref.exhaustive
+        assert pref.repairs == brute_preferred(reps)
+        assert cautious_core(EMPTY, LEVEL_2_ENDS, se=se) == frozenset.intersection(*reps)
+        several += len(pref.repairs) > 1
+    assert several > 3
 
 
 def test_monotone_path_matches_brute():
@@ -205,12 +223,22 @@ def test_cap_returns_sound_partial():
     assert set(capped.repairs) <= set(full.repairs)
 
 
+# unsatisfiable: its cautious encoding keeps the probe in every repair
+UNSAT_2 = Cnf3(2, ((1, 2, 2), (-1, 2, 2), (1, -2, -2), (-1, -2, -2)))
+
+
 def test_cap_propagates_and_cautious_raises():
+    # the cautious core enumerates nothing; the cap binds on the alternative
+    # provenance supports its conflict hypergraph is built from
+    dataset, tes = encode_3sat_cautious(UNSAT_2)
+    assert tes.is_monotone
+    with pytest.raises(EnumerationCapExceeded):
+        cautious_core(dataset, tes, cap=3)
+    with pytest.raises(EnumerationCapExceeded):
+        timeline(dataset, tes, mode="cautious", cap=3)
     se = frozenset(ev(0, i, 1) for i in range(1, 7))
     tes = parse_tes("decl persistent e/1.\ndecl persistent q/0.\n"
                     "constraint :- e(X, [T1, T2]), q([T1, T3]).")
-    with pytest.raises(EnumerationCapExceeded):
-        cautious_core(EMPTY, tes, se=se, cap=3)
     pref = preferred_repairs(EMPTY, tes, se=se, cap=3)
     assert not pref.exhaustive
 
@@ -243,14 +271,35 @@ def test_independent_instances_multiply_within_cap():
 
 def test_cautious_core_is_taken_per_component():
     # seven instances of four clashing facts: 4^7 repairs, past the default
-    # cap, but only 28 component results
+    # cap, but the core is just the facts in no conflict edge
     clashing = frozenset(ev(0, end, 1, args=(i,)) for i in range(7) for end in range(1, 5))
     free = frozenset(ev(0, 1, 1, args=(i,)) for i in range(7, 10))
     assert not repairs(EMPTY, NEVER_FIRES, se=clashing | free).exhaustive
     assert cautious_core(EMPTY, NEVER_FIRES, se=clashing | free) == free
-    assert cautious_core(EMPTY, NEVER_FIRES, se=clashing | free, cap=28) == free
+    assert cautious_core(EMPTY, NEVER_FIRES, se=clashing | free, cap=0) == free
+    # where building the hypergraph is hard, the cap binds exactly: 13
+    # alternative provenance supports answer, 12 do not
+    dataset, tes = encode_3sat_cautious(UNSAT_2)
+    assert cautious_core(dataset, tes, cap=13) == {probe_fact()}
     with pytest.raises(EnumerationCapExceeded):
-        cautious_core(EMPTY, NEVER_FIRES, se=clashing | free, cap=27)
+        cautious_core(dataset, tes, cap=12)
+
+
+def test_preferred_is_taken_per_component_and_level():
+    # seven instances, each one level-1 fact and three level-2 facts sharing
+    # its start, and an idle constraint: 4^7 repairs, one preferred repair
+    strong = frozenset(ev(0, 1, 1, args=(i,)) for i in range(7))
+    weak = frozenset(ev(0, end, 2, args=(i,)) for i in range(7) for end in range(2, 5))
+    assert not repairs(EMPTY, NEVER_FIRES, se=strong | weak).exhaustive
+    pref = preferred_repairs(EMPTY, NEVER_FIRES, se=strong | weak)
+    assert pref.exhaustive and pref.repairs == (strong,)
+    # no level needs a search: the budget pays only for the one repair
+    assert preferred_repairs(EMPTY, NEVER_FIRES, se=strong | weak, cap=1).repairs == (strong,)
+    # [1,*] clashes with the kept [0,3], so it is dropped before the level-2
+    # search starts, and that search meets no dead end
+    se = frozenset({ev(0, 3, 1), ev(10, 10, 1), ev(1, STAR, 2), ev(3, 4, 2)})
+    pref = preferred_repairs(EMPTY, PLAIN_TES, se=se, cap=1)
+    assert pref.exhaustive and pref.repairs == (se - {ev(1, STAR, 2)},)
 
 
 def test_long_components_need_no_recursion():
