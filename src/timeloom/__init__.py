@@ -24,7 +24,6 @@ from .errors import (
     SafetyViolation,
     SortError,
     TimeloomError,
-    TooLarge,
     UnboundVariable,
     UndeclaredPredicate,
 )
@@ -36,21 +35,10 @@ from .model import (
     AnnotatedEventFact,
     AtemporalFact,
     Dataset,
-    EventFact,
     EventStore,
     Interval,
     ObservationFact,
     allen_relation,
-)
-from .oracle import (
-    Cnf3,
-    brute_preferred,
-    brute_repairs,
-    encode_3sat_cautious,
-    encode_3sat_consistent,
-    probe_fact,
-    read_dimacs,
-    sat_by_truth_table,
 )
 from .query import eval_body, ground_simple_heads, level_timepoints
 from .repair import (
@@ -66,7 +54,7 @@ from .repair import (
     temporal_conflict,
     timeline,
 )
-from .simple import infer_all_simple, infer_nonpersistent, infer_persistent, oracle_check_interval
+from .simple import infer_all_simple, infer_nonpersistent, infer_persistent
 
 __version__ = "0.1.0"
 
@@ -81,7 +69,6 @@ __all__ = [
     "EventStore",
     "AtemporalFact",
     "ObservationFact",
-    "EventFact",
     "AnnotatedEventFact",
     "allen_relation",
     "eval_body",
@@ -90,7 +77,6 @@ __all__ = [
     "infer_all_simple",
     "infer_nonpersistent",
     "infer_persistent",
-    "oracle_check_interval",
     "infer_meta",
     "infer_timeline_facts",
     "temporal_conflict",
@@ -107,14 +93,6 @@ __all__ = [
     "ingest",
     "parse_fact_text",
     "validate_dataset",
-    "Cnf3",
-    "read_dimacs",
-    "sat_by_truth_table",
-    "brute_repairs",
-    "brute_preferred",
-    "encode_3sat_consistent",
-    "encode_3sat_cautious",
-    "probe_fact",
     "TimeloomError",
     "ParseError",
     "ArityMismatch",
@@ -131,7 +109,6 @@ __all__ = [
     "GuardViolated",
     "EnumerationCapExceeded",
     "ResourceExhausted",
-    "TooLarge",
     "IoError",
     "MappingError",
     "MalformedTimestamp",

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .errors import (
     EnumerationCapExceeded,
+    InvalidInterval,
     IoError,
     ParseError,
     ResourceExhausted,
@@ -87,7 +88,11 @@ def fact_to_json(f: AnnotatedEventFact, now: int | None = None) -> dict:
 
 
 def fact_from_json(d: dict) -> AnnotatedEventFact:
+    """The inverse of `fact_to_json`; an end is a natural or "*", so JSON
+    `Infinity` is refused rather than read as ongoing."""
     end = d["interval"]["end"]
+    if end != "*" and not isinstance(end, int):
+        raise InvalidInterval(f"bad interval end: {end!r}")
     interval = Interval(d["interval"]["start"], STAR if end == "*" else end)
     return AnnotatedEventFact(d["pred"], tuple(d["args"]), interval, d["level"])
 
@@ -110,13 +115,6 @@ def result_to_json(result: TimelineResult, tes: TES, now: int | None = None,
         out.append({"simple": [d for _, simple, d in entries if simple],
                     "meta": [d for _, simple, d in entries if not simple]})
     return {"mode": result.mode, "models": out, "exhaustive": result.exhaustive}
-
-
-def result_from_json(doc: dict) -> TimelineResult:
-    return TimelineResult(doc["mode"],
-                          tuple(frozenset(map(fact_from_json, m["simple"] + m["meta"]))
-                                for m in doc["models"]),
-                          doc["exhaustive"])
 
 
 def _tsv_fact_row(section: str, fj: dict, with_clamp: bool) -> str:

@@ -115,14 +115,6 @@ class ResourceExhausted(TimeloomError):
     """Enumeration ran past Python's recursion limit or out of memory."""
 
 
-class TooLarge(TimeloomError):
-    """A brute-force oracle was asked to enumerate an infeasibly large set."""
-
-    def __init__(self, size: int):
-        self.size = size
-        super().__init__(f"instance with {size} facts is too large for exhaustive search")
-
-
 class IoError(TimeloomError):
     """A data or rule file could not be read or written."""
 

@@ -140,11 +140,11 @@ def _parse_fact_tokens(text: str) -> list[Fact]:
 # CSV mapping
 
 
-def _column_index(key: str, text: str) -> int:
+def _column_index(key: str, text: str, ln: int) -> int:
     """A column index: a natural counted from 0, in ASCII digits."""
     text = text.strip()
     if not NATURAL.fullmatch(text):
-        raise MappingError(key, f"{key}: {text!r} is not a column index (0, 1, ...)")
+        raise MappingError(key, f"line {ln}: {key}: {text!r} is not a column index (0, 1, ...)")
     return int(text)
 
 
@@ -152,6 +152,7 @@ def parse_mapping(text: str) -> dict:
     """Parse a key=value mapping file for CSV ingestion."""
     known = {"predicate", "columns", "timestamp_column", "timestamp_format"}
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -164,18 +165,21 @@ def parse_mapping(text: str) -> dict:
             raise MappingError(None, f"line {ln}: unknown key {key!r}")
         if key in raw:
             raise MappingError(None, f"line {ln}: duplicate key {key!r}")
-        raw[key] = val
+        raw[key], line_of[key] = val, ln
     if "predicate" not in raw or not raw["predicate"]:
         raise MappingError(None, "mapping needs a predicate")
     if "timestamp_column" not in raw:
         raise MappingError(None, "mapping needs a timestamp_column")
-    ts_col = _column_index("timestamp_column", raw["timestamp_column"])
+    ts_col = _column_index("timestamp_column", raw["timestamp_column"],
+                           line_of["timestamp_column"])
     cols: tuple[int, ...] = ()
     if raw.get("columns"):
-        cols = tuple(_column_index("columns", c) for c in raw["columns"].split(","))
+        cols = tuple(_column_index("columns", c, line_of["columns"])
+                     for c in raw["columns"].split(","))
     fmt = raw.get("timestamp_format", "epoch")
     if fmt not in ("epoch", "rfc3339"):
-        raise MappingError("timestamp_format", f"unknown format {fmt!r}")
+        raise MappingError("timestamp_format",
+                           f"line {line_of['timestamp_format']}: unknown format {fmt!r}")
     return {"predicate": raw["predicate"], "columns": cols,
             "timestamp_column": ts_col, "timestamp_format": fmt}
 
@@ -217,7 +221,11 @@ def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:
             if c >= len(row):
                 raise MappingError(c, f"row {rn} has only {len(row)} columns")
         args = tuple(_cell(row[c]) for c in cols)
-        out.append(ObservationFact(pred, args, _timestamp(row[ts_col], fmt)))
+        try:
+            t = _timestamp(row[ts_col], fmt)
+        except MalformedTimestamp as e:
+            raise MalformedTimestamp(f"row {rn}: {e}") from None
+        out.append(ObservationFact(pred, args, t))
     return out
 
 
@@ -241,7 +249,16 @@ def ingest(pairs: list[tuple[str, str | None]]) -> Dataset:
                 map_text = Path(map_path).read_text()
             except OSError as e:
                 raise IoError(f"cannot read {map_path}: {e}") from None
-            facts.extend(read_csv_mapped(text, parse_mapping(map_text)))
+            try:
+                mapping = parse_mapping(map_text)
+            except MappingError as e:
+                raise MappingError(e.column, f"{map_path}: {e}") from None
+            try:
+                facts.extend(read_csv_mapped(text, mapping))
+            except MappingError as e:
+                raise MappingError(e.column, f"{data_path}: {e}") from None
+            except MalformedTimestamp as e:
+                raise MalformedTimestamp(f"{data_path}: {e}") from None
         else:
             try:
                 facts.extend(parse_fact_text(text))

@@ -1,56 +1,21 @@
 """Core value model: timepoints, intervals, terms, facts, and fact containers.
 
 Timepoints are naturals. The right end of an interval is either a natural or
-the ongoing marker ``STAR``, which compares greater than every natural so that
-ordinary ``<``/``max`` work on mixed endpoints.
+the ongoing marker ``STAR``, which is ``math.inf``: it compares greater than
+every natural, so ordinary ``<``, ``min`` and ``max`` work on mixed endpoints,
+and it hashes and pickles like any float. Rule text and output spell it ``*``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvalidInterval, SortError, UnboundVariable
 
-
-class Star:
-    """The ongoing-interval marker; a singleton ordered above every natural."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "*"
-
-    def __reduce__(self):
-        return "STAR"  # unpickle to the module singleton, preserving identity
-
-    def __lt__(self, other):
-        if isinstance(other, (int, Star)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, Star):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, Star):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, Star)):
-            return True
-        return NotImplemented
-
-
-STAR = Star()
+STAR = math.inf  # the ongoing end of an interval
 
 # A data value is a symbol or a natural; interval ends may also be STAR.
 Value = Union[str, int]
@@ -62,12 +27,12 @@ class Interval:
     """A closed interval [start, end] over naturals; end may be STAR (ongoing)."""
 
     start: int
-    end: int | Star
+    end: int | float  # a natural, or STAR
 
     def __post_init__(self):
         if not isinstance(self.start, int) or isinstance(self.start, bool) or self.start < 0:
             raise InvalidInterval(f"bad interval start: {self.start!r}")
-        if isinstance(self.end, Star):
+        if self.end == STAR:
             return
         if not isinstance(self.end, int) or isinstance(self.end, bool) or self.end < 0:
             raise InvalidInterval(f"bad interval end: {self.end!r}")
@@ -76,30 +41,15 @@ class Interval:
 
     @property
     def ongoing(self) -> bool:
-        return isinstance(self.end, Star)
-
-    def contains(self, other: "Interval") -> bool:
-        return self.start <= other.start and other.end <= self.end
+        return self.end == STAR
 
     def intersect(self, other: "Interval") -> "Interval | None":
         """Intersection of two intervals, or None when they are disjoint."""
-        lo = max(self.start, other.start)
-        hi = min(self.end, other.end, key=_end_rank)
-        if not isinstance(hi, Star) and hi < lo:
-            return None
-        return Interval(lo, hi)
+        lo, hi = max(self.start, other.start), min(self.end, other.end)
+        return None if hi < lo else Interval(lo, hi)
 
     def __repr__(self) -> str:
-        return f"[{self.start},{self.end}]"
-
-
-def _end_rank(e: int | Star) -> float:
-    return float("inf") if isinstance(e, Star) else float(e)
-
-
-def interval_key(i: Interval) -> tuple:
-    """Sort key ordering intervals by start, then end, with ongoing last."""
-    return (i.start, 1, 0) if i.ongoing else (i.start, 0, i.end)
+        return f"[{self.start},{'*' if self.ongoing else self.end}]"
 
 
 _ALLEN_NAMES = (
@@ -111,7 +61,7 @@ _ALLEN_NAMES = (
 def allen_relation(a: Interval, b: Interval) -> str:
     """The unique Allen relation holding from a to b (point intervals included)."""
     s = _cmp(a.start, b.start)
-    e = _cmp_end(a.end, b.end)
+    e = _cmp(a.end, b.end)
     if s == 0:
         if e == 0:
             return "equals"
@@ -124,26 +74,15 @@ def allen_relation(a: Interval, b: Interval) -> str:
         return "during"
     if s < 0:
         # a begins first and ends first: separated, touching, or overlapping
-        if isinstance(a.end, Star):  # unreachable: e > 0 would hold
-            return "overlaps"
         if a.end < b.start:
             return "before"
         return "meets" if a.end == b.start else "overlaps"
-    if isinstance(b.end, Star):
-        return "overlapped_by"
     if b.end < a.start:
         return "after"
     return "met_by" if b.end == a.start else "overlapped_by"
 
 
-def _cmp(x: int, y: int) -> int:
-    return (x > y) - (x < y)
-
-
-def _cmp_end(x: int | Star, y: int | Star) -> int:
-    xs, ys = isinstance(x, Star), isinstance(y, Star)
-    if xs or ys:
-        return (not ys) - (not xs)
+def _cmp(x, y) -> int:
     return (x > y) - (x < y)
 
 
@@ -255,19 +194,18 @@ def eval_term(t: Term, binding: Mapping[str, object]):
             if isinstance(v, str):
                 raise SortError(f"symbol {v!r} used in {t.fn}")
         if t.fn in ("min", "max"):
-            return min(vals, key=_end_rank) if t.fn == "min" else max(vals, key=_end_rank)
-        for v in vals:
-            if isinstance(v, Star):
-                raise SortError(f"ongoing marker used in {t.fn}")
+            return min(vals) if t.fn == "min" else max(vals)
+        if STAR in vals:
+            raise SortError(f"ongoing marker used in {t.fn}")
         if t.fn == "plus":
             return vals[0] + vals[1]
         return max(vals[0] - vals[1], 0)  # natural subtraction
     if isinstance(t, IntervalTerm):
         lo = eval_term(t.lo, binding)
         hi = eval_term(t.hi, binding)
-        if isinstance(lo, Star) or isinstance(lo, str) or isinstance(hi, str):
+        if lo == STAR or isinstance(lo, str) or isinstance(hi, str):
             raise SortError(f"bad interval endpoint in {t}")
-        if not isinstance(hi, Star) and hi < lo:
+        if hi < lo:
             return None
         return Interval(lo, hi)
     if isinstance(t, IntervalFn):
@@ -303,15 +241,6 @@ class ObservationFact:
 
 
 @dataclass(frozen=True)
-class EventFact:
-    """An event over an interval, without a confidence annotation."""
-
-    pred: str
-    args: tuple[Value, ...]
-    interval: Interval
-
-
-@dataclass(frozen=True)
 class AnnotatedEventFact:
     """An event over an interval at a confidence level (1 is the strongest)."""
 
@@ -320,15 +249,12 @@ class AnnotatedEventFact:
     interval: Interval
     level: int
 
-    def strip(self) -> EventFact:
-        return EventFact(self.pred, self.args, self.interval)
-
     @property
     def key(self) -> tuple[str, tuple[Value, ...]]:
         return (self.pred, self.args)
 
 
-Fact = Union[AtemporalFact, ObservationFact, EventFact, AnnotatedEventFact]
+Fact = Union[AtemporalFact, ObservationFact, AnnotatedEventFact]
 
 
 def value_key(v: Value) -> tuple:
@@ -346,9 +272,7 @@ def fact_key(f) -> tuple:
         return (0, f.pred, args_key(f.args), (), 0)
     if isinstance(f, ObservationFact):
         return (1, f.pred, args_key(f.args), (f.t,), 0)
-    if isinstance(f, EventFact):
-        return (2, f.pred, args_key(f.args), interval_key(f.interval), 0)
-    return (3, f.pred, args_key(f.args), interval_key(f.interval), f.level)
+    return (2, f.pred, args_key(f.args), (f.interval.start, f.interval.end), f.level)
 
 
 def _group_by_args(facts: Iterable, positions: tuple[int, ...]) -> dict[tuple, list]:
@@ -367,33 +291,26 @@ class Dataset:
     """
 
     def __init__(self, facts: Iterable[AtemporalFact | ObservationFact] = ()):
-        atemporal: dict[str, list[AtemporalFact]] = {}
-        observations: dict[str, list[ObservationFact]] = {}
+        # each predicate's facts in first-seen order
+        self._atemporal: dict[str, list[AtemporalFact]] = {}
+        self._observations: dict[str, list[ObservationFact]] = {}
         seen: set = set()
         for f in facts:
             if f in seen:
                 continue
             seen.add(f)
             if isinstance(f, AtemporalFact):
-                atemporal.setdefault(f.pred, []).append(f)
+                self._atemporal.setdefault(f.pred, []).append(f)
             elif isinstance(f, ObservationFact):
-                observations.setdefault(f.pred, []).append(f)
+                self._observations.setdefault(f.pred, []).append(f)
             else:
                 raise TypeError(f"not a dataset fact: {f!r}")
-        self._atemporal = {p: tuple(sorted(fs, key=fact_key)) for p, fs in atemporal.items()}
-        self._observations = {p: tuple(sorted(fs, key=fact_key)) for p, fs in observations.items()}
         self._all = frozenset(seen)
         self._indexes: dict[tuple, dict[tuple, list]] = {}
 
     @property
     def facts(self) -> frozenset:
         return self._all
-
-    def atemporal(self, pred: str) -> tuple[AtemporalFact, ...]:
-        return self._atemporal.get(pred, ())
-
-    def observations(self, pred: str) -> tuple[ObservationFact, ...]:
-        return self._observations.get(pred, ())
 
     def probe(self, kind: type, pred: str, positions: tuple[int, ...],
               values: tuple) -> Sequence[AtemporalFact | ObservationFact]:

@@ -36,7 +36,6 @@ from .model import (
     Nat,
     ObservationFact,
     SortKind,
-    Star,
     StarTerm,
     Term,
     Var,
@@ -57,7 +56,7 @@ def _accepts(sort: SortKind, value) -> bool:
     if sort is SortKind.POSNAT:
         return isinstance(value, int) and value >= 1
     if sort is SortKind.NAT_OR_STAR:
-        return isinstance(value, Star) or (isinstance(value, int) and value >= 0)
+        return value == STAR or (isinstance(value, int) and value >= 0)
     if sort is SortKind.INTERVAL:
         return isinstance(value, Interval)
     return False
@@ -67,10 +66,7 @@ def _match_term(term: Term, value, binding: dict, sorts: Mapping[str, SortKind])
     """Try to unify one term position with a fact value; extends binding."""
     if isinstance(term, Var):
         if term.name in binding:
-            prior = binding[term.name]
-            if isinstance(prior, Star) or isinstance(value, Star):
-                return prior is value
-            return prior == value
+            return binding[term.name] == value
         if not _accepts(sorts.get(term.name, SortKind.DATA), value):
             return False
         binding[term.name] = value
@@ -78,9 +74,9 @@ def _match_term(term: Term, value, binding: dict, sorts: Mapping[str, SortKind])
     if isinstance(term, Const):
         return term.name == value
     if isinstance(term, Nat):
-        return not isinstance(value, (Star, bool)) and term.value == value
+        return not isinstance(value, bool) and term.value == value
     if isinstance(term, StarTerm):
-        return isinstance(value, Star)
+        return value == STAR
     return False
 
 
@@ -196,10 +192,7 @@ def _eval_test(lit: Literal, binding: dict, dataset: Dataset,
 
 
 def _compare(op: str, lhs, rhs) -> bool:
-    star_l, star_r = isinstance(lhs, Star), isinstance(rhs, Star)
     if op == "!=":
-        if star_l or star_r:
-            return not (star_l and star_r)
         return lhs != rhs
     if isinstance(lhs, str) or isinstance(rhs, str):
         raise SortError(f"ordering comparison over symbols: {lhs!r} {op} {rhs!r}")
@@ -215,18 +208,8 @@ def _extremum_holds(a: ExtremumTest, binding: dict, events: EventStore | None) -
         return False
     t = eval_term(a.t, binding)
     if a.name == "start":
-        best = min(f.interval.start for f in facts)
-        return not isinstance(t, Star) and best == t
-    best = None
-    for f in facts:
-        e = f.interval.end
-        if isinstance(e, Star):
-            best = STAR
-            break
-        best = e if best is None or e > best else best
-    if isinstance(best, Star) or isinstance(t, Star):
-        return isinstance(best, Star) and isinstance(t, Star)
-    return best == t
+        return min(f.interval.start for f in facts) == t
+    return max(f.interval.end for f in facts) == t
 
 
 def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],

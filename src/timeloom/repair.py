@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 from .errors import EnumerationCapExceeded, GuardViolated
 from .language import TES
 from .meta import close_models, combine_supports, infer_meta, meta_provenance
-from .model import AnnotatedEventFact, Dataset, EventStore, _end_rank, fact_key
+from .model import AnnotatedEventFact, Dataset, EventStore, fact_key
 from .query import eval_body
 from .simple import infer_all_simple
 
@@ -43,12 +43,9 @@ def temporal_conflict(a, b) -> bool:
     i, j = a.interval, b.interval
     if i == j:
         return False
-    if i.start == j.start:
+    if i.start == j.start or i.end == j.end:
         return True
-    ei, ej = _end_rank(i.end), _end_rank(j.end)
-    if ei == ej:
-        return True
-    return i.start < j.start < ei or j.start < i.start < ej
+    return i.start < j.start < i.end or j.start < i.start < j.end
 
 
 def clash_pairs(facts) -> Iterator[tuple]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .language import TES, PredKind
-from .model import STAR, AnnotatedEventFact, Dataset, Interval, interval_key
+from .model import STAR, AnnotatedEventFact, Dataset, Interval
 from .query import (
     AuxStore,
     LevelTimepoints,
@@ -26,16 +26,6 @@ from .query import (
 def _next_ge(sorted_pts: list[int], x: int) -> int | None:
     i = bisect_left(sorted_pts, x)
     return sorted_pts[i] if i < len(sorted_pts) else None
-
-
-def _prune_contained(cands: set[tuple]) -> set[tuple]:
-    """Drop candidates strictly contained in another candidate."""
-    kept = set()
-    for a, b in cands:
-        if any((c, d) != (a, b) and c <= a and b <= d for c, d in cands):
-            continue
-        kept.add((a, b))
-    return kept
 
 
 def infer_nonpersistent(tp: LevelTimepoints, w: int) -> set[tuple[Interval, int]]:
@@ -85,16 +75,20 @@ def _np_maximal(te: list[int], tx: list[int], w: int) -> list[tuple[int, int]]:
 def infer_persistent(tp: LevelTimepoints) -> set[tuple[Interval, int]]:
     """All maximal intervals of a persistent instance, per level: each
     existence point runs to the first termination at or after it, or stays
-    ongoing when none exists."""
+    ongoing when none exists.
+
+    Only runs sharing an end can contain one another: from b <= a, b's
+    first termination is at most a's. So each end keeps its earliest start.
+    """
     out: set[tuple[Interval, int]] = set()
     seen: set[Interval] = set()
     for level in range(1, tp.max_level + 1):
         tx = list(tp.ends_at(level))
-        cands: set[tuple] = set()
-        for t1 in tp.exists_at(level):
+        first_start: dict = {}  # end -> earliest start reaching it
+        for t1 in tp.exists_at(level):  # ascending
             nt = _next_ge(tx, t1)
-            cands.add((t1, STAR if nt is None else nt))
-        for a, b in _prune_contained(cands):
+            first_start.setdefault(STAR if nt is None else nt, t1)
+        for b, a in first_start.items():
             iv = Interval(a, b)
             if iv not in seen:
                 out.add((iv, level))
@@ -120,84 +114,3 @@ def infer_from_aux(aux: AuxStore, tes: TES) -> frozenset[AnnotatedEventFact]:
             pairs = infer_persistent(tp)
         facts.update(AnnotatedEventFact(pred, args, iv, lvl) for iv, lvl in pairs)
     return frozenset(facts)
-
-
-# ---------------------------------------------------------------------------
-# Definitional checker
-
-
-def oracle_check_interval(persistent: bool, tp: LevelTimepoints, interval: Interval,
-                          level: int, w: int | None = None) -> bool:
-    """Check one candidate interval directly against the defining conditions.
-
-    This is the item-by-item reference used to test the constructive
-    inference; it is deliberately literal rather than fast.
-    """
-    if level < 1 or level > tp.max_level:
-        return False
-    if persistent:
-        if not _pers_items(tp, interval, level):
-            return False
-        return all(not _pers_items(tp, interval, lo) for lo in range(1, level))
-    if w is None or w < 1 or interval.ongoing:
-        return False
-    if not _np_items(tp, interval, level, w):
-        return False
-    return all(not _np_items(tp, interval, lo, w) for lo in range(1, level))
-
-
-def _np_items(tp: LevelTimepoints, interval: Interval, level: int, w: int) -> bool:
-    te, tx = set(tp.exists_at(level)), set(tp.ends_at(level))
-    t1, t2 = interval.start, interval.end
-    # existence chain from t1, gaps within w, confined to the interval
-    pts = sorted(p for p in te if t1 <= p <= t2)
-    if not pts or pts[0] != t1:
-        return False
-    chain_ends = [pts[0]]
-    for p in pts[1:]:
-        if p - chain_ends[-1] <= w:
-            chain_ends.append(p)
-        else:
-            break
-    # no termination strictly inside [t1, t2)
-    if any(t1 <= x < t2 for x in tx):
-        return False
-    # every existence point just before t1 was terminated before t1
-    for t1n in te:
-        if t1 - w <= t1n < t1 and not any(t1n <= x < t1 for x in tx):
-            return False
-    for tn in chain_ends:
-        # closed at the first termination at or after the chain end
-        if tn <= t2 <= tn + w and t2 in tx:
-            return True
-        # open chain end with no evidence within the window after it
-        if t2 == tn and not any(tn < x <= tn + w for x in te | tx):
-            return True
-    return False
-
-
-def _pers_items(tp: LevelTimepoints, interval: Interval, level: int) -> bool:
-    te, tx = set(tp.exists_at(level)), set(tp.ends_at(level))
-    t1, t2 = interval.start, interval.end
-    if t1 not in te:
-        return False
-    # every earlier existence point was terminated before t1
-    for t1n in te:
-        if t1n < t1 and not any(t1n <= x < t1 for x in tx):
-            return False
-    if interval.ongoing:
-        return not any(x >= t1 for x in tx)
-    if t2 not in tx:
-        return False
-    return not any(t1 <= x < t2 for x in tx)
-
-
-def candidate_intervals(tp: LevelTimepoints, persistent: bool) -> list[Interval]:
-    """Every interval a definitional check could accept: pairs of mentioned
-    timepoints, plus ongoing ends for persistent instances."""
-    pts = sorted({t for lvl in range(1, tp.max_level + 1)
-                  for t in tp.exists_at(lvl) + tp.ends_at(lvl)})
-    out = [Interval(a, b) for a in pts for b in pts if a <= b]
-    if persistent:
-        out += [Interval(a, STAR) for a in pts]
-    return sorted(out, key=interval_key)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IoError, TooLarge
-from .language import TES, parse_tes
-from .model import (
+from timeloom.errors import IoError, TimeloomError
+from timeloom.language import TES, parse_tes
+from timeloom.model import (
     STAR,
     AnnotatedEventFact,
     AtemporalFact,
@@ -20,11 +20,19 @@ from .model import (
     ObservationFact,
     fact_key,
 )
-from .query import LevelTimepoints
-from .repair import is_consistent, temporal_conflict
-from .simple import candidate_intervals, infer_all_simple, oracle_check_interval
+from timeloom.query import LevelTimepoints
+from timeloom.repair import is_consistent, temporal_conflict
+from timeloom.simple import infer_all_simple
 
 SimpleSet = frozenset
+
+
+class TooLarge(TimeloomError):
+    """A brute-force oracle was asked to enumerate an infeasibly large set."""
+
+    def __init__(self, size: int):
+        self.size = size
+        super().__init__(f"instance with {size} facts is too large for exhaustive search")
 
 
 def brute_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None) -> tuple[SimpleSet, ...]:
@@ -87,6 +95,87 @@ def oracle_infer(tp: LevelTimepoints, persistent: bool,
             for iv in candidate_intervals(tp, persistent)
             for lvl in range(1, tp.max_level + 1)
             if oracle_check_interval(persistent, tp, iv, lvl, w)}
+
+
+# ---------------------------------------------------------------------------
+# Definitional checker
+
+
+def oracle_check_interval(persistent: bool, tp: LevelTimepoints, interval: Interval,
+                          level: int, w: int | None = None) -> bool:
+    """Check one candidate interval directly against the defining conditions.
+
+    This is the item-by-item reference used to test the constructive
+    inference; it is deliberately literal rather than fast.
+    """
+    if level < 1 or level > tp.max_level:
+        return False
+    if persistent:
+        if not _pers_items(tp, interval, level):
+            return False
+        return all(not _pers_items(tp, interval, lo) for lo in range(1, level))
+    if w is None or w < 1 or interval.ongoing:
+        return False
+    if not _np_items(tp, interval, level, w):
+        return False
+    return all(not _np_items(tp, interval, lo, w) for lo in range(1, level))
+
+
+def _np_items(tp: LevelTimepoints, interval: Interval, level: int, w: int) -> bool:
+    te, tx = set(tp.exists_at(level)), set(tp.ends_at(level))
+    t1, t2 = interval.start, interval.end
+    # existence chain from t1, gaps within w, confined to the interval
+    pts = sorted(p for p in te if t1 <= p <= t2)
+    if not pts or pts[0] != t1:
+        return False
+    chain_ends = [pts[0]]
+    for p in pts[1:]:
+        if p - chain_ends[-1] <= w:
+            chain_ends.append(p)
+        else:
+            break
+    # no termination strictly inside [t1, t2)
+    if any(t1 <= x < t2 for x in tx):
+        return False
+    # every existence point just before t1 was terminated before t1
+    for t1n in te:
+        if t1 - w <= t1n < t1 and not any(t1n <= x < t1 for x in tx):
+            return False
+    for tn in chain_ends:
+        # closed at the first termination at or after the chain end
+        if tn <= t2 <= tn + w and t2 in tx:
+            return True
+        # open chain end with no evidence within the window after it
+        if t2 == tn and not any(tn < x <= tn + w for x in te | tx):
+            return True
+    return False
+
+
+def _pers_items(tp: LevelTimepoints, interval: Interval, level: int) -> bool:
+    te, tx = set(tp.exists_at(level)), set(tp.ends_at(level))
+    t1, t2 = interval.start, interval.end
+    if t1 not in te:
+        return False
+    # every earlier existence point was terminated before t1
+    for t1n in te:
+        if t1n < t1 and not any(t1n <= x < t1 for x in tx):
+            return False
+    if interval.ongoing:
+        return not any(x >= t1 for x in tx)
+    if t2 not in tx:
+        return False
+    return not any(t1 <= x < t2 for x in tx)
+
+
+def candidate_intervals(tp: LevelTimepoints, persistent: bool) -> list[Interval]:
+    """Every interval a definitional check could accept: pairs of mentioned
+    timepoints, plus ongoing ends for persistent instances."""
+    pts = sorted({t for lvl in range(1, tp.max_level + 1)
+                  for t in tp.exists_at(lvl) + tp.ends_at(lvl)})
+    out = [Interval(a, b) for a in pts for b in pts if a <= b]
+    if persistent:
+        out += [Interval(a, STAR) for a in pts]
+    return sorted(out, key=lambda i: (i.start, i.end))
 
 
 # ---------------------------------------------------------------------------

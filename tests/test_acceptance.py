@@ -11,34 +11,36 @@ from time import perf_counter
 from timeloom import (
     STAR,
     AnnotatedEventFact,
-    Cnf3,
     Dataset,
     Interval,
     ObservationFact,
-    brute_preferred,
-    brute_repairs,
     cautious_core,
-    encode_3sat_cautious,
-    encode_3sat_consistent,
     greedy_preferred,
     infer_all_simple,
     infer_nonpersistent,
     infer_persistent,
     parse_tes,
     preferred_repairs,
-    probe_fact,
     recognize_timeline,
     repairs,
-    sat_by_truth_table,
     timeline,
 )
-from timeloom.oracle import oracle_infer
 
 from conftest import (
     make_timepoints,
     random_guard_instance,
     random_ruleful_instance,
     random_timepoint_config,
+)
+from oracle import (
+    Cnf3,
+    brute_preferred,
+    brute_repairs,
+    encode_3sat_cautious,
+    encode_3sat_consistent,
+    oracle_infer,
+    probe_fact,
+    sat_by_truth_table,
 )
 
 EMPTY = Dataset([])

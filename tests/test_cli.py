@@ -8,9 +8,15 @@ from datetime import date
 
 import pytest
 
-from timeloom import AnnotatedEventFact, Interval, TimelineResult, ingest, parse_tes, timeline
+from timeloom import AnnotatedEventFact, Interval, ingest, parse_tes, timeline
 from timeloom import cli
-from timeloom.cli import fact_to_json, main, partition_dataset, render_document, result_from_json
+from timeloom.cli import (
+    fact_from_json,
+    fact_to_json,
+    main,
+    partition_dataset,
+    render_document,
+)
 from timeloom.model import fact_key
 
 from conftest import TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
@@ -59,11 +65,11 @@ def test_run_writes_json_document(ward):
     assert doc == {"mode": "consistent",
                    "models": [{"simple": [P1_JSON, P2_JSON], "meta": []}],
                    "exhaustive": True}
-    result = result_from_json(doc)
-    assert result == TimelineResult("consistent", (frozenset({
+    models = [frozenset(map(fact_from_json, m["simple"] + m["meta"])) for m in doc["models"]]
+    assert models == [frozenset({
         AnnotatedEventFact("abth", ("p1",), Interval(0, 1), 1),
         AnnotatedEventFact("abth", ("p2",), Interval(5, 5), 1),
-    }),), True)
+    })]
 
 
 def test_stdout_runs_are_byte_identical(ward, capsys):
@@ -234,6 +240,28 @@ def test_check_mode_exit_codes(figured, capsys):
     assert run_cli(*args) == 1
 
 
+@pytest.mark.parametrize("end", ["Infinity", "1.5", "true"])
+def test_check_target_end_is_a_natural_or_star(figured, capsys, end):
+    """JSON `Infinity` is no spelling of the ongoing end "*"."""
+    target = figured / "target.json"
+    args = ("run", "--rules", str(figured / "pers.tes"),
+            "--data", str(figured / "empty.facts"), "--mode", "check",
+            "--check", str(target))
+    kept = json.dumps(fact_to_json(fig_fact(2, 7, 1)))
+
+    def write_target_ending(end_text):
+        target.write_text('{"facts": [%s, {"pred": "e", "args": [], "interval": '
+                          '{"start": 9, "end": %s}, "level": 1}]}' % (kept, end_text))
+
+    write_target_ending('"*"')
+    assert run_cli(*args) == 0
+    capsys.readouterr()
+    write_target_ending(end)
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "end" in err
+
+
 def test_check_flag_pairing(figured, capsys):
     rc = run_cli("run", "--rules", str(figured / "fig.tes"),
                  "--data", str(figured / "empty.facts"), "--mode", "check")
@@ -394,6 +422,31 @@ def test_data_file_error_names_the_file(ward, capsys):
                    "--data", str(ward / "ward.facts"), "--data", str(bad)) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}: unexpected character '\u00b2' at line 2, col 14\n"
+
+
+LAB_MAP = "predicate=lab\ncolumns=0\ntimestamp_column=1\n"
+
+
+@pytest.mark.parametrize("data,mapping,message", [
+    ("p1,4\np1,5\u00b2\n", LAB_MAP, "{csv}: row 2: timestamp '5\u00b2' is not a natural number"),
+    ("p1,4\np2\n", LAB_MAP, "{csv}: row 2 has only 1 columns"),
+    ("p1,4\n", "predicate=lab\n# the lab column\ntimestamp_column=x\n",
+     "{map}: line 3: timestamp_column: 'x' is not a column index (0, 1, ...)"),
+    ("p1,4\n", "predicate=lab\ncolumns=0,y\ntimestamp_column=1\n",
+     "{map}: line 2: columns: 'y' is not a column index (0, 1, ...)"),
+    ("p1,4\n", LAB_MAP + "rows=3\n", "{map}: line 4: unknown key 'rows'"),
+    ("p1,4\n", LAB_MAP + "timestamp_format=unix\n", "{map}: line 4: unknown format 'unix'"),
+    ("p1,4\n", "columns=0\ntimestamp_column=1\n", "{map}: mapping needs a predicate"),
+], ids=["timestamp", "short-row", "column", "column-list", "key", "format", "predicate"])
+def test_csv_and_mapping_errors_name_the_file(tmp_path, capsys, data, mapping, message):
+    csv, map_ = tmp_path / "labs.csv", tmp_path / "labs.map"
+    (tmp_path / "r.tes").write_text(SUP_RULES)
+    csv.write_text(data)
+    map_.write_text(mapping)
+    assert run_cli("run", "--rules", str(tmp_path / "r.tes"),
+                   "--data", str(csv), "--map", str(map_)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: " + message.format(csv=csv, map=map_) + "\n"
 
 
 @pytest.mark.parametrize("option", ["--now", "--cap", "--max-models", "--partition-by"])

@@ -11,7 +11,6 @@ from timeloom import (
     AnnotatedEventFact,
     AtemporalFact,
     Dataset,
-    EventFact,
     EventStore,
     Interval,
     InvalidInterval,
@@ -30,7 +29,6 @@ from timeloom.model import (
     Var,
     eval_term,
     fact_key,
-    interval_key,
 )
 
 
@@ -46,6 +44,10 @@ def test_interval_validation():
         Interval(True, 2)
     with pytest.raises(InvalidInterval):
         Interval(0, -3)
+    with pytest.raises(InvalidInterval):
+        Interval(0, 1.5)
+    with pytest.raises(InvalidInterval):
+        Interval(STAR, STAR)
 
 
 def test_star_ordering():
@@ -56,29 +58,22 @@ def test_star_ordering():
     assert STAR >= STAR
     assert STAR <= STAR
     assert not STAR > STAR
-    assert max(3, STAR) is STAR
+    assert max(3, STAR) == STAR
     assert min(3, STAR) == 3
 
 
-def test_star_pickles_to_singleton():
-    assert pickle.loads(pickle.dumps(STAR)) is STAR
-    assert pickle.loads(pickle.dumps(Interval(1, STAR))).end is STAR
+def test_ongoing_interval_pickles_and_prints_star():
+    iv = pickle.loads(pickle.dumps(Interval(1, STAR)))
+    assert iv == Interval(1, STAR) and iv.ongoing
+    assert hash(iv) == hash(Interval(1, STAR))
+    assert repr(iv) == "[1,*]" and repr(Interval(1, 4)) == "[1,4]"
 
 
-def test_interval_contains_and_intersect():
-    assert Interval(1, 9).contains(Interval(2, 5))
-    assert Interval(1, STAR).contains(Interval(2, 5))
-    assert not Interval(2, 5).contains(Interval(1, 9))
+def test_interval_intersect():
     assert Interval(2, STAR).intersect(Interval(5, 9)) == Interval(5, 9)
     assert Interval(1, 3).intersect(Interval(5, 9)) is None
     assert Interval(1, STAR).intersect(Interval(4, STAR)) == Interval(4, STAR)
     assert Interval(1, 4).intersect(Interval(4, 9)) == Interval(4, 4)
-
-
-def test_interval_key_orders_ongoing_last():
-    xs = [Interval(1, STAR), Interval(1, 5), Interval(0, 2)]
-    assert sorted(xs, key=interval_key) == [
-        Interval(0, 2), Interval(1, 5), Interval(1, STAR)]
 
 
 ALLEN_INVERSE = {
@@ -135,7 +130,7 @@ def test_allen_relation_unique(a, b):
 def test_eval_term_basics():
     assert eval_term(Const("amox"), {}) == "amox"
     assert eval_term(Nat(7), {}) == 7
-    assert eval_term(StarTerm(), {}) is STAR
+    assert eval_term(StarTerm(), {}) == STAR
     assert eval_term(Var("T"), {"T": 4}) == 4
     with pytest.raises(UnboundVariable):
         eval_term(Var("T"), {})
@@ -146,7 +141,7 @@ def test_eval_term_arithmetic():
     assert eval_term(FnApp("minus", (Nat(5), Nat(2))), {}) == 3
     # subtraction clamps at zero: timepoints are naturals
     assert eval_term(FnApp("minus", (Nat(2), Nat(5))), {}) == 0
-    assert eval_term(FnApp("max", (Nat(3), StarTerm())), {}) is STAR
+    assert eval_term(FnApp("max", (Nat(3), StarTerm())), {}) == STAR
     assert eval_term(FnApp("min", (Nat(3), StarTerm())), {}) == 3
     with pytest.raises(SortError):
         eval_term(FnApp("plus", (Nat(1), StarTerm())), {})
@@ -173,7 +168,6 @@ def test_eval_term_intervals():
 def test_fact_key_total_order():
     facts = [
         AnnotatedEventFact("a", (), Interval(0, 1), 1),
-        EventFact("a", (), Interval(0, 1)),
         ObservationFact("a", (), 0),
         AtemporalFact("a", ()),
     ]
@@ -182,6 +176,11 @@ def test_fact_key_total_order():
     assert fact_key(AtemporalFact("p", (2,))) < fact_key(AtemporalFact("p", ("b",)))
     assert fact_key(AnnotatedEventFact("a", (), Interval(0, 1), 1)) < fact_key(
         AnnotatedEventFact("a", (), Interval(0, 1), 2))
+    # intervals order by start, then end, with ongoing ends last
+    ivs = [Interval(1, STAR), Interval(1, 5), Interval(0, 2)]
+    facts = [AnnotatedEventFact("a", (), iv, 1) for iv in ivs]
+    assert [f.interval for f in sorted(facts, key=fact_key)] == [
+        Interval(0, 2), Interval(1, 5), Interval(1, STAR)]
 
 
 def test_dataset_dedups_and_rejects_events():
@@ -189,10 +188,10 @@ def test_dataset_dedups_and_rejects_events():
     d = Dataset([obs, obs, AtemporalFact("drug", ("amox",))])
     assert len(d) == 2
     assert obs in d
-    assert d.observations("adm") == (obs,)
-    assert d.atemporal("none") == ()
+    assert list(d.probe(ObservationFact, "adm", (), ())) == [obs]
+    assert list(d.probe(AtemporalFact, "none", (), ())) == []
     with pytest.raises(TypeError):
-        Dataset([EventFact("e", (), Interval(0, 1))])
+        Dataset([AnnotatedEventFact("e", (), Interval(0, 1), 1)])
 
 
 def test_event_store():

@@ -7,26 +7,28 @@ import pytest
 from timeloom import (
     STAR,
     AnnotatedEventFact,
-    Cnf3,
     Dataset,
     Interval,
     IoError,
+    cautious_core,
+    infer_all_simple,
+    recognize_timeline,
+    repairs,
+)
+
+from conftest import PLAIN_TES, make_timepoints
+from oracle import (
+    Cnf3,
     TooLarge,
     brute_preferred,
     brute_repairs,
-    cautious_core,
     encode_3sat_cautious,
     encode_3sat_consistent,
-    infer_all_simple,
+    oracle_infer,
     probe_fact,
     read_dimacs,
-    recognize_timeline,
-    repairs,
     sat_by_truth_table,
 )
-from timeloom.oracle import oracle_infer
-
-from conftest import PLAIN_TES, make_timepoints
 
 EMPTY = Dataset([])
 

@@ -85,6 +85,18 @@ def test_eval_body_comparisons_with_star():
     assert [b["T2"] for b in got] == [3]
 
 
+def test_eval_body_matches_literal_star():
+    body, sorts = body_of(
+        "decl persistent p/0.\ndecl meta m/0.\n"
+        "meta m([T1, T1], 1) :- p([T1, *], L).")
+    events = EventStore([
+        AnnotatedEventFact("p", (), Interval(0, STAR), 1),
+        AnnotatedEventFact("p", (), Interval(4, 6), 1),
+    ])
+    got = eval_body(body, sorts, Dataset([]), events)
+    assert [b["T1"] for b in got] == [0]
+
+
 def test_eval_body_allen_test():
     body, sorts = body_of(
         "decl persistent p/0.\ndecl persistent q/0.\ndecl meta m/0.\n"
@@ -329,7 +341,7 @@ def _unify(a, f, binding):
         elif isinstance(term, Const):
             if term.name != value:
                 return False
-        elif value is STAR or term.value != value:
+        elif value == STAR or term.value != value:
             return False
     return True
 

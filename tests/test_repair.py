@@ -8,23 +8,18 @@ from timeloom import (
     STAR,
     AnnotatedEventFact,
     AtemporalFact,
-    Cnf3,
     Dataset,
     EnumerationCapExceeded,
     GuardViolated,
     Interval,
     ObservationFact,
-    brute_preferred,
-    brute_repairs,
     cautious_core,
-    encode_3sat_cautious,
     greedy_preferred,
     infer_all_simple,
     infer_meta,
     is_consistent,
     parse_tes,
     preferred_repairs,
-    probe_fact,
     recognize_timeline,
     repairs,
     temporal_conflict,
@@ -39,6 +34,13 @@ from conftest import (
     random_fact_set,
     random_guard_instance,
     random_ruleful_instance,
+)
+from oracle import (
+    Cnf3,
+    brute_preferred,
+    brute_repairs,
+    encode_3sat_cautious,
+    probe_fact,
 )
 
 
@@ -64,6 +66,7 @@ def test_temporal_conflict_table():
     assert not temporal_conflict(ev(2, 4, 1), ev(2, 4, 2))  # equal intervals
     assert temporal_conflict(ev(2, 4, 1), ev(2, 7, 1))  # equal starts
     assert temporal_conflict(ev(1, 7, 1), ev(3, 7, 2))  # equal ends
+    assert temporal_conflict(ev(1, 7, 1), ev(7, 7, 2))  # equal ends, no start inside
     assert temporal_conflict(ev(2, STAR, 1), ev(5, STAR, 1))  # both ongoing
     assert temporal_conflict(ev(2, 7, 1), ev(4, 9, 1))  # starts inside
     assert temporal_conflict(ev(2, STAR, 1), ev(5, 9, 1))

@@ -2,6 +2,7 @@
 agreement between the constructive engine and the item-by-item checker."""
 
 import random
+from time import perf_counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,11 +16,10 @@ from timeloom import (
     infer_nonpersistent,
     infer_persistent,
     level_timepoints,
-    oracle_check_interval,
 )
-from timeloom.simple import candidate_intervals
 
 from conftest import make_timepoints, random_timepoint_config
+from oracle import candidate_intervals, oracle_check_interval
 
 
 def iv(a, b):
@@ -122,6 +122,19 @@ def test_termination_closes_nonpersistent():
     # first termination wins even inside the window
     tp2 = make_timepoints([{1, 4}], [{2, 5}])
     assert infer_nonpersistent(tp2, w=3) == {(iv(1, 2), 1), (iv(4, 5), 1)}
+
+
+def test_persistent_inference_is_linear_in_episodes():
+    """Each of 4000 disjoint episodes has two existence points before its
+    termination; only the earlier one starts a maximal interval."""
+    n = 4000
+    tp = make_timepoints([{10 * i for i in range(n)} | {10 * i + 2 for i in range(n)}],
+                         [{10 * i + 5 for i in range(n)}])
+    t0 = perf_counter()
+    got = infer_persistent(tp)
+    took = perf_counter() - t0
+    assert got == {(iv(10 * i, 10 * i + 5), 1) for i in range(n)}
+    assert took < 1.0, f"{took:.2f} s for {n} episodes"
 
 
 def test_candidate_intervals_cover():
