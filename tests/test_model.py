@@ -176,7 +176,10 @@ def test_fact_key_total_order():
     assert fact_key(AtemporalFact("p", (2,))) < fact_key(AtemporalFact("p", ("b",)))
     assert fact_key(AnnotatedEventFact("a", (), Interval(0, 1), 1)) < fact_key(
         AnnotatedEventFact("a", (), Interval(0, 1), 2))
-    # intervals order by start, then end, with ongoing ends last
+
+
+def test_interval_key_orders_ongoing_last():
+    # fact_key orders intervals by start, then end, with ongoing ends last
     ivs = [Interval(1, STAR), Interval(1, 5), Interval(0, 2)]
     facts = [AnnotatedEventFact("a", (), iv, 1) for iv in ivs]
     assert [f.interval for f in sorted(facts, key=fact_key)] == [
