@@ -18,9 +18,7 @@ import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -41,6 +39,7 @@ from .model import (
     ObservationFact,
     Value,
     fact_key,
+    fact_ranks,
     value_key,
 )
 from .repair import DEFAULT_CAP, TimelineResult, recognize_timeline, timeline
@@ -88,13 +87,31 @@ def fact_to_json(f: AnnotatedEventFact, now: int | None = None) -> dict:
 
 
 def fact_from_json(d: dict) -> AnnotatedEventFact:
-    """The inverse of `fact_to_json`; an end is a natural or "*", so JSON
-    `Infinity` is refused rather than read as ongoing."""
+    """The inverse of `fact_to_json`. An end is a natural or "*", so JSON
+    `Infinity` is refused rather than read as ongoing. A level is a positive
+    integer and each argument a string or a natural; JSON `true` is neither,
+    nor is a float."""
     end = d["interval"]["end"]
     if end != "*" and not isinstance(end, int):
         raise InvalidInterval(f"bad interval end: {end!r}")
     interval = Interval(d["interval"]["start"], STAR if end == "*" else end)
-    return AnnotatedEventFact(d["pred"], tuple(d["args"]), interval, d["level"])
+    level, args = d["level"], d["args"]
+    if type(level) is not int or level < 1:
+        raise ValueError(f"bad level: {level!r}")
+    if not isinstance(args, list) or not all(
+            isinstance(a, str) or type(a) is int and a >= 0 for a in args):
+        raise ValueError(f"bad args: {args!r}")
+    return AnnotatedEventFact(d["pred"], tuple(args), interval, level)
+
+
+def _ranked(models) -> tuple[list, list]:
+    """The models' distinct facts in `fact_key` order, and each model as the
+    sorted positions of its facts there."""
+    if len(models) == 1:  # no ranks to look up
+        facts = sorted(models[0], key=fact_key)
+        return facts, [range(len(facts))]
+    rank = fact_ranks(frozenset().union(*models))
+    return list(rank), [sorted(map(rank.__getitem__, m)) for m in models]
 
 
 def result_to_json(result: TimelineResult, tes: TES, now: int | None = None,
@@ -103,17 +120,13 @@ def result_to_json(result: TimelineResult, tes: TES, now: int | None = None,
     its simple and meta sections. Each distinct fact becomes one dict that
     every model holding it shares, so `render_document` encodes it once."""
     models = result.models[:max_models] if max_models is not None else result.models
-
-    def entry(f: AnnotatedEventFact) -> tuple:
-        return fact_key(f), tes.is_simple_pred(f.pred), fact_to_json(f, now)
-
-    if len(models) > 1:  # one entry, and so one dict, per distinct fact
-        entry = cache(entry)
+    facts, ranked = _ranked(models)
+    entries = [(tes.is_simple_pred(f.pred), fact_to_json(f, now)) for f in facts]
     out = []
-    for m in models:
-        entries = sorted(map(entry, m), key=itemgetter(0))
-        out.append({"simple": [d for _, simple, d in entries if simple],
-                    "meta": [d for _, simple, d in entries if not simple]})
+    for positions in ranked:
+        model = [entries[i] for i in positions]
+        out.append({"simple": [d for simple, d in model if simple],
+                    "meta": [d for simple, d in model if not simple]})
     return {"mode": result.mode, "models": out, "exhaustive": result.exhaustive}
 
 

@@ -4,8 +4,8 @@ Each stratum is evaluated to a fixpoint before the next begins, so negated
 event references and extremum tests always see a completed collection.
 Within a stratum, repeated passes restrict one body literal at a time to
 the newest facts. Under monotone rules, many models are closed from the
-closure of the facts they share, each adding only what its own facts
-derive.
+closure of the facts they share, and each independent piece of their own
+facts is closed once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import product
 from math import prod
 from typing import Callable, Mapping, Sequence
 
-from .errors import LevelOverflow
+from .errors import LevelOverflow, SortError
 from .language import TES, AnnEventAtom, EventAtom, MetaRule
 from .model import AnnotatedEventFact, Dataset, EventStore, Interval, eval_term
 from .query import eval_body
@@ -116,28 +116,93 @@ def infer_meta(tes: TES, dataset: Dataset,
     return store.facts.difference(simple)
 
 
+def _link_classes(tes: TES, dataset: Dataset, union: frozenset[AnnotatedEventFact],
+                  shared: EventStore) -> Callable:
+    """Close `union` once, joining each derived fact outside `shared` with
+    the facts outside `shared` its body matched. Returns the class
+    representative of a fact (union-find)."""
+    parent: dict[AnnotatedEventFact, AnnotatedEventFact] = {}
+
+    def find(f: AnnotatedEventFact) -> AnnotatedEventFact:
+        while f in parent:
+            up = parent[f]
+            parent[f] = parent.get(up, up)  # path halving
+            f = up
+        return f
+
+    store = EventStore(union)
+
+    def absorb(fired: Fired) -> list[AnnotatedEventFact]:
+        for matched, head in fired:
+            if head in shared:
+                continue
+            for f in matched:
+                if f not in shared:
+                    a, b = find(head), find(f)
+                    if a != b:
+                        parent[a] = b
+        return store.add_all([f for _, f in fired])
+
+    _close(tes, dataset, store, absorb, witnesses=True)
+    return find
+
+
+def _close_by_pieces(tes: TES, dataset: Dataset,
+                     models: Sequence[frozenset[AnnotatedEventFact]]
+                     ) -> tuple[frozenset[AnnotatedEventFact], ...]:
+    """`close_models` for two or more models under monotone rules."""
+    core = frozenset.intersection(*models)
+    shared = EventStore(core)
+    _close(tes, dataset, shared, _adding_to(shared))
+    link = _link_classes(tes, dataset, frozenset().union(*models), shared)
+    base = shared.facts
+    grown: dict[frozenset, frozenset] = {}  # piece -> its closure beyond base
+    closed = []
+    for m in models:
+        pieces: dict[AnnotatedEventFact, list] = {}
+        for f in m - core:
+            pieces.setdefault(link(f), []).append(f)
+        own = [frozenset(p) for p in pieces.values()]
+        for piece in own:
+            if piece not in grown:
+                store = shared.copy()
+                _close(tes, dataset, store, _adding_to(store), new=store.add_all(piece))
+                grown[piece] = store.facts - base
+        closed.append(base.union(*map(grown.__getitem__, own)))
+    return tuple(closed)
+
+
 def close_models(tes: TES, dataset: Dataset,
                  models: Sequence[frozenset[AnnotatedEventFact]]
                  ) -> tuple[frozenset[AnnotatedEventFact], ...]:
     """Each set of simple events together with the meta facts derivable
     from it, in order.
 
-    Monotone rules derive from a superset everything they derive from the
-    set, so the facts all models share are closed once; each model then
-    extends a copy of that closure with its own facts (incremental view
-    maintenance). A single model, or rules that negate an event or test a
-    start or end, are closed from scratch.
+    Under monotone rules the facts all models share, the core, are closed
+    once. One closure over the union of the models then links each derived
+    fact with the matched facts of its body, leaving out facts of the
+    shared closure. A model's own facts split by link class into pieces.
+    Each distinct piece is closed once, extending a copy of the shared
+    closure (incremental view maintenance), and a model's closure is the
+    shared closure plus those of its pieces.
+
+    Soundness: a fact derived from a model but not from the core has a
+    derivation tree over the model. Cut it at the facts of the shared
+    closure, which become leaves. Every firing left is also a firing over
+    the union (the rules are monotone), and joins its derived head with
+    its children outside the shared closure. So the tree lies in one link
+    class, and its leaves lie in the core's closure plus one piece.
+
+    A single model, or rules that negate an event or test a start or end,
+    are closed from scratch, and so are all models when a firing raises:
+    a firing over the union may combine facts that no model holds together.
     """
-    if len(models) < 2 or not tes.is_monotone:
-        return tuple(m | infer_meta(tes, dataset, m) for m in models)
-    shared = EventStore(frozenset.intersection(*models))
-    _close(tes, dataset, shared, _adding_to(shared))
-    closed = []
-    for m in models:
-        store = shared.copy()
-        _close(tes, dataset, store, _adding_to(store), new=store.add_all(m))
-        closed.append(store.facts)
-    return tuple(closed)
+    if len(models) > 1 and tes.is_monotone:
+        try:
+            return _close_by_pieces(tes, dataset, models)
+        except (LevelOverflow, SortError):
+            pass
+    return tuple(m | infer_meta(tes, dataset, m) for m in models)
 
 
 Supports = list[frozenset]

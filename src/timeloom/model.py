@@ -275,6 +275,13 @@ def fact_key(f) -> tuple:
     return (2, f.pred, args_key(f.args), (f.interval.start, f.interval.end), f.level)
 
 
+def fact_ranks(facts: Iterable) -> dict:
+    """Each of the distinct facts with its position in `fact_key` order, in
+    that order: sorting by rank sorts by `fact_key`, comparing ints instead
+    of tuples."""
+    return {f: i for i, f in enumerate(sorted(facts, key=fact_key))}
+
+
 def _group_by_args(facts: Iterable, positions: tuple[int, ...]) -> dict[tuple, list]:
     """Facts grouped by their argument values at `positions`, order kept."""
     index: dict[tuple, list] = {}

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from .errors import EnumerationCapExceeded, GuardViolated
 from .language import TES
 from .meta import close_models, combine_supports, infer_meta, meta_provenance
-from .model import AnnotatedEventFact, Dataset, EventStore, fact_key
+from .model import AnnotatedEventFact, Dataset, EventStore, fact_key, fact_ranks
 from .query import eval_body
 from .simple import infer_all_simple
 
@@ -48,16 +49,34 @@ def temporal_conflict(a, b) -> bool:
     return i.start < j.start < i.end or j.start < i.start < j.end
 
 
+_start = attrgetter("interval.start")
+
+
 def clash_pairs(facts) -> Iterator[tuple]:
-    """Every clashing pair among the facts, testing pairs within one event
-    instance, the (pred, args) key, only."""
+    """Every clashing pair among the facts, each once.
+
+    Only facts of one event instance, the (pred, args) key, can clash. In
+    order of start, a fact can clash only with the earlier facts that end
+    at or after its start, so only those are tested. A test that finds no
+    clash is of equal intervals at two levels, or of an interval ending
+    where the other starts; facts ending at one point clash pairwise, and
+    so do facts starting there. So, with few levels, the sweep costs
+    O(n log n) plus the pairs."""
     groups: dict[tuple, list] = {}
     for f in facts:
         groups.setdefault(f.key, []).append(f)
     for group in groups.values():
-        for a, b in combinations(group, 2):
-            if temporal_conflict(a, b):
-                yield a, b
+        if len(group) < 2:
+            continue
+        group.sort(key=_start)
+        running: list = []  # earlier facts, none known to end before this start
+        for b in group:
+            start = b.interval.start
+            running = [a for a in running if a.interval.end >= start]
+            for a in running:
+                if temporal_conflict(a, b):
+                    yield a, b
+            running.append(b)
 
 
 def is_consistent(facts, tes: TES, dataset: Dataset) -> bool:
@@ -100,8 +119,8 @@ class _Budget:
 def _canonical(found: set[SimpleSet]) -> tuple[SimpleSet, ...]:
     if len(found) < 2:
         return tuple(found)
-    keys = {f: fact_key(f) for f in frozenset().union(*found)}
-    return tuple(sorted(found, key=lambda r: sorted(map(keys.__getitem__, r))))
+    rank = fact_ranks(frozenset().union(*found)).__getitem__
+    return tuple(sorted(found, key=lambda r: sorted(map(rank, r))))
 
 
 def _downward_closed(tes: TES) -> bool:

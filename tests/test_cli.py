@@ -262,6 +262,33 @@ def test_check_target_end_is_a_natural_or_star(figured, capsys, end):
     assert err.startswith("error: ") and err.count("\n") == 1 and "end" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("level", "true"), ("level", '"x"'), ("level", "1.5"), ("level", "0"), ("level", "-1"),
+    ("args", "[1.5]"), ("args", "[true]")])
+def test_check_target_level_and_args_are_strict(figured, capsys, field, value):
+    """A level is a positive integer and an argument a string or a natural;
+    JSON `true` and floats are neither."""
+    target = figured / "target.json"
+    args = ("run", "--rules", str(figured / "pers.tes"),
+            "--data", str(figured / "empty.facts"), "--mode", "check",
+            "--check", str(target))
+    fields = {"pred": '"e"', "args": "[]", "interval": '{"start": 9, "end": "*"}',
+              "level": "1"}
+
+    def write_target(fields):
+        fact = ", ".join('"%s": %s' % kv for kv in fields.items())
+        target.write_text('{"facts": [%s, {%s}]}'
+                          % (json.dumps(fact_to_json(fig_fact(2, 7, 1))), fact))
+
+    write_target(fields)
+    assert run_cli(*args) == 0
+    capsys.readouterr()
+    write_target({**fields, field: value})
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+
 def test_check_flag_pairing(figured, capsys):
     rc = run_cli("run", "--rules", str(figured / "fig.tes"),
                  "--data", str(figured / "empty.facts"), "--mode", "check")

@@ -254,3 +254,41 @@ def test_close_models_copies_no_store_for_one_model_or_nonmonotone_rules(monkeyp
         for models in ([reps[0]], reps if not tes.is_monotone else []):
             want = tuple(m | infer_meta(tes, dataset, m) for m in models)
             assert close_models(tes, dataset, models) == want
+
+
+LINKED = parse_tes(
+    "decl persistent a/1.\ndecl persistent b/1.\ndecl meta m/1.\n"
+    "meta m(P, inter(I, J), max(L1, L2)) :- a(P, I, L1), b(P, J, L2).")
+
+
+def test_close_models_closes_each_linked_piece_once(monkeypatch):
+    # per patient, a two-level clash on a and another on b: 2^8 repairs.
+    # Each m fact needs one a and one b fact, from two conflict components
+    # that the meta rule links, so a patient's pair of choices is one piece.
+    se = frozenset(fact for p in ("p1", "p2", "p3", "p4") for fact in (
+        ev("a", (p,), 0, 9, 1), ev("a", (p,), 0, 5, 2),
+        ev("b", (p,), 2, 9, 1), ev("b", (p,), 2, 7, 2)))
+    models = repairs(Dataset([]), LINKED, se=se).repairs
+    assert len(models) == 256
+    want = tuple(m | infer_meta(LINKED, Dataset([]), m) for m in models)
+    copies = []
+    copy = EventStore.copy
+    monkeypatch.setattr(EventStore, "copy", lambda self: copies.append(1) or copy(self))
+    got = close_models(LINKED, Dataset([]), models)
+    assert got == want
+    assert all(sum(f.pred == "m" for f in w) == 4 for w in got)
+    assert len(copies) <= 16
+
+
+def test_close_models_survives_a_firing_over_the_union_only():
+    # each model derives m at level 1; a[0,9] at level 2 beside b[2,9] at
+    # level 2, which no model holds together, computes level 0
+    tes = parse_tes(
+        "decl persistent a/0.\ndecl persistent b/0.\ndecl meta m/0.\n"
+        "meta m(inter(I, J), minus(L2, L1)) :- a(I, L1), b(J, L2).")
+    models = (frozenset({ev("a", (), 0, 9, 1), ev("b", (), 2, 9, 2)}),
+              frozenset({ev("a", (), 0, 9, 2), ev("b", (), 2, 9, 3)}))
+    with pytest.raises(LevelOverflow):
+        infer_meta(tes, Dataset([]), models[0] | models[1])
+    want = tuple(m | infer_meta(tes, Dataset([]), m) for m in models)
+    assert close_models(tes, Dataset([]), models) == want

@@ -1,6 +1,7 @@
 """Repairs, preferred repairs, cautious cores, timelines, and recognition."""
 
 import random
+import time
 
 import pytest
 
@@ -95,6 +96,13 @@ def test_clash_pairs_match_all_pairs_scan():
         assert len(got) == len(set(got))
         assert set(got) == want
         assert is_consistent(facts, PLAIN_TES, EMPTY) == (not want)
+
+
+def test_clash_pairs_sweep_disjoint_intervals_of_one_instance():
+    facts = [AnnotatedEventFact("e", (), Interval(2 * i, 2 * i + 1), 1) for i in range(4800)]
+    began = time.perf_counter()
+    assert next(clash_pairs(facts), None) is None
+    assert time.perf_counter() - began < 1.0
 
 
 def test_is_consistent_pairwise():
