@@ -232,6 +232,8 @@ class TES:
     meta_rules: tuple[MetaRule, ...]
     constraints: tuple[Constraint, ...]
     strata: tuple[tuple[str, ...], ...]
+    # id of a rule -> (rule, its compiled join plan), built by query.rule_plan
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def kind(self, pred: str) -> PredKind:
         return self.decls[pred].kind
@@ -279,6 +281,10 @@ class TES:
 
     def termination_levels(self) -> frozenset[int]:
         return frozenset(r.level for r in self.termination)
+
+    def __getstate__(self):
+        # plans hold closures, keyed by ids that do not survive pickling
+        return {**self.__dict__, "plans": {}}
 
     def __eq__(self, other):
         if not isinstance(other, TES):
@@ -857,6 +863,8 @@ class _SortWalk:
         data = [k is SortKind.DATA for k in kinds]
         if c.op in ("<", "<=") and any(data):
             raise SortError(f"ordering comparison over symbols: {c.op}", self.line)
+        if c.op in ("<", "<=") and SortKind.INTERVAL in kinds:
+            raise SortError(f"ordering comparison over intervals: {c.op}", self.line)
         if c.op == "!=" and any(data) != all(data):
             # symbols compare only against data-sorted operands; naturals used
             # as data values still satisfy this
@@ -866,7 +874,9 @@ class _SortWalk:
             raise SortError("!= mixes a symbol with a numeric-only term", self.line)
 
 
-def _head_positions(rule: Rule) -> list[tuple[Term, SortKind]]:
+def head_positions(rule: Rule) -> list[tuple[Term, SortKind]]:
+    """The head's terms with the sort of their positions: the arguments,
+    then the timepoint or window, or the interval and level."""
     if isinstance(rule, (ExistenceRule, TerminationRule)):
         return [(a, SortKind.DATA) for a in rule.args] + [(rule.t, SortKind.NAT)]
     if isinstance(rule, WindowRule):
@@ -912,7 +922,7 @@ def is_schematic_window(rule: Rule) -> bool:
 
 def _validate_rule(rule: Rule) -> Rule:
     walk = _SortWalk(rule.line)
-    for term, ctx in _head_positions(rule):
+    for term, ctx in head_positions(rule):
         walk.term(term, ctx)
     if is_schematic_window(rule):
         return replace(rule, var_sorts=dict(walk.sorts))
@@ -931,7 +941,7 @@ def _validate_rule(rule: Rule) -> Rule:
 
     bound = _binder_vars(rule.body)
     used: list[Var] = []
-    for term, _ in _head_positions(rule):
+    for term, _ in head_positions(rule):
         used.extend(term_vars(term))
     for lit in rule.body:
         a = lit.atom

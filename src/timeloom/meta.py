@@ -16,28 +16,29 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import LevelOverflow, SortError
 from .language import TES, AnnEventAtom, EventAtom, MetaRule
-from .model import AnnotatedEventFact, Dataset, EventStore, Interval, eval_term
-from .query import eval_body
+from .model import AnnotatedEventFact, Dataset, EventStore, Interval
+from .query import rule_plan
 
 
-def _fire(rule: MetaRule, dataset: Dataset, store: EventStore, delta: tuple | None,
+def _fire(tes: TES, rule: MetaRule, dataset: Dataset, store: EventStore, delta: tuple | None,
           witnesses: bool) -> list[tuple[tuple, AnnotatedEventFact]]:
     """Each head fact the rule derives, beside the event facts its body
     matched (empty without `witnesses`)."""
-    results = eval_body(rule.body, rule.var_sorts, dataset, store, delta, witnesses)
+    plan = rule_plan(tes, rule)
+    results = plan.solve(dataset, store, delta, witnesses)
     if not witnesses:
-        results = [(b, ()) for b in results]
+        results = [(s, ()) for s in results]
+    interval_of, level_of = plan.head
     out: list[tuple[tuple, AnnotatedEventFact]] = []
-    for binding, matched in results:
-        interval = eval_term(rule.interval, binding)
+    for slots, matched in results:
+        interval = interval_of(slots)
         if interval is None:  # empty intersection or inverted endpoints
             continue
         assert isinstance(interval, Interval)
-        level = eval_term(rule.level, binding)
+        level = level_of(slots)
         if not isinstance(level, int) or level < 1:
             raise LevelOverflow(f"rule for {rule.pred} computed level {level}")
-        args = tuple(eval_term(a, binding) for a in rule.args)
-        out.append((matched, AnnotatedEventFact(rule.pred, args, interval, level)))
+        out.append((matched, AnnotatedEventFact(rule.pred, plan.args(slots), interval, level)))
     return out
 
 
@@ -53,8 +54,9 @@ def _event_positions(rule: MetaRule, preds: frozenset[str] | None = None) -> lis
 Fired = list[tuple[tuple, AnnotatedEventFact]]
 
 
-def _fire_delta(joins: list[tuple[MetaRule, list[int]]], delta: list[AnnotatedEventFact],
-                dataset: Dataset, store: EventStore, witnesses: bool) -> Fired:
+def _fire_delta(tes: TES, joins: list[tuple[MetaRule, list[int]]],
+                delta: list[AnnotatedEventFact], dataset: Dataset, store: EventStore,
+                witnesses: bool) -> Fired:
     """Each rule fired once per listed position, that position restricted to
     the facts of `delta` over its predicate."""
     fired: Fired = []
@@ -63,7 +65,7 @@ def _fire_delta(joins: list[tuple[MetaRule, list[int]]], delta: list[AnnotatedEv
             pred = rule.body[pos].atom.pred
             fresh = [f for f in delta if f.pred == pred]
             if fresh:
-                fired += _fire(rule, dataset, store, (pos, fresh), witnesses)
+                fired += _fire(tes, rule, dataset, store, (pos, fresh), witnesses)
     return fired
 
 
@@ -88,16 +90,16 @@ def _close(tes: TES, dataset: Dataset, store: EventStore,
         if not rules:
             continue
         if new is None:
-            fired = [x for r in rules for x in _fire(r, dataset, store, None, witnesses)]
+            fired = [x for r in rules for x in _fire(tes, r, dataset, store, None, witnesses)]
         else:
-            fired = _fire_delta([(r, _event_positions(r)) for r in rules], new,
+            fired = _fire_delta(tes, [(r, _event_positions(r)) for r in rules], new,
                                 dataset, store, witnesses)
         delta = absorb(fired)
         derived = list(delta)
         recursive = [(r, _event_positions(r, members)) for r in rules]
         recursive = [(r, ps) for r, ps in recursive if ps]
         while delta:
-            delta = absorb(_fire_delta(recursive, delta, dataset, store, witnesses))
+            delta = absorb(_fire_delta(tes, recursive, delta, dataset, store, witnesses))
             derived += delta
         if new is not None:
             new = new + derived

@@ -11,7 +11,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvalidInterval, SortError, UnboundVariable
 
@@ -171,56 +172,69 @@ def term_vars(t: Term) -> Iterator[Var]:
             yield from term_vars(a)
 
 
+def compile_term(t: Term, slot_of: Mapping[str, object]) -> Callable:
+    """A function computing the term's value from a binding that holds each
+    variable at `slot_of[name]`: a slot array, or a dict when the slots are
+    the names. It raises as `eval_term` says; a variable `slot_of` lacks
+    raises `UnboundVariable` here."""
+    if isinstance(t, (Const, Nat, StarTerm)):
+        value = t.name if isinstance(t, Const) else STAR if isinstance(t, StarTerm) else t.value
+        return lambda slots: value
+    if isinstance(t, Var):
+        if t.name not in slot_of:
+            raise UnboundVariable(t.name)
+        return itemgetter(slot_of[t.name])
+    if isinstance(t, FnApp):
+        fns, fn = [compile_term(a, slot_of) for a in t.args], t.fn
+
+        def apply(slots):
+            vals = [f(slots) for f in fns]
+            for v in vals:
+                if isinstance(v, str):
+                    raise SortError(f"symbol {v!r} used in {fn}")
+            if fn in ("min", "max"):
+                return min(vals) if fn == "min" else max(vals)
+            if STAR in vals:
+                raise SortError(f"ongoing marker used in {fn}")
+            if fn == "plus":
+                return vals[0] + vals[1]
+            return max(vals[0] - vals[1], 0)  # natural subtraction
+        return apply
+    if isinstance(t, IntervalTerm):
+        lo_of, hi_of = compile_term(t.lo, slot_of), compile_term(t.hi, slot_of)
+
+        def interval(slots):
+            lo, hi = lo_of(slots), hi_of(slots)
+            if lo == STAR or isinstance(lo, str) or isinstance(hi, str):
+                raise SortError(f"bad interval endpoint in {t}")
+            return None if hi < lo else Interval(lo, hi)
+        return interval
+    if isinstance(t, IntervalFn):
+        fns = [compile_term(a, slot_of) for a in t.args]
+
+        def inter(slots):
+            acc: Interval | None = None
+            for f in fns:
+                v = f(slots)
+                if v is None:
+                    return None
+                if not isinstance(v, Interval):
+                    raise SortError(f"non-interval argument to inter: {v!r}")
+                acc = v if acc is None else acc.intersect(v)
+                if acc is None:
+                    return None
+            return acc
+        return inter
+    raise TypeError(f"not a term: {t!r}")
+
+
 def eval_term(t: Term, binding: Mapping[str, object]):
     """Evaluate a ground-under-binding term to a value.
 
     Interval-sorted terms may evaluate to None, meaning the empty interval;
     callers derive no fact from an empty interval.
     """
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Nat):
-        return t.value
-    if isinstance(t, StarTerm):
-        return STAR
-    if isinstance(t, Var):
-        try:
-            return binding[t.name]
-        except KeyError:
-            raise UnboundVariable(t.name) from None
-    if isinstance(t, FnApp):
-        vals = [eval_term(a, binding) for a in t.args]
-        for v in vals:
-            if isinstance(v, str):
-                raise SortError(f"symbol {v!r} used in {t.fn}")
-        if t.fn in ("min", "max"):
-            return min(vals) if t.fn == "min" else max(vals)
-        if STAR in vals:
-            raise SortError(f"ongoing marker used in {t.fn}")
-        if t.fn == "plus":
-            return vals[0] + vals[1]
-        return max(vals[0] - vals[1], 0)  # natural subtraction
-    if isinstance(t, IntervalTerm):
-        lo = eval_term(t.lo, binding)
-        hi = eval_term(t.hi, binding)
-        if lo == STAR or isinstance(lo, str) or isinstance(hi, str):
-            raise SortError(f"bad interval endpoint in {t}")
-        if hi < lo:
-            return None
-        return Interval(lo, hi)
-    if isinstance(t, IntervalFn):
-        acc: Interval | None = None
-        for a in t.args:
-            v = eval_term(a, binding)
-            if v is None:
-                return None
-            if not isinstance(v, Interval):
-                raise SortError(f"non-interval argument to inter: {v!r}")
-            acc = v if acc is None else acc.intersect(v)
-            if acc is None:
-                return None
-        return acc
-    raise TypeError(f"not a term: {t!r}")
+    return compile_term(t, {name: name for name in binding})(binding)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +296,24 @@ def fact_ranks(facts: Iterable) -> dict:
     return {f: i for i, f in enumerate(sorted(facts, key=fact_key))}
 
 
-def _group_by_args(facts: Iterable, positions: tuple[int, ...]) -> dict[tuple, list]:
-    """Facts grouped by their argument values at `positions`, order kept."""
+def event_values(f: AnnotatedEventFact) -> tuple:
+    """An event fact's arguments, then its interval's start and end, its
+    level and its interval: the positions rule atoms match, the first
+    arity + 2 of which `EventStore.probe` indexes."""
+    iv = f.interval
+    return f.args + (iv.start, iv.end, f.level, iv)
+
+
+_args = attrgetter("args")
+
+
+def _group(facts: Iterable, positions: tuple[int, ...], values: Callable) -> dict[tuple, list]:
+    """Facts grouped by their values at `positions`, order kept."""
     index: dict[tuple, list] = {}
+    pick, one = itemgetter(*positions), len(positions) == 1
     for f in facts:
-        index.setdefault(tuple([f.args[i] for i in positions]), []).append(f)
+        key = pick(values(f))
+        index.setdefault((key,) if one else key, []).append(f)
     return index
 
 
@@ -328,7 +355,7 @@ class Dataset:
             return facts
         index = self._indexes.get((kind, pred, positions))
         if index is None:
-            index = self._indexes[kind, pred, positions] = _group_by_args(facts, positions)
+            index = self._indexes[kind, pred, positions] = _group(facts, positions, _args)
         return index.get(values, ())
 
     def __len__(self) -> int:
@@ -340,8 +367,8 @@ class Dataset:
 
 class EventStore:
     """Annotated event facts indexed by predicate, by (predicate, args) key,
-    and by values at chosen argument positions (built on first `probe`,
-    then kept up to date by `add`)."""
+    and by values at chosen argument and interval-end positions (built on
+    first `probe`, then kept up to date by `add`)."""
 
     def __init__(self, facts: Iterable[AnnotatedEventFact] = ()):
         self._facts: set[AnnotatedEventFact] = set()
@@ -357,8 +384,11 @@ class EventStore:
         self._facts.add(f)
         self._by_pred.setdefault(f.pred, []).append(f)
         self._by_key.setdefault(f.key, []).append(f)
-        for positions, index in self._indexes.get(f.pred, {}).items():
-            index.setdefault(tuple([f.args[i] for i in positions]), []).append(f)
+        indexes = self._indexes.get(f.pred)
+        if indexes:
+            vals = event_values(f)
+            for positions, index in indexes.items():
+                index.setdefault(tuple([vals[i] for i in positions]), []).append(f)
         return True
 
     def add_all(self, facts: Iterable[AnnotatedEventFact]) -> list[AnnotatedEventFact]:
@@ -383,18 +413,20 @@ class EventStore:
 
     def probe(self, pred: str, positions: tuple[int, ...],
               values: tuple) -> Sequence[AnnotatedEventFact]:
-        """Facts of `pred` whose arguments at `positions` equal `values`,
+        """Facts of `pred` whose `event_values` at `positions` (ascending:
+        arguments, then the interval's start and end) equal `values`,
         without copying; the result must not be mutated or held across an
-        `add`. With every position given this reads the (pred, args) map."""
+        `add`. With exactly the argument positions this reads the
+        (pred, args) map."""
         facts = self._by_pred.get(pred, ())
         if not positions or not facts:
             return facts
-        if len(positions) == len(facts[0].args):
+        if len(positions) == len(facts[0].args) == positions[-1] + 1:
             return self._by_key.get((pred, values), ())
         indexes = self._indexes.setdefault(pred, {})
         index = indexes.get(positions)
         if index is None:
-            index = indexes[positions] = _group_by_args(facts, positions)
+            index = indexes[positions] = _group(facts, positions, event_values)
         return index.get(values, ())
 
     @property

@@ -1,14 +1,18 @@
 """Rule body evaluation over datasets and event stores.
 
 Bodies are conjunctions of positive binder atoms plus tests (comparisons,
-negated atoms, interval builtins). Evaluation joins binders smallest-first
-and fires each test as soon as its variables are bound.
+negated atoms, interval builtins). Each body compiles once into a join plan
+over a slot array, one slot per variable. Evaluation expands the binder
+with the fewest candidates under the slots bound so far, and fires each
+test as soon as its variables are bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from functools import partial
+from operator import attrgetter, eq, itemgetter
+from typing import Callable, Mapping
 
 from .errors import InvalidSpec, SortError
 from .language import (
@@ -22,173 +26,152 @@ from .language import (
     ObservationAtom,
     PredKind,
     TES,
+    head_positions,
     is_schematic_window,
 )
 from .model import (
     STAR,
     AnnotatedEventFact,
     AtemporalFact,
-    Const,
     Dataset,
     EventStore,
     Interval,
-    IntervalTerm,
     Nat,
     ObservationFact,
     SortKind,
     StarTerm,
-    Term,
     Var,
     allen_relation,
     args_key,
+    compile_term,
     eval_term,
+    event_values,
     term_vars,
 )
 
 EventKey = tuple[str, tuple]
 
+# the check a variable's sort makes of a value before it is bound
+_SORT_CHECKS = {
+    SortKind.DATA: lambda v: isinstance(v, (str, int)) and not isinstance(v, bool),
+    SortKind.NAT: lambda v: isinstance(v, int) and v >= 0,
+    SortKind.POSNAT: lambda v: isinstance(v, int) and v >= 1,
+    SortKind.NAT_OR_STAR: lambda v: v == STAR or (isinstance(v, int) and v >= 0),
+    SortKind.INTERVAL: lambda v: isinstance(v, Interval),
+}
 
-def _accepts(sort: SortKind, value) -> bool:
-    if sort is SortKind.DATA:
-        return isinstance(value, (str, int)) and not isinstance(value, bool)
-    if sort is SortKind.NAT:
-        return isinstance(value, int) and value >= 0
-    if sort is SortKind.POSNAT:
-        return isinstance(value, int) and value >= 1
-    if sort is SortKind.NAT_OR_STAR:
-        return value == STAR or (isinstance(value, int) and value >= 0)
-    if sort is SortKind.INTERVAL:
-        return isinstance(value, Interval)
-    return False
-
-
-def _match_term(term: Term, value, binding: dict, sorts: Mapping[str, SortKind]) -> bool:
-    """Try to unify one term position with a fact value; extends binding."""
-    if isinstance(term, Var):
-        if term.name in binding:
-            return binding[term.name] == value
-        if not _accepts(sorts.get(term.name, SortKind.DATA), value):
-            return False
-        binding[term.name] = value
-        return True
-    if isinstance(term, Const):
-        return term.name == value
-    if isinstance(term, Nat):
-        return not isinstance(value, bool) and term.value == value
-    if isinstance(term, StarTerm):
-        return value == STAR
-    return False
+_VALUES = {AtemporalFact: attrgetter("args"),
+           ObservationFact: lambda f: f.args + (f.t,),
+           AnnotatedEventFact: event_values}
 
 
-def _match_atom(atom, fact, binding: dict, sorts: Mapping[str, SortKind]) -> dict | None:
-    b = dict(binding)
+def _positions(atom) -> tuple[type, list]:
+    """The kind of fact an atom matches, and each of its terms beside the
+    position of the fact's `_VALUES` it matches."""
+    n = len(atom.args)
+    pairs = list(enumerate(atom.args))
     if isinstance(atom, AtemporalAtom):
-        pairs = zip(atom.args, fact.args)
-    elif isinstance(atom, ObservationAtom):
-        pairs = list(zip(atom.args, fact.args)) + [(atom.t, fact.t)]
-    elif isinstance(atom, EventAtom):
-        pairs = list(zip(atom.args, fact.args))
-        iv = atom.interval
-        if isinstance(iv, Var):
-            pairs.append((iv, fact.interval))
-        else:
-            pairs += [(iv.lo, fact.interval.start), (iv.hi, fact.interval.end)]
-    elif isinstance(atom, AnnEventAtom):
-        pairs = list(zip(atom.args, fact.args))
-        iv = atom.interval
-        if isinstance(iv, Var):
-            pairs.append((iv, fact.interval))
-        else:
-            pairs += [(iv.lo, fact.interval.start), (iv.hi, fact.interval.end)]
-        pairs.append((atom.level, fact.level))
-    else:
-        raise TypeError(f"not a matchable atom: {atom!r}")
-    for term, value in pairs:
-        if not _match_term(term, value, b, sorts):
-            return None
-    return b
-
-
-def _candidates(atom, binding: Mapping, dataset: Dataset, events: EventStore | None):
-    """The facts that can match an atom under a binding: its predicate's
-    facts narrowed through a hash index on the argument positions the
-    binding or a constant fixes. `_match_atom` still checks each one."""
-    positions, values = [], []
-    for i, term in enumerate(atom.args):
-        if isinstance(term, Var):
-            if term.name not in binding:
-                continue
-            values.append(binding[term.name])
-        elif isinstance(term, Const):
-            values.append(term.name)
-        elif isinstance(term, Nat):
-            values.append(term.value)
-        else:
-            continue
-        positions.append(i)
-    positions, values = tuple(positions), tuple(values)
-    if isinstance(atom, AtemporalAtom):
-        return dataset.probe(AtemporalFact, atom.pred, positions, values)
+        return AtemporalFact, pairs
     if isinstance(atom, ObservationAtom):
-        return dataset.probe(ObservationFact, atom.pred, positions, values)
-    if events is None:
-        return ()
-    return events.probe(atom.pred, positions, values)
+        return ObservationFact, pairs + [(n, atom.t)]
+    if not isinstance(atom, (EventAtom, AnnEventAtom)):
+        raise TypeError(f"not a matchable atom: {atom!r}")
+    iv = atom.interval
+    pairs += [(n + 3, iv)] if isinstance(iv, Var) else [(n, iv.lo), (n + 1, iv.hi)]
+    if isinstance(atom, AnnEventAtom):
+        pairs.append((n + 2, atom.level))
+    return AnnotatedEventFact, pairs
+
+
+def _equals(term) -> Callable:
+    """The check a constant, natural or `*` makes of a fact value."""
+    if isinstance(term, Nat):
+        return lambda v: not isinstance(v, bool) and v == term.value
+    return partial(eq, STAR if isinstance(term, StarTerm) else term.name)
+
+
+def _tuple_of(terms, slot_of: Mapping[str, int]) -> Callable:
+    """A function from slots to the tuple of the terms' values."""
+    if len(terms) > 1 and all(isinstance(t, Var) and t.name in slot_of for t in terms):
+        return itemgetter(*[slot_of[t.name] for t in terms])
+    fns = [compile_term(t, slot_of) for t in terms]
+    return lambda slots: tuple([f(slots) for f in fns])
+
+
+class _Match:
+    """One atom compiled against a set of bound variables: the index probe
+    its bound argument positions and interval ends allow, and one action
+    per fact position: check a constant, bind a slot after its sort's
+    check, or compare with a slot (bound earlier, or earlier in the atom)."""
+
+    def __init__(self, atom, bound, slot_of: Mapping[str, int], sorts):
+        self.kind, pairs = _positions(atom)
+        self.pred = atom.pred
+        probed = len(atom.args) + (2 if self.kind is AnnotatedEventFact else 0)
+        keys = [(i, t) for i, t in pairs
+                if i < probed and (not isinstance(t, Var) or t.name in bound)]
+        self.positions = tuple(i for i, _ in keys)
+        self.key = _tuple_of([t for _, t in keys], slot_of)
+        checks, binds, sames, values = [], [], [], _VALUES[self.kind]
+        seen = set(bound)
+        for i, t in pairs:
+            if not isinstance(t, Var):
+                checks.append((i, _equals(t)))
+            elif t.name in seen:
+                sames.append((i, slot_of[t.name]))
+            else:
+                seen.add(t.name)
+                binds.append((i, slot_of[t.name], _SORT_CHECKS[sorts.get(t.name, SortKind.DATA)]))
+
+        def match(f, slots: list) -> bool:
+            """Whether the fact matches, binding its fresh variables' slots."""
+            vals = values(f)
+            for i, check in checks:
+                if not check(vals[i]):
+                    return False
+            for i, slot, accepts in binds:
+                v = vals[i]
+                if not accepts(v):
+                    return False
+                slots[slot] = v
+            for i, slot in sames:
+                if slots[slot] != vals[i]:
+                    return False
+            return True
+        self.match = match
+
+    def candidates(self, slots: list, dataset: Dataset, events: EventStore | None):
+        """The facts the probe finds; `match` still checks each one."""
+        if self.kind is not AnnotatedEventFact:
+            return dataset.probe(self.kind, self.pred, self.positions, self.key(slots))
+        if events is None:
+            return ()
+        return events.probe(self.pred, self.positions, self.key(slots))
 
 
 def _is_test(lit: Literal) -> bool:
     return lit.negated or isinstance(lit.atom, (Comparison, AllenTest, ExtremumTest))
 
 
-def _test_ready(lit: Literal, bound: set[str]) -> bool:
+def _atom_vars(a) -> list[str]:
+    """The variables of a binder atom (or negated atom) in order of position."""
+    if isinstance(a, (Comparison, AllenTest, ExtremumTest)):
+        return []
+    return [v.name for _, t in _positions(a)[1] for v in term_vars(t)]
+
+
+def _needs(lit: Literal) -> frozenset[str]:
+    """The variables a test reads; a negated atom's wildcards stay free."""
     a = lit.atom
     if isinstance(a, Comparison):
-        names = {v.name for v in term_vars(a.lhs)} | {v.name for v in term_vars(a.rhs)}
+        terms = (a.lhs, a.rhs)
     elif isinstance(a, AllenTest):
-        names = {v.name for v in term_vars(a.a)} | {v.name for v in term_vars(a.b)}
+        terms = (a.a, a.b)
     elif isinstance(a, ExtremumTest):
-        names = {v.name for v in term_vars(a.t)}
-        for x in a.args:
-            names |= {v.name for v in term_vars(x)}
-    else:  # negated atom: wildcards stay free, everything else must be bound
-        names = set()
-        for v in _atom_vars(a):
-            if not v.is_wildcard:
-                names.add(v.name)
-    return names <= bound
-
-
-def _atom_vars(a) -> Iterator[Var]:
-    if isinstance(a, AtemporalAtom):
-        terms = a.args
-    elif isinstance(a, ObservationAtom):
         terms = a.args + (a.t,)
-    elif isinstance(a, EventAtom):
-        terms = a.args + (a.interval,)
-    elif isinstance(a, AnnEventAtom):
-        terms = a.args + (a.interval, a.level)
     else:
-        terms = ()
-    for t in terms:
-        yield from term_vars(t)
-
-
-def _eval_test(lit: Literal, binding: dict, dataset: Dataset,
-               events: EventStore | None, sorts) -> bool:
-    a = lit.atom
-    if isinstance(a, Comparison):
-        lhs, rhs = eval_term(a.lhs, binding), eval_term(a.rhs, binding)
-        result = _compare(a.op, lhs, rhs)
-    elif isinstance(a, AllenTest):
-        ia, ib = eval_term(a.a, binding), eval_term(a.b, binding)
-        result = ia is not None and ib is not None and allen_relation(ia, ib) == a.name
-    elif isinstance(a, ExtremumTest):
-        result = _extremum_holds(a, binding, events)
-    else:
-        result = any(
-            _match_atom(a, f, binding, sorts) is not None
-            for f in _candidates(a, binding, dataset, events))
-    return result != lit.negated
+        return frozenset(n for n in _atom_vars(a) if not n.startswith("_"))
+    return frozenset(v.name for t in terms for v in term_vars(t))
 
 
 def _compare(op: str, lhs, rhs) -> bool:
@@ -199,17 +182,137 @@ def _compare(op: str, lhs, rhs) -> bool:
     return lhs <= rhs if op == "<=" else lhs < rhs
 
 
-def _extremum_holds(a: ExtremumTest, binding: dict, events: EventStore | None) -> bool:
-    if events is None:
-        return False
-    args = tuple(eval_term(x, binding) for x in a.args)
-    facts = events.by_key(a.pred, args)
-    if not facts:
-        return False
-    t = eval_term(a.t, binding)
-    if a.name == "start":
-        return min(f.interval.start for f in facts) == t
-    return max(f.interval.end for f in facts) == t
+def _test(lit: Literal, bound, slot_of: Mapping[str, int], sorts) -> Callable:
+    """The test as a function of (slots, dataset, events), for when the
+    variables in `bound` hold values."""
+    a = lit.atom
+    if isinstance(a, Comparison):
+        lhs, rhs, op = compile_term(a.lhs, slot_of), compile_term(a.rhs, slot_of), a.op
+
+        def holds(s, d, e):
+            return _compare(op, lhs(s), rhs(s))
+    elif isinstance(a, AllenTest):
+        first, second, name = compile_term(a.a, slot_of), compile_term(a.b, slot_of), a.name
+
+        def holds(s, d, e):
+            ia, ib = first(s), second(s)
+            return ia is not None and ib is not None and allen_relation(ia, ib) == name
+    elif isinstance(a, ExtremumTest):
+        args, t = _tuple_of(a.args, slot_of), compile_term(a.t, slot_of)
+        pred, start = a.pred, a.name == "start"
+
+        def holds(s, d, e):
+            facts = () if e is None else e.by_key(pred, args(s))
+            if not facts:
+                return False
+            if start:
+                return min(f.interval.start for f in facts) == t(s)
+            return max(f.interval.end for f in facts) == t(s)
+    else:
+        m = _Match(a, bound, slot_of, sorts)
+
+        def holds(s, d, e):
+            return any(m.match(f, s) for f in m.candidates(s, d, e))
+    if lit.negated:
+        return lambda s, d, e: not holds(s, d, e)
+    return holds
+
+
+class JoinPlan:
+    """A body compiled for joins over slot arrays.
+
+    `slot_of` gives each variable's slot; `names` are the binder variables,
+    whose slots come first. The steps out of each set of matched binders
+    (a bit mask) are compiled on first use: per remaining binder, its
+    `_Match` under the variables bound so far and the tests whose
+    variables it completes, in body order. A test reading a variable that
+    no binder binds raises `SortError`.
+    """
+
+    def __init__(self, body: tuple[Literal, ...], sorts: Mapping[str, SortKind]):
+        self.sorts = sorts
+        self.binders = [(idx, lit.atom, frozenset(_atom_vars(lit.atom)))
+                        for idx, lit in enumerate(body) if not _is_test(lit)]
+        self.tests = [(lit, _needs(lit)) for lit in body if _is_test(lit)]
+        self.names = list(dict.fromkeys(n for _, a, _ in self.binders for n in _atom_vars(a)))
+        free = [n for lit, _ in self.tests for n in _atom_vars(lit.atom)]
+        self.slot_of = {n: i for i, n in enumerate(dict.fromkeys(self.names + free))}
+        self.full = (1 << len(self.binders)) - 1
+        if not all(need <= set(self.names) for _, need in self.tests):
+            raise SortError("test with unbound variables after all binders")
+        self.root_tests = [_test(lit, frozenset(), self.slot_of, sorts)
+                           for lit, need in self.tests if not need]
+        self._steps: dict[int, list] = {}
+
+    def steps(self, state: int) -> list[tuple]:
+        """(body index, match, tests, next state, is an event atom) per
+        binder outside `state`."""
+        steps = self._steps.get(state)
+        if steps is None:
+            bound = frozenset().union(*(names for k, (_, _, names) in enumerate(self.binders)
+                                        if state >> k & 1))
+            steps = self._steps[state] = []
+            for k, (idx, atom, names) in enumerate(self.binders):
+                if state >> k & 1:
+                    continue
+                after = bound | names
+                tests = [_test(lit, after, self.slot_of, self.sorts)
+                         for lit, need in self.tests if need <= after and not need <= bound]
+                steps.append((idx, _Match(atom, bound, self.slot_of, self.sorts), tests,
+                              state | 1 << k, isinstance(atom, (EventAtom, AnnEventAtom))))
+        return steps
+
+    def solve(self, dataset: Dataset, events: EventStore | None = None,
+              delta: tuple | None = None, witnesses: bool = False) -> list:
+        """`eval_body`'s results with each binding as a tuple of slots."""
+        forced_idx, forced = delta if delta is not None else (None, None)
+        slots: list = [None] * len(self.slot_of)
+        out: list = []
+
+        def run(state: int, matched: tuple) -> None:
+            if state == self.full:  # only a body without binders gets here
+                out.append((tuple(slots), matched) if witnesses else tuple(slots))
+                return
+            best, cands = None, None
+            for step in self.steps(state):
+                c = forced if step[0] == forced_idx else step[1].candidates(slots, dataset, events)
+                if best is None or len(c) < len(cands):
+                    best, cands = step, c
+                    if not c:
+                        return
+            _, m, tests, after, event = best
+            match, keep, last = m.match, witnesses and event, after == self.full
+            for f in cands:
+                if match(f, slots):
+                    for t in tests:
+                        if not t(slots, dataset, events):
+                            break
+                    else:
+                        now = matched + (f,) if keep else matched
+                        if not last:
+                            run(after, now)
+                        else:  # the last binder: emit here, saving a call per result
+                            out.append((tuple(slots), now) if witnesses else tuple(slots))
+
+        for t in self.root_tests:
+            if not t(slots, dataset, events):
+                return out
+        run(0, ())
+        return out
+
+
+def rule_plan(tes: TES, rule) -> JoinPlan:
+    """The join plan of a rule of `tes`, compiled once. Its head is compiled
+    against the same slots: `args` gives the tuple of head arguments, and
+    `head` the functions of the other head terms (see `head_positions`)."""
+    hit = tes.plans.get(id(rule))
+    if hit is None:  # the entry keeps the rule, so no other object takes its id
+        plan = JoinPlan(rule.body, rule.var_sorts)
+        args = getattr(rule, "args", ())
+        plan.args = _tuple_of(args, plan.slot_of)
+        plan.head = [compile_term(t, plan.slot_of) for t, _ in head_positions(rule)[len(args):]]
+        hit = tes.plans[id(rule)] = (rule, plan)
+    return hit[1]
 
 
 def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],
@@ -223,51 +326,11 @@ def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],
     event facts the positive event atoms matched. A binding then repeats
     once per combination of matching facts, as when an atom without a level
     matches an interval held at several levels."""
-    binders: list[tuple[int, Literal]] = []
-    tests: list[Literal] = []
-    for idx, lit in enumerate(body):
-        if _is_test(lit):
-            tests.append(lit)
-        else:
-            binders.append((idx, lit))
-    forced_idx, forced_facts = delta if delta is not None else (None, None)
-
-    results: list = []
-
-    def run(binding: dict, todo: list[tuple[int, Literal]], pending: list[Literal],
-            matched: tuple) -> None:
-        ready = []
-        rest = []
-        bound = set(binding)
-        for lit in pending:
-            (ready if _test_ready(lit, bound) else rest).append(lit)
-        for lit in ready:
-            if not _eval_test(lit, binding, dataset, events, sorts):
-                return
-        if not todo:
-            if rest:  # unbound test variables: unreachable for safe rules
-                raise SortError("test with unbound variables after all binders")
-            results.append((binding, matched) if witnesses else binding)
-            return
-        # expand the binder with the fewest candidates under current binding
-        best_i, best_cands = None, None
-        for i, (idx, lit) in enumerate(todo):
-            cands = (forced_facts if idx == forced_idx
-                     else _candidates(lit.atom, binding, dataset, events))
-            if best_cands is None or len(cands) < len(best_cands):
-                best_i, best_cands = i, cands
-                if not cands:
-                    break
-        idx, lit = todo[best_i]
-        remaining = todo[:best_i] + todo[best_i + 1:]
-        for fact in best_cands:
-            nb = _match_atom(lit.atom, fact, binding, sorts)
-            if nb is not None:
-                run(nb, remaining, rest, matched + (fact,)
-                    if witnesses and isinstance(fact, AnnotatedEventFact) else matched)
-
-    run({}, binders, tests, ())
-    return results
+    plan = JoinPlan(body, sorts)
+    results = plan.solve(dataset, events, delta, witnesses)
+    if witnesses:
+        return [(dict(zip(plan.names, s)), m) for s, m in results]
+    return [dict(zip(plan.names, s)) for s in results]
 
 
 # ---------------------------------------------------------------------------
@@ -323,34 +386,33 @@ class AuxStore:
         return self.window_values(key)[0]
 
 
-def _ground_head_value(term: Term, binding: dict, what: str) -> int:
-    v = eval_term(term, binding)
+def _natural(v, what: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise SortError(f"{what} evaluated to {v!r}, expected a natural")
     return v
 
 
+def _heads(tes: TES, rule, dataset: Dataset, what: str) -> list[tuple[EventKey, int]]:
+    """The event instance and the timepoint or window of each head an
+    existence, termination or window rule derives."""
+    plan = rule_plan(tes, rule)
+    args, (value,) = plan.args, plan.head
+    return [((rule.pred, args(s)), _natural(value(s), what)) for s in plan.solve(dataset)]
+
+
 def ground_simple_heads(tes: TES, dataset: Dataset) -> AuxStore:
     """Evaluate all existence/termination/window rules over the dataset."""
-    exists: set = set()
-    ends: set = set()
+    exists = {(key, t, rule.level) for rule in tes.existence
+              for key, t in _heads(tes, rule, dataset, "timepoint")}
+    ends = {(key, t, rule.level) for rule in tes.termination
+            for key, t in _heads(tes, rule, dataset, "timepoint")}
     windows: set = set()
-    for rule in tes.existence:
-        for b in eval_body(rule.body, rule.var_sorts, dataset):
-            args = tuple(eval_term(a, b) for a in rule.args)
-            exists.add(((rule.pred, args), _ground_head_value(rule.t, b, "timepoint"), rule.level))
-    for rule in tes.termination:
-        for b in eval_body(rule.body, rule.var_sorts, dataset):
-            args = tuple(eval_term(a, b) for a in rule.args)
-            ends.add(((rule.pred, args), _ground_head_value(rule.t, b, "timepoint"), rule.level))
     defaults: set = set()
     for rule in tes.windows:
         if is_schematic_window(rule):
-            defaults.add((rule.pred, _ground_head_value(rule.w, {}, "window")))
-            continue
-        for b in eval_body(rule.body, rule.var_sorts, dataset):
-            args = tuple(eval_term(a, b) for a in rule.args)
-            windows.add(((rule.pred, args), _ground_head_value(rule.w, b, "window")))
+            defaults.add((rule.pred, _natural(eval_term(rule.w, {}), "window")))
+        else:
+            windows.update(_heads(tes, rule, dataset, "window"))
     return AuxStore(frozenset(exists), frozenset(ends), frozenset(windows),
                     frozenset(defaults))
 

@@ -27,7 +27,7 @@ from .errors import EnumerationCapExceeded, GuardViolated
 from .language import TES
 from .meta import close_models, combine_supports, infer_meta, meta_provenance
 from .model import AnnotatedEventFact, Dataset, EventStore, fact_key, fact_ranks
-from .query import eval_body
+from .query import rule_plan
 from .simple import infer_all_simple
 
 DEFAULT_CAP = 10000
@@ -89,8 +89,7 @@ def is_consistent(facts, tes: TES, dataset: Dataset) -> bool:
     if tes.constraints_mention_meta():
         simple = frozenset(f for f in facts if tes.is_simple_pred(f.pred))
         store.add_all(infer_meta(tes, dataset, simple))
-    return not any(eval_body(c.body, c.var_sorts, dataset, store)
-                   for c in tes.constraints)
+    return not any(rule_plan(tes, c).solve(dataset, store) for c in tes.constraints)
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def conflict_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset,
         why = meta_provenance(tes, dataset, se, spend) if tes.constraints_mention_meta() else {}
         store.add_all(why)
         for c in tes.constraints:
-            for _, matched in eval_body(c.body, c.var_sorts, dataset, store, witnesses=True):
+            for _, matched in rule_plan(tes, c).solve(dataset, store, witnesses=True):
                 edges.extend(combine_supports(matched, why, spend))
     return _minimal_edges(edges)
 

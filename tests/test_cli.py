@@ -408,6 +408,17 @@ def test_rule_and_data_errors_exit_1(ward, capsys):
     capsys.readouterr()
 
 
+def test_ordering_over_intervals_exits_1(ward, capsys):
+    rules = ward / "order.tes"
+    rules.write_text("decl observation adm/1.\ndecl persistent e/1.\ndecl meta m/1.\n"
+                     "exists_pers(e(P), T, 1) :- adm(P, T).\n"
+                     "meta m(P, I, L) :- e(P, I, L), e(P, J, L2), I < J.\n")
+    assert run_cli("run", "--rules", str(rules), "--data", str(ward / "ward.facts")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "order.tes" in err and "line 5" in err and "Traceback" not in err
+
+
 SUP_RULES = """\
 decl observation lab/1.
 decl nonpersistent hi/1.

@@ -122,6 +122,17 @@ def test_sort_errors():
         parse_tes("decl nonpersistent e/0.\nexists(e, 1, 1).\nwindow(e, 0).")
 
 
+@pytest.mark.parametrize("test", ["I < J", "I <= 3"])
+def test_ordering_over_intervals_is_a_sort_error(test):
+    with pytest.raises(SortError) as err:
+        parse_tes("decl persistent e/1.\ndecl meta m/1.\n"
+                  f"meta m(P, I, L) :- e(P, I, L), e(P, J, L2), {test}.")
+    assert err.value.line == 3 and "ordering comparison over intervals" in str(err.value)
+    # inequality of intervals stays allowed
+    parse_tes("decl persistent e/1.\ndecl meta m/1.\n"
+              "meta m(P, I, L) :- e(P, I, L), e(P, J, L2), I != J.")
+
+
 def test_safety_violations():
     # head variable never bound by a positive body atom
     with pytest.raises(SafetyViolation):

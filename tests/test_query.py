@@ -1,6 +1,7 @@
 """Body evaluation, grounded rule heads, and level-indexed timepoints."""
 
 import itertools
+import pickle
 import random
 from collections import Counter
 from dataclasses import replace
@@ -21,8 +22,29 @@ from timeloom import (
     level_timepoints,
     parse_tes,
 )
-from timeloom.language import AnnEventAtom, AtemporalAtom, EventAtom, Literal, ObservationAtom
-from timeloom.model import Const, IntervalTerm, Nat, SortKind, Var, args_key
+from timeloom.language import (
+    ALLEN_BUILTINS,
+    AllenTest,
+    AnnEventAtom,
+    AtemporalAtom,
+    Comparison,
+    EventAtom,
+    ExtremumTest,
+    Literal,
+    ObservationAtom,
+)
+from timeloom.model import (
+    Const,
+    IntervalTerm,
+    Nat,
+    SortKind,
+    StarTerm,
+    Var,
+    allen_relation,
+    args_key,
+    fact_key,
+    term_vars,
+)
 from timeloom.query import AuxStore, check_validity
 
 from conftest import THERAPY_RULES
@@ -162,6 +184,18 @@ def test_ground_simple_heads_and_windows(therapy_tes):
     assert aux.window_values(("abth", ("p1", "amox"))) == [48]
     assert aux.window_for(("abth", ("p1", "amox"))) == 48
     assert aux.keys() == [("abth", ("p1", "amox")), ("hyperglyc", ("p1",))]
+
+
+def test_rule_plans_compile_once_per_tes_and_stay_out_of_pickles():
+    tes = parse_tes(THERAPY_RULES)
+    d = Dataset([ObservationFact("adm", ("p1", "amox"), 5)])
+    aux = ground_simple_heads(tes, d)
+    plans = dict(tes.plans)
+    assert len(plans) == len(tes.existence)  # the window rule is schematic
+    assert ground_simple_heads(tes, d) == aux and tes.plans == plans
+    clone = pickle.loads(pickle.dumps(tes))  # a worker pool's copy
+    assert clone == tes and clone.plans == {}
+    assert ground_simple_heads(clone, d) == aux
 
 
 def test_check_validity_missing_window():
@@ -374,6 +408,237 @@ def test_eval_body_matches_nested_loop_reference():
             Counter(frozenset(b.items()) for b in want), body
         nonempty += bool(want)
     assert nonempty > 100  # the generator reaches non-trivial joins
+
+
+# ---------------------------------------------------------------------------
+# Tests, sorts, forced binders and witnesses against a nested-loop reference
+
+SORTED_VALUES = ("x", 0, 1)
+SORTS = {"X": SortKind.DATA, "Y": SortKind.DATA, "T": SortKind.NAT, "U": SortKind.NAT,
+         "E": SortKind.NAT_OR_STAR, "L": SortKind.POSNAT, "I": SortKind.INTERVAL,
+         "J": SortKind.INTERVAL}
+
+
+def sorted_facts(rng):
+    """Facts whose values some sorts must reject: symbols where a NAT
+    variable may bind, and level 0 where a POSNAT variable may bind."""
+    dataset, _ = random_facts(rng)
+    dataset = Dataset(list(dataset.facts) + [
+        AtemporalFact("a", (rng.choice(SORTED_VALUES),)) for _ in range(rng.randint(0, 3))])
+    events = EventStore()
+    for _ in range(rng.randint(0, 16)):
+        pred = rng.choice(("p", "q"))
+        start = rng.randrange(3)
+        end = STAR if rng.random() < 0.2 else start + rng.randrange(2)
+        args = tuple(rng.choice(SORTED_VALUES) for _ in range(ARITY[pred]))
+        level = rng.choice((0, 1, 1, 2))
+        events.add(AnnotatedEventFact(pred, args, Interval(start, end), level))
+    return dataset, events
+
+
+def sorted_body(rng):
+    """One to three positive atoms (a variable may repeat inside one, and a
+    NAT variable may sit at a data position), then tests over the variables
+    they bind: comparisons with naturals and `*`, Allen tests, start/end
+    tests and negated atoms, some of them negated."""
+    sorts = dict(SORTS)
+    fresh = itertools.count()
+
+    def wild(sort):
+        name = f"_{next(fresh)}"
+        sorts[name] = sort
+        return Var(name)
+
+    def data():
+        r = rng.random()
+        if r < 0.6:
+            return Var(rng.choice(("X", "Y", "X", "Y", "T")))
+        if r < 0.75:
+            return Const(rng.choice(("x", "y")))
+        if r < 0.9:
+            return Nat(rng.choice((0, 1)))
+        return wild(SortKind.DATA)
+
+    def atom(pred):
+        args = tuple(data() for _ in range(ARITY[pred]))
+        if len(args) == 2 and rng.random() < 0.25:
+            args = (args[0], args[0])
+        if pred in ("a", "b"):
+            return AtemporalAtom(pred, args)
+        if pred == "o":
+            return ObservationAtom(pred, args, Var(rng.choice(("T", "U"))))
+        r = rng.random()
+        if r < 0.3:
+            interval = Var(rng.choice(("I", "J")))
+        else:
+            lo = rng.choice((Var("T"), Var("U"), wild(SortKind.NAT), Nat(1)))
+            hi = rng.choice((Var("T"), Var("E"), wild(SortKind.NAT_OR_STAR), StarTerm()))
+            interval = IntervalTerm(lo, hi)
+        if rng.random() < 0.3:
+            return EventAtom(pred, args, interval)
+        return AnnEventAtom(pred, args, interval,
+                            rng.choice((Var("L"), wild(SortKind.POSNAT), Nat(1))))
+
+    body = [Literal(atom(rng.choice(tuple(ARITY)))) for _ in range(rng.choice((1, 2, 2, 3)))]
+    bound = {v.name for lit in body for t in _atom_terms(lit.atom) for v in term_vars(t)}
+    have = lambda *names: [Var(n) for n in names if n in bound]
+    named = lambda term: not any(v.is_wildcard for v in term_vars(term))
+    # event atoms of the body, so that tests often name their instances and intervals
+    hosts = [lit.atom for lit in body if isinstance(lit.atom, (EventAtom, AnnEventAtom))
+             and all(map(named, lit.atom.args))]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.random()
+        if kind < 0.35:
+            op = rng.choice(("<", "<=", "!="))
+            pool = have("T", "U", "E") + [Nat(rng.randrange(4)), StarTerm()]
+            if op == "!=":
+                pool += have("X", "Y") + [Const("x")]
+            body.append(Literal(Comparison(op, rng.choice(pool), rng.choice(pool))))
+        elif kind < 0.55:
+            pool = have("I", "J") + [a.interval for a in hosts if named(a.interval)]
+            if pool:
+                first = rng.choice(pool)
+                second = first if rng.random() < 0.4 else rng.choice(pool)
+                name = "equals" if second is first else rng.choice(ALLEN_BUILTINS)
+                body.append(Literal(AllenTest(name, first, second), rng.random() < 0.2))
+        elif kind < 0.75:
+            name = rng.choice(("start", "end"))
+            points = have("T", "U") + (have("E") if name == "end" else [])
+            if hosts and rng.random() < 0.7:
+                host = rng.choice(hosts)
+                pred, args, iv = host.pred, host.args, host.interval
+                if isinstance(iv, IntervalTerm):
+                    end = iv.lo if name == "start" else iv.hi
+                    points = [end] if isinstance(end, Var) and named(end) else points
+            else:
+                pred = rng.choice(("p", "q"))
+                args = tuple(rng.choice(have("X", "Y") + [Const("x"), Nat(1)])
+                             for _ in range(ARITY[pred]))
+            if points:
+                body.append(Literal(ExtremumTest(name, pred, args, rng.choice(points)),
+                                    rng.random() < 0.2))
+        else:
+            neg = atom(rng.choice(tuple(ARITY)))
+            names = {v.name for t in _atom_terms(neg) for v in term_vars(t)}
+            if names <= bound | {n for n in names if n.startswith("_")}:
+                body.append(Literal(neg, negated=True))
+    rng.shuffle(body)
+    return tuple(body), sorts
+
+
+def _accepts_ref(sort, v):
+    if sort is SortKind.INTERVAL:
+        return isinstance(v, Interval)
+    if sort is SortKind.DATA:
+        return type(v) in (str, int)
+    if sort is SortKind.NAT_OR_STAR and v == STAR:
+        return True
+    return type(v) is int and v >= (1 if sort is SortKind.POSNAT else 0)
+
+
+def _unify_sorted(a, f, binding, sorts):
+    for term, value in zip(_atom_terms(a), _fact_values(a, f)):
+        if isinstance(term, Var):
+            if term.name in binding:
+                if binding[term.name] != value:
+                    return False
+            elif _accepts_ref(sorts[term.name], value):
+                binding[term.name] = value
+            else:
+                return False
+        elif isinstance(term, Const):
+            if term.name != value:
+                return False
+        elif isinstance(term, StarTerm):
+            if value != STAR:
+                return False
+        elif type(value) is not int or term.value != value:
+            return False
+    return True
+
+
+def _value(term, binding):
+    if isinstance(term, Var):
+        return binding[term.name]
+    if isinstance(term, IntervalTerm):
+        lo, hi = _value(term.lo, binding), _value(term.hi, binding)
+        return None if hi < lo else Interval(lo, hi)
+    return {Const: lambda: term.name, Nat: lambda: term.value, StarTerm: lambda: STAR}[
+        type(term)]()
+
+
+def _holds(lit, binding, dataset, events, sorts):
+    a = lit.atom
+    if isinstance(a, Comparison):
+        lhs, rhs = _value(a.lhs, binding), _value(a.rhs, binding)
+        result = lhs != rhs if a.op == "!=" else lhs < rhs if a.op == "<" else lhs <= rhs
+    elif isinstance(a, AllenTest):
+        i, j = _value(a.a, binding), _value(a.b, binding)
+        result = i is not None and j is not None and allen_relation(i, j) == a.name
+    elif isinstance(a, ExtremumTest):
+        args = tuple(_value(x, binding) for x in a.args)
+        held = [f.interval for f in events.facts if f.pred == a.pred and f.args == args]
+        if not held:
+            result = False
+        elif a.name == "start":
+            result = min(i.start for i in held) == _value(a.t, binding)
+        else:
+            result = max(i.end for i in held) == _value(a.t, binding)
+    else:
+        result = any(_unify_sorted(a, f, dict(binding), sorts)
+                     for f in _all_facts(a, dataset, events))
+    return result != lit.negated
+
+
+def sorted_nested_loop_eval(body, sorts, dataset, events, delta=None):
+    """(binding, matched event facts) for every combination of one fact per
+    positive atom (the forced atom's from `delta`) that unifies in body
+    order, checking each variable's sort where it binds, and passes every
+    test."""
+    pos = [(i, lit.atom) for i, lit in enumerate(body)
+           if not lit.negated and not isinstance(lit.atom, (Comparison, AllenTest, ExtremumTest))]
+    tests = [lit for lit in body if lit.negated or isinstance(
+        lit.atom, (Comparison, AllenTest, ExtremumTest))]
+    forced_idx, forced = delta if delta is not None else (None, None)
+    out = []
+    for combo in itertools.product(*(forced if i == forced_idx else
+                                      _all_facts(a, dataset, events) for i, a in pos)):
+        b = {}
+        if not all(_unify_sorted(a, f, b, sorts) for (_, a), f in zip(pos, combo)):
+            continue
+        if all(_holds(lit, b, dataset, events, sorts) for lit in tests):
+            out.append((b, tuple(f for f in combo if isinstance(f, AnnotatedEventFact))))
+    return out
+
+
+def _witnessed(results):
+    return Counter((frozenset(b.items()), tuple(sorted(m, key=fact_key))) for b, m in results)
+
+
+def test_compiled_plans_match_nested_loop_reference_on_tests_and_sorts():
+    rng = random.Random(19)
+    reached, forced_runs = Counter(), 0  # kinds of literal in bodies with results
+    for _ in range(1000):
+        dataset, events = sorted_facts(rng)
+        body, sorts = sorted_body(rng)
+        delta = None
+        if rng.random() < 0.4:
+            idx = rng.choice([i for i, lit in enumerate(body) if not lit.negated and isinstance(
+                lit.atom, (AtemporalAtom, ObservationAtom, EventAtom, AnnEventAtom))])
+            facts = _all_facts(body[idx].atom, dataset, events)
+            delta = (idx, rng.sample(facts, rng.randint(0, len(facts))))
+            forced_runs += 1
+        want = sorted_nested_loop_eval(body, sorts, dataset, events, delta)
+        got = eval_body(body, sorts, dataset, events, delta=delta, witnesses=True)
+        assert _witnessed(got) == _witnessed(want), body
+        plain = eval_body(body, sorts, dataset, events, delta=delta)
+        assert Counter(frozenset(b.items()) for b in plain) == \
+            Counter(frozenset(b.items()) for b, _ in want), body
+        if want:
+            reached.update({"any", *(type(lit.atom) if not lit.negated else "not"
+                                     for lit in body)})
+    assert reached["any"] > 150 and forced_runs > 300
+    assert min(reached[k] for k in (Comparison, AllenTest, ExtremumTest, "not")) >= 5
 
 
 def test_event_store_index_follows_later_adds():

@@ -105,6 +105,18 @@ def test_clash_pairs_sweep_disjoint_intervals_of_one_instance():
     assert time.perf_counter() - began < 1.0
 
 
+def test_meeting_interval_constraint_joins_on_the_shared_end():
+    """The second atom probes the start its interval shares with the first
+    atom's end, so the join costs the edges, not all pairs."""
+    tes = parse_tes("decl persistent e/0.\nconstraint :- e([T1, T2]), e([T2, T3]).")
+    facts = [AnnotatedEventFact("e", (), Interval(i, i + 1), 1) for i in range(2400)]
+    began = time.perf_counter()
+    edges = conflict_hypergraph(frozenset(facts), tes, EMPTY, lambda: None)
+    assert time.perf_counter() - began < 1.0
+    assert len(edges) == len(facts) - 1
+    assert set(edges) == {frozenset(pair) for pair in zip(facts, facts[1:])}
+
+
 def test_is_consistent_pairwise():
     assert is_consistent(R1, PLAIN_TES, EMPTY)
     assert not is_consistent({fig(2, 4, 1), fig(1, 7, 2)}, PLAIN_TES, EMPTY)
