@@ -16,6 +16,8 @@ import json
 import logging
 import pickle
 import sys
+from bisect import bisect_left
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -39,7 +41,6 @@ from .model import (
     ObservationFact,
     Value,
     fact_key,
-    fact_ranks,
     value_key,
 )
 from .repair import DEFAULT_CAP, TimelineResult, recognize_timeline, timeline
@@ -104,14 +105,32 @@ def fact_from_json(d: dict) -> AnnotatedEventFact:
     return AnnotatedEventFact(d["pred"], tuple(args), interval, level)
 
 
-def _ranked(models) -> tuple[list, list]:
-    """The models' distinct facts in `fact_key` order, and each model as the
-    sorted positions of its facts there."""
-    if len(models) == 1:  # no ranks to look up
-        facts = sorted(models[0], key=fact_key)
-        return facts, [range(len(facts))]
-    rank = fact_ranks(frozenset().union(*models))
-    return list(rank), [sorted(map(rank.__getitem__, m)) for m in models]
+def _ranked(models, is_simple) -> tuple[list, int, list]:
+    """The models' distinct facts, simple facts before meta facts and each
+    part in `fact_key` order; how many are simple; and each model as the
+    sorted positions of its facts there.
+
+    The facts every model holds, the core, are placed once. A model looks
+    up only its other facts' positions, so the cost follows the distinct
+    facts and what sets the models apart, not every fact of every model."""
+    if not models:
+        return [], 0, []
+    core = frozenset.intersection(*models)
+    simple: list = []
+    meta: list = []
+    for f in frozenset().union(*models):
+        (simple if is_simple(f.pred) else meta).append(f)
+    facts = sorted(simple, key=fact_key) + sorted(meta, key=fact_key)
+    if len(core) == len(facts):  # every model holds every fact: nothing to look up
+        return facts, len(simple), [range(len(facts))] * len(models)
+    rank = {f: i for i, f in enumerate(facts)}.__getitem__
+    base = sorted(map(rank, core))
+    ranked = []
+    for m in models:
+        positions = [*base, *map(rank, m - core)]
+        positions.sort()
+        ranked.append(positions)
+    return facts, len(simple), ranked
 
 
 def result_to_json(result: TimelineResult, tes: TES, now: int | None = None,
@@ -120,13 +139,13 @@ def result_to_json(result: TimelineResult, tes: TES, now: int | None = None,
     its simple and meta sections. Each distinct fact becomes one dict that
     every model holding it shares, so `render_document` encodes it once."""
     models = result.models[:max_models] if max_models is not None else result.models
-    facts, ranked = _ranked(models)
-    entries = [(tes.is_simple_pred(f.pred), fact_to_json(f, now)) for f in facts]
+    facts, n_simple, ranked = _ranked(models, tes.is_simple_pred)
+    entry = [fact_to_json(f, now) for f in facts].__getitem__
     out = []
     for positions in ranked:
-        model = [entries[i] for i in positions]
-        out.append({"simple": [d for simple, d in model if simple],
-                    "meta": [d for simple, d in model if not simple]})
+        k = bisect_left(positions, n_simple)
+        out.append({"simple": list(map(entry, positions[:k])),
+                    "meta": list(map(entry, positions[k:]))})
     return {"mode": result.mode, "models": out, "exhaustive": result.exhaustive}
 
 
@@ -140,74 +159,95 @@ def _tsv_fact_row(section: str, fj: dict, with_clamp: bool) -> str:
     return "\t".join(row) + "\n"
 
 
-def _json_indented(doc) -> str:
-    """`json.dumps(doc, indent=2)` for a document of dicts with string keys,
-    lists, strings, numbers, booleans and None. A dict or list that lists
-    hold more than once, at the same depth, is encoded once: a repeat
-    reuses the text its first occurrence wrote."""
-    out: list[str] = []
-    spans: dict[tuple[int, int], tuple[int, int]] = {}  # (id, depth) -> out[a:b]
-    texts: dict[tuple[int, int], str] = {}
+def _write_json(out: list[str], doc) -> None:
+    """Append the text of `json.dumps(doc, indent=2)` to `out`, for a
+    document of dicts with string keys, lists, tuples, strings, numbers,
+    booleans and None.
 
-    def write(o, depth: int, item: bool = False) -> None:
+    A dict or list that lists hold more than once, at the same depth, is
+    encoded once: its first occurrence is written in place, and a repeat
+    takes its text from that stretch of `out`. A list whose items all have
+    such a text is written with one join, so models that share their facts
+    cost about as much as their distinct facts."""
+    spans: defaultdict[int, dict] = defaultdict(dict)  # depth -> id -> out[a:b]
+    texts: defaultdict[int, dict] = defaultdict(dict)  # depth -> id -> text
+
+    def write(o, depth: int) -> None:
         if isinstance(o, str):
             out.append(encode_basestring_ascii(o))
-            return
-        if type(o) is int:
+        elif type(o) is int:
             out.append(repr(o))
-            return
-        if not isinstance(o, (dict, list, tuple)):
+        elif not isinstance(o, (dict, list, tuple)):
             out.append(json.dumps(o))
-            return
-        if not o:
+        elif not o:
             out.append("{}" if isinstance(o, dict) else "[]")
-            return
-        key = (id(o), depth) if item else None
-        if key in spans:
-            if key not in texts:
-                a, b = spans[key]
-                texts[key] = "".join(out[a:b])
-            out.append(texts[key])
-            return
-        start = len(out)
-        pad = "\n" + "  " * (depth + 1)
-        if isinstance(o, dict):
-            out.append("{")
-            for i, (k, v) in enumerate(o.items()):
-                out.append(("," if i else "") + pad + encode_basestring_ascii(k) + ": ")
+        elif isinstance(o, dict):
+            pad = "\n" + "  " * (depth + 1)
+            sep = "{" + pad
+            for k, v in o.items():
+                out.append(sep + encode_basestring_ascii(k) + ": ")
+                sep = "," + pad
                 write(v, depth + 1)
             out.append("\n" + "  " * depth + "}")
         else:
-            out.append("[")
-            for i, v in enumerate(o):
-                out.append(("," if i else "") + pad)
-                write(v, depth + 1, True)
-            out.append("\n" + "  " * depth + "]")
-        if item:
-            spans[key] = (start, len(out))
+            write_list(o, depth)
+
+    def write_list(o, depth: int) -> None:
+        sep = ",\n" + "  " * (depth + 1)
+        known = texts[depth + 1]
+        out.append("[" + sep[1:])
+        if id(o[0]) in known:
+            got = list(map(known.get, map(id, o)))
+            if None not in got:
+                out.append(sep.join(got))
+                out.append("\n" + "  " * depth + "]")
+                return
+        seen = spans[depth + 1]
+        for i, v in enumerate(o):
+            if i:
+                out.append(sep)
+            if not v or not isinstance(v, (dict, list, tuple)):
+                write(v, depth + 1)
+                continue
+            key = id(v)
+            text = known.get(key)
+            if text is None and key in seen:
+                a, b = seen[key]
+                text = known[key] = "".join(out[a:b])
+            if text is None:
+                a = len(out)
+                write(v, depth + 1)
+                seen[key] = (a, len(out))
+            else:
+                out.append(text)
+        out.append("\n" + "  " * depth + "]")
 
     write(doc, 0)
-    return "".join(out)
 
 
 def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
     """Render a run document as JSON or as flat tab-separated rows."""
+    out: list[str] = []
     if fmt == "json":
-        return _json_indented(doc) + "\n"
+        _write_json(out, doc)
+        out.append("\n")
+        return "".join(out)
     if "recognized" in doc:
         return f"recognized\t{str(doc['recognized']).lower()}\n"
-    rows: list[str] = []
-    # models share one dict per distinct fact, so a fact's text is built once
-    texts: dict[tuple[int, str], str] = {}  # (id of a fact dict, section) -> text
+    # models share one dict per distinct fact, so a fact's row is built once
+    rows = {"simple": {}, "meta": {}}  # section -> id of a fact dict -> row
 
     def model_rows(prefix: str, m: dict) -> None:
-        for section in ("simple", "meta"):
-            for fj in m[section]:
-                key = (id(fj), section)
-                text = texts.get(key)
-                if text is None:
-                    text = texts[key] = _tsv_fact_row(section, fj, with_clamp)
-                rows.append(prefix + text)
+        for section, known in rows.items():
+            facts = m[section]
+            got = list(map(known.get, map(id, facts)))
+            if None in got:
+                for i, fj in enumerate(facts):
+                    if got[i] is None:
+                        got[i] = known[id(fj)] = _tsv_fact_row(section, fj, with_clamp)
+            if got:
+                out.append(prefix)
+                out.append(prefix.join(got))
 
     if "entities" in doc:
         for ent in doc["entities"]:
@@ -216,7 +256,7 @@ def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
     else:
         for mi, m in enumerate(doc["models"]):
             model_rows(f"{mi}\t", m)
-    return "".join(rows)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,7 @@ class AuxStore:
     _ends_by_key: dict = field(init=False, repr=False, compare=False)
     _windows_by_key: dict = field(init=False, repr=False, compare=False)
     _defaults_by_pred: dict = field(init=False, repr=False, compare=False)
+    _keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, triples in (("_exists_by_key", self.exists), ("_ends_by_key", self.ends)):
@@ -364,11 +365,13 @@ class AuxStore:
             for k, w in pairs:
                 grouped.setdefault(k, set()).add(w)
             object.__setattr__(self, name, grouped)
+        object.__setattr__(self, "_keys", tuple(
+            sorted(self._exists_by_key, key=lambda k: (k[0], args_key(k[1])))))
 
     def keys(self) -> list[EventKey]:
         """Event instances with at least one existence fact, sorted (numbers
         before symbols at each argument)."""
-        return sorted(self._exists_by_key, key=lambda k: (k[0], args_key(k[1])))
+        return list(self._keys)
 
     def exists_of(self, key: EventKey) -> list[tuple[int, int]]:
         """(timepoint, level) of each existence fact of one instance."""

@@ -116,10 +116,23 @@ class _Budget:
 
 
 def _canonical(found: set[SimpleSet]) -> tuple[SimpleSet, ...]:
+    """The repairs in the order of their facts' sorted `fact_key` lists.
+
+    Only the facts outside the core, the facts every repair holds, are
+    ranked and looked up; the set difference reuses the stored hashes. This
+    gives the same order whenever no set is a proper subset of another, as
+    holds for repairs and preferred repairs, capped partial results
+    included. For two such sets, let `x` be the least fact (by `fact_key`)
+    in one set but not the other. Both sorted lists agree before `x`, so
+    the list holding `x` comes first, unless the other ends before `x`;
+    then the other's facts all lie below `x` and so in the first set, a
+    proper subset. Removing the core keeps `x` and keeps no set a proper
+    subset of another, so it decides the comparison the same way."""
     if len(found) < 2:
         return tuple(found)
-    rank = fact_ranks(frozenset().union(*found)).__getitem__
-    return tuple(sorted(found, key=lambda r: sorted(map(rank, r))))
+    core = frozenset.intersection(*found)
+    rank = fact_ranks(frozenset().union(*found) - core).__getitem__
+    return tuple(sorted(found, key=lambda r: sorted(map(rank, r - core))))
 
 
 def _downward_closed(tes: TES) -> bool:

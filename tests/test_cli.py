@@ -2,6 +2,7 @@
 
 import json
 import logging
+import random
 import subprocess
 import sys
 from datetime import date
@@ -519,6 +520,37 @@ meta treated(P, inter(I, J), max(L1, L2)) :- abth(P, I, L1), e(J, L2).
 
 RENDER_FACTS = """obs adm('say "hi"', 3).\nobs adm('back\\slash', 4).\nobs adm('café ✓', 5).\nobs adm(p1, 0).\n"""
 
+# four instances of one level-1 interval against three weaker ones sharing
+# its start: 4^4 models, each with meta facts, around a shared core of
+# therapy facts and their meta facts
+MANY_RULES = """\
+decl observation seen/2.
+decl observation stop2/2.
+decl observation stop3/2.
+decl observation stop4/2.
+decl observation adm/1.
+decl persistent e/2.
+decl persistent e0/0.
+decl nonpersistent abth/1.
+decl meta treated/2.
+decl meta dosed/1.
+exists_pers(e(P, X), T, 1) :- seen(P, X, T).
+ends(e(P, X), T, 2) :- stop2(P, X, T).
+ends(e(P, X), T, 3) :- stop3(P, X, T).
+ends(e(P, X), T, 4) :- stop4(P, X, T).
+exists_pers(e0, 2, 1).
+exists(abth(P), T, 1) :- adm(P, T).
+window(abth(P), 2).
+meta treated(P, X, inter(I, J), max(L1, L2)) :- e(P, X, I, L1), abth(P, J, L2).
+meta dosed(P, I, L) :- abth(P, I, L).
+"""
+
+MANY_FACTS = "".join(
+    f"obs seen(p1, {x}, 0).\nobs stop2(p1, {x}, 5).\n"
+    f"obs stop3(p1, {x}, 3).\nobs stop4(p1, {x}, 1).\n"
+    for x in ("'say \"hi\"'", "'back\\slash'", "'café ✓'", "x3")
+) + "obs adm(p1, 0).\nobs adm(p1, 1).\nobs adm(p2, 4).\n"
+
 
 def reference_doc(dataset, tes, mode, now=None, max_models=None):
     """The run document built directly: every fact its own dict, each model
@@ -561,6 +593,8 @@ def rendered(tmp_path):
         "decl atemporal flag/0.\ndecl observation adm/1.\ndecl nonpersistent abth/1.\n"
         "exists(abth(P), T, 1) :- adm(P, T).\nwindow(abth(P), 2).\nconstraint :- flag.\n")
     (tmp_path / "never.facts").write_text("atemporal flag.\nobs adm(p1, 0).\n")
+    (tmp_path / "many.tes").write_text(MANY_RULES)
+    (tmp_path / "many.facts").write_text(MANY_FACTS)
     return tmp_path
 
 
@@ -574,6 +608,8 @@ def rendered(tmp_path):
     ("render", "consistent", ("--max-models", "1")),
     ("render", "consistent", ("--partition-by", "0")),
     ("render", "consistent", ("--partition-by", "0", "--now", "12")),
+    ("many", "consistent", ("--max-models", "70", "--now", "3")),
+    ("many", "consistent", ("--partition-by", "0", "--max-models", "70", "--now", "3")),
 ])
 def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
     rules_path, facts_path = rendered / f"{rules}.tes", rendered / f"{rules}.facts"
@@ -584,14 +620,18 @@ def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
     max_models = int(opts["--max-models"]) if "--max-models" in opts else None
     if "--partition-by" in opts:
         pos = int(opts["--partition-by"])
-        entities = [{"entity": key, **reference_doc(ds, tes, mode, now)}
+        entities = [{"entity": key, **reference_doc(ds, tes, mode, now, max_models)}
                     for key, ds in partition_dataset(dataset, pos)]
         doc = {"mode": mode, "partition_by": pos, "entities": entities, "exhaustive": True}
     else:
         doc = reference_doc(dataset, tes, mode, now, max_models)
     if rules == "never":
         assert doc["models"] == []
-    else:
+    elif rules == "many":
+        models = doc["entities"][0]["models"] if "entities" in doc else doc["models"]
+        assert len(models) == 70
+        assert all(m["meta"] for m in models)
+    if rules != "never":
         text = json.dumps(doc)
         assert '"end": "*"' in text and '"args": []' in text
         assert "\\\\" in text and '\\"' in text and "\\u00e9" in text
@@ -612,6 +652,51 @@ def test_render_document_encodes_shared_objects_like_json_dumps():
            "e": [True, False, None, 1.5, -3, "\u00e9\"\\\n"], "é": (1, leaf)}
     assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
     assert render_document({"recognized": True}, "json") == '{\n  "recognized": true\n}\n'
+
+
+TEXTS = ("", "p1", "caf\u00e9 \u2713", 'say "hi"', "back\\slash", "tab\tline\n", "\x00\x7f",
+         "\U0001f600", "\u2028")
+SCALARS = (True, False, None, 0, 7, -3, -2 ** 70, 1.5, -0.0, 1e300, float("inf"), 2.5e-8)
+
+
+def random_document(rng: random.Random) -> dict:
+    """A document of dicts, lists and tuples, some held in several places at
+    one depth or at several depths, beside scalars of every JSON kind."""
+    pool: list = [{}, [], ()]  # finished containers, free to appear again
+
+    def value(depth: int):
+        r = rng.random()
+        if depth > 4 or r < 0.35:
+            return rng.choice(TEXTS + SCALARS)
+        if r < 0.55:
+            return rng.choice(pool)
+        n = rng.randrange(5)
+        if r < 0.7:
+            made = {rng.choice(TEXTS): value(depth + 1) for _ in range(n)}
+        elif r < 0.85:
+            made = [value(depth + 1) for _ in range(n)]
+        else:
+            made = tuple(value(depth + 1) for _ in range(n))
+        pool.append(made)
+        return made
+
+    # model-like lists whose items, after the first few, were all written
+    # before at the same depth
+    facts = [{"pred": rng.choice(TEXTS), "args": [value(3) for _ in range(rng.randrange(3))],
+              "interval": {"start": rng.randrange(9), "end": rng.choice((4, "*"))}}
+             for _ in range(rng.randint(1, 6))]
+    models = [{"simple": rng.sample(facts, rng.randint(0, len(facts))),
+               "meta": [rng.choice(pool + facts) for _ in range(rng.randrange(3))]}
+              for _ in range(rng.randint(1, 8))]
+    return {"mode": value(1), "models": models, "extra": [value(1) for _ in range(4)],
+            rng.choice(TEXTS): rng.choice(facts)}
+
+
+def test_render_document_matches_json_dumps_on_random_documents():
+    rng = random.Random(29)
+    for _ in range(600):
+        doc = random_document(rng)
+        assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
 
 
 def test_pool_failure_is_logged_and_output_unchanged(ward, monkeypatch, caplog, capsys):

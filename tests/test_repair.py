@@ -26,6 +26,7 @@ from timeloom import (
     temporal_conflict,
     timeline,
 )
+from timeloom.model import fact_key
 from timeloom.repair import clash_pairs, conflict_hypergraph
 
 from conftest import (
@@ -448,6 +449,45 @@ def test_timeline_models_include_meta(therapy_tes):
         AnnotatedEventFact("abth", ("p1", "amox"), Interval(5, 5), 1),
         AnnotatedEventFact("ontherapy", ("p1",), Interval(5, 5), 1),
     }),)
+
+
+def _in_fact_key_order(reps) -> bool:
+    keys = [sorted(map(fact_key, r)) for r in reps]
+    return keys == sorted(keys)
+
+
+def test_repairs_and_models_come_in_fact_key_order():
+    # repairs are ordered by ranking only the facts outside their core; the
+    # order must be that of each repair's whole sorted fact_key list, and
+    # timeline() must keep it for its models
+    rng = random.Random(67)
+    with_core = 0
+    for _ in range(520):
+        dataset, tes = random_ruleful_instance(rng, varied_constraints=True)
+        se = infer_all_simple(dataset, tes)
+        for mode, rep in (("consistent", repairs(dataset, tes, se=se)),
+                          ("preferred", preferred_repairs(dataset, tes, se=se))):
+            assert _in_fact_key_order(rep.repairs)
+            models = timeline(dataset, tes, mode).models
+            assert tuple(frozenset(f for f in m if tes.is_simple_pred(f.pred))
+                         for m in models) == rep.repairs
+        reps = repairs(dataset, tes, se=se).repairs
+        with_core += len(reps) > 1 and bool(frozenset.intersection(*reps))
+    assert with_core > 200
+
+
+def test_repair_order_with_a_core_between_contested_facts():
+    # instances 0 and 2 each hold three facts sharing a start; 1 and 3 hold
+    # one free fact each, so the core ranks between and after contested facts
+    contested = frozenset(ev(0, end, 1, args=(i,)) for i in (0, 2) for end in (1, 2, 3))
+    core = frozenset(ev(0, 1, 1, args=(i,)) for i in (1, 3))
+    full = repairs(EMPTY, NEVER_FIRES, se=contested | core)
+    assert full.exhaustive and len(full.repairs) == 9
+    assert frozenset.intersection(*full.repairs) == core
+    assert _in_fact_key_order(full.repairs)
+    capped = repairs(EMPTY, NEVER_FIRES, se=contested | core, cap=5)
+    assert not capped.exhaustive and len(capped.repairs) > 1
+    assert _in_fact_key_order(capped.repairs)
 
 
 def test_recognize_two_level(np_tes, empty_dataset):
