@@ -10,7 +10,6 @@ from .errors import (
     ArityMismatch,
     DuplicateDeclaration,
     EnumerationCapExceeded,
-    GuardViolated,
     InvalidInterval,
     InvalidSpec,
     IoError,
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .ingest import ingest, parse_fact_text, validate_dataset
 from .language import TES, PredKind, parse_tes, print_tes
-from .meta import infer_meta, infer_timeline_facts
+from .meta import infer_meta
 from .model import (
     STAR,
     AnnotatedEventFact,
@@ -46,7 +45,6 @@ from .repair import (
     RepairSet,
     TimelineResult,
     cautious_core,
-    greedy_preferred,
     is_consistent,
     preferred_repairs,
     recognize_timeline,
@@ -78,13 +76,11 @@ __all__ = [
     "infer_nonpersistent",
     "infer_persistent",
     "infer_meta",
-    "infer_timeline_facts",
     "temporal_conflict",
     "is_consistent",
     "repairs",
     "RepairSet",
     "preferred_repairs",
-    "greedy_preferred",
     "cautious_core",
     "timeline",
     "TimelineResult",
@@ -106,7 +102,6 @@ __all__ = [
     "UnboundVariable",
     "InvalidSpec",
     "LevelOverflow",
-    "GuardViolated",
     "EnumerationCapExceeded",
     "ResourceExhausted",
     "IoError",

@@ -31,7 +31,7 @@ from .errors import (
     ResourceExhausted,
     TimeloomError,
 )
-from .ingest import ingest, validate_dataset
+from .ingest import ingest, read_file, validate_dataset
 from .language import NATURAL, TES, parse_tes
 from .model import (
     STAR,
@@ -89,20 +89,22 @@ def fact_to_json(f: AnnotatedEventFact, now: int | None = None) -> dict:
 
 def fact_from_json(d: dict) -> AnnotatedEventFact:
     """The inverse of `fact_to_json`. An end is a natural or "*", so JSON
-    `Infinity` is refused rather than read as ongoing. A level is a positive
-    integer and each argument a string or a natural; JSON `true` is neither,
-    nor is a float."""
+    `Infinity` is refused rather than read as ongoing. The pred is a string,
+    a level a positive integer and each argument a string or a natural; JSON
+    `true` is neither, nor is a float."""
     end = d["interval"]["end"]
     if end != "*" and not isinstance(end, int):
         raise InvalidInterval(f"bad interval end: {end!r}")
     interval = Interval(d["interval"]["start"], STAR if end == "*" else end)
-    level, args = d["level"], d["args"]
+    pred, level, args = d["pred"], d["level"], d["args"]
+    if not isinstance(pred, str):
+        raise ValueError(f"bad pred: {pred!r}")
     if type(level) is not int or level < 1:
         raise ValueError(f"bad level: {level!r}")
     if not isinstance(args, list) or not all(
             isinstance(a, str) or type(a) is int and a >= 0 for a in args):
         raise ValueError(f"bad args: {args!r}")
-    return AnnotatedEventFact(d["pred"], tuple(args), interval, level)
+    return AnnotatedEventFact(pred, tuple(args), interval, level)
 
 
 def _ranked(models, is_simple) -> tuple[list, int, list]:
@@ -310,16 +312,9 @@ def _run_entities(jobs: list[tuple]) -> list[tuple]:
 # Entry points
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from None
-
-
 def _load_rules(path: str) -> TES:
     try:
-        return parse_tes(_read(path))
+        return parse_tes(read_file(path))
     except ParseError as e:
         raise ParseError(f"{path}: {e.message}", e.line, e.col) from None
 
@@ -332,7 +327,9 @@ def run(config: RunConfig) -> int:
 
     if config.mode == "check":
         try:
-            target = json.loads(_read(config.check_target_path))
+            target = json.loads(read_file(config.check_target_path))
+            if not isinstance(target, dict):
+                raise TypeError("the top level is not a JSON object")
             kind = target.get("kind", "consistent")
             facts = frozenset(fact_from_json(x) for x in target["facts"])
         except (ValueError, KeyError, TypeError) as e:

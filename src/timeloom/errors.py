@@ -86,17 +86,6 @@ class LevelOverflow(TimeloomError):
     """A rule computed a confidence level below 1."""
 
 
-class GuardViolated(TimeloomError):
-    """A fast path was requested but its applicability guard does not hold.
-
-    reason is "DomainConstraintsPresent" or "TerminationLevelAboveOne".
-    """
-
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
-
 class EnumerationCapExceeded(TimeloomError):
     """Repair enumeration spent its budget before completing. Under monotone
     rules the budget counts repairs emitted plus dead-end branches (and

@@ -233,24 +233,25 @@ def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:
 # File-level entry points
 
 
+def read_file(path: str) -> str:
+    """The text of a rule, data, mapping or check-target file, read as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise IoError(f"cannot read {path}: {e}") from None
+
+
 def ingest(pairs: list[tuple[str, str | None]]) -> Dataset:
     """Read (data_path, mapping_path) pairs into one dataset. Fact files
     take no mapping; CSV files require one."""
     facts: list[Fact] = []
     for data_path, map_path in pairs:
-        try:
-            text = Path(data_path).read_text()
-        except OSError as e:
-            raise IoError(f"cannot read {data_path}: {e}") from None
+        text = read_file(data_path)
         if data_path.endswith(".csv"):
             if map_path is None:
                 raise MappingError(None, f"CSV input {data_path} needs --map")
             try:
-                map_text = Path(map_path).read_text()
-            except OSError as e:
-                raise IoError(f"cannot read {map_path}: {e}") from None
-            try:
-                mapping = parse_mapping(map_text)
+                mapping = parse_mapping(read_file(map_path))
             except MappingError as e:
                 raise MappingError(e.column, f"{map_path}: {e}") from None
             try:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import (
     ArityMismatch,
@@ -64,6 +64,7 @@ ALLEN_BUILTINS = (
     "after", "met_by", "overlapped_by", "started_by", "contains", "finished_by",
 )
 EXTREMUM_BUILTINS = ("start", "end")
+MAX_TERM_DEPTH = 100
 
 KEYWORDS = frozenset(
     ("decl", "atemporal", "observation", "nonpersistent", "persistent", "meta",
@@ -110,21 +111,13 @@ class ObservationAtom:
 
 @dataclass(frozen=True)
 class EventAtom:
-    """An event atom without a confidence position (constraint bodies)."""
+    """An event atom; constraint bodies give it no confidence position, so
+    its `level` is None there."""
 
     pred: str
     args: tuple[Term, ...]
     interval: Term
-
-
-@dataclass(frozen=True)
-class AnnEventAtom:
-    """An event atom with a confidence position (meta rule bodies)."""
-
-    pred: str
-    args: tuple[Term, ...]
-    interval: Term
-    level: Term
+    level: Term | None = None
 
 
 @dataclass(frozen=True)
@@ -154,8 +147,8 @@ class ExtremumTest:
     t: Term
 
 
-Atom = Union[AtemporalAtom, ObservationAtom, EventAtom, AnnEventAtom,
-             Comparison, AllenTest, ExtremumTest]
+Atom = Union[AtemporalAtom, ObservationAtom, EventAtom, Comparison, AllenTest, ExtremumTest]
+BUILTIN_ATOMS = (Comparison, AllenTest, ExtremumTest)
 
 
 @dataclass(frozen=True)
@@ -164,23 +157,41 @@ class Literal:
     negated: bool = False
 
 
+def atom_terms(a: Atom) -> list[tuple[Term, SortKind | None]]:
+    """The atom's terms with the sort of their positions: the data
+    arguments, then the timepoint, or the interval and level; for a
+    builtin, its operands. A comparison's operands take their sorts from
+    the atoms that bind them, so theirs is None."""
+    if isinstance(a, Comparison):
+        return [(a.lhs, None), (a.rhs, None)]
+    if isinstance(a, AllenTest):
+        return [(a.a, SortKind.INTERVAL), (a.b, SortKind.INTERVAL)]
+    terms: list[tuple[Term, SortKind | None]] = [(x, SortKind.DATA) for x in a.args]
+    if isinstance(a, ObservationAtom):
+        terms.append((a.t, SortKind.NAT))
+    elif isinstance(a, ExtremumTest):
+        terms.append((a.t, SortKind.NAT if a.name == "start" else SortKind.NAT_OR_STAR))
+    elif isinstance(a, EventAtom):
+        terms.append((a.interval, SortKind.INTERVAL))
+        if a.level is not None:
+            terms.append((a.level, SortKind.POSNAT))
+    return terms
+
+
+def is_test(lit: Literal) -> bool:
+    """Whether the literal only tests bindings: a builtin or a negated atom.
+    The other literals, positive predicate atoms, bind variables."""
+    return lit.negated or isinstance(lit.atom, BUILTIN_ATOMS)
+
+
 # ---------------------------------------------------------------------------
 # Rules
 
 
 @dataclass(frozen=True)
-class ExistenceRule:
-    pred: str
-    args: tuple[Term, ...]
-    t: Term
-    level: int
-    body: tuple[Literal, ...]
-    line: int = field(default=0, compare=False)
-    var_sorts: Mapping[str, SortKind] = field(default=None, compare=False)
+class PointRule:
+    """An existence rule (exists, exists_pers) or a termination rule (ends)."""
 
-
-@dataclass(frozen=True)
-class TerminationRule:
     pred: str
     args: tuple[Term, ...]
     t: Term
@@ -218,7 +229,7 @@ class Constraint:
     var_sorts: Mapping[str, SortKind] = field(default=None, compare=False)
 
 
-Rule = Union[ExistenceRule, TerminationRule, WindowRule, MetaRule, Constraint]
+Rule = Union[PointRule, WindowRule, MetaRule, Constraint]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +237,8 @@ class TES:
     """A validated rule set: declarations, rules, constraints, and strata."""
 
     decls: Mapping[str, PredicateDecl]
-    existence: tuple[ExistenceRule, ...]
-    termination: tuple[TerminationRule, ...]
+    existence: tuple[PointRule, ...]
+    termination: tuple[PointRule, ...]
     windows: tuple[WindowRule, ...]
     meta_rules: tuple[MetaRule, ...]
     constraints: tuple[Constraint, ...]
@@ -251,7 +262,7 @@ class TES:
         """True when any meta rule or constraint negates an event atom."""
         for rule in self.meta_rules + self.constraints:
             for lit in rule.body:
-                if lit.negated and isinstance(lit.atom, (EventAtom, AnnEventAtom)):
+                if lit.negated and isinstance(lit.atom, EventAtom):
                     return True
         return False
 
@@ -278,9 +289,6 @@ class TES:
                 if isinstance(a, EventAtom) and self.kind(a.pred) is PredKind.META:
                     return True
         return False
-
-    def termination_levels(self) -> frozenset[int]:
-        return frozenset(r.level for r in self.termination)
 
     def __getstate__(self):
         # plans hold closures, keyed by ids that do not survive pickling
@@ -396,6 +404,7 @@ class _Parser:
         self.i = 0
         self.decls: dict[str, PredicateDecl] = {}
         self._wild = 0
+        self._depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -416,11 +425,31 @@ class _Parser:
         self._wild += 1
         return Var(f"_{self._wild}")
 
+    def comma_list(self, item: Callable) -> list:
+        items = [item()]
+        while self.peek().kind == "COMMA":
+            self.advance()
+            items.append(item())
+        return items
+
+    def operands(self, item: Callable[[], Term]) -> list[Term]:
+        """The parenthesized operands after a function name, nested at most
+        MAX_TERM_DEPTH deep, so that no walk over a term exhausts the stack."""
+        t = self.advance()
+        if self._depth == MAX_TERM_DEPTH:
+            raise ParseError(f"terms may nest at most {MAX_TERM_DEPTH} deep", t.line, t.col)
+        self._depth += 1
+        self.expect("LPAREN")
+        items = self.comma_list(item)
+        self.expect("RPAREN")
+        self._depth -= 1
+        return items
+
     # -- statements ---------------------------------------------------------
 
     def parse_program(self):
-        existence: list[ExistenceRule] = []
-        termination: list[TerminationRule] = []
+        existence: list[PointRule] = []
+        termination: list[PointRule] = []
         windows: list[WindowRule] = []
         meta_rules: list[MetaRule] = []
         constraints: list[Constraint] = []
@@ -431,10 +460,8 @@ class _Parser:
                 raise ParseError(f"expected a statement, found {t.text!r}", t.line, t.col)
             if t.text == "decl":
                 self.parse_decl()
-            elif t.text in ("exists", "exists_pers"):
-                existence.append(self.parse_existence())
-            elif t.text == "ends":
-                termination.append(self.parse_termination())
+            elif t.text in ("exists", "exists_pers", "ends"):
+                (termination if t.text == "ends" else existence).append(self.parse_point())
             elif t.text == "window":
                 windows.append(self.parse_window())
             elif t.text == "meta":
@@ -478,24 +505,23 @@ class _Parser:
         args: tuple[Term, ...] = ()
         if self.peek().kind == "LPAREN":
             self.advance()
-            items = [self.parse_term(allow_wild=False)]
-            while self.peek().kind == "COMMA":
-                self.advance()
-                items.append(self.parse_term(allow_wild=False))
+            args = tuple(self.comma_list(lambda: self.parse_term(allow_wild=False)))
             self.expect("RPAREN")
-            args = tuple(items)
         if len(args) != d.arity:
             raise ArityMismatch(f"{d.name} declared with arity {d.arity}, used with {len(args)}",
                                 tok.line, tok.col)
         return d, args, tok
 
-    def parse_existence(self) -> ExistenceRule:
+    def parse_point(self) -> PointRule:
         kw = self.advance()
         self.expect("LPAREN")
-        want = PredKind.NONPERSISTENT if kw.text == "exists" else PredKind.PERSISTENT
-        d, args, _ = self.parse_event_ref((want,), f"a {want.value} event (use "
-                                          + ("exists_pers" if kw.text == "exists" else "exists")
-                                          + " for the other kind)")
+        if kw.text == "ends":
+            d, args, _ = self.parse_event_ref(SIMPLE_KINDS, "a simple event")
+        else:
+            want = PredKind.NONPERSISTENT if kw.text == "exists" else PredKind.PERSISTENT
+            d, args, _ = self.parse_event_ref((want,), f"a {want.value} event (use "
+                                              + ("exists_pers" if kw.text == "exists" else "exists")
+                                              + " for the other kind)")
         self.expect("COMMA")
         t = self.parse_term(allow_wild=False, allow_fn=True)
         self.expect("COMMA")
@@ -506,23 +532,7 @@ class _Parser:
         self.expect("RPAREN")
         body = self.parse_body("se")
         self.expect("PERIOD")
-        return ExistenceRule(d.name, args, t, level, body, line=kw.line)
-
-    def parse_termination(self) -> TerminationRule:
-        kw = self.advance()
-        self.expect("LPAREN")
-        d, args, _ = self.parse_event_ref(SIMPLE_KINDS, "a simple event")
-        self.expect("COMMA")
-        t = self.parse_term(allow_wild=False, allow_fn=True)
-        self.expect("COMMA")
-        lvl_tok = self.expect("NAT", "a confidence level literal")
-        level = int(lvl_tok.text)
-        if level < 1:
-            raise ParseError("confidence levels start at 1", lvl_tok.line, lvl_tok.col)
-        self.expect("RPAREN")
-        body = self.parse_body("se")
-        self.expect("PERIOD")
-        return TerminationRule(d.name, args, t, level, body, line=kw.line)
+        return PointRule(d.name, args, t, level, body, line=kw.line)
 
     def parse_window(self) -> WindowRule:
         kw = self.advance()
@@ -543,10 +553,8 @@ class _Parser:
         if d.kind is not PredKind.META:
             raise ParseError(f"{tok.text} is {d.kind.value}, expected meta", tok.line, tok.col)
         self.expect("LPAREN")
-        items: list[Term] = [self.parse_term(allow_wild=False, allow_fn=True, allow_interval=True)]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            items.append(self.parse_term(allow_wild=False, allow_fn=True, allow_interval=True))
+        items = self.comma_list(
+            lambda: self.parse_term(allow_wild=False, allow_fn=True, allow_interval=True))
         rp = self.expect("RPAREN")
         if len(items) != d.arity + 2:
             raise ArityMismatch(
@@ -574,11 +582,7 @@ class _Parser:
         if self.peek().kind != "ARROW":
             return ()
         self.advance()
-        lits = [self.parse_literal(context)]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            lits.append(self.parse_literal(context))
-        return tuple(lits)
+        return tuple(self.comma_list(lambda: self.parse_literal(context)))
 
     def parse_literal(self, context: str) -> Literal:
         negated = False
@@ -635,10 +639,7 @@ class _Parser:
         args: list[Term] = []
         if self.peek().kind == "LPAREN":
             self.advance()
-            args.append(self.parse_term(allow_interval=True))
-            while self.peek().kind == "COMMA":
-                self.advance()
-                args.append(self.parse_term(allow_interval=True))
+            args = self.comma_list(lambda: self.parse_term(allow_interval=True))
             self.expect("RPAREN")
         if d.kind is PredKind.ATEMPORAL:
             self._check_arity(d, len(args), tok)
@@ -660,7 +661,7 @@ class _Parser:
             self._check_arity(d, len(args) - 2, tok,
                               note=" (meta-rule event atoms take interval and confidence arguments)")
             interval = self._interval_arg(args[-2], tok)
-            return AnnEventAtom(d.name, self._data_args(args[:-2], tok), interval, args[-1])
+            return EventAtom(d.name, self._data_args(args[:-2], tok), interval, args[-1])
         raise ParseError(f"{d.name} cannot appear here", tok.line, tok.col)
 
     def _check_arity(self, d: PredicateDecl, n: int, tok: _Token, note: str = "") -> None:
@@ -715,13 +716,7 @@ class _Parser:
             if t.text == "inter":
                 if not allow_interval:
                     raise ParseError("interval term is not allowed here", t.line, t.col)
-                self.advance()
-                self.expect("LPAREN")
-                items = [self.parse_term(allow_wild=False, allow_interval=True)]
-                while self.peek().kind == "COMMA":
-                    self.advance()
-                    items.append(self.parse_term(allow_wild=False, allow_interval=True))
-                self.expect("RPAREN")
+                items = self.operands(lambda: self.parse_term(allow_wild=False, allow_interval=True))
                 for a in items:
                     if not isinstance(a, (IntervalTerm, IntervalFn, Var)):
                         raise ParseError("inter arguments must be intervals", t.line, t.col)
@@ -730,17 +725,9 @@ class _Parser:
                 if not allow_fn:
                     raise ParseError(f"{t.text}(...) is not allowed in this position",
                                      t.line, t.col)
-                self.advance()
-                self.expect("LPAREN")
-                items = [self.parse_term(allow_wild=False, allow_fn=True)]
-                while self.peek().kind == "COMMA":
-                    self.advance()
-                    items.append(self.parse_term(allow_wild=False, allow_fn=True))
-                self.expect("RPAREN")
+                items = self.operands(lambda: self.parse_term(allow_wild=False, allow_fn=True))
                 if t.text in ("plus", "minus") and len(items) != 2:
                     raise ParseError(f"{t.text} takes exactly two arguments", t.line, t.col)
-                if len(items) < 1:
-                    raise ParseError(f"{t.text} needs at least one argument", t.line, t.col)
                 return FnApp(t.text, tuple(items))
             if t.text in KEYWORDS:
                 raise ParseError(f"{t.text!r} is reserved", t.line, t.col)
@@ -824,31 +811,6 @@ class _SortWalk:
             for a in t.args:
                 self.term(a, SortKind.INTERVAL)
 
-    def atom(self, a: Atom) -> None:
-        if isinstance(a, AtemporalAtom):
-            for x in a.args:
-                self.term(x, SortKind.DATA)
-        elif isinstance(a, ObservationAtom):
-            for x in a.args:
-                self.term(x, SortKind.DATA)
-            self.term(a.t, SortKind.NAT)
-        elif isinstance(a, EventAtom):
-            for x in a.args:
-                self.term(x, SortKind.DATA)
-            self.term(a.interval, SortKind.INTERVAL)
-        elif isinstance(a, AnnEventAtom):
-            for x in a.args:
-                self.term(x, SortKind.DATA)
-            self.term(a.interval, SortKind.INTERVAL)
-            self.term(a.level, SortKind.POSNAT)
-        elif isinstance(a, AllenTest):
-            self.term(a.a, SortKind.INTERVAL)
-            self.term(a.b, SortKind.INTERVAL)
-        elif isinstance(a, ExtremumTest):
-            for x in a.args:
-                self.term(x, SortKind.DATA)
-            self.term(a.t, SortKind.NAT if a.name == "start" else SortKind.NAT_OR_STAR)
-
     def comparison(self, c: Comparison) -> None:
         # operand sorts are fixed by binder positions; here we only rule out
         # ordering symbols and mixing symbols with numbers
@@ -877,7 +839,7 @@ class _SortWalk:
 def head_positions(rule: Rule) -> list[tuple[Term, SortKind]]:
     """The head's terms with the sort of their positions: the arguments,
     then the timepoint or window, or the interval and level."""
-    if isinstance(rule, (ExistenceRule, TerminationRule)):
+    if isinstance(rule, PointRule):
         return [(a, SortKind.DATA) for a in rule.args] + [(rule.t, SortKind.NAT)]
     if isinstance(rule, WindowRule):
         return [(a, SortKind.DATA) for a in rule.args] + [(rule.w, SortKind.POSNAT)]
@@ -894,22 +856,8 @@ def _rule_name(rule: Rule) -> str:
 
 
 def _binder_vars(body: tuple[Literal, ...]) -> set[str]:
-    bound: set[str] = set()
-    for lit in body:
-        if lit.negated:
-            continue
-        a = lit.atom
-        if isinstance(a, (AtemporalAtom, ObservationAtom, EventAtom, AnnEventAtom)):
-            terms: list[Term] = list(a.args)
-            if isinstance(a, ObservationAtom):
-                terms.append(a.t)
-            if isinstance(a, (EventAtom, AnnEventAtom)):
-                terms.append(a.interval)
-            if isinstance(a, AnnEventAtom):
-                terms.append(a.level)
-            for t in terms:
-                bound.update(v.name for v in term_vars(t))
-    return bound
+    return {v.name for lit in body if not is_test(lit)
+            for t, _ in atom_terms(lit.atom) for v in term_vars(t)}
 
 
 def is_schematic_window(rule: Rule) -> bool:
@@ -928,7 +876,8 @@ def _validate_rule(rule: Rule) -> Rule:
         return replace(rule, var_sorts=dict(walk.sorts))
     for lit in rule.body:
         if not isinstance(lit.atom, Comparison):
-            walk.atom(lit.atom)
+            for term, ctx in atom_terms(lit.atom):
+                walk.term(term, ctx)
     for lit in rule.body:
         if isinstance(lit.atom, Comparison):
             for side in (lit.atom.lhs, lit.atom.rhs):
@@ -940,25 +889,17 @@ def _validate_rule(rule: Rule) -> Rule:
             walk.comparison(lit.atom)
 
     bound = _binder_vars(rule.body)
-    used: list[Var] = []
-    for term, _ in head_positions(rule):
-        used.extend(term_vars(term))
+    used = [v for term, _ in head_positions(rule) for v in term_vars(term)]
     for lit in rule.body:
-        a = lit.atom
-        if isinstance(a, Comparison):
-            used.extend(term_vars(a.lhs))
-            used.extend(term_vars(a.rhs))
-        elif isinstance(a, AllenTest):
-            used.extend(term_vars(a.a))
-            used.extend(term_vars(a.b))
-        elif isinstance(a, ExtremumTest):
-            for x in a.args:
-                used.extend(term_vars(x))
-            used.extend(term_vars(a.t))
-        elif lit.negated:
-            for v in _binder_vars((Literal(a, False),)):
-                if not v.startswith("_") and v not in bound:
-                    raise SafetyViolation(_rule_name(rule), v, rule.line)
+        if not is_test(lit):
+            continue
+        names = [v for t, _ in atom_terms(lit.atom) for v in term_vars(t)]
+        if isinstance(lit.atom, BUILTIN_ATOMS):
+            used.extend(names)
+            continue
+        for v in names:  # a negated atom's wildcards stay free
+            if not v.is_wildcard and v.name not in bound:
+                raise SafetyViolation(_rule_name(rule), v.name, rule.line)
     for v in used:
         if v.is_wildcard:
             raise SafetyViolation(_rule_name(rule), "_", rule.line)
@@ -979,7 +920,7 @@ def _stratify(meta_rules: tuple[MetaRule, ...], decls: Mapping[str, PredicateDec
     for rule in meta_rules:
         for lit in rule.body:
             a = lit.atom
-            if isinstance(a, AnnEventAtom) and decls[a.pred].kind is PredKind.META:
+            if isinstance(a, EventAtom) and decls[a.pred].kind is PredKind.META:
                 edges[a.pred].add(rule.pred)
                 if lit.negated:
                     neg_edges.add((a.pred, rule.pred))
@@ -988,38 +929,48 @@ def _stratify(meta_rules: tuple[MetaRule, ...], decls: Mapping[str, PredicateDec
                 edges[a.pred].add(rule.pred)
                 neg_edges.add((a.pred, rule.pred))
 
-    # Tarjan strongly connected components, deterministic by name order
+    # Tarjan strongly connected components, deterministic by name order;
+    # `work` holds each open vertex beside the rest of its successors, so a
+    # long chain of predicates needs no deep recursion
     index: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: dict[str, bool] = {}
+    on_stack: set[str] = set()
     stack: list[str] = []
     sccs: list[tuple[str, ...]] = []
-    counter = [0]
+    work: list[tuple[str, Iterator[str]]] = []
 
-    def strongconnect(v: str) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+    def visit(v: str) -> None:
+        index[v] = low[v] = len(index)
         stack.append(v)
-        on_stack[v] = True
-        for w in sorted(edges[v]):
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif on_stack.get(w):
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack[w] = False
-                comp.append(w)
-                if w == v:
-                    break
-            sccs.append(tuple(sorted(comp)))
+        on_stack.add(v)
+        work.append((v, iter(sorted(edges[v]))))
 
     for p in meta_preds:
-        if p not in index:
-            strongconnect(p)
+        if p in index:
+            continue
+        visit(p)
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(tuple(sorted(comp)))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
 
     comp_of = {p: i for i, comp in enumerate(sccs) for p in comp}
     for src, dst in neg_edges:
@@ -1032,7 +983,7 @@ def _stratify(meta_rules: tuple[MetaRule, ...], decls: Mapping[str, PredicateDec
         head_comp = comp_of[rule.pred]
         for lit in rule.body:
             a = lit.atom
-            if isinstance(a, AnnEventAtom) and decls[a.pred].kind is PredKind.META \
+            if isinstance(a, EventAtom) and decls[a.pred].kind is PredKind.META \
                     and not lit.negated and comp_of[a.pred] == head_comp:
                 _check_recursive_level(rule)
                 break
@@ -1106,21 +1057,12 @@ def _fmt_ref(pred: str, args: tuple[Term, ...]) -> str:
 
 
 def _fmt_atom(a: Atom) -> str:
-    if isinstance(a, AtemporalAtom):
-        return _fmt_ref(a.pred, a.args)
-    if isinstance(a, ObservationAtom):
-        return _fmt_ref(a.pred, a.args + (a.t,))
-    if isinstance(a, EventAtom):
-        return _fmt_ref(a.pred, a.args + (a.interval,))
-    if isinstance(a, AnnEventAtom):
-        return _fmt_ref(a.pred, a.args + (a.interval, a.level))
     if isinstance(a, Comparison):
         return f"{_fmt_term(a.lhs)} {a.op} {_fmt_term(a.rhs)}"
-    if isinstance(a, AllenTest):
-        return f"{a.name}({_fmt_term(a.a)}, {_fmt_term(a.b)})"
     if isinstance(a, ExtremumTest):
         return f"{a.name}({_fmt_ref(a.pred, a.args)}, {_fmt_term(a.t)})"
-    raise TypeError(f"not an atom: {a!r}")
+    name = a.name if isinstance(a, AllenTest) else a.pred
+    return _fmt_ref(name, tuple(t for t, _ in atom_terms(a)))
 
 
 def _fmt_body(body: tuple[Literal, ...]) -> str:

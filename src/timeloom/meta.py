@@ -15,7 +15,7 @@ from math import prod
 from typing import Callable, Mapping, Sequence
 
 from .errors import LevelOverflow, SortError
-from .language import TES, AnnEventAtom, EventAtom, MetaRule
+from .language import TES, EventAtom, MetaRule
 from .model import AnnotatedEventFact, Dataset, EventStore, Interval
 from .query import rule_plan
 
@@ -47,7 +47,7 @@ def _event_positions(rule: MetaRule, preds: frozenset[str] | None = None) -> lis
     over `preds` when given."""
     return [i for i, lit in enumerate(rule.body)
             if not lit.negated
-            and isinstance(lit.atom, (EventAtom, AnnEventAtom))
+            and isinstance(lit.atom, EventAtom)
             and (preds is None or lit.atom.pred in preds)]
 
 
@@ -259,9 +259,3 @@ def meta_provenance(tes: TES, dataset: Dataset, simple: frozenset[AnnotatedEvent
 
     _close(tes, dataset, store, absorb, witnesses=True)
     return why
-
-
-def infer_timeline_facts(tes: TES, dataset: Dataset,
-                         simple: frozenset[AnnotatedEventFact]) -> frozenset[AnnotatedEventFact]:
-    """Simple events plus everything the meta rules derive from them."""
-    return simple | infer_meta(tes, dataset, simple)

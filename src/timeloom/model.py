@@ -53,12 +53,6 @@ class Interval:
         return f"[{self.start},{'*' if self.ongoing else self.end}]"
 
 
-_ALLEN_NAMES = (
-    "before", "meets", "overlaps", "starts", "during", "finishes", "equals",
-    "after", "met_by", "overlapped_by", "started_by", "contains", "finished_by",
-)
-
-
 def allen_relation(a: Interval, b: Interval) -> str:
     """The unique Allen relation holding from a to b (point intervals included)."""
     s = _cmp(a.start, b.start)

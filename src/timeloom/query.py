@@ -16,8 +16,8 @@ from typing import Callable, Mapping
 
 from .errors import InvalidSpec, SortError
 from .language import (
+    BUILTIN_ATOMS,
     AllenTest,
-    AnnEventAtom,
     AtemporalAtom,
     Comparison,
     EventAtom,
@@ -26,8 +26,10 @@ from .language import (
     ObservationAtom,
     PredKind,
     TES,
+    atom_terms,
     head_positions,
     is_schematic_window,
+    is_test,
 )
 from .model import (
     STAR,
@@ -74,11 +76,11 @@ def _positions(atom) -> tuple[type, list]:
         return AtemporalFact, pairs
     if isinstance(atom, ObservationAtom):
         return ObservationFact, pairs + [(n, atom.t)]
-    if not isinstance(atom, (EventAtom, AnnEventAtom)):
+    if not isinstance(atom, EventAtom):
         raise TypeError(f"not a matchable atom: {atom!r}")
     iv = atom.interval
     pairs += [(n + 3, iv)] if isinstance(iv, Var) else [(n, iv.lo), (n + 1, iv.hi)]
-    if isinstance(atom, AnnEventAtom):
+    if atom.level is not None:
         pairs.append((n + 2, atom.level))
     return AnnotatedEventFact, pairs
 
@@ -149,29 +151,17 @@ class _Match:
         return events.probe(self.pred, self.positions, self.key(slots))
 
 
-def _is_test(lit: Literal) -> bool:
-    return lit.negated or isinstance(lit.atom, (Comparison, AllenTest, ExtremumTest))
-
-
 def _atom_vars(a) -> list[str]:
-    """The variables of a binder atom (or negated atom) in order of position."""
-    if isinstance(a, (Comparison, AllenTest, ExtremumTest)):
-        return []
-    return [v.name for _, t in _positions(a)[1] for v in term_vars(t)]
+    """The variables of an atom in order of position."""
+    return [v.name for t, _ in atom_terms(a) for v in term_vars(t)]
 
 
 def _needs(lit: Literal) -> frozenset[str]:
     """The variables a test reads; a negated atom's wildcards stay free."""
-    a = lit.atom
-    if isinstance(a, Comparison):
-        terms = (a.lhs, a.rhs)
-    elif isinstance(a, AllenTest):
-        terms = (a.a, a.b)
-    elif isinstance(a, ExtremumTest):
-        terms = a.args + (a.t,)
-    else:
-        return frozenset(n for n in _atom_vars(a) if not n.startswith("_"))
-    return frozenset(v.name for t in terms for v in term_vars(t))
+    names = _atom_vars(lit.atom)
+    if isinstance(lit.atom, BUILTIN_ATOMS):
+        return frozenset(names)
+    return frozenset(n for n in names if not n.startswith("_"))
 
 
 def _compare(op: str, lhs, rhs) -> bool:
@@ -232,8 +222,8 @@ class JoinPlan:
     def __init__(self, body: tuple[Literal, ...], sorts: Mapping[str, SortKind]):
         self.sorts = sorts
         self.binders = [(idx, lit.atom, frozenset(_atom_vars(lit.atom)))
-                        for idx, lit in enumerate(body) if not _is_test(lit)]
-        self.tests = [(lit, _needs(lit)) for lit in body if _is_test(lit)]
+                        for idx, lit in enumerate(body) if not is_test(lit)]
+        self.tests = [(lit, _needs(lit)) for lit in body if is_test(lit)]
         self.names = list(dict.fromkeys(n for _, a, _ in self.binders for n in _atom_vars(a)))
         free = [n for lit, _ in self.tests for n in _atom_vars(lit.atom)]
         self.slot_of = {n: i for i, n in enumerate(dict.fromkeys(self.names + free))}
@@ -259,7 +249,7 @@ class JoinPlan:
                 tests = [_test(lit, after, self.slot_of, self.sorts)
                          for lit, need in self.tests if need <= after and not need <= bound]
                 steps.append((idx, _Match(atom, bound, self.slot_of, self.sorts), tests,
-                              state | 1 << k, isinstance(atom, (EventAtom, AnnEventAtom))))
+                              state | 1 << k, isinstance(atom, EventAtom)))
         return steps
 
     def solve(self, dataset: Dataset, events: EventStore | None = None,

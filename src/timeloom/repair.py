@@ -23,7 +23,7 @@ from itertools import combinations, product
 from operator import attrgetter
 from typing import Callable, Iterator
 
-from .errors import EnumerationCapExceeded, GuardViolated
+from .errors import EnumerationCapExceeded
 from .language import TES
 from .meta import close_models, combine_supports, infer_meta, meta_provenance
 from .model import AnnotatedEventFact, Dataset, EventStore, fact_key, fact_ranks
@@ -440,20 +440,6 @@ def _filter_preferred(reps: tuple[SimpleSet, ...]) -> tuple[SimpleSet, ...]:
         return False
 
     return tuple(r for r in reps if not any(beats(rp, r) for rp in reps))
-
-
-def greedy_preferred(se: SimpleSet, tes: TES) -> SimpleSet:
-    """The single preferred repair: every strongest-level fact, then at each
-    weaker level whatever does not clash with the facts kept so far.
-
-    Only valid without domain constraints and with all termination rules at
-    the strongest level; otherwise raises GuardViolated.
-    """
-    if tes.has_domain_constraints:
-        raise GuardViolated("DomainConstraintsPresent")
-    if any(lvl != 1 for lvl in tes.termination_levels()):
-        raise GuardViolated("TerminationLevelAboveOne")
-    return preferred_repairs(Dataset(()), tes, se=se).repairs[0]
 
 
 def preferred_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,

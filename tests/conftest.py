@@ -178,7 +178,7 @@ def random_ruleful_instance(rng: random.Random, allow_constraints=True,
 
 
 def random_guard_instance(rng: random.Random, max_facts=12):
-    """An instance meeting the greedy guard: no domain constraints and
+    """An instance with a single preferred repair: no domain constraints and
     termination knowledge only at the strongest level.  Returns (se, tes)."""
     from timeloom import infer_all_simple
 

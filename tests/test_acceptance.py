@@ -15,7 +15,6 @@ from timeloom import (
     Interval,
     ObservationFact,
     cautious_core,
-    greedy_preferred,
     infer_all_simple,
     infer_nonpersistent,
     infer_persistent,
@@ -101,18 +100,20 @@ def test_criterion_3_repair_modes_on_worked_example(np_tes, empty_dataset):
 
 
 def test_criterion_4_greedy_matches_brute_preferred():
-    """On 500 random guard-satisfying instances the greedy pass returns the
-    single brute-force preferred repair, in under 30 s total."""
+    """On 500 random guard-satisfying instances the level-by-level preferred
+    construction returns the single brute-force preferred repair, in under
+    30 s total."""
     rng = random.Random(4)
     t0 = perf_counter()
     for _ in range(500):
         se, tes = random_guard_instance(rng, max_facts=12)
         pref = brute_preferred(brute_repairs(EMPTY, tes, se=se))
         assert len(pref) == 1
-        assert greedy_preferred(se, tes) == pref[0]
+        got = preferred_repairs(EMPTY, tes, se=se)
+        assert got.exhaustive and got.repairs == pref
     elapsed = perf_counter() - t0
     assert elapsed < 30.0
-    print(f"criterion 4 PASS: 500 greedy/brute agreements in {elapsed:.2f} s")
+    print(f"criterion 4 PASS: 500 preferred/brute agreements in {elapsed:.2f} s")
 
 
 def test_criterion_5_constructive_matches_interval_checker():

@@ -290,6 +290,19 @@ def test_check_target_level_and_args_are_strict(figured, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', '{"facts": [{"pred": 5, "args": [], '
+                                  '"interval": {"start": 2, "end": "*"}, "level": 1}]}'],
+                         ids=["list", "string", "pred"])
+def test_check_target_must_be_an_object_of_named_facts(figured, capsys, text):
+    target = figured / "target.json"
+    target.write_text(text)
+    assert run_cli("run", "--rules", str(figured / "pers.tes"),
+                   "--data", str(figured / "empty.facts"), "--mode", "check",
+                   "--check", str(target)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad check target {target}: ") and err.count("\n") == 1
+
+
 def test_check_flag_pairing(figured, capsys):
     rc = run_cli("run", "--rules", str(figured / "fig.tes"),
                  "--data", str(figured / "empty.facts"), "--mode", "check")
@@ -409,6 +422,19 @@ def test_rule_and_data_errors_exit_1(ward, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_rule_term_exits_1(tmp_path, capsys):
+    term = "L"
+    for _ in range(1000):
+        term = f"min({term})"
+    rules = tmp_path / "deep.tes"
+    rules.write_text(f"decl persistent e/0.\ndecl meta m/0.\nexists_pers(e, 2, 1).\n"
+                     f"meta m(I, {term}) :- e(I, L).\n")
+    (tmp_path / "e.facts").write_text("")
+    assert run_cli("run", "--rules", str(rules), "--data", str(tmp_path / "e.facts")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rules}: terms may nest at most") and err.count("\n") == 1
+
+
 def test_ordering_over_intervals_exits_1(ward, capsys):
     rules = ward / "order.tes"
     rules.write_text("decl observation adm/1.\ndecl persistent e/1.\ndecl meta m/1.\n"
@@ -486,6 +512,22 @@ def test_csv_and_mapping_errors_name_the_file(tmp_path, capsys, data, mapping, m
                    "--data", str(csv), "--map", str(map_)) == 1
     err = capsys.readouterr().err
     assert err == "error: " + message.format(csv=csv, map=map_) + "\n"
+
+
+@pytest.mark.parametrize("role", ["rules", "facts", "csv", "map"])
+def test_non_utf8_files_exit_1(tmp_path, capsys, role):
+    files = {"rules": ("r.tes", SUP_RULES), "facts": ("d.facts", "obs lab(p1, 4).\n"),
+             "csv": ("d.csv", "p1,4\n"), "map": ("d.map", LAB_MAP)}
+    for name, text in files.values():
+        (tmp_path / name).write_bytes(text.encode())
+    bad = tmp_path / files[role][0]
+    bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+    data = ["--data", str(tmp_path / "d.facts")] if role in ("rules", "facts") else \
+        ["--data", str(tmp_path / "d.csv"), "--map", str(tmp_path / "d.map")]
+    assert run_cli("run", "--rules", str(tmp_path / "r.tes"), *data) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
 
 
 @pytest.mark.parametrize("option", ["--now", "--cap", "--max-models", "--partition-by"])

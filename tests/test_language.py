@@ -15,7 +15,7 @@ from timeloom import (
     parse_tes,
     print_tes,
 )
-from timeloom.language import is_schematic_window
+from timeloom.language import MAX_TERM_DEPTH, is_schematic_window
 
 from conftest import THERAPY_RULES, TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
 
@@ -174,6 +174,15 @@ def test_recursion_allowed_when_stratified():
     assert ("chain",) in tes.strata
 
 
+def test_cycle_through_three_predicates_is_one_stratum():
+    """The low link of the deepest predicate reaches the first one through
+    the middle one, so all three close as one component."""
+    tes = parse_tes("decl persistent e/0.\ndecl meta a/0.\ndecl meta b/0.\ndecl meta c/0.\n"
+                    "meta a(I, L) :- e(I, L).\nmeta b(I, L) :- a(I, L).\n"
+                    "meta c(I, L) :- b(I, L).\nmeta a(I, L) :- c(I, L).")
+    assert tes.strata == (("a", "b", "c"),)
+
+
 def test_recursive_level_arithmetic_rejected():
     with pytest.raises(ParseError):
         parse_tes("decl meta a/0.\n"
@@ -207,7 +216,7 @@ def test_monotonicity_flags():
 
 
 def test_termination_levels(np_tes):
-    assert np_tes.termination_levels() == frozenset({1})
+    assert {r.level for r in np_tes.termination} == {1}
 
 
 def test_quoted_symbols_round_trip():
@@ -228,3 +237,22 @@ def test_comment_and_star_tokens():
     tes = parse_tes("# leading comment\ndecl persistent p/0.\n"
                     "decl meta m/0.\nmeta m([T, *], 1) :- p([T, T2], L).  # tail\n")
     assert len(tes.meta_rules) == 1
+
+
+def _nested_min_rules(depth):
+    term = "L"
+    for _ in range(depth):
+        term = f"min({term})"
+    return f"decl persistent e/0.\ndecl meta m/0.\nmeta m(I, {term}) :- e(I, L).\n"
+
+
+def test_terms_nest_at_most_max_term_depth():
+    tes = parse_tes(_nested_min_rules(MAX_TERM_DEPTH))
+    assert parse_tes(print_tes(tes)) == tes
+    with pytest.raises(ParseError) as err:
+        parse_tes(_nested_min_rules(MAX_TERM_DEPTH + 1))
+    assert err.value.message == f"terms may nest at most {MAX_TERM_DEPTH} deep"
+    # the innermost min( beyond the limit
+    assert (err.value.line, err.value.col) == (3, 11 + 4 * MAX_TERM_DEPTH)
+    with pytest.raises(ParseError):
+        parse_tes(_nested_min_rules(1000))

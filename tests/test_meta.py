@@ -14,7 +14,6 @@ from timeloom import (
     LevelOverflow,
     infer_all_simple,
     infer_meta,
-    infer_timeline_facts,
     parse_tes,
     repairs,
 )
@@ -105,7 +104,21 @@ def test_timeline_facts_union(np_tes, empty_dataset):
     from timeloom import infer_all_simple
 
     simple = infer_all_simple(empty_dataset, np_tes)
-    assert infer_timeline_facts(np_tes, empty_dataset, simple) == simple
+    assert infer_meta(np_tes, empty_dataset, simple) == frozenset()
+    assert simple | infer_meta(np_tes, empty_dataset, simple) == simple
+
+
+def test_long_predicate_chain_stratifies_and_derives():
+    """A chain of 1200 meta predicates stratifies without deep recursion,
+    one stratum per predicate in chain order."""
+    n = 1200
+    tes = parse_tes("decl persistent e/0.\n"
+                    + "".join(f"decl meta m{i}/0.\n" for i in range(n + 1))
+                    + "meta m0(I, L) :- e(I, L).\n"
+                    + "".join(f"meta m{i}(I, L) :- m{i - 1}(I, L).\n" for i in range(1, n + 1)))
+    assert tes.strata == tuple((f"m{i}",) for i in range(n + 1))
+    got = infer_meta(tes, Dataset([]), frozenset({ev("e", (), 2, 5, 1)}))
+    assert got == {ev(f"m{i}", (), 2, 5, 1) for i in range(n + 1)}
 
 
 def test_meta_over_meta_interval_vars():

@@ -25,7 +25,6 @@ from timeloom import (
 from timeloom.language import (
     ALLEN_BUILTINS,
     AllenTest,
-    AnnEventAtom,
     AtemporalAtom,
     Comparison,
     EventAtom,
@@ -313,7 +312,7 @@ def random_body(rng):
             interval = IntervalTerm(Var(rng.choice(("T", "U"))), wild(SortKind.NAT_OR_STAR))
         if rng.random() < 0.3:
             return EventAtom(pred, args, interval)
-        return AnnEventAtom(pred, args, interval, wild(SortKind.POSNAT))
+        return EventAtom(pred, args, interval, wild(SortKind.POSNAT))
 
     preds = tuple(ARITY)
     body = [Literal(atom(rng.choice(preds), ("X", "Y", "Z")))
@@ -343,7 +342,7 @@ def _atom_terms(a):
         return a.args + (a.t,)
     iv = a.interval
     ends = (iv,) if isinstance(iv, Var) else (iv.lo, iv.hi)
-    return a.args + ends + ((a.level,) if isinstance(a, AnnEventAtom) else ())
+    return a.args + ends + ((a.level,) if a.level is not None else ())
 
 
 def _fact_values(a, f):
@@ -353,7 +352,7 @@ def _fact_values(a, f):
         return f.args + (f.t,)
     iv = a.interval
     ends = (f.interval,) if isinstance(iv, Var) else (f.interval.start, f.interval.end)
-    return f.args + ends + ((f.level,) if isinstance(a, AnnEventAtom) else ())
+    return f.args + ends + ((f.level,) if a.level is not None else ())
 
 
 def _all_facts(a, dataset, events):
@@ -476,15 +475,15 @@ def sorted_body(rng):
             interval = IntervalTerm(lo, hi)
         if rng.random() < 0.3:
             return EventAtom(pred, args, interval)
-        return AnnEventAtom(pred, args, interval,
-                            rng.choice((Var("L"), wild(SortKind.POSNAT), Nat(1))))
+        return EventAtom(pred, args, interval,
+                         rng.choice((Var("L"), wild(SortKind.POSNAT), Nat(1))))
 
     body = [Literal(atom(rng.choice(tuple(ARITY)))) for _ in range(rng.choice((1, 2, 2, 3)))]
     bound = {v.name for lit in body for t in _atom_terms(lit.atom) for v in term_vars(t)}
     have = lambda *names: [Var(n) for n in names if n in bound]
     named = lambda term: not any(v.is_wildcard for v in term_vars(term))
     # event atoms of the body, so that tests often name their instances and intervals
-    hosts = [lit.atom for lit in body if isinstance(lit.atom, (EventAtom, AnnEventAtom))
+    hosts = [lit.atom for lit in body if isinstance(lit.atom, EventAtom)
              and all(map(named, lit.atom.args))]
     for _ in range(rng.randint(0, 3)):
         kind = rng.random()
@@ -624,7 +623,7 @@ def test_compiled_plans_match_nested_loop_reference_on_tests_and_sorts():
         delta = None
         if rng.random() < 0.4:
             idx = rng.choice([i for i, lit in enumerate(body) if not lit.negated and isinstance(
-                lit.atom, (AtemporalAtom, ObservationAtom, EventAtom, AnnEventAtom))])
+                lit.atom, (AtemporalAtom, ObservationAtom, EventAtom))])
             facts = _all_facts(body[idx].atom, dataset, events)
             delta = (idx, rng.sample(facts, rng.randint(0, len(facts))))
             forced_runs += 1

@@ -11,11 +11,9 @@ from timeloom import (
     AtemporalFact,
     Dataset,
     EnumerationCapExceeded,
-    GuardViolated,
     Interval,
     ObservationFact,
     cautious_core,
-    greedy_preferred,
     infer_all_simple,
     infer_meta,
     is_consistent,
@@ -31,7 +29,6 @@ from timeloom.repair import clash_pairs, conflict_hypergraph
 
 from conftest import (
     PLAIN_TES,
-    TWO_LEVEL_NONPERSISTENT,
     VARIED_CONSTRAINTS,
     random_fact_set,
     random_guard_instance,
@@ -159,7 +156,7 @@ def test_two_level_example_preferred(np_tes, empty_dataset):
     assert pref.exhaustive
     assert pref.repairs == (R1,)
     se = infer_all_simple(empty_dataset, np_tes)
-    assert greedy_preferred(se, np_tes) == R1
+    assert preferred_repairs(empty_dataset, np_tes, se=se).repairs == (R1,)
     assert brute_preferred(brute_repairs(empty_dataset, np_tes)) == (R1,)
 
 
@@ -182,15 +179,15 @@ def test_empty_event_set_has_one_empty_repair():
     assert cautious_core(EMPTY, PLAIN_TES, se=frozenset()) == frozenset()
 
 
-# a level-2 termination rule: outside the guard of greedy_preferred, so
-# weaker levels may hold several preferred choices
+# a level-2 termination rule: weaker levels may hold several preferred
+# choices
 LEVEL_2_ENDS = parse_tes(
     "decl nonpersistent e/1.\nexists(e(x), 0, 1).\nends(e(x), 3, 2).\nwindow(e(X), 1).")
 
 
 def test_conflict_graph_path_matches_brute():
     rng = random.Random(7)
-    assert LEVEL_2_ENDS.termination_levels() == {2}
+    assert {r.level for r in LEVEL_2_ENDS.termination} == {2}
     several = 0
     for _ in range(40):
         se = random_fact_set(rng)
@@ -392,24 +389,14 @@ def test_hypergraph_path_matches_brute_on_varied_constraints():
     assert widest >= 3 and none > 0
 
 
-def test_greedy_guard_violations():
-    se = frozenset({ev(2, 4, 1, pred="p", args=()), ev(9, 9, 1, pred="q", args=())})
-    with pytest.raises(GuardViolated) as err:
-        greedy_preferred(se, CONSTRAINED)
-    assert "DomainConstraintsPresent" in str(err.value)
-    weak_ends = parse_tes(TWO_LEVEL_NONPERSISTENT.replace(
-        "ends(e, 8, 1).", "ends(e, 8, 2)."))
-    with pytest.raises(GuardViolated) as err:
-        greedy_preferred(se, weak_ends)
-    assert "TerminationLevelAboveOne" in str(err.value)
-
-
 def test_greedy_matches_brute_preferred_on_guard_instances():
     rng = random.Random(17)
     for _ in range(30):
         se, tes = random_guard_instance(rng)
         reps = brute_repairs(EMPTY, tes, se=se)
-        assert (greedy_preferred(se, tes),) == brute_preferred(reps)
+        got = preferred_repairs(EMPTY, tes, se=se)
+        assert got.exhaustive and got.repairs == brute_preferred(reps)
+        assert len(got.repairs) == 1
 
 
 def test_preferred_filter_with_constraints():
