@@ -3,7 +3,7 @@
     timeloom run --rules care.tes --data ward.facts --mode consistent
 
 Outputs are deterministic: facts are sorted, JSON key order is fixed, and
-partitioned runs are assembled in entity order regardless of worker timing.
+partitioned runs are solved and assembled in entity order.
 Exit codes: 0 success, 1 rule or data error, 2 enumeration cap exceeded (or
 recursion or memory exhausted during enumeration), 3 check-mode target not
 recognized.
@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import pickle
 import sys
 from bisect import bisect_left
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -44,10 +41,6 @@ from .model import (
     value_key,
 )
 from .repair import DEFAULT_CAP, TimelineResult, recognize_timeline, timeline
-
-# silent unless the application configures logging
-log = logging.getLogger("timeloom")
-log.addHandler(logging.NullHandler())
 
 
 @dataclass(frozen=True)
@@ -290,24 +283,6 @@ def _solve(fn, *args, **kwargs):
         raise ResourceExhausted("out of memory during enumeration") from None
 
 
-def _entity_job(job: tuple) -> tuple:
-    key, dataset, tes, mode, cap = job
-    return key, _solve(timeline, dataset, tes, mode, cap)
-
-
-def _run_entities(jobs: list[tuple]) -> list[tuple]:
-    if len(jobs) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-                return list(pool.map(_entity_job, jobs))
-        except TimeloomError:
-            raise
-        except (OSError, RuntimeError, pickle.PicklingError):
-            log.warning("no worker pool (running %d entities in-process)", len(jobs),
-                        exc_info=True)
-    return [_entity_job(j) for j in jobs]
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 
@@ -332,7 +307,7 @@ def run(config: RunConfig) -> int:
                 raise TypeError("the top level is not a JSON object")
             kind = target.get("kind", "consistent")
             facts = frozenset(fact_from_json(x) for x in target["facts"])
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, InvalidInterval) as e:
             raise IoError(f"bad check target {config.check_target_path}: {e}") from None
         if kind not in ("consistent", "preferred"):
             raise IoError(f"bad check target kind {kind!r}")
@@ -342,10 +317,9 @@ def run(config: RunConfig) -> int:
 
     exhaustive = True
     if config.partition_by is not None:
-        parts = partition_dataset(dataset, config.partition_by)
-        jobs = [(k, ds, tes, config.mode, config.cap) for k, ds in parts]
         entities = []
-        for key, result in _run_entities(jobs):
+        for key, part in partition_dataset(dataset, config.partition_by):
+            result = _solve(timeline, part, tes, config.mode, config.cap)
             entities.append({"entity": key,
                              **result_to_json(result, tes, config.now, config.max_models)})
             exhaustive = exhaustive and result.exhaustive

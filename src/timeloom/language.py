@@ -973,7 +973,7 @@ def _stratify(meta_rules: tuple[MetaRule, ...], decls: Mapping[str, PredicateDec
                     low[parent] = min(low[parent], low[v])
 
     comp_of = {p: i for i, comp in enumerate(sccs) for p in comp}
-    for src, dst in neg_edges:
+    for src, dst in sorted(neg_edges):
         if comp_of[src] == comp_of[dst]:
             raise NotStratified(sccs[comp_of[src]])
 

@@ -9,6 +9,7 @@ test as soon as its variables are bound.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter, eq, itemgetter
@@ -432,28 +433,33 @@ def check_validity(aux: AuxStore, tes: TES) -> None:
 @dataclass(frozen=True)
 class LevelTimepoints:
     """Cumulative per-level existence and termination timepoints for one
-    event instance: level l sees all evidence with confidence <= l."""
+    event instance: level l sees all evidence with confidence <= l. Only the
+    levels some evidence names are stored; any other level sees what the
+    nearest named level below it sees, so a level of 10**9 costs one entry."""
 
     key: EventKey
-    exists_by_level: tuple[tuple[int, ...], ...]
+    levels: tuple[int, ...]  # ascending, each named by some evidence
+    exists_by_level: tuple[tuple[int, ...], ...]  # one per entry of `levels`
     ends_by_level: tuple[tuple[int, ...], ...]
 
     @property
     def max_level(self) -> int:
-        return len(self.exists_by_level)
+        return self.levels[-1] if self.levels else 0
 
     def exists_at(self, level: int) -> tuple[int, ...]:
-        return self.exists_by_level[level - 1]
+        i = bisect_right(self.levels, level)
+        return self.exists_by_level[i - 1] if i else ()
 
     def ends_at(self, level: int) -> tuple[int, ...]:
-        return self.ends_by_level[level - 1]
+        i = bisect_right(self.levels, level)
+        return self.ends_by_level[i - 1] if i else ()
 
 
 def level_timepoints(aux: AuxStore, key: EventKey) -> LevelTimepoints:
     ex, en = aux.exists_of(key), aux.ends_of(key)
-    top = max((lvl for _, lvl in ex + en), default=0)
+    levels = sorted({lvl for _, lvl in ex + en})
     ex_cum, en_cum = [], []
-    for lvl in range(1, top + 1):
+    for lvl in levels:
         ex_cum.append(tuple(sorted({t for t, l in ex if l <= lvl})))
         en_cum.append(tuple(sorted({t for t, l in en if l <= lvl})))
-    return LevelTimepoints(key, tuple(ex_cum), tuple(en_cum))
+    return LevelTimepoints(key, tuple(levels), tuple(ex_cum), tuple(en_cum))

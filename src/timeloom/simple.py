@@ -32,7 +32,7 @@ def infer_nonpersistent(tp: LevelTimepoints, w: int) -> set[tuple[Interval, int]
     """All maximal intervals of a non-persistent instance, per level."""
     out: set[tuple[Interval, int]] = set()
     seen: set[Interval] = set()
-    for level in range(1, tp.max_level + 1):
+    for level in tp.levels:  # an unnamed level repeats the one below it
         te = list(tp.exists_at(level))
         tx = list(tp.ends_at(level))
         for a, b in _np_maximal(te, tx, w):
@@ -82,7 +82,7 @@ def infer_persistent(tp: LevelTimepoints) -> set[tuple[Interval, int]]:
     """
     out: set[tuple[Interval, int]] = set()
     seen: set[Interval] = set()
-    for level in range(1, tp.max_level + 1):
+    for level in tp.levels:  # an unnamed level repeats the one below it
         tx = list(tp.ends_at(level))
         first_start: dict = {}  # end -> earliest start reaching it
         for t1 in tp.exists_at(level):  # ascending

@@ -78,7 +78,7 @@ def make_timepoints(exists_raw, ends_raw, key=("e", ())):
         seen_t |= set(ends_raw[lvl]) if lvl < len(ends_raw) else set()
         ex.append(tuple(sorted(seen_e)))
         en.append(tuple(sorted(seen_t)))
-    return LevelTimepoints(key, tuple(ex), tuple(en))
+    return LevelTimepoints(key, tuple(range(1, levels + 1)), tuple(ex), tuple(en))
 
 
 def random_timepoint_config(rng: random.Random, max_points=14, max_levels=3,

@@ -1,7 +1,6 @@
 """End-to-end command-line runs: documents, formats, and exit codes."""
 
 import json
-import logging
 import random
 import subprocess
 import sys
@@ -180,7 +179,7 @@ def test_recursion_and_memory_exhaustion_exit_2(ward, monkeypatch, capsys, exc):
 
     monkeypatch.setattr(cli, "timeline", exhausted)
     monkeypatch.setattr(cli, "recognize_timeline", exhausted)
-    (ward / "one.facts").write_text("obs adm(p1, 0).\n")  # one entity: no worker pool
+    (ward / "one.facts").write_text("obs adm(p1, 0).\n")
     target = ward / "target.json"
     target.write_text(json.dumps({"facts": [P1_JSON]}))
     base = ("run", "--rules", str(ward / "care.tes"), "--data", str(ward / "one.facts"))
@@ -290,9 +289,12 @@ def test_check_target_level_and_args_are_strict(figured, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
 
-@pytest.mark.parametrize("text", ["[]", '"x"', '{"facts": [{"pred": 5, "args": [], '
-                                  '"interval": {"start": 2, "end": "*"}, "level": 1}]}'],
-                         ids=["list", "string", "pred"])
+@pytest.mark.parametrize("text", ["[]", '"x"', *(
+    '{"facts": [{"pred": %s, "args": [], "interval": {"start": %s, "end": %s}, "level": 1}]}'
+    % fields for fields in (("5", "2", '"*"'), ('"e"', "true", '"*"'),
+                            ('"e"', "-1", '"*"'), ('"e"', "5", "2")))],
+                         ids=["list", "string", "pred", "bool-start", "negative-start",
+                              "end-before-start"])
 def test_check_target_must_be_an_object_of_named_facts(figured, capsys, text):
     target = figured / "target.json"
     target.write_text(text)
@@ -347,6 +349,46 @@ def test_partition_by_entity(ward, capsys):
     assert run_cli(*args, "--format", "tsv") == 0
     assert capsys.readouterr().out == ("p1\t0\tsimple\tabth\tp1\t0\t1\t1\n"
                                        "p2\t0\tsimple\tabth\tp2\t5\t5\t1\n")
+
+
+def test_partition_cap_flags_each_entity_and_exits_2(tmp_path, capsys):
+    # p0 has four repairs, more than the cap; p1 has one
+    (tmp_path / "seven.tes").write_text(SEVEN_RULES)
+    (tmp_path / "two.facts").write_text("obs seen(p0, 0).\nobs stop2(p0, 5).\n"
+                                        "obs stop3(p0, 3).\nobs stop4(p0, 1).\n"
+                                        "obs seen(p1, 0).\n")
+    args = ("run", "--rules", str(tmp_path / "seven.tes"),
+            "--data", str(tmp_path / "two.facts"), "--partition-by", "0")
+    assert run_cli(*args, "--mode", "consistent", "--cap", "2") == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exhaustive"] is False
+    assert [(e["entity"], e["exhaustive"], len(e["models"])) for e in doc["entities"]] == [
+        ("p0", False, 2), ("p1", True, 1)]
+
+
+def test_partition_cap_raise_exits_2_without_a_document(figured, capsys):
+    # as in test_cap_raise_exits_2, with the instance's evidence split over
+    # two entities
+    (figured / "neg.tes").write_text(
+        "decl observation seen/1.\ndecl nonpersistent e/1.\n"
+        "exists(e(P), T, 1) :- seen(P, T).\nwindow(e(P), 1).\n"
+        "constraint :- e(P, [T1, T2]), e(P, [T3, T4]), T2 < T3, not e(P, [T2, T3]).\n")
+    (figured / "two.facts").write_text(
+        "".join(f"obs seen({p}, {t}).\n" for p in ("p1", "p2") for t in (0, 3, 6)))
+    assert run_cli("run", "--rules", str(figured / "neg.tes"),
+                   "--data", str(figured / "two.facts"), "--partition-by", "0",
+                   "--mode", "cautious", "--cap", "1") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_process_pool_or_logging():
+    code = ("import sys, timeloom.cli; print(sorted(m for m in ('concurrent.futures', "
+            "'multiprocessing', 'logging', 'pickle') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_partition_shares_atemporal_facts(tmp_path, capsys):
@@ -739,22 +781,3 @@ def test_render_document_matches_json_dumps_on_random_documents():
     for _ in range(600):
         doc = random_document(rng)
         assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
-
-
-def test_pool_failure_is_logged_and_output_unchanged(ward, monkeypatch, caplog, capsys):
-    args = ("run", "--rules", str(ward / "care.tes"), "--data", str(ward / "ward.facts"),
-            "--mode", "consistent", "--partition-by", "0")
-    assert run_cli(*args) == 0
-    pooled = capsys.readouterr().out
-
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise OSError("no semaphores here")
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
-    with caplog.at_level(logging.WARNING, logger="timeloom"):
-        assert run_cli(*args) == 0
-    assert capsys.readouterr().out == pooled
-    [record] = [r for r in caplog.records if r.name == "timeloom"]
-    assert "in-process" in record.getMessage()
-    assert isinstance(record.exc_info[1], OSError)

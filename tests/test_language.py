@@ -1,5 +1,9 @@
 """Rule language: parsing, validation, stratification, and printing."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from timeloom import (
@@ -164,6 +168,26 @@ def test_not_stratified():
     with pytest.raises(NotStratified):
         parse_tes("decl meta a/0.\n"
                   "meta a([T1, T2], 1) :- a([T1, T2], L), start(a, T1).")
+
+
+def test_not_stratified_names_the_same_cycle_under_any_hash_seed(tmp_path):
+    """Of two negation cycles, the one named is fixed by predicate name, not
+    by set order; hash seeds 0 and 2 once named different cycles."""
+    (tmp_path / "two.tes").write_text(
+        "decl persistent e/0.\n" + "".join(f"decl meta {p}/0.\n" for p in "abcd")
+        + "exists_pers(e, 2, 1).\n"
+        + "".join(f"meta {p}(I, L) :- e(I, L), not {q}(I, L).\n"
+                  for p, q in ("ab", "ba", "cd", "dc")))
+    (tmp_path / "e.facts").write_text("")
+    errs = set()
+    for seed in ("0", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "timeloom", "run", "--rules", str(tmp_path / "two.tes"),
+             "--data", str(tmp_path / "e.facts")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 1
+        errs.add(proc.stderr)
+    assert errs == {f"error: {tmp_path / 'two.tes'}: negation cycle through a -> b\n"}
 
 
 def test_recursion_allowed_when_stratified():

@@ -192,7 +192,7 @@ def test_rule_plans_compile_once_per_tes_and_stay_out_of_pickles():
     plans = dict(tes.plans)
     assert len(plans) == len(tes.existence)  # the window rule is schematic
     assert ground_simple_heads(tes, d) == aux and tes.plans == plans
-    clone = pickle.loads(pickle.dumps(tes))  # a worker pool's copy
+    clone = pickle.loads(pickle.dumps(tes))  # a copy sent to another process
     assert clone == tes and clone.plans == {}
     assert ground_simple_heads(clone, d) == aux
 

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from timeloom import (
     STAR,
     AnnotatedEventFact,
+    Dataset,
     Interval,
     ground_simple_heads,
     infer_all_simple,
     infer_nonpersistent,
     infer_persistent,
     level_timepoints,
+    parse_fact_text,
+    parse_tes,
 )
+from timeloom.query import AuxStore
 
 from conftest import make_timepoints, random_timepoint_config
-from oracle import candidate_intervals, oracle_check_interval
+from oracle import candidate_intervals, oracle_check_interval, oracle_infer
 
 
 def iv(a, b):
@@ -135,6 +139,68 @@ def test_persistent_inference_is_linear_in_episodes():
     took = perf_counter() - t0
     assert got == {(iv(10 * i, 10 * i + 5), 1) for i in range(n)}
     assert took < 1.0, f"{took:.2f} s for {n} episodes"
+
+
+# a persistent event existing at 2, one running from its start until a stop,
+# and a non-persistent one chaining two starts that a stop closes; the stops
+# and the first event carry the level under test
+HIGH_LEVEL_RULES = """\
+decl observation begin/1.
+decl observation stop/1.
+decl persistent e/0.
+decl persistent p/1.
+decl nonpersistent n/1.
+exists_pers(e, 2, {level}).
+exists_pers(p(X), T, 1) :- begin(X, T).
+ends(p(X), T, {level}) :- stop(X, T).
+exists(n(X), T, 1) :- begin(X, T).
+window(n(X), 10).
+ends(n(X), T, {level}) :- stop(X, T).
+"""
+
+HIGH_LEVEL_FACTS = "obs begin(a, 1).\nobs begin(a, 3).\nobs stop(a, 6).\n"
+
+
+def test_a_level_of_a_billion_costs_what_level_two_costs():
+    """Inference walks the levels some evidence names, not every level up
+    to the largest, so level 10**9 derives level 2's facts, relabelled."""
+    data = Dataset(parse_fact_text(HIGH_LEVEL_FACTS))
+    got = {}
+    for level in (2, 10**9):
+        t0 = perf_counter()
+        got[level] = infer_all_simple(data, parse_tes(HIGH_LEVEL_RULES.format(level=level)))
+        took = perf_counter() - t0
+        assert took < 2.0, f"{took:.2f} s at level {level}"
+    top = 10**9
+    assert got[top] == {
+        AnnotatedEventFact("e", (), iv(2, STAR), top),
+        AnnotatedEventFact("p", ("a",), iv(1, STAR), 1),
+        AnnotatedEventFact("p", ("a",), iv(1, 6), top),
+        AnnotatedEventFact("n", ("a",), iv(1, 3), 1),
+        AnnotatedEventFact("n", ("a",), iv(1, 6), top),
+    }
+    assert got[2] == {AnnotatedEventFact(f.pred, f.args, f.interval,
+                                         2 if f.level == top else f.level)
+                      for f in got[top]}
+
+
+def test_gapped_levels_match_checker():
+    """Evidence at levels 1, 4 and 9 only: the levels between repeat the
+    named level below them, and inference agrees with the checker, which
+    walks every level."""
+    rng = random.Random(41)
+    key = ("e", ())
+    for _ in range(300):
+        points = range(rng.randint(3, 14))
+        exists = frozenset((key, t, rng.choice((1, 4, 9)))
+                           for t in points if rng.random() < 0.5) or {(key, 0, 4)}
+        ends = frozenset((key, t, rng.choice((1, 4, 9)))
+                         for t in points if rng.random() < 0.25)
+        w = rng.choice((1, 2, 3))
+        tp = level_timepoints(AuxStore(frozenset(exists), ends, frozenset(), frozenset()), key)
+        assert set(tp.levels) == {lvl for _, _, lvl in exists | ends}
+        assert infer_nonpersistent(tp, w) == oracle_infer(tp, False, w)
+        assert infer_persistent(tp) == oracle_infer(tp, True)
 
 
 def test_candidate_intervals_cover():
