@@ -16,7 +16,6 @@ import json
 import sys
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .model import (
     Dataset,
     Interval,
     ObservationFact,
+    Record,
     Value,
     fact_key,
     value_key,
@@ -43,22 +43,18 @@ from .model import (
 from .repair import DEFAULT_CAP, TimelineResult, recognize_timeline, timeline
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: where the rules and data live and how to run."""
+class RunConfig(Record):
+    """One resolved invocation: where the rules and data live and how to run.
+    `data_paths` holds a (data file, mapping file or None) pair per file."""
 
-    rules_path: str
-    data_paths: tuple[tuple[str, str | None], ...]  # (data file, mapping file or None)
-    mode: str
-    check_target_path: str | None = None
-    now: int | None = None
-    max_models: int | None = None
-    cap: int = DEFAULT_CAP
-    output_format: str = "json"
-    partition_by: int | None = None
-    out_path: str | None = None
+    __slots__ = _fields = ("rules_path", "data_paths", "mode", "check_target_path", "now",
+                           "max_models", "cap", "output_format", "partition_by", "out_path")
+    _defaults = {"check_target_path": None, "now": None, "max_models": None,
+                 "cap": DEFAULT_CAP, "output_format": "json", "partition_by": None,
+                 "out_path": None}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if (self.mode == "check") != (self.check_target_path is not None):
             raise ValueError("--check is required for mode check and only there")
 

@@ -16,9 +16,7 @@ columns, and the timestamp column:
 
 from __future__ import annotations
 
-import csv
 import re
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import (
@@ -190,6 +188,8 @@ def _timestamp(raw: str, fmt: str) -> int:
         if not NATURAL.fullmatch(raw):
             raise MalformedTimestamp(f"timestamp {raw!r} is not a natural number")
         return int(raw)
+    from datetime import datetime, timezone  # only CSV files with RFC 3339 stamps need it
+
     try:
         dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError:
@@ -213,6 +213,8 @@ def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:
     cols = mapping["columns"]
     ts_col = mapping["timestamp_column"]
     fmt = mapping["timestamp_format"]
+    import csv  # only mapped CSV files need it
+
     out: list[ObservationFact] = []
     for rn, row in enumerate(csv.reader(csv_text.splitlines()), start=1):
         if not row or all(not c.strip() for c in row):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Union
 
 from .errors import (
@@ -52,6 +51,7 @@ from .model import (
     IntervalFn,
     IntervalTerm,
     Nat,
+    Record,
     SortKind,
     StarTerm,
     Term,
@@ -85,76 +85,54 @@ EVENT_KINDS = (PredKind.NONPERSISTENT, PredKind.PERSISTENT, PredKind.META)
 SIMPLE_KINDS = (PredKind.NONPERSISTENT, PredKind.PERSISTENT)
 
 
-@dataclass(frozen=True)
-class PredicateDecl:
-    name: str
-    arity: int
-    kind: PredKind
+class PredicateDecl(Record):
+    __slots__ = _fields = ("name", "arity", "kind")
 
 
 # ---------------------------------------------------------------------------
 # Atoms and literals
 
 
-@dataclass(frozen=True)
-class AtemporalAtom:
-    pred: str
-    args: tuple[Term, ...]
+class AtemporalAtom(Record):
+    __slots__ = _fields = ("pred", "args")  # args: a tuple of terms
 
 
-@dataclass(frozen=True)
-class ObservationAtom:
-    pred: str
-    args: tuple[Term, ...]
-    t: Term
+class ObservationAtom(Record):
+    __slots__ = _fields = ("pred", "args", "t")
 
 
-@dataclass(frozen=True)
-class EventAtom:
+class EventAtom(Record):
     """An event atom; constraint bodies give it no confidence position, so
     its `level` is None there."""
 
-    pred: str
-    args: tuple[Term, ...]
-    interval: Term
-    level: Term | None = None
+    __slots__ = _fields = ("pred", "args", "interval", "level")
+    _defaults = {"level": None}
 
 
-@dataclass(frozen=True)
-class Comparison:
-    op: str  # "!=", "<", "<="
-    lhs: Term
-    rhs: Term
+class Comparison(Record):
+    __slots__ = _fields = ("op", "lhs", "rhs")  # op: "!=", "<" or "<="
 
 
-@dataclass(frozen=True)
-class AllenTest:
+class AllenTest(Record):
     """Exact Allen-relation test between two interval terms."""
 
-    name: str
-    a: Term
-    b: Term
+    __slots__ = _fields = ("name", "a", "b")
 
 
-@dataclass(frozen=True)
-class ExtremumTest:
+class ExtremumTest(Record):
     """start(p(x),T) / end(p(x),T): T equals the least start (greatest end)
     over all stored intervals for that event instance, at any level."""
 
-    name: str  # "start" or "end"
-    pred: str
-    args: tuple[Term, ...]
-    t: Term
+    __slots__ = _fields = ("name", "pred", "args", "t")  # name: "start" or "end"
 
 
 Atom = Union[AtemporalAtom, ObservationAtom, EventAtom, Comparison, AllenTest, ExtremumTest]
 BUILTIN_ATOMS = (Comparison, AllenTest, ExtremumTest)
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: Atom
-    negated: bool = False
+class Literal(Record):
+    __slots__ = _fields = ("atom", "negated")
+    _defaults = {"negated": False}
 
 
 def atom_terms(a: Atom) -> list[tuple[Term, SortKind | None]]:
@@ -188,63 +166,50 @@ def is_test(lit: Literal) -> bool:
 # Rules
 
 
-@dataclass(frozen=True)
-class PointRule:
+class _Rule(Record):
+    """A rule ends with its source line and, once validated, the sort of
+    each variable (a Mapping[str, SortKind]); neither takes part in
+    equality."""
+
+    __slots__ = ()
+    _uncompared = ("line", "var_sorts")
+    _defaults = {"line": 0, "var_sorts": None}
+
+
+class PointRule(_Rule):
     """An existence rule (exists, exists_pers) or a termination rule (ends)."""
 
-    pred: str
-    args: tuple[Term, ...]
-    t: Term
-    level: int
-    body: tuple[Literal, ...]
-    line: int = field(default=0, compare=False)
-    var_sorts: Mapping[str, SortKind] = field(default=None, compare=False)
+    __slots__ = _fields = ("pred", "args", "t", "level", "body", "line", "var_sorts")
 
 
-@dataclass(frozen=True)
-class WindowRule:
-    pred: str
-    args: tuple[Term, ...]
-    w: Term
-    body: tuple[Literal, ...]
-    line: int = field(default=0, compare=False)
-    var_sorts: Mapping[str, SortKind] = field(default=None, compare=False)
+class WindowRule(_Rule):
+    __slots__ = _fields = ("pred", "args", "w", "body", "line", "var_sorts")
 
 
-@dataclass(frozen=True)
-class MetaRule:
-    pred: str
-    args: tuple[Term, ...]
-    interval: Term
-    level: Term
-    body: tuple[Literal, ...]
-    line: int = field(default=0, compare=False)
-    var_sorts: Mapping[str, SortKind] = field(default=None, compare=False)
+class MetaRule(_Rule):
+    __slots__ = _fields = ("pred", "args", "interval", "level", "body", "line", "var_sorts")
 
 
-@dataclass(frozen=True)
-class Constraint:
-    body: tuple[Literal, ...]
-    line: int = field(default=0, compare=False)
-    var_sorts: Mapping[str, SortKind] = field(default=None, compare=False)
+class Constraint(_Rule):
+    __slots__ = _fields = ("body", "line", "var_sorts")
 
 
 Rule = Union[PointRule, WindowRule, MetaRule, Constraint]
 
 
-@dataclass(frozen=True, eq=False)
-class TES:
-    """A validated rule set: declarations, rules, constraints, and strata."""
+class TES(Record):
+    """A validated rule set: declarations (name -> PredicateDecl), the rules
+    of each kind as tuples, constraints, and strata."""
 
-    decls: Mapping[str, PredicateDecl]
-    existence: tuple[PointRule, ...]
-    termination: tuple[PointRule, ...]
-    windows: tuple[WindowRule, ...]
-    meta_rules: tuple[MetaRule, ...]
-    constraints: tuple[Constraint, ...]
-    strata: tuple[tuple[str, ...], ...]
-    # id of a rule -> (rule, its compiled join plan), built by query.rule_plan
-    plans: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("decls", "existence", "termination", "windows", "meta_rules",
+                 "constraints", "strata", "plans")
+    _fields = __slots__[:-1]
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # id of a rule -> (rule, its compiled join plan), built by
+        # query.rule_plan; plans hold closures, so pickles leave them out
+        object.__setattr__(self, "plans", {})
 
     def kind(self, pred: str) -> PredKind:
         return self.decls[pred].kind
@@ -290,10 +255,6 @@ class TES:
                     return True
         return False
 
-    def __getstate__(self):
-        # plans hold closures, keyed by ids that do not survive pickling
-        return {**self.__dict__, "plans": {}}
-
     def __eq__(self, other):
         if not isinstance(other, TES):
             return NotImplemented
@@ -307,12 +268,8 @@ class TES:
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Token(Record):
+    __slots__ = _fields = ("kind", "text", "line", "col")
 
 
 # A natural is a run of ASCII digits in rule files, fact files, CSV cells and
@@ -873,7 +830,7 @@ def _validate_rule(rule: Rule) -> Rule:
     for term, ctx in head_positions(rule):
         walk.term(term, ctx)
     if is_schematic_window(rule):
-        return replace(rule, var_sorts=dict(walk.sorts))
+        return rule._replace(var_sorts=dict(walk.sorts))
     for lit in rule.body:
         if not isinstance(lit.atom, Comparison):
             for term, ctx in atom_terms(lit.atom):
@@ -905,7 +862,7 @@ def _validate_rule(rule: Rule) -> Rule:
             raise SafetyViolation(_rule_name(rule), "_", rule.line)
         if v.name not in bound:
             raise SafetyViolation(_rule_name(rule), v.name, rule.line)
-    return replace(rule, var_sorts=dict(walk.sorts))
+    return rule._replace(var_sorts=dict(walk.sorts))
 
 
 # ---------------------------------------------------------------------------

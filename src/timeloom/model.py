@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -23,22 +22,103 @@ Value = Union[str, int]
 Timepoint = int
 
 
-@dataclass(frozen=True)
-class Interval:
+_MISSING = object()
+
+
+class Record:
+    """Base of the immutable value classes; creating a subclass generates
+    no code. A subclass keeps its values in `__slots__`, whose first names,
+    listed in `_fields`, are its constructor arguments in order; trailing
+    ones may have `_defaults`. Equality, hashing, `repr`, pickling and
+    `_replace` read the fields. An instance equals only instances of its own
+    class whose fields are equal, the `_uncompared` ones aside."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        # the setter of each field, then of each other slot: __setattr__
+        # refuses, so constructors store through these
+        names = cls._fields + tuple([name for name in cls.__slots__ if name not in cls._fields])
+        cls._setters = tuple([getattr(cls, name).__set__ for name in names])
+        compared = tuple([name for name in cls._fields if name not in cls._uncompared])
+        # an instance's compared fields as a tuple
+        cls._key_of = staticmethod(attrgetter(*compared) if len(compared) > 1 else
+                                   lambda self: tuple([getattr(self, n) for n in compared]))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._complete(args, kwargs)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
+
+    @classmethod
+    def _complete(cls, args: tuple, kwargs: dict) -> list:
+        """The value of each field, from a call that names some of them or
+        leaves some to their defaults."""
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}")
+        values = list(args)
+        for name in cls._fields[len(args):]:
+            values.append(kwargs.pop(name, cls._defaults.get(name, _MISSING)))
+            if values[-1] is _MISSING:
+                raise TypeError(f"{cls.__name__} missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got an unexpected argument {next(iter(kwargs))!r}")
+        return values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key_of(self) == self._key_of(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key_of(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which validates and stores hashes
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        """A copy with the given fields changed."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _stored_hash(self) -> int:
+    return self._hash
+
+
+class Interval(Record):
     """A closed interval [start, end] over naturals; end may be STAR (ongoing)."""
 
-    start: int
-    end: int | float  # a natural, or STAR
+    __slots__ = ("start", "end", "_hash")
+    _fields = ("start", "end")
+    __hash__ = _stored_hash
 
-    def __post_init__(self):
-        if not isinstance(self.start, int) or isinstance(self.start, bool) or self.start < 0:
-            raise InvalidInterval(f"bad interval start: {self.start!r}")
-        if self.end == STAR:
-            return
-        if not isinstance(self.end, int) or isinstance(self.end, bool) or self.end < 0:
-            raise InvalidInterval(f"bad interval end: {self.end!r}")
-        if self.end < self.start:
-            raise InvalidInterval(f"interval end {self.end} before start {self.start}")
+    def __init__(self, start: int, end: int | float):  # end: a natural, or STAR
+        if not isinstance(start, int) or isinstance(start, bool) or start < 0:
+            raise InvalidInterval(f"bad interval start: {start!r}")
+        if end != STAR:
+            if not isinstance(end, int) or isinstance(end, bool) or end < 0:
+                raise InvalidInterval(f"bad interval end: {end!r}")
+            if end < start:
+                raise InvalidInterval(f"interval end {end} before start {start}")
+        set_start, set_end, set_hash = self._setters
+        set_start(self, start)
+        set_end(self, end)
+        set_hash(self, hash((start, end)))
 
     @property
     def ongoing(self) -> bool:
@@ -95,55 +175,48 @@ class SortKind(enum.Enum):
     INTERVAL = "interval"  # internal: variables standing for whole intervals
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     """A symbolic data constant."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Nat:
+class Nat(Record):
     """A natural-number literal (usable as data or as a timepoint)."""
 
-    value: int
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = _fields = ("name",)
 
     @property
     def is_wildcard(self) -> bool:
         return self.name.startswith("_")
 
 
-@dataclass(frozen=True)
-class StarTerm:
+class StarTerm(Record):
     """The literal ongoing marker in rule text."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FnApp:
+
+class FnApp(Record):
     """Application of min, max, plus, or minus to numeric terms."""
 
-    fn: str
-    args: tuple["Term", ...]
+    __slots__ = _fields = ("fn", "args")  # args: a tuple of terms
 
 
-@dataclass(frozen=True)
-class IntervalTerm:
+class IntervalTerm(Record):
     """A literal interval [lo, hi] built from two endpoint terms."""
 
-    lo: "Term"
-    hi: "Term"
+    __slots__ = _fields = ("lo", "hi")
 
 
-@dataclass(frozen=True)
-class IntervalFn:
+class IntervalFn(Record):
     """Intersection of interval terms; evaluates to None when empty."""
 
-    args: tuple["Term", ...]
+    __slots__ = _fields = ("args",)
 
 
 Term = Union[Const, Nat, Var, StarTerm, FnApp, IntervalTerm, IntervalFn]
@@ -235,27 +308,45 @@ def eval_term(t: Term, binding: Mapping[str, object]):
 # Facts
 
 
-@dataclass(frozen=True)
-class AtemporalFact:
-    pred: str
-    args: tuple[Value, ...]
+class AtemporalFact(Record):
+    __slots__ = ("pred", "args", "_hash")
+    _fields = ("pred", "args")  # args: a tuple of values
+    __hash__ = _stored_hash
+
+    def __init__(self, pred: str, args: tuple[Value, ...]):
+        set_pred, set_args, set_hash = self._setters
+        set_pred(self, pred)
+        set_args(self, args)
+        set_hash(self, hash((pred, args)))
 
 
-@dataclass(frozen=True)
-class ObservationFact:
-    pred: str
-    args: tuple[Value, ...]
-    t: Timepoint
+class ObservationFact(Record):
+    __slots__ = ("pred", "args", "t", "_hash")
+    _fields = ("pred", "args", "t")
+    __hash__ = _stored_hash
+
+    def __init__(self, pred: str, args: tuple[Value, ...], t: Timepoint):
+        set_pred, set_args, set_t, set_hash = self._setters
+        set_pred(self, pred)
+        set_args(self, args)
+        set_t(self, t)
+        set_hash(self, hash((pred, args, t)))
 
 
-@dataclass(frozen=True)
-class AnnotatedEventFact:
+class AnnotatedEventFact(Record):
     """An event over an interval at a confidence level (1 is the strongest)."""
 
-    pred: str
-    args: tuple[Value, ...]
-    interval: Interval
-    level: int
+    __slots__ = ("pred", "args", "interval", "level", "_hash")
+    _fields = ("pred", "args", "interval", "level")
+    __hash__ = _stored_hash
+
+    def __init__(self, pred: str, args: tuple[Value, ...], interval: Interval, level: int):
+        set_pred, set_args, set_interval, set_level, set_hash = self._setters
+        set_pred(self, pred)
+        set_args(self, args)
+        set_interval(self, interval)
+        set_level(self, level)
+        set_hash(self, hash((pred, args, interval, level)))
 
     @property
     def key(self) -> tuple[str, tuple[Value, ...]]:

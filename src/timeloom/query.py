@@ -10,7 +10,6 @@ test as soon as its variables are bound.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter, eq, itemgetter
 from typing import Callable, Mapping
@@ -41,6 +40,7 @@ from .model import (
     Interval,
     Nat,
     ObservationFact,
+    Record,
     SortKind,
     StarTerm,
     Var,
@@ -328,23 +328,21 @@ def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],
 # Grounded simple-event rule heads
 
 
-@dataclass(frozen=True)
-class AuxStore:
+class AuxStore(Record):
     """Grounded existence, termination, and window facts for simple events,
-    grouped by event instance in one pass at construction."""
+    grouped by event instance in one pass at construction: frozensets of
+    (key, timepoint, level) for `exists` and `ends`, of (key, window) for
+    `windows` and of (pred, window) for `default_windows`."""
 
-    exists: frozenset[tuple[EventKey, int, int]]  # (key, timepoint, level)
-    ends: frozenset[tuple[EventKey, int, int]]
-    windows: frozenset[tuple[EventKey, int]]
-    default_windows: frozenset[tuple[str, int]] = frozenset()  # per predicate
-    # key -> (timepoint, level) pairs, key -> windows, pred -> default windows
-    _exists_by_key: dict = field(init=False, repr=False, compare=False)
-    _ends_by_key: dict = field(init=False, repr=False, compare=False)
-    _windows_by_key: dict = field(init=False, repr=False, compare=False)
-    _defaults_by_pred: dict = field(init=False, repr=False, compare=False)
-    _keys: tuple = field(init=False, repr=False, compare=False)
+    # the fields, then key -> (timepoint, level) pairs, key -> windows,
+    # pred -> default windows, and the sorted keys
+    __slots__ = ("exists", "ends", "windows", "default_windows", "_exists_by_key",
+                 "_ends_by_key", "_windows_by_key", "_defaults_by_pred", "_keys")
+    _fields = __slots__[:4]
+    _defaults = {"default_windows": frozenset()}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for name, triples in (("_exists_by_key", self.exists), ("_ends_by_key", self.ends)):
             grouped: dict[EventKey, list[tuple[int, int]]] = {}
             for k, t, lvl in triples:
@@ -430,17 +428,15 @@ def check_validity(aux: AuxStore, tes: TES) -> None:
 # Level-indexed timepoints
 
 
-@dataclass(frozen=True)
-class LevelTimepoints:
+class LevelTimepoints(Record):
     """Cumulative per-level existence and termination timepoints for one
     event instance: level l sees all evidence with confidence <= l. Only the
     levels some evidence names are stored; any other level sees what the
-    nearest named level below it sees, so a level of 10**9 costs one entry."""
+    nearest named level below it sees, so a level of 10**9 costs one entry.
+    `levels` ascend, each named by some evidence; `exists_by_level` and
+    `ends_by_level` hold a tuple of timepoints per entry of `levels`."""
 
-    key: EventKey
-    levels: tuple[int, ...]  # ascending, each named by some evidence
-    exists_by_level: tuple[tuple[int, ...], ...]  # one per entry of `levels`
-    ends_by_level: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("key", "levels", "exists_by_level", "ends_by_level")
 
     @property
     def max_level(self) -> int:

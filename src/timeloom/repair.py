@@ -18,7 +18,6 @@ subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import attrgetter
 from typing import Callable, Iterator
@@ -26,7 +25,7 @@ from typing import Callable, Iterator
 from .errors import EnumerationCapExceeded
 from .language import TES
 from .meta import close_models, combine_supports, infer_meta, meta_provenance
-from .model import AnnotatedEventFact, Dataset, EventStore, fact_key, fact_ranks
+from .model import AnnotatedEventFact, Dataset, EventStore, Record, fact_key, fact_ranks
 from .query import rule_plan
 from .simple import infer_all_simple
 
@@ -92,13 +91,11 @@ def is_consistent(facts, tes: TES, dataset: Dataset) -> bool:
     return not any(rule_plan(tes, c).solve(dataset, store) for c in tes.constraints)
 
 
-@dataclass(frozen=True)
-class RepairSet:
+class RepairSet(Record):
     """Maximal consistent subsets of the inferred simple events, in canonical
     order; exhaustive is False when enumeration stopped at the cap."""
 
-    repairs: tuple[SimpleSet, ...]
-    exhaustive: bool
+    __slots__ = _fields = ("repairs", "exhaustive")
 
 
 class _CapHit(Exception):
@@ -483,14 +480,11 @@ def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     return frozenset() if split is None else split[0]
 
 
-@dataclass(frozen=True)
-class TimelineResult:
+class TimelineResult(Record):
     """Computed timelines for one mode: each model is a full event set,
     simple and meta facts together."""
 
-    mode: str
-    models: tuple[SimpleSet, ...]
-    exhaustive: bool
+    __slots__ = _fields = ("mode", "models", "exhaustive")
 
 
 def timeline(dataset: Dataset, tes: TES, mode: str = "consistent",

@@ -383,12 +383,21 @@ def test_partition_cap_raise_exits_2_without_a_document(figured, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_cli_import_loads_no_process_pool_or_logging():
-    code = ("import sys, timeloom.cli; print(sorted(m for m in ('concurrent.futures', "
-            "'multiprocessing', 'logging', 'pickle') if m in sys.modules))")
+def test_cli_import_loads_no_process_pool_or_logging(tmp_path):
+    # nor dataclasses (which loads inspect); and a run on a native fact
+    # file loads neither the CSV reader nor datetime
+    (tmp_path / "r.tes").write_text("decl observation lab/1.\ndecl persistent e/1.\n"
+                                    "exists_pers(e(P), T, 1) :- lab(P, T).\n")
+    (tmp_path / "d.facts").write_text("obs lab(p1, 4).\n")
+    argv = ["run", "--rules", str(tmp_path / "r.tes"), "--data", str(tmp_path / "d.facts"),
+            "--out", str(tmp_path / "out.json")]
+    code = (f"import sys, timeloom.cli; assert timeloom.cli.main({argv!r}) == 0; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'logging', "
+            "'pickle', 'dataclasses', 'inspect', 'csv', 'datetime') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout == "[]\n"
+    assert json.loads((tmp_path / "out.json").read_text())["models"][0]["simple"]
 
 
 def test_partition_shares_atemporal_facts(tmp_path, capsys):

@@ -1,6 +1,10 @@
-"""Core value model: intervals, the ongoing marker, terms, facts, stores."""
+"""Core value model: intervals, the ongoing marker, terms, facts, stores, and
+the value contract of the slotted classes."""
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -18,7 +22,11 @@ from timeloom import (
     SortError,
     UnboundVariable,
     allen_relation,
+    parse_tes,
+    repairs,
+    timeline,
 )
+from timeloom.language import EventAtom, Literal
 from timeloom.model import (
     Const,
     FnApp,
@@ -221,3 +229,108 @@ def test_event_store_copy_is_independent():
     assert c.by_pred("e") == (f1, f2) and s.by_pred("e") == (f1,)
     assert c.by_key("e", ("a", 2)) == (f2,) and s.by_key("e", ("a", 2)) == ()
     assert f2 in c and f2 not in s and len(s) == 1
+
+
+# ---------------------------------------------------------------------------
+# The value contract of the slotted classes
+
+
+RULES = ("decl observation seen/1.\ndecl observation stop/1.\ndecl persistent e/1.\n"
+         "decl meta m/1.\nexists_pers(e(P), T, 1) :- seen(P, T).\n"
+         "ends(e(P), T, 2) :- stop(P, T).\nmeta m(P, I, L) :- e(P, I, L).\n"
+         "constraint :- e(P, [T1, T2]), m(P, [T1, T2]), T2 < T1.\n")
+FACTS = [AtemporalFact("ab", ("amox",)), ObservationFact("adm", ("p1", 2), 5),
+         AnnotatedEventFact("e", ("p1",), Interval(3, STAR), 1)]
+TERMS = [Const("a"), Nat(2), Var("X"), StarTerm(), FnApp("min", (Var("L"), Nat(2))),
+         IntervalTerm(Var("T"), StarTerm()), IntervalFn((Var("I"), Var("J")))]
+
+
+def test_values_are_equal_only_to_their_own_kind():
+    assert Const("a") != Var("a") and Nat(1) != 1 and StarTerm() == StarTerm()
+    assert Interval(1, 2) != (1, 2) and Interval(1, 2) == Interval(1, 2)
+    for f in FACTS:
+        assert f != tuple(getattr(f, name) for name in f._fields)
+        twin = type(f)(*(getattr(f, name) for name in f._fields))
+        assert twin == f and hash(twin) == hash(f) and twin is not f
+    assert AtemporalFact("e", ("p1",)) != ObservationFact("e", ("p1",), 0)
+    assert len({Const("a"), Var("a"), Nat(1), 1}) == 4
+
+
+def test_rule_line_and_sorts_stay_out_of_equality():
+    rule = parse_tes(RULES).existence[0]
+    moved = rule._replace(line=rule.line + 7, var_sorts={})
+    assert moved == rule and hash(moved) == hash(rule)
+    assert moved.line == rule.line + 7 and moved.var_sorts == {} != rule.var_sorts
+    assert rule._replace(level=2) != rule
+
+
+def test_values_have_no_order_and_refuse_assignment():
+    for a, b in ((Interval(1, 2), Interval(3, 4)), (Const("a"), Const("b")),
+                 (FACTS[0], FACTS[0]), (FACTS[2], FACTS[2])):
+        with pytest.raises(TypeError):
+            a < b
+    for value, name in ((Interval(1, 2), "end"), (FACTS[2], "level"), (Var("X"), "name"),
+                        (parse_tes(RULES).existence[0], "line")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.other = 0
+
+
+def test_constructors_take_keywords_and_defaults():
+    atom = EventAtom("e", (Var("P"),), Var("I"))
+    assert atom.level is None and Literal(atom) == Literal(atom=atom, negated=False)
+    assert EventAtom(pred="e", args=(), interval=Var("I"), level=Nat(1)).level == Nat(1)
+    assert AnnotatedEventFact(pred="e", args=(), interval=Interval(0, 1), level=1) == \
+        AnnotatedEventFact("e", (), Interval(0, 1), 1)
+    for call in (lambda: Const(), lambda: Const("a", "b"), lambda: Const(nom="a"),
+                 lambda: Const("a", name="b"), lambda: Var("X")._replace(nom="Y")):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(InvalidInterval):
+        Interval(2, 5)._replace(end=1)
+
+
+def test_values_survive_pickling():
+    tes = parse_tes(RULES)
+    data = Dataset([ObservationFact("seen", ("p1",), 0), ObservationFact("stop", ("p1",), 4)])
+    rep = repairs(data, tes)
+    result = timeline(data, tes, "consistent")
+    assert len(rep.repairs) == 2 and len(result.models) == 2
+    rules = tes.existence + tes.termination + tes.meta_rules + tes.constraints
+    for value in [*FACTS, Interval(0, 4), *TERMS, *rules, rep, result]:
+        clone = pickle.loads(pickle.dumps(value))
+        assert clone == value and type(clone) is type(value)
+        assert hash(clone) == hash(value)
+    assert [r.var_sorts for r in pickle.loads(pickle.dumps(rules))] == \
+        [r.var_sorts for r in rules]
+
+
+def test_unpickled_facts_hash_under_another_hash_seed():
+    # stored hashes are rebuilt by the constructor, not carried in the pickle
+    code = ("import pickle, sys; from timeloom import AnnotatedEventFact, Interval, STAR\n"
+            "f = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(f in {AnnotatedEventFact('e', ('p1',), Interval(3, STAR), 1)})")
+    outs = {subprocess.run([sys.executable, "-c", code], input=pickle.dumps(FACTS[2]),
+                           capture_output=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")}
+    assert outs == {b"True\n"}
+
+
+def test_repr_keeps_the_dataclass_format():
+    assert repr(FACTS[2]) == \
+        "AnnotatedEventFact(pred='e', args=('p1',), interval=[3,*], level=1)"
+    assert repr(FACTS[1]) == "ObservationFact(pred='adm', args=('p1', 2), t=5)"
+    assert repr(TERMS[4]) == "FnApp(fn='min', args=(Var(name='L'), Nat(value=2)))"
+    assert repr(StarTerm()) == "StarTerm()"
+    tes = parse_tes("decl observation adm/2.\ndecl persistent e/1.\n"
+                    "exists_pers(e(P), T, 1) :- adm(P, D, T), D != 'x'.\n")
+    assert repr(tes.existence[0]) == (
+        "PointRule(pred='e', args=(Var(name='P'),), t=Var(name='T'), level=1, "
+        "body=(Literal(atom=ObservationAtom(pred='adm', args=(Var(name='P'), Var(name='D')), "
+        "t=Var(name='T')), negated=False), Literal(atom=Comparison(op='!=', lhs=Var(name='D'), "
+        "rhs=Const(name='x')), negated=False)), line=3, var_sorts={'P': <SortKind.DATA: "
+        "'data'>, 'T': <SortKind.NAT: 'nat'>, 'D': <SortKind.DATA: 'data'>})")

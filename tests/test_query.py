@@ -4,7 +4,6 @@ import itertools
 import pickle
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -323,7 +322,7 @@ def random_body(rng):
         for _ in range(rng.randint(0, 2)):
             neg = atom(rng.choice(preds), bound)
             if not isinstance(neg, AtemporalAtom):  # free time positions
-                neg = replace(neg, **_unbound_times(neg, wild))
+                neg = neg._replace(**_unbound_times(neg, wild))
             body.append(Literal(neg, negated=True))
     rng.shuffle(body)
     return tuple(body), sorts
