@@ -303,7 +303,7 @@ def run(config: RunConfig) -> int:
                 raise TypeError("the top level is not a JSON object")
             kind = target.get("kind", "consistent")
             facts = frozenset(fact_from_json(x) for x in target["facts"])
-        except (ValueError, KeyError, TypeError, InvalidInterval) as e:
+        except (ValueError, KeyError, TypeError, InvalidInterval, RecursionError) as e:
             raise IoError(f"bad check target {config.check_target_path}: {e}") from None
         if kind not in ("consistent", "preferred"):
             raise IoError(f"bad check target kind {kind!r}")

@@ -312,16 +312,11 @@ def _tokenize(text: str) -> list[_Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        two = text[i:i + 2]
-        if two in _PUNCT:
-            toks.append(_Token(_PUNCT[two], two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            toks.append(_Token(_PUNCT[c], c, line, start_col))
-            i += 1
-            col += 1
+        punct = text[i:i + 2] if text[i:i + 2] in _PUNCT else c
+        if punct in _PUNCT:
+            toks.append(_Token(_PUNCT[punct], punct, line, start_col))
+            i += len(punct)
+            col += len(punct)
             continue
         if c.isalpha() or c == "_":
             j = i

@@ -203,20 +203,32 @@ def _components(edges: list[frozenset]) -> list[tuple[list, list[frozenset]]]:
     return comps
 
 
-def _independent_pairwise(n: int, edges: list[tuple[int, ...]],
-                          budget: _Budget) -> Iterator[frozenset[int]]:
-    """Maximal independent sets of a graph on 0..n-1: Bron–Kerbosch with a
-    pivot over the complement graph, iterative, one frame per chosen vertex.
-    A leaf that some skipped vertex could still extend is a dead end."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+def _independent_sets(n: int, edges: list[tuple[int, ...]],
+                      budget: _Budget) -> Iterator[frozenset[int]]:
+    """Maximal independent sets of a hypergraph on 0..n-1: Bron–Kerbosch
+    with a pivot, iterative, one frame per chosen vertex.
+
+    Choosing `v` bars each vertex that some edge of `v` would then have as
+    its only member not chosen; over a pair that is the other member. Every
+    maximal set extending the chosen ones holds the pivot or a vertex that
+    shares an edge with it, so only those need a branch of their own. A
+    leaf that some skipped vertex could still extend is a dead end."""
+    adj: list[set[int]] = [set() for _ in range(n)]  # vertices sharing an edge
+    others: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for e in edges:
+        for v in e:
+            rest = tuple(u for u in e if u != v)
+            adj[v].update(rest)
+            others[v].append(rest)
+    is_chosen = [False] * n
+
+    def bars(v: int) -> set[int]:
+        frees = ([u for u in rest if not is_chosen[u]] for rest in others[v])
+        return {free[0] for free in frees if len(free) == 1}
 
     def branches(allowed: set[int], seen: set[int]) -> Iterator[int]:
-        # the pivot has the most compatible allowed vertices (the fewest
-        # allowed neighbours, itself counted); only it and its neighbours
-        # need a branch of their own
+        # the pivot shares an edge with the fewest allowed vertices, itself
+        # counted when allowed
         pivot = min(allowed | seen,
                     key=lambda u: len(adj[u] & allowed) + (u in allowed))
         return iter(sorted(allowed & (adj[pivot] | {pivot})))
@@ -230,14 +242,16 @@ def _independent_pairwise(n: int, edges: list[tuple[int, ...]],
         if v is None:
             stack.pop()
             if stack:
-                chosen.pop()
+                is_chosen[chosen.pop()] = False
             continue
-        sub_allowed = allowed - adj[v]
+        barred = bars(v)
+        sub_allowed = allowed - barred
         sub_allowed.discard(v)
-        sub_seen = seen - adj[v]
+        sub_seen = seen - barred
         allowed.discard(v)
         seen.add(v)
         chosen.append(v)
+        is_chosen[v] = True
         if sub_allowed:
             stack.append((sub_allowed, sub_seen, branches(sub_allowed, sub_seen)))
             continue
@@ -245,74 +259,7 @@ def _independent_pairwise(n: int, edges: list[tuple[int, ...]],
             budget.spend()
         else:
             yield frozenset(chosen)
-        chosen.pop()
-
-
-def _independent_hyper(n: int, edges: list[tuple[int, ...]],
-                       budget: _Budget) -> Iterator[frozenset[int]]:
-    """Maximal independent sets of a hypergraph on 0..n-1: decide each
-    vertex in turn, include before exclude, iterative.
-
-    A vertex is included unless that completes an edge. An excluded vertex
-    must end up blocked: some edge of it with every other member included.
-    The exclude branch is cut, a dead end, as soon as some excluded vertex
-    has no edge left without another excluded member. So every leaf reached
-    is a maximal independent set, and every path ends in one or in a dead
-    end.
-    """
-    of: list[list[int]] = [[] for _ in range(n)]
-    for k, e in enumerate(edges):
-        for v in e:
-            of[v].append(k)
-    room = [len(e) - 1 for e in edges]  # members not yet included, less one
-    excluded_in = [0] * len(edges)
-    excluded = [False] * n
-
-    def blockable(v: int) -> bool:
-        return any(excluded_in[k] == 1 for k in of[v])
-
-    def set_excluded(v: int, on: bool) -> None:
-        excluded[v] = on
-        for k in of[v]:
-            excluded_in[k] += 1 if on else -1
-
-    def set_included(v: int, on: bool) -> None:
-        for k in of[v]:
-            room[k] += -1 if on else 1
-
-    choice: list[bool] = []  # the decision for vertices 0..len-1
-    tried = [0] * (n + 1)  # per depth: 0 none, 1 include tried, 2 both tried
-    depth = 0
-    while depth >= 0:
-        if depth == n:
-            yield frozenset(v for v in range(n) if choice[v])
-        elif tried[depth] == 0:
-            tried[depth] = 1
-            if all(room[k] > 0 for k in of[depth]):
-                set_included(depth, True)
-                choice.append(True)
-                depth += 1
-                tried[depth] = 0
-                continue
-        if depth < n and tried[depth] == 1:
-            tried[depth] = 2
-            set_excluded(depth, True)
-            if blockable(depth) and all(
-                    blockable(y) for k in of[depth] for y in edges[k]
-                    if y != depth and excluded[y]):
-                choice.append(False)
-                depth += 1
-                tried[depth] = 0
-                continue
-            set_excluded(depth, False)
-            budget.spend()
-        # this depth is exhausted: undo the decision above it
-        depth -= 1
-        if depth >= 0:
-            if choice.pop():
-                set_included(depth, False)
-            else:
-                set_excluded(depth, False)
+        is_chosen[chosen.pop()] = False
 
 
 def _split_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget
@@ -352,9 +299,7 @@ def _component_results(facts: list, edges: list[frozenset], budget: _Budget,
         live = [f for f in layer if f in touched]  # in canonical order
         pos = {f: i for i, f in enumerate(live)}
         index_edges = [tuple(pos[f] for f in e) for e in live_edges]
-        pairwise = all(len(e) == 2 for e in index_edges)
-        search = _independent_pairwise if pairwise else _independent_hyper
-        for pick in search(len(live), index_edges, budget) if live else ((),):
+        for pick in _independent_sets(len(live), index_edges, budget) if live else ((),):
             yield from extend(k + 1, kept.union(live[i] for i in pick))
 
     return extend(0, frozenset())

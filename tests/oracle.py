@@ -71,6 +71,16 @@ def _subset(facts: list, mask: int) -> frozenset:
     return frozenset(f for i, f in enumerate(facts) if mask >> i & 1)
 
 
+def brute_independent_sets(n: int, edges) -> set[frozenset[int]]:
+    """The maximal independent sets of a hypergraph on 0..n-1: the subsets
+    holding no edge to which no vertex can be added, by scanning all
+    subsets."""
+    masks = [sum(1 << v for v in e) for e in edges]
+    free = [not any(s & m == m for m in masks) for s in range(1 << n)]
+    return {frozenset(v for v in range(n) if s >> v & 1) for s in range(1 << n)
+            if free[s] and not any(free[s | 1 << v] for v in range(n) if not s >> v & 1)}
+
+
 def brute_preferred(reps: tuple[SimpleSet, ...]) -> tuple[SimpleSet, ...]:
     """Filter repairs to those no other repair beats at the first
     confidence level where the two differ."""

@@ -172,6 +172,20 @@ def test_preferred_of_many_independent_instances_exits_0(tmp_path, capsys):
         for i in range(7)]
 
 
+def test_star_of_triples_exits_0_at_the_default_cap(tmp_path, capsys):
+    # eight entities, each `a(p)` and `b(p)` forming an edge of three with
+    # one `c`: 2^8 repairs keep `c`, one drops it
+    rules = ["decl persistent a/1.", "decl persistent b/1.", "decl persistent c/0.",
+             *(f"exists_pers({pred}(p{i}), 0, 1)." for i in range(8) for pred in "ab"),
+             "exists_pers(c, 0, 1).", "constraint :- a(P, I1), b(P, I2), c(I3)."]
+    (tmp_path / "star.tes").write_text("\n".join(rules) + "\n")
+    (tmp_path / "empty.facts").write_text("")
+    assert run_cli("run", "--rules", str(tmp_path / "star.tes"),
+                   "--data", str(tmp_path / "empty.facts"), "--mode", "consistent") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exhaustive"] is True and len(doc["models"]) == 257
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
 def test_recursion_and_memory_exhaustion_exit_2(ward, monkeypatch, capsys, exc):
     def exhausted(*args, **kwargs):
@@ -292,9 +306,10 @@ def test_check_target_level_and_args_are_strict(figured, capsys, field, value):
 @pytest.mark.parametrize("text", ["[]", '"x"', *(
     '{"facts": [{"pred": %s, "args": [], "interval": {"start": %s, "end": %s}, "level": 1}]}'
     % fields for fields in (("5", "2", '"*"'), ('"e"', "true", '"*"'),
-                            ('"e"', "-1", '"*"'), ('"e"', "5", "2")))],
+                            ('"e"', "-1", '"*"'), ('"e"', "5", "2"))),
+    "[" * 100000 + "]" * 100000],
                          ids=["list", "string", "pred", "bool-start", "negative-start",
-                              "end-before-start"])
+                              "end-before-start", "nested-past-the-recursion-limit"])
 def test_check_target_must_be_an_object_of_named_facts(figured, capsys, text):
     target = figured / "target.json"
     target.write_text(text)

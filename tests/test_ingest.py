@@ -43,13 +43,15 @@ def test_parse_fact_text():
 
 # each text with the token walk's message, line and column
 REJECTED = {
-    "atemporal ab(a)": ("expected '.', found ''", 1, 17),  # missing period
+    "atemporal ab(a)": ("expected '.', found ''", 1, 16),  # missing period
     "fact f(1).": ("expected 'atemporal' or 'obs', found 'fact'", 1, 1),  # unknown keyword
     # a symbol where the timestamp belongs, and no timestamp at all
     "obs adm(p1).": ("observation adm needs a natural timestamp last", 1, 5),
     "obs adm.": ("observation adm needs a natural timestamp last", 1, 5),
     "obs adm(p1, 5) obs": ("expected '.', found 'obs'", 1, 16),  # runs into the next
     "atemporal ab(a,).": ("expected a constant or natural, found ')'", 1, 16),  # dangling comma
+    # input ending in a one-character token ends in the column after it
+    "obs a(": ("expected a constant or natural, found ''", 1, 7),
     # naturals are ASCII digits: int() rejects "\u00b2", and "\u0665" is no longer 5
     "obs lab(p1,\n  5\u00b2).": ("unexpected character '\u00b2'", 2, 4),
     "obs lab(p1, \u0665).": ("unexpected character '\u0665'", 1, 13),

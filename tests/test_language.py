@@ -280,3 +280,10 @@ def test_terms_nest_at_most_max_term_depth():
     assert (err.value.line, err.value.col) == (3, 11 + 4 * MAX_TERM_DEPTH)
     with pytest.raises(ParseError):
         parse_tes(_nested_min_rules(1000))
+
+
+def test_end_of_input_is_the_column_after_a_one_character_token():
+    with pytest.raises(ParseError) as err:
+        parse_tes("decl atemporal ab/")
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "expected an arity, found ''", 1, 19)

@@ -25,7 +25,7 @@ from timeloom import (
     timeline,
 )
 from timeloom.model import fact_key
-from timeloom.repair import clash_pairs, conflict_hypergraph
+from timeloom.repair import _Budget, _independent_sets, clash_pairs, conflict_hypergraph
 
 from conftest import (
     PLAIN_TES,
@@ -36,6 +36,7 @@ from conftest import (
 )
 from oracle import (
     Cnf3,
+    brute_independent_sets,
     brute_preferred,
     brute_repairs,
     encode_3sat_cautious,
@@ -336,6 +337,46 @@ def test_long_components_need_no_recursion():
         assert len(r) > 1000 and is_consistent(r, tes, EMPTY)
         left_out = sorted(links - r, key=lambda f: f.args)
         assert not any(is_consistent(r | {f}, tes, EMPTY) for f in left_out[::100])
+
+
+def test_independent_sets_match_brute_on_random_hypergraphs():
+    # each maximal independent set comes exactly once, whatever the mix of
+    # pairs and larger edges
+    rng = random.Random(29)
+    wide = 0
+    for _ in range(1000):
+        n = rng.randint(1, 10)
+        edges = {tuple(sorted(rng.sample(range(n), rng.randint(2, min(4, n)))))
+                 for _ in range(rng.randint(0, 12) if n > 1 else 0)}
+        found = list(_independent_sets(n, sorted(edges), _Budget(10 ** 6)))
+        assert len(found) == len(set(found))
+        assert set(found) == brute_independent_sets(n, edges)
+        wide += any(len(e) > 2 for e in edges)
+    assert wide > 500
+
+
+STAR_TES = parse_tes("decl persistent a/1.\ndecl persistent b/1.\ndecl persistent c/0.\n"
+                     "constraint :- a(P, I1), b(P, I2), c(I3).")
+
+
+def star_facts(pairs: int) -> frozenset:
+    """`a(p)` and `b(p)` for each of `pairs` entities, and one `c`: each pair
+    forms an edge of three with `c`, so there are 2**pairs + 1 repairs."""
+    return frozenset([AnnotatedEventFact(pred, (f"p{i}",), Interval(0, 1), 1)
+                      for i in range(pairs) for pred in "ab"]
+                     + [AnnotatedEventFact("c", (), Interval(0, 1), 1)])
+
+
+def test_star_of_triples_is_enumerated_within_its_size():
+    # without `c`, every pair is kept; with it, one of `a(p)` and `b(p)`
+    # for each p. The search meets one dead end, so the cap binds one past
+    # the repairs
+    se = star_facts(12)
+    rep = repairs(EMPTY, STAR_TES, se=se, cap=4098)
+    assert rep.exhaustive and len(rep.repairs) == 4097
+    assert se - {AnnotatedEventFact("c", (), Interval(0, 1), 1)} in rep.repairs
+    assert sorted(len(r) for r in rep.repairs) == [13] * 4096 + [24]
+    assert not repairs(EMPTY, STAR_TES, se=se, cap=4097).exhaustive
 
 
 def test_hyperedges_are_minimal_constraint_witnesses():
