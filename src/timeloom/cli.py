@@ -29,6 +29,7 @@ from .errors import (
 )
 from .ingest import ingest, read_file, validate_dataset
 from .language import NATURAL, TES, parse_tes
+from .meta import Factored
 from .model import (
     STAR,
     AnnotatedEventFact,
@@ -96,41 +97,36 @@ def fact_from_json(d: dict) -> AnnotatedEventFact:
     return AnnotatedEventFact(pred, tuple(args), interval, level)
 
 
-def _ranked(models, is_simple) -> tuple[list, int, list]:
-    """The models' distinct facts, simple facts before meta facts and each
-    part in `fact_key` order; how many are simple; and each model as the
-    sorted positions of its facts there.
-
-    The facts every model holds, the core, are placed once. A model looks
-    up only its other facts' positions, so the cost follows the distinct
-    facts and what sets the models apart, not every fact of every model."""
-    if not models:
-        return [], 0, []
-    core = frozenset.intersection(*models)
+def _ranked(models: Factored, is_simple) -> tuple[list, int, list]:
+    """The distinct facts of the models, simple facts before meta facts and
+    each part in `fact_key` order; how many are simple; and each model as
+    the sorted positions of its facts there, which merge the positions of
+    the core and of its unit results, each placed once."""
     simple: list = []
     meta: list = []
-    for f in frozenset().union(*models):
+    for f in models.core.union(*[r for rs in models.units for r in rs]):
         (simple if is_simple(f.pred) else meta).append(f)
     facts = sorted(simple, key=fact_key) + sorted(meta, key=fact_key)
-    if len(core) == len(facts):  # every model holds every fact: nothing to look up
-        return facts, len(simple), [range(len(facts))] * len(models)
+    if len(models.core) == len(facts):  # every model holds every fact: nothing to look up
+        return facts, len(simple), [range(len(facts))] * len(models.picks)
     rank = {f: i for i, f in enumerate(facts)}.__getitem__
-    base = sorted(map(rank, core))
+    base = sorted(map(rank, models.core))
+    placed = [[sorted(map(rank, r)) for r in rs] for rs in models.units]
     ranked = []
-    for m in models:
-        positions = [*base, *map(rank, m - core)]
+    for pick in models.picks:
+        positions = base.copy()
+        for u, i in enumerate(pick):
+            positions += placed[u][i]
         positions.sort()
         ranked.append(positions)
     return facts, len(simple), ranked
 
 
-def result_to_json(result: TimelineResult, tes: TES, now: int | None = None,
-                   max_models: int | None = None) -> dict:
+def result_to_json(result: TimelineResult, tes: TES, now: int | None = None) -> dict:
     """A run's models as JSON-ready dicts, each model's facts sorted into
     its simple and meta sections. Each distinct fact becomes one dict that
     every model holding it shares, so `render_document` encodes it once."""
-    models = result.models[:max_models] if max_models is not None else result.models
-    facts, n_simple, ranked = _ranked(models, tes.is_simple_pred)
+    facts, n_simple, ranked = _ranked(result.factored, tes.is_simple_pred)
     entry = [fact_to_json(f, now) for f in facts].__getitem__
     out = []
     for positions in ranked:
@@ -140,10 +136,21 @@ def result_to_json(result: TimelineResult, tes: TES, now: int | None = None,
     return {"mode": result.mode, "models": out, "exhaustive": result.exhaustive}
 
 
+def _tsv_value(v: Value) -> str:
+    """A data value as TSV text: a symbol that is empty, reads as a natural,
+    or holds a tab, comma, backslash or double quote as its JSON string
+    literal, so that a row keeps its fields and reads back one way."""
+    if isinstance(v, int):
+        return str(v)
+    if not v or NATURAL.fullmatch(v) or any(c in v for c in '\t,\\"'):
+        return encode_basestring_ascii(v)
+    return v
+
+
 def _tsv_fact_row(section: str, fj: dict, with_clamp: bool) -> str:
     """One fact's TSV fields after the row prefix, with the line end."""
     iv = fj["interval"]
-    row = [section, fj["pred"], ",".join(str(a) for a in fj["args"]),
+    row = [section, fj["pred"], ",".join(map(_tsv_value, fj["args"])),
            str(iv["start"]), str(iv["end"]), str(fj["level"])]
     if with_clamp:
         row.append(str(iv.get("clamped_end", "")))
@@ -243,7 +250,7 @@ def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
     if "entities" in doc:
         for ent in doc["entities"]:
             for mi, m in enumerate(ent["models"]):
-                model_rows(f"{ent['entity']}\t{mi}\t", m)
+                model_rows(f"{_tsv_value(ent['entity'])}\t{mi}\t", m)
     else:
         for mi, m in enumerate(doc["models"]):
             model_rows(f"{mi}\t", m)
@@ -315,15 +322,15 @@ def run(config: RunConfig) -> int:
     if config.partition_by is not None:
         entities = []
         for key, part in partition_dataset(dataset, config.partition_by):
-            result = _solve(timeline, part, tes, config.mode, config.cap)
+            result = _solve(timeline, part, tes, config.mode, config.cap, config.max_models)
             entities.append({"entity": key,
-                             **result_to_json(result, tes, config.now, config.max_models)})
+                             **result_to_json(result, tes, config.now)})
             exhaustive = exhaustive and result.exhaustive
         doc = {"mode": config.mode, "partition_by": config.partition_by,
                "entities": entities, "exhaustive": exhaustive}
     else:
-        result = _solve(timeline, dataset, tes, config.mode, config.cap)
-        doc = result_to_json(result, tes, config.now, config.max_models)
+        result = _solve(timeline, dataset, tes, config.mode, config.cap, config.max_models)
+        doc = result_to_json(result, tes, config.now)
         exhaustive = result.exhaustive
     _write(config, doc)
     return 0 if exhaustive else 2

@@ -3,9 +3,9 @@
 Each stratum is evaluated to a fixpoint before the next begins, so negated
 event references and extremum tests always see a completed collection.
 Within a stratum, repeated passes restrict one body literal at a time to
-the newest facts. Under monotone rules, many models are closed from the
-closure of the facts they share, and each independent piece of their own
-facts is closed once.
+the newest facts. Under monotone rules, models in factored form are
+closed from the closure of their core, and each result of a unit, units
+that meta rules join merged, is closed once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import LevelOverflow, SortError
 from .language import TES, EventAtom, MetaRule
-from .model import AnnotatedEventFact, Dataset, EventStore, Interval
+from .model import AnnotatedEventFact, Dataset, EventStore, Interval, Record
 from .query import rule_plan
 
 
@@ -119,10 +119,11 @@ def infer_meta(tes: TES, dataset: Dataset,
 
 
 def _link_classes(tes: TES, dataset: Dataset, union: frozenset[AnnotatedEventFact],
-                  shared: EventStore) -> Callable:
+                  shared: EventStore, groups: Sequence[frozenset]) -> Callable:
     """Close `union` once, joining each derived fact outside `shared` with
-    the facts outside `shared` its body matched. Returns the class
-    representative of a fact (union-find)."""
+    the facts outside `shared` its body matched, and the facts of each of
+    `groups` with each other. Returns the class representative of a fact
+    (union-find)."""
     parent: dict[AnnotatedEventFact, AnnotatedEventFact] = {}
 
     def find(f: AnnotatedEventFact) -> AnnotatedEventFact:
@@ -132,79 +133,127 @@ def _link_classes(tes: TES, dataset: Dataset, union: frozenset[AnnotatedEventFac
             f = up
         return f
 
+    def join(a: AnnotatedEventFact, b: AnnotatedEventFact) -> None:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+
+    for group in groups:
+        for f in group:
+            join(f, next(iter(group)))
     store = EventStore(union)
 
     def absorb(fired: Fired) -> list[AnnotatedEventFact]:
         for matched, head in fired:
-            if head in shared:
-                continue
-            for f in matched:
-                if f not in shared:
-                    a, b = find(head), find(f)
-                    if a != b:
-                        parent[a] = b
+            if head not in shared:
+                for f in matched:
+                    if f not in shared:
+                        join(head, f)
         return store.add_all([f for _, f in fired])
 
     _close(tes, dataset, store, absorb, witnesses=True)
     return find
 
 
-def _close_by_pieces(tes: TES, dataset: Dataset,
-                     models: Sequence[frozenset[AnnotatedEventFact]]
-                     ) -> tuple[frozenset[AnnotatedEventFact], ...]:
-    """`close_models` for two or more models under monotone rules."""
-    core = frozenset.intersection(*models)
-    shared = EventStore(core)
+class Factored(Record):
+    """Models in factored form: the facts every model holds (`core`); per
+    unit its results, each the facts it adds, which no other unit's hold;
+    and each model as one result index per unit (`picks`), in order."""
+
+    __slots__ = _fields = ("core", "units", "picks")
+
+    def models(self) -> tuple[frozenset[AnnotatedEventFact], ...]:
+        core, units = self.core, self.units
+        return tuple(core.union(*[units[u][i] for u, i in enumerate(p)]) for p in self.picks)
+
+
+def regroup(f: Factored, picks: Sequence[tuple[int, ...]],
+            members: Sequence[Sequence[int]] | None = None) -> Factored:
+    """The models `picks` lists, keeping only the results they use. Each
+    list of `members` (by default each unit alone) becomes one unit whose
+    results are the combinations of its members' results the models use."""
+    members = members or [(u,) for u in range(len(f.units))]
+    index: list[dict[tuple, int]] = [{} for _ in members]
+    kept = tuple([tuple([index[g].setdefault(tuple([p[u] for u in us]), len(index[g]))
+                         for g, us in enumerate(members)]) for p in picks])
+    return Factored(f.core, tuple([
+        tuple([frozenset().union(*[f.units[u][i] for u, i in zip(us, combo)]) for combo in combos])
+        for us, combos in zip(members, index)]), kept)
+
+
+def factor_models(models: Sequence[frozenset[AnnotatedEventFact]]) -> Factored:
+    """Models as their intersection plus one unit of what each adds."""
+    if len(models) == 1:  # the model is its own core, taken without a copy
+        return Factored(frozenset(models[0]), ((frozenset(),),), ((0,),))
+    core = frozenset.intersection(*models) if models else frozenset()
+    return Factored(core, (tuple([m - core for m in models]),),
+                    tuple([(i,) for i in range(len(models))]))
+
+
+def _close_units(tes: TES, dataset: Dataset, f: Factored) -> Factored:
+    """`close_factored` for two or more models under monotone rules."""
+    shared = EventStore(f.core)
     _close(tes, dataset, shared, _adding_to(shared))
-    link = _link_classes(tes, dataset, frozenset().union(*models), shared)
+    facts = [frozenset().union(*results) for results in f.units]
+    link = _link_classes(tes, dataset, f.core.union(*facts), shared, facts)
+    members: dict = {}  # link class -> the units in it; a unit without facts is its own
+    for u, unit_facts in enumerate(facts):
+        members.setdefault(link(next(iter(unit_facts))) if unit_facts else u, []).append(u)
+    if len(members) < len(f.units):
+        f = regroup(f, f.picks, list(members.values()))
     base = shared.facts
-    grown: dict[frozenset, frozenset] = {}  # piece -> its closure beyond base
-    closed = []
-    for m in models:
-        pieces: dict[AnnotatedEventFact, list] = {}
-        for f in m - core:
-            pieces.setdefault(link(f), []).append(f)
-        own = [frozenset(p) for p in pieces.values()]
-        for piece in own:
-            if piece not in grown:
-                store = shared.copy()
-                _close(tes, dataset, store, _adding_to(store), new=store.add_all(piece))
-                grown[piece] = store.facts - base
-        closed.append(base.union(*map(grown.__getitem__, own)))
-    return tuple(closed)
+
+    def closed(result: frozenset) -> frozenset:
+        if not result:
+            return result
+        store = shared.copy()
+        _close(tes, dataset, store, _adding_to(store), new=store.add_all(result))
+        return store.facts - base
+
+    return Factored(base, tuple([tuple(map(closed, rs)) for rs in f.units]), f.picks)
+
+
+def close_factored(tes: TES, dataset: Dataset, f: Factored) -> Factored:
+    """The models of `f`, sets of simple events, each with the meta facts
+    derivable from it, in factored form.
+
+    Under monotone rules the core is closed once. One closure over the core
+    and every result links each derived fact with the matched facts of its
+    body, leaving out facts of the core's closure, and the facts of each
+    unit with each other. Units of one link class are joined, and each
+    result is closed once on a copy of the core's closure (incremental view
+    maintenance).
+
+    Soundness: cut the derivation tree of a fact derived from a model but
+    not from the core at the facts of the core's closure. Every firing left
+    is one over the union too (the rules are monotone), and joins its head
+    with its children outside the core's closure. So the tree lies in one
+    link class, and its leaves in the core's closure plus one result of one
+    joined unit.
+
+    A single model, or rules that negate an event or test a start or end,
+    are closed from scratch, and so are all models when a firing raises: a
+    firing over the union may combine facts that no model holds together.
+    """
+    if len(f.picks) > 1 and tes.is_monotone:
+        try:
+            return _close_units(tes, dataset, f)
+        except (LevelOverflow, SortError):
+            pass
+    return factor_models([m | infer_meta(tes, dataset, m) for m in f.models()])
 
 
 def close_models(tes: TES, dataset: Dataset,
                  models: Sequence[frozenset[AnnotatedEventFact]]
                  ) -> tuple[frozenset[AnnotatedEventFact], ...]:
     """Each set of simple events together with the meta facts derivable
-    from it, in order.
-
-    Under monotone rules the facts all models share, the core, are closed
-    once. One closure over the union of the models then links each derived
-    fact with the matched facts of its body, leaving out facts of the
-    shared closure. A model's own facts split by link class into pieces.
-    Each distinct piece is closed once, extending a copy of the shared
-    closure (incremental view maintenance), and a model's closure is the
-    shared closure plus those of its pieces.
-
-    Soundness: a fact derived from a model but not from the core has a
-    derivation tree over the model. Cut it at the facts of the shared
-    closure, which become leaves. Every firing left is also a firing over
-    the union (the rules are monotone), and joins its derived head with
-    its children outside the shared closure. So the tree lies in one link
-    class, and its leaves lie in the core's closure plus one piece.
-
-    A single model, or rules that negate an event or test a start or end,
-    are closed from scratch, and so are all models when a firing raises:
-    a firing over the union may combine facts that no model holds together.
-    """
-    if len(models) > 1 and tes.is_monotone:
-        try:
-            return _close_by_pieces(tes, dataset, models)
-        except (LevelOverflow, SortError):
-            pass
-    return tuple(m | infer_meta(tes, dataset, m) for m in models)
+    from it, in order: `close_factored` of the models as their intersection
+    plus one unit per other fact, whose results are without it and with it."""
+    core = frozenset.intersection(*models) if models else frozenset()
+    rest = list(frozenset().union(*models) - core)
+    units = tuple([(frozenset(), frozenset([x])) for x in rest])
+    picks = tuple([tuple([int(x in m) for x in rest]) for m in models])
+    return close_factored(tes, dataset, Factored(core, units, picks)).models()
 
 
 Supports = list[frozenset]

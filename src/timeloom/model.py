@@ -120,6 +120,11 @@ class Interval(Record):
         set_end(self, end)
         set_hash(self, hash((start, end)))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.start == other.start and self.end == other.end
+
     @property
     def ongoing(self) -> bool:
         return self.end == STAR
@@ -319,6 +324,11 @@ class AtemporalFact(Record):
         set_args(self, args)
         set_hash(self, hash((pred, args)))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.pred == other.pred and self.args == other.args
+
 
 class ObservationFact(Record):
     __slots__ = ("pred", "args", "t", "_hash")
@@ -331,6 +341,12 @@ class ObservationFact(Record):
         set_args(self, args)
         set_t(self, t)
         set_hash(self, hash((pred, args, t)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.t == other.t and self.pred == other.pred
+                and self.args == other.args)
 
 
 class AnnotatedEventFact(Record):
@@ -347,6 +363,13 @@ class AnnotatedEventFact(Record):
         set_interval(self, interval)
         set_level(self, level)
         set_hash(self, hash((pred, args, interval, level)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.interval == other.interval
+                and self.level == other.level and self.pred == other.pred
+                and self.args == other.args)
 
     @property
     def key(self) -> tuple[str, tuple[Value, ...]]:
@@ -372,13 +395,6 @@ def fact_key(f) -> tuple:
     if isinstance(f, ObservationFact):
         return (1, f.pred, args_key(f.args), (f.t,), 0)
     return (2, f.pred, args_key(f.args), (f.interval.start, f.interval.end), f.level)
-
-
-def fact_ranks(facts: Iterable) -> dict:
-    """Each of the distinct facts with its position in `fact_key` order, in
-    that order: sorting by rank sorts by `fact_key`, comparing ints instead
-    of tuples."""
-    return {f: i for i, f in enumerate(sorted(facts, key=fact_key))}
 
 
 def event_values(f: AnnotatedEventFact) -> tuple:

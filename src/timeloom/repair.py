@@ -18,14 +18,23 @@ subsets.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from math import prod
 from operator import attrgetter
 from typing import Callable, Iterator
 
 from .errors import EnumerationCapExceeded
 from .language import TES
-from .meta import close_models, combine_supports, infer_meta, meta_provenance
-from .model import AnnotatedEventFact, Dataset, EventStore, Record, fact_key, fact_ranks
+from .meta import (
+    Factored,
+    close_factored,
+    combine_supports,
+    factor_models,
+    infer_meta,
+    meta_provenance,
+    regroup,
+)
+from .model import AnnotatedEventFact, Dataset, EventStore, Record, fact_key
 from .query import rule_plan
 from .simple import infer_all_simple
 
@@ -110,26 +119,6 @@ class _Budget:
         if self.left <= 0:
             raise _CapHit()
         self.left -= 1
-
-
-def _canonical(found: set[SimpleSet]) -> tuple[SimpleSet, ...]:
-    """The repairs in the order of their facts' sorted `fact_key` lists.
-
-    Only the facts outside the core, the facts every repair holds, are
-    ranked and looked up; the set difference reuses the stored hashes. This
-    gives the same order whenever no set is a proper subset of another, as
-    holds for repairs and preferred repairs, capped partial results
-    included. For two such sets, let `x` be the least fact (by `fact_key`)
-    in one set but not the other. Both sorted lists agree before `x`, so
-    the list holding `x` comes first, unless the other ends before `x`;
-    then the other's facts all lie below `x` and so in the first set, a
-    proper subset. Removing the core keeps `x` and keeps no set a proper
-    subset of another, so it decides the comparison the same way."""
-    if len(found) < 2:
-        return tuple(found)
-    core = frozenset.intersection(*found)
-    rank = fact_ranks(frozenset().union(*found) - core).__getitem__
-    return tuple(sorted(found, key=lambda r: sorted(map(rank, r - core))))
 
 
 def _downward_closed(tes: TES) -> bool:
@@ -305,55 +294,84 @@ def _component_results(facts: list, edges: list[frozenset], budget: _Budget,
     return extend(0, frozenset())
 
 
-def _repairs_factored(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget,
-                      level: Callable[[AnnotatedEventFact], int]) -> Iterator[SimpleSet]:
-    """The facts in no edge plus one result per component: the repairs when
-    consistency is downward closed, or by fact level the preferred repairs.
-    The budget pays once per repair emitted and once per dead end. A
-    component stops once it has more results than the budget has left,
-    since their product would exceed it anyway."""
-    split = _split_hypergraph(se, tes, dataset, budget)
-    if split is None:
-        return
-    core, comps = split
-    parts: list[list[frozenset]] = []
-    for facts, edges in comps:
-        results: list[frozenset] = []
-        for result in _component_results(facts, edges, budget, level):
-            results.append(result)
-            if len(results) > budget.left:
-                break
-        parts.append(results)
-    for combo in product(*parts):
-        budget.spend()
-        yield core.union(*combo)
+def _in_order(core: SimpleSet, units: tuple[tuple[SimpleSet, ...], ...], picks) -> Factored:
+    """The models `picks` lists in the order of their sorted `fact_key`
+    lists, given that none is a proper subset of another, as holds for
+    repairs and preferred repairs, capped partial results included.
+
+    Each fact of a result gets a bit, the first in `fact_key` order the
+    highest, and models go by the sum of their results' bits, largest
+    first. Let `x` be the least fact in one of two models but not the
+    other. Their sorted lists agree before `x`, and the list holding `x`
+    comes first, as the other cannot end before `x` without being a proper
+    subset. The sums agree above the bit of `x`, so the sum holding it is
+    the larger."""
+    facts = sorted(frozenset().union(*[r for rs in units for r in rs]), key=fact_key)
+    bit = {f: 1 << k for k, f in enumerate(reversed(facts))}.__getitem__
+    masks = [[sum(map(bit, r)) for r in rs] for rs in units]
+    return Factored(core, units, tuple(sorted(
+        picks, key=lambda p: sum([m[i] for m, i in zip(masks, p)]), reverse=True)))
 
 
 def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset,
-                     budget: _Budget) -> Iterator[SimpleSet]:
-    """Maximal consistent subsets under arbitrary constraints: scan subsets
-    by decreasing size, keeping those no earlier consistent set contains.
-    The budget pays once per subset examined."""
+                     cap: int) -> tuple[list[SimpleSet], bool]:
+    """Maximal consistent subsets under arbitrary constraints, and whether
+    the cap left them all: scan subsets by decreasing size, keeping those
+    no earlier consistent set contains. The cap bounds the subsets
+    examined."""
     facts = sorted(se, key=fact_key)
-    consistent_seen: list[frozenset] = []
-    for size in range(len(facts), -1, -1):
-        for combo in combinations(facts, size):
-            s = frozenset(combo)
-            budget.spend()
-            if is_consistent(s, tes, dataset):
-                if not any(s < t for t in consistent_seen):
-                    yield s
-                consistent_seen.append(s)
+    found: list[SimpleSet] = []
+    consistent_seen: list[SimpleSet] = []
+    subsets = (frozenset(c) for size in range(len(facts), -1, -1)
+               for c in combinations(facts, size))
+    for examined, s in enumerate(subsets):
+        if examined == cap:
+            return found, False
+        if is_consistent(s, tes, dataset):
+            if not any(s < t for t in consistent_seen):
+                found.append(s)
+            consistent_seen.append(s)
+    return found, True
 
 
-def _collect(found: Iterator[SimpleSet]) -> RepairSet:
-    """An enumeration's repairs; not exhaustive when it hit the cap."""
-    seen: set[SimpleSet] = set()
+def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
+                    preferred: bool) -> tuple[Factored, bool]:
+    """The repairs, or the preferred repairs, in factored form and in
+    canonical order, and whether the cap left them all. Under downward
+    closed consistency they are the facts in no edge plus one result per
+    component (by level for preferred), the budget paying per dead end and
+    per model, the first in product order; a component stops at more
+    results than the budget has left. Otherwise they are one unit."""
+    if se is None:
+        se = infer_all_simple(dataset, tes)
+    if not _downward_closed(tes):
+        found, exhaustive = _repairs_general(se, tes, dataset, cap)
+        if preferred:
+            found = _filter_preferred(found)
+        picks = [(i,) for i in range(len(found))]
+        return _in_order(frozenset(), (tuple(found),), picks), exhaustive
+    budget = _Budget(cap)
+    level = attrgetter("level") if preferred else lambda f: 0
     try:
-        seen.update(found)
+        split = _split_hypergraph(se, tes, dataset, budget)
+        if split is None:
+            return Factored(frozenset(), (), ()), True
+        core, comps = split
+        units = []
+        for facts, edges in comps:
+            results: list[frozenset] = []
+            for result in _component_results(facts, edges, budget, level):
+                results.append(result)
+                if len(results) > budget.left:
+                    break
+            units.append(tuple(results))
     except _CapHit:
-        return RepairSet(_canonical(seen), False)
-    return RepairSet(_canonical(seen), True)
+        return Factored(frozenset(), (), ()), False
+    sizes = [len(results) for results in units]
+    found = _in_order(core, tuple(units), islice(product(*map(range, sizes)), budget.left))
+    if prod(sizes) <= budget.left:
+        return found, True
+    return regroup(found, found.picks), False
 
 
 def repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
@@ -362,11 +380,8 @@ def repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
 
     `cap` bounds the work: repairs emitted plus dead ends when consistency
     is downward closed, candidate subsets examined otherwise."""
-    if se is None:
-        se = infer_all_simple(dataset, tes)
-    if _downward_closed(tes):
-        return _collect(_repairs_factored(se, tes, dataset, _Budget(cap), lambda f: 0))
-    return _collect(_repairs_general(se, tes, dataset, _Budget(cap)))
+    found, exhaustive = _repair_factors(dataset, tes, se, cap, False)
+    return RepairSet(found.models(), exhaustive)
 
 
 def _filter_preferred(reps: tuple[SimpleSet, ...]) -> tuple[SimpleSet, ...]:
@@ -393,12 +408,8 @@ def preferred_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     component's level-wise results, and `cap` bounds the results emitted
     plus each level's dead ends. Otherwise the repairs are enumerated and
     filtered."""
-    if se is None:
-        se = infer_all_simple(dataset, tes)
-    if _downward_closed(tes):
-        return _collect(_repairs_factored(se, tes, dataset, _Budget(cap), lambda f: f.level))
-    rep = repairs(dataset, tes, se=se, cap=cap)
-    return RepairSet(_filter_preferred(rep.repairs), rep.exhaustive)
+    found, exhaustive = _repair_factors(dataset, tes, se, cap, True)
+    return RepairSet(found.models(), exhaustive)
 
 
 def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
@@ -427,32 +438,47 @@ def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
 
 class TimelineResult(Record):
     """Computed timelines for one mode: each model is a full event set,
-    simple and meta facts together."""
+    simple and meta facts together. `factored` holds them in factored form
+    (see `meta.Factored`), which `models` expands when first read."""
 
-    __slots__ = _fields = ("mode", "models", "exhaustive")
+    __slots__ = ("mode", "_models", "exhaustive", "factored")
+    _fields = ("mode", "models", "exhaustive")
+
+    def __init__(self, mode: str, models: tuple | None, exhaustive: bool,
+                 factored: Factored | None = None):
+        values = (mode, models, exhaustive, factored or factor_models(models))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def models(self) -> tuple[frozenset, ...]:
+        if self._models is None:
+            object.__setattr__(self, "_models", self.factored.models())
+        return self._models
 
 
-def timeline(dataset: Dataset, tes: TES, mode: str = "consistent",
-             cap: int = DEFAULT_CAP) -> TimelineResult:
+def timeline(dataset: Dataset, tes: TES, mode: str = "consistent", cap: int = DEFAULT_CAP,
+             max_models: int | None = None) -> TimelineResult:
     """Compute the timelines of a rule set over a dataset.
 
     Modes: "naive" keeps every inferred fact, "consistent" yields one model
     per repair, "preferred" keeps only level-preferred repairs, "cautious"
-    yields the single model every repair agrees on.
+    yields the single model every repair agrees on. With `max_models`, the
+    models past the first that many are neither closed nor kept; the cap
+    still counts them.
     """
     se = infer_all_simple(dataset, tes)
     if mode == "naive":
-        return TimelineResult(mode, (se | infer_meta(tes, dataset, se),), True)
+        return TimelineResult(mode, (se | infer_meta(tes, dataset, se),)[:max_models], True)
     if mode == "cautious":
         core = cautious_core(dataset, tes, se=se, cap=cap)
-        return TimelineResult(mode, (core | infer_meta(tes, dataset, core),), True)
-    if mode == "consistent":
-        rep = repairs(dataset, tes, se=se, cap=cap)
-    elif mode == "preferred":
-        rep = preferred_repairs(dataset, tes, se=se, cap=cap)
-    else:
+        return TimelineResult(mode, (core | infer_meta(tes, dataset, core),)[:max_models], True)
+    if mode not in ("consistent", "preferred"):
         raise ValueError(f"unknown mode {mode!r}")
-    return TimelineResult(mode, close_models(tes, dataset, rep.repairs), rep.exhaustive)
+    found, exhaustive = _repair_factors(dataset, tes, se, cap, mode == "preferred")
+    if max_models is not None and max_models < len(found.picks):
+        found = regroup(found, found.picks[:max_models])
+    return TimelineResult(mode, None, exhaustive, close_factored(tes, dataset, found))
 
 
 def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consistent",

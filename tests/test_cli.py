@@ -17,7 +17,7 @@ from timeloom.cli import (
     partition_dataset,
     render_document,
 )
-from timeloom.model import fact_key
+from timeloom.model import EventStore, fact_key
 
 from conftest import TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
 
@@ -349,6 +349,29 @@ def test_tsv_clamp_column(figured, capsys):
     assert {(r[5], r[7]) for r in rows} == {("7", ""), ("*", "13")}
 
 
+def test_tsv_quotes_symbols_that_would_lose_the_row_shape(tmp_path, capsys):
+    # a tab or comma would add fields, '5' would read as the natural 5 and
+    # '' as no arguments; such a symbol, and one with a backslash or double
+    # quote, is written as its JSON string literal
+    (tmp_path / "r.tes").write_text(
+        "decl observation adm/2.\ndecl nonpersistent abth/2.\n"
+        "exists(abth(P, D), T, 1) :- adm(P, D, T).\nwindow(abth(P, D), 2).\n")
+    (tmp_path / "f.facts").write_text(
+        "obs adm(p1, 'a\tb,c', 1).\nobs adm(p1, '5', 4).\nobs adm(p1, 5, 7).\n"
+        "obs adm(p1, '', 10).\nobs adm('x\"y', 'back\\slash', 13).\nobs adm(p1, 'café', 16).\n")
+    args = ("run", "--rules", str(tmp_path / "r.tes"), "--data", str(tmp_path / "f.facts"),
+            "--format", "tsv")
+    assert run_cli(*args) == 0
+    rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()]
+    assert all(len(r) == 7 for r in rows)
+    assert [r[3] for r in rows] == ['p1,5', 'p1,""', 'p1,"5"', 'p1,"a\\tb,c"', 'p1,café',
+                                    '"x\\"y","back\\\\slash"']
+    assert run_cli(*args, "--partition-by", "0") == 0
+    rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()]
+    assert all(len(r) == 8 for r in rows)
+    assert [r[0] for r in rows] == ["p1"] * 5 + ['"x\\"y"']
+
+
 def test_partition_by_entity(ward, capsys):
     args = ("run", "--rules", str(ward / "care.tes"),
             "--data", str(ward / "ward.facts"),
@@ -675,13 +698,23 @@ def reference_doc(dataset, tes, mode, now=None, max_models=None):
             "exhaustive": result.exhaustive}
 
 
+def tsv_value(v):
+    """A value as the README says TSV writes it: a symbol that is empty,
+    all ASCII digits, or holds a tab, comma, backslash or double quote as
+    its JSON string literal."""
+    if isinstance(v, str) and (v == "" or v.isascii() and v.isdigit()
+                               or any(c in v for c in '\t,\\"')):
+        return json.dumps(v)
+    return str(v)
+
+
 def reference_tsv(doc, with_clamp):
     """The TSV rows of a run document, each built from its fact's dict."""
     def rows(prefix, m):
         for section in ("simple", "meta"):
             for fj in m[section]:
                 iv = fj["interval"]
-                row = [*prefix, section, fj["pred"], ",".join(map(str, fj["args"])),
+                row = [*prefix, section, fj["pred"], ",".join(map(tsv_value, fj["args"])),
                        str(iv["start"]), str(iv["end"]), str(fj["level"])]
                 if with_clamp:
                     row.append(str(iv.get("clamped_end", "")))
@@ -689,7 +722,7 @@ def reference_tsv(doc, with_clamp):
 
     if "entities" in doc:
         return "".join(r for ent in doc["entities"] for i, m in enumerate(ent["models"])
-                       for r in rows([str(ent["entity"]), str(i)], m))
+                       for r in rows([tsv_value(ent["entity"]), str(i)], m))
     return "".join(r for i, m in enumerate(doc["models"]) for r in rows([str(i)], m))
 
 
@@ -718,6 +751,9 @@ def rendered(tmp_path):
     ("render", "consistent", ("--partition-by", "0", "--now", "12")),
     ("many", "consistent", ("--max-models", "70", "--now", "3")),
     ("many", "consistent", ("--partition-by", "0", "--max-models", "70", "--now", "3")),
+    ("many", "consistent", ("--max-models", "1")),
+    ("many", "preferred", ("--partition-by", "0", "--max-models", "1")),
+    ("render", "consistent", ("--partition-by", "0", "--max-models", "1")),
 ])
 def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
     rules_path, facts_path = rendered / f"{rules}.tes", rendered / f"{rules}.facts"
@@ -737,7 +773,7 @@ def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
         assert doc["models"] == []
     elif rules == "many":
         models = doc["entities"][0]["models"] if "entities" in doc else doc["models"]
-        assert len(models) == 70
+        assert len(models) == max_models
         assert all(m["meta"] for m in models)
     if rules != "never":
         text = json.dumps(doc)
@@ -752,6 +788,28 @@ def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
     tsv = capsys.readouterr().out
     assert tsv == render_document(doc, "tsv", with_clamp=now is not None)
     assert tsv == reference_tsv(doc, with_clamp=now is not None)
+
+
+def test_max_models_closes_only_the_units_of_the_models_it_keeps(rendered, monkeypatch, capsys):
+    # many.tes gives four conflict components of four results each; a meta
+    # rule joins each result with facts every model holds, so each result
+    # is closed on its own copy of the core's closure. Under --max-models N
+    # only the results of the first N models are closed: a single model is
+    # closed from scratch, and the second model differs from the first in
+    # one unit
+    copies = []
+    copy = EventStore.copy
+    monkeypatch.setattr(EventStore, "copy", lambda self: copies.append(1) or copy(self))
+    args = ("run", "--rules", str(rendered / "many.tes"), "--data", str(rendered / "many.facts"),
+            "--mode", "consistent")
+    assert run_cli(*args) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert len(full["models"]) == 256 and len(copies) == 16
+    for n, closed in ((0, 0), (1, 0), (2, 5)):
+        copies.clear()
+        assert run_cli(*args, "--max-models", str(n)) == 0
+        assert json.loads(capsys.readouterr().out) == {**full, "models": full["models"][:n]}
+        assert len(copies) == closed
 
 
 def test_render_document_encodes_shared_objects_like_json_dumps():

@@ -12,12 +12,16 @@ from timeloom import (
     EventStore,
     Interval,
     LevelOverflow,
+    TimelineResult,
     infer_all_simple,
     infer_meta,
     parse_tes,
+    preferred_repairs,
     repairs,
+    timeline,
 )
 from timeloom.meta import close_models, meta_provenance
+from timeloom.repair import DEFAULT_CAP
 
 from conftest import random_ruleful_instance
 
@@ -267,6 +271,39 @@ def test_close_models_copies_no_store_for_one_model_or_nonmonotone_rules(monkeyp
         for models in ([reps[0]], reps if not tes.is_monotone else []):
             want = tuple(m | infer_meta(tes, dataset, m) for m in models)
             assert close_models(tes, dataset, models) == want
+
+
+def test_timeline_matches_closing_each_repair_from_scratch():
+    # timeline() closes the repairs in factored form and orders them by
+    # their results' bits; it must give each repair closed on its own, in
+    # the order repairs() and preferred_repairs() give, past a cap too and
+    # with only the first models closed
+    rng = random.Random(41)
+    seen = {"joined": 0, "capped": 0, "scanned": 0, "cut": 0}
+    for draw in range(400):
+        dataset, tes = random_ruleful_instance(rng, extra=CLOSURE_RULES[draw % len(CLOSURE_RULES)])
+        se = infer_all_simple(dataset, tes)
+        scanned = tes.has_domain_constraints and not tes.is_monotone
+        if scanned and len(se) > 8:
+            continue
+        for mode, enumerate_ in (("consistent", repairs), ("preferred", preferred_repairs)):
+            cap = rng.choice((1, 2, 3, 6, DEFAULT_CAP))
+            rep = enumerate_(dataset, tes, se=se, cap=cap)
+            want = tuple(m | infer_meta(tes, dataset, m) for m in rep.repairs)
+            got = timeline(dataset, tes, mode, cap=cap)
+            assert got == TimelineResult(mode, want, rep.exhaustive)
+            assert got.models == want
+            n = rng.randrange(len(want) + 2)
+            cut = timeline(dataset, tes, mode, cap=cap, max_models=n)
+            assert cut == TimelineResult(mode, want[:n], rep.exhaustive)
+            # without constraints e and p facts never share a conflict
+            # component, so a unit holding both was joined by a meta rule
+            seen["joined"] += tes.is_monotone and not tes.constraints and len(want) > 1 and any(
+                {"e", "p"} <= {f.pred for f in r} for rs in got.factored.units for r in rs)
+            seen["capped"] += not rep.exhaustive and len(want) > 1
+            seen["scanned"] += scanned and len(want) > 1
+            seen["cut"] += 0 < n < len(want)
+    assert min(seen.values()) > 15, seen
 
 
 LINKED = parse_tes(

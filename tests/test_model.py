@@ -256,6 +256,22 @@ def test_values_are_equal_only_to_their_own_kind():
     assert len({Const("a"), Var("a"), Nat(1), 1}) == 4
 
 
+def test_values_with_equal_hashes_compare_their_fields():
+    # ints hash modulo 2**61 - 1, so these pairs collide; equality must
+    # still read every field after the stored hashes agree
+    big = 2 ** 61 - 1
+    pairs = [(Interval(0, 5), Interval(big, big + 5)),
+             (AnnotatedEventFact("e", (0,), Interval(0, 1), 1),
+              AnnotatedEventFact("e", (big,), Interval(0, 1), 1)),
+             (AtemporalFact("a", (0,)), AtemporalFact("a", (big,))),
+             (ObservationFact("o", (), 0), ObservationFact("o", (), big))]
+    for a, b in pairs:
+        assert hash(a) == hash(b) and a != b and not a == b
+        assert len({a, b}) == 2 and b not in {a}
+    assert AtemporalFact("e", ()) != ObservationFact("e", (), 0) != AtemporalFact("e", ())
+    assert Interval(0, 5).__eq__((0, 5)) is NotImplemented
+
+
 def test_rule_line_and_sorts_stay_out_of_equality():
     rule = parse_tes(RULES).existence[0]
     moved = rule._replace(line=rule.line + 7, var_sorts={})
