@@ -39,7 +39,7 @@ from .model import (
     ObservationFact,
     allen_relation,
 )
-from .query import eval_body, ground_simple_heads, level_timepoints
+from .query import ground_simple_heads, level_timepoints
 from .repair import (
     DEFAULT_CAP,
     RepairSet,
@@ -69,7 +69,6 @@ __all__ = [
     "ObservationFact",
     "AnnotatedEventFact",
     "allen_relation",
-    "eval_body",
     "ground_simple_heads",
     "level_timepoints",
     "infer_all_simple",

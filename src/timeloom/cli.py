@@ -36,28 +36,11 @@ from .model import (
     Dataset,
     Interval,
     ObservationFact,
-    Record,
     Value,
     fact_key,
     value_key,
 )
 from .repair import DEFAULT_CAP, TimelineResult, recognize_timeline, timeline
-
-
-class RunConfig(Record):
-    """One resolved invocation: where the rules and data live and how to run.
-    `data_paths` holds a (data file, mapping file or None) pair per file."""
-
-    __slots__ = _fields = ("rules_path", "data_paths", "mode", "check_target_path", "now",
-                           "max_models", "cap", "output_format", "partition_by", "out_path")
-    _defaults = {"check_target_path": None, "now": None, "max_models": None,
-                 "cap": DEFAULT_CAP, "output_format": "json", "partition_by": None,
-                 "out_path": None}
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if (self.mode == "check") != (self.check_target_path is not None):
-            raise ValueError("--check is required for mode check and only there")
 
 
 # ---------------------------------------------------------------------------
@@ -297,52 +280,53 @@ def _load_rules(path: str) -> TES:
         raise ParseError(f"{path}: {e.message}", e.line, e.col) from None
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configuration and write its output; returns the exit code."""
-    tes = _load_rules(config.rules_path)
-    dataset = ingest(list(config.data_paths))
+def run(args: argparse.Namespace) -> int:
+    """Execute one `run` invocation, resolved by `_config_from_args`, and
+    write its output; returns the exit code."""
+    tes = _load_rules(args.rules)
+    dataset = ingest(args.data)
     validate_dataset(dataset, tes)
 
-    if config.mode == "check":
+    if args.mode == "check":
         try:
-            target = json.loads(read_file(config.check_target_path))
+            target = json.loads(read_file(args.check))
             if not isinstance(target, dict):
                 raise TypeError("the top level is not a JSON object")
             kind = target.get("kind", "consistent")
             facts = frozenset(fact_from_json(x) for x in target["facts"])
         except (ValueError, KeyError, TypeError, InvalidInterval, RecursionError) as e:
-            raise IoError(f"bad check target {config.check_target_path}: {e}") from None
+            raise IoError(f"bad check target {args.check}: {e}") from None
         if kind not in ("consistent", "preferred"):
             raise IoError(f"bad check target kind {kind!r}")
-        ok = _solve(recognize_timeline, dataset, tes, facts, mode=kind, cap=config.cap)
-        _write(config, {"recognized": ok})
+        ok = _solve(recognize_timeline, dataset, tes, facts, mode=kind, cap=args.cap)
+        _write(args, {"recognized": ok})
         return 0 if ok else 3
 
     exhaustive = True
-    if config.partition_by is not None:
+    if args.partition_by is not None:
         entities = []
-        for key, part in partition_dataset(dataset, config.partition_by):
-            result = _solve(timeline, part, tes, config.mode, config.cap, config.max_models)
+        for key, part in partition_dataset(dataset, args.partition_by):
+            result = _solve(timeline, part, tes, args.mode, args.cap, args.max_models)
             entities.append({"entity": key,
-                             **result_to_json(result, tes, config.now)})
+                             **result_to_json(result, tes, args.now)})
             exhaustive = exhaustive and result.exhaustive
-        doc = {"mode": config.mode, "partition_by": config.partition_by,
+        doc = {"mode": args.mode, "partition_by": args.partition_by,
                "entities": entities, "exhaustive": exhaustive}
     else:
-        result = _solve(timeline, dataset, tes, config.mode, config.cap, config.max_models)
-        doc = result_to_json(result, tes, config.now)
+        result = _solve(timeline, dataset, tes, args.mode, args.cap, args.max_models)
+        doc = result_to_json(result, tes, args.now)
         exhaustive = result.exhaustive
-    _write(config, doc)
+    _write(args, doc)
     return 0 if exhaustive else 2
 
 
-def _write(config: RunConfig, doc: dict) -> None:
-    text = render_document(doc, config.output_format, with_clamp=config.now is not None)
-    if config.out_path:
+def _write(args: argparse.Namespace, doc: dict) -> None:
+    text = render_document(doc, args.format, with_clamp=args.now is not None)
+    if args.out:
         try:
-            Path(config.out_path).write_text(text)
+            Path(args.out).write_text(text)
         except OSError as e:
-            raise IoError(f"cannot write {config.out_path}: {e}") from None
+            raise IoError(f"cannot write {args.out}: {e}") from None
     else:
         sys.stdout.write(text)
 
@@ -386,7 +370,9 @@ def _natural(flag: str, text: str | None) -> int | None:
     return int(text)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> None:
+    """Resolve `run`'s options in place: pair each data file with its mapping
+    file or None, read the naturals, and check --check against --mode."""
     maps = list(args.map)
     pairs: list[tuple[str, str | None]] = []
     for d in args.data:
@@ -396,12 +382,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             pairs.append((d, None))
     if maps:
         raise ValueError(f"{len(maps)} unused --map file(s)")
-    return RunConfig(rules_path=args.rules, data_paths=tuple(pairs), mode=args.mode,
-                     check_target_path=args.check, now=_natural("--now", args.now),
-                     max_models=_natural("--max-models", args.max_models),
-                     cap=_natural("--cap", args.cap), output_format=args.format,
-                     partition_by=_natural("--partition-by", args.partition_by),
-                     out_path=args.out)
+    args.data = pairs
+    for name in ("now", "max_models", "cap", "partition_by"):
+        setattr(args, name, _natural("--" + name.replace("_", "-"), getattr(args, name)))
+    if (args.mode == "check") != (args.check is not None):
+        raise ValueError("--check is required for mode check and only there")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -411,12 +396,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        config = _config_from_args(args)
+        _config_from_args(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     try:
-        return run(config)
+        return run(args)
     except (EnumerationCapExceeded, ResourceExhausted) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

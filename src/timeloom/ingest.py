@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     UndeclaredPredicate,
 )
-from .language import NATURAL, TES, PredKind, _tokenize
+from .language import NATURAL, TES, PredKind, _Parser, _tokenize
 from .model import AtemporalFact, Dataset, Fact, ObservationFact
 
 
@@ -84,46 +84,31 @@ def parse_fact_text(text: str) -> list[Fact]:
 
 
 def _parse_fact_tokens(text: str) -> list[Fact]:
-    """The token walk over `language._tokenize`: the reference for
+    """The rule parser's walk over `language._tokenize`: the reference for
     `parse_fact_text`, and the source of its error messages."""
-    toks = _tokenize(text)
-    i = 0
-
-    def expect(kind: str, what: str):
-        nonlocal i
-        t = toks[i]
-        if t.kind != kind:
-            raise ParseError(f"expected {what}, found {t.text!r}", t.line, t.col)
-        i += 1
-        return t
+    p = _Parser(_tokenize(text))
 
     def value():
-        nonlocal i
-        t = toks[i]
+        t = p.advance()
         if t.kind == "NAT":
-            i += 1
             return int(t.text)
         if t.kind in ("IDENT", "QSYM"):
-            i += 1
             return t.text
         raise ParseError(f"expected a constant or natural, found {t.text!r}", t.line, t.col)
 
     facts: list[Fact] = []
-    while toks[i].kind != "EOF":
-        kw = expect("IDENT", "'atemporal' or 'obs'")
+    while p.peek().kind != "EOF":
+        kw = p.expect("IDENT", "'atemporal' or 'obs'")
         if kw.text not in ("atemporal", "obs"):
             raise ParseError(f"expected 'atemporal' or 'obs', found {kw.text!r}",
                              kw.line, kw.col)
-        name = expect("IDENT", "a predicate name")
+        name = p.expect("IDENT", "a predicate name")
         vals: list = []
-        if toks[i].kind == "LPAREN":
-            i += 1
-            vals.append(value())
-            while toks[i].kind == "COMMA":
-                i += 1
-                vals.append(value())
-            expect("RPAREN", "')'")
-        expect("PERIOD", "'.'")
+        if p.peek().kind == "LPAREN":
+            p.advance()
+            vals = p.comma_list(value)
+            p.expect("RPAREN", "')'")
+        p.expect("PERIOD", "'.'")
         if kw.text == "atemporal":
             facts.append(AtemporalFact(name.text, tuple(vals)))
         else:
@@ -216,18 +201,22 @@ def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:
     import csv  # only mapped CSV files need it
 
     out: list[ObservationFact] = []
-    for rn, row in enumerate(csv.reader(csv_text.splitlines()), start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        for c in (*cols, ts_col):
-            if c >= len(row):
-                raise MappingError(c, f"row {rn} has only {len(row)} columns")
-        args = tuple(_cell(row[c]) for c in cols)
-        try:
-            t = _timestamp(row[ts_col], fmt)
-        except MalformedTimestamp as e:
-            raise MalformedTimestamp(f"row {rn}: {e}") from None
-        out.append(ObservationFact(pred, args, t))
+    rn = 0
+    try:  # the line ends stay, so a quoted field may span lines
+        for rn, row in enumerate(csv.reader(csv_text.splitlines(keepends=True)), start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            for c in (*cols, ts_col):
+                if c >= len(row):
+                    raise MappingError(c, f"row {rn} has only {len(row)} columns")
+            args = tuple(_cell(row[c]) for c in cols)
+            try:
+                t = _timestamp(row[ts_col], fmt)
+            except MalformedTimestamp as e:
+                raise MalformedTimestamp(f"row {rn}: {e}") from None
+            out.append(ObservationFact(pred, args, t))
+    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+        raise MappingError(None, f"row {rn + 1}: {e}") from None
     return out
 
 

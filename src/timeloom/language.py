@@ -255,14 +255,6 @@ class TES(Record):
                     return True
         return False
 
-    def __eq__(self, other):
-        if not isinstance(other, TES):
-            return NotImplemented
-        return (dict(self.decls), self.existence, self.termination, self.windows,
-                self.meta_rules, self.constraints, self.strata) == \
-               (dict(other.decls), other.existence, other.termination, other.windows,
-                other.meta_rules, other.constraints, other.strata)
-
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -372,10 +364,6 @@ class _Parser:
         if t.kind != kind:
             raise ParseError(f"expected {what or kind}, found {t.text!r}", t.line, t.col)
         return self.advance()
-
-    def fresh_wild(self) -> Var:
-        self._wild += 1
-        return Var(f"_{self._wild}")
 
     def comma_list(self, item: Callable) -> list:
         items = [item()]
@@ -648,7 +636,8 @@ class _Parser:
             if not allow_wild:
                 raise ParseError("wildcard is not allowed here", t.line, t.col)
             self.advance()
-            return self.fresh_wild()
+            self._wild += 1
+            return Var(f"_{self._wild}")
         if t.kind == "STAR":
             self.advance()
             return StarTerm()
@@ -689,22 +678,12 @@ class _Parser:
 
     def _endpoint(self, is_hi: bool) -> Term:
         t = self.peek()
-        if t.kind == "STAR":
-            if not is_hi:
-                raise ParseError("* may only close an interval", t.line, t.col)
-            self.advance()
-            return StarTerm()
-        if t.kind == "WILD":
-            self.advance()
-            return self.fresh_wild()
-        if t.kind == "NAT":
-            self.advance()
-            return Nat(int(t.text))
-        if t.kind == "VAR":
-            self.advance()
-            return Var(t.text)
-        raise ParseError("interval endpoints must be naturals, variables, _, or *",
-                         t.line, t.col)
+        if t.kind == "STAR" and not is_hi:
+            raise ParseError("* may only close an interval", t.line, t.col)
+        if t.kind not in ("NAT", "VAR", "WILD", "STAR"):
+            raise ParseError("interval endpoints must be naturals, variables, _, or *",
+                             t.line, t.col)
+        return self.parse_term()
 
 
 # ---------------------------------------------------------------------------

@@ -243,19 +243,6 @@ def close_factored(tes: TES, dataset: Dataset, f: Factored) -> Factored:
     return factor_models([m | infer_meta(tes, dataset, m) for m in f.models()])
 
 
-def close_models(tes: TES, dataset: Dataset,
-                 models: Sequence[frozenset[AnnotatedEventFact]]
-                 ) -> tuple[frozenset[AnnotatedEventFact], ...]:
-    """Each set of simple events together with the meta facts derivable
-    from it, in order: `close_factored` of the models as their intersection
-    plus one unit per other fact, whose results are without it and with it."""
-    core = frozenset.intersection(*models) if models else frozenset()
-    rest = list(frozenset().union(*models) - core)
-    units = tuple([(frozenset(), frozenset([x])) for x in rest])
-    picks = tuple([tuple([int(x in m) for x in rest]) for m in models])
-    return close_factored(tes, dataset, Factored(core, units, picks)).models()
-
-
 Supports = list[frozenset]
 
 

@@ -255,7 +255,12 @@ class JoinPlan:
 
     def solve(self, dataset: Dataset, events: EventStore | None = None,
               delta: tuple | None = None, witnesses: bool = False) -> list:
-        """`eval_body`'s results with each binding as a tuple of slots."""
+        """Every binding that satisfies the body, each a tuple of slots (an
+        empty ground body has one). `delta`, a (body index, facts) pair, has
+        that binder match only those facts (a semi-naive step). With
+        `witnesses`, each result is a (slots, facts) pair: the event facts
+        the positive event atoms matched, once per combination of them, as
+        when an atom without a level matches an interval at several levels."""
         forced_idx, forced = delta if delta is not None else (None, None)
         slots: list = [None] * len(self.slot_of)
         out: list = []
@@ -306,24 +311,6 @@ def rule_plan(tes: TES, rule) -> JoinPlan:
     return hit[1]
 
 
-def eval_body(body: tuple[Literal, ...], sorts: Mapping[str, SortKind],
-              dataset: Dataset, events: EventStore | None = None,
-              delta: tuple | None = None, witnesses: bool = False) -> list:
-    """All variable bindings satisfying the body; one empty dict for an
-    empty ground body. `delta` optionally forces one binder literal (by
-    index) to match within a restricted fact collection (semi-naive step).
-
-    With `witnesses`, each result is a (binding, facts) pair instead: the
-    event facts the positive event atoms matched. A binding then repeats
-    once per combination of matching facts, as when an atom without a level
-    matches an interval held at several levels."""
-    plan = JoinPlan(body, sorts)
-    results = plan.solve(dataset, events, delta, witnesses)
-    if witnesses:
-        return [(dict(zip(plan.names, s)), m) for s, m in results]
-    return [dict(zip(plan.names, s)) for s in results]
-
-
 # ---------------------------------------------------------------------------
 # Grounded simple-event rule heads
 
@@ -361,14 +348,6 @@ class AuxStore(Record):
         """Event instances with at least one existence fact, sorted (numbers
         before symbols at each argument)."""
         return list(self._keys)
-
-    def exists_of(self, key: EventKey) -> list[tuple[int, int]]:
-        """(timepoint, level) of each existence fact of one instance."""
-        return self._exists_by_key.get(key, [])
-
-    def ends_of(self, key: EventKey) -> list[tuple[int, int]]:
-        """(timepoint, level) of each termination fact of one instance."""
-        return self._ends_by_key.get(key, [])
 
     def window_values(self, key: EventKey) -> list[int]:
         return sorted(self._windows_by_key.get(key, set())
@@ -452,7 +431,7 @@ class LevelTimepoints(Record):
 
 
 def level_timepoints(aux: AuxStore, key: EventKey) -> LevelTimepoints:
-    ex, en = aux.exists_of(key), aux.ends_of(key)
+    ex, en = aux._exists_by_key.get(key, []), aux._ends_by_key.get(key, [])
     levels = sorted({lvl for _, lvl in ex + en})
     ex_cum, en_cum = [], []
     for lvl in levels:

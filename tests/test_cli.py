@@ -330,6 +330,15 @@ def test_check_flag_pairing(figured, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("extra", [("--mode", "check"),
+                                   ("--mode", "consistent", "--check", "target.json")])
+def test_check_goes_with_mode_check_only(figured, capsys, extra):
+    assert run_cli("run", "--rules", str(figured / "fig.tes"),
+                   "--data", str(figured / "empty.facts"), *extra) == 1
+    assert capsys.readouterr().err == \
+        "error: --check is required for mode check and only there\n"
+
+
 def test_tsv_rows(ward, capsys):
     rc = run_cli("run", "--rules", str(ward / "care.tes"),
                  "--data", str(ward / "ward.facts"),
@@ -584,6 +593,8 @@ LAB_MAP = "predicate=lab\ncolumns=0\ntimestamp_column=1\n"
 @pytest.mark.parametrize("data,mapping,message", [
     ("p1,4\np1,5\u00b2\n", LAB_MAP, "{csv}: row 2: timestamp '5\u00b2' is not a natural number"),
     ("p1,4\np2\n", LAB_MAP, "{csv}: row 2 has only 1 columns"),
+    ("p1,4\np2," + "4" * 200000 + "\n", LAB_MAP,
+     "{csv}: row 2: field larger than field limit (131072)"),
     ("p1,4\n", "predicate=lab\n# the lab column\ntimestamp_column=x\n",
      "{map}: line 3: timestamp_column: 'x' is not a column index (0, 1, ...)"),
     ("p1,4\n", "predicate=lab\ncolumns=0,y\ntimestamp_column=1\n",
@@ -591,7 +602,7 @@ LAB_MAP = "predicate=lab\ncolumns=0\ntimestamp_column=1\n"
     ("p1,4\n", LAB_MAP + "rows=3\n", "{map}: line 4: unknown key 'rows'"),
     ("p1,4\n", LAB_MAP + "timestamp_format=unix\n", "{map}: line 4: unknown format 'unix'"),
     ("p1,4\n", "columns=0\ntimestamp_column=1\n", "{map}: mapping needs a predicate"),
-], ids=["timestamp", "short-row", "column", "column-list", "key", "format", "predicate"])
+], ids=["timestamp", "short-row", "field-limit", "column", "column-list", "key", "format", "predicate"])
 def test_csv_and_mapping_errors_name_the_file(tmp_path, capsys, data, mapping, message):
     csv, map_ = tmp_path / "labs.csv", tmp_path / "labs.map"
     (tmp_path / "r.tes").write_text(SUP_RULES)

@@ -202,6 +202,23 @@ def test_read_csv_mapped_epoch():
     ]
 
 
+def test_read_csv_mapped_keeps_line_breaks_in_quoted_fields():
+    m = parse_mapping("predicate=adm\ncolumns=0,1\ntimestamp_column=2")
+    assert read_csv_mapped('p1,"a\nb",5\np2,"c\r\nd",6\n', m) == [
+        ObservationFact("adm", ("p1", "a\nb"), 5), ObservationFact("adm", ("p2", "c\r\nd"), 6)]
+
+
+@pytest.mark.parametrize("rows, row", [
+    ("p1,a,5\n\np2,b,x\n", 3),              # a blank line is a row
+    ("p1,a,5\x0cp2,b,6\np3,c,x\n", 3),       # so is each part of a line str.splitlines breaks
+    ('p1,"a\nb",5\np2,b,x\n', 2),           # a quoted line break ends no row
+], ids=["blank-line", "form-feed", "quoted-line-break"])
+def test_read_csv_mapped_error_rows(rows, row):
+    m = parse_mapping("predicate=adm\ncolumns=0,1\ntimestamp_column=2")
+    with pytest.raises(MalformedTimestamp, match=f"^row {row}: "):
+        read_csv_mapped(rows, m)
+
+
 def test_read_csv_mapped_short_row():
     m = parse_mapping("predicate=adm\ncolumns=0,1\ntimestamp_column=2")
     with pytest.raises(MappingError):

@@ -20,6 +20,7 @@ from timeloom import (
     print_tes,
 )
 from timeloom.language import MAX_TERM_DEPTH, is_schematic_window
+from timeloom.model import IntervalTerm, Nat, StarTerm, Var
 
 from conftest import THERAPY_RULES, TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
 
@@ -287,3 +288,24 @@ def test_end_of_input_is_the_column_after_a_one_character_token():
         parse_tes("decl atemporal ab/")
     assert (err.value.message, err.value.line, err.value.col) == (
         "expected an arity, found ''", 1, 19)
+
+
+ENDPOINT_PREAMBLE = "decl persistent e/0.\ndecl meta m/0.\n"
+BAD_ENDPOINT = "interval endpoints must be naturals, variables, _, or *"
+
+
+@pytest.mark.parametrize("line3, message, col", [
+    ("meta m([*, 3], 1) :- e(I, L).", "* may only close an interval", 9),
+    ("meta m([a, 3], 1) :- e(I, L).", BAD_ENDPOINT, 9),
+    ("meta m([1, 2], 1) :- e([2, a], 1).", BAD_ENDPOINT, 28),
+], ids=["star-opens", "symbol-opens", "symbol-closes"])
+def test_interval_endpoint_rejections(line3, message, col):
+    with pytest.raises(ParseError) as err:
+        parse_tes(ENDPOINT_PREAMBLE + line3)
+    assert (err.value.message, err.value.line, err.value.col) == (message, 3, col)
+
+
+def test_interval_endpoints_take_naturals_variables_wildcards_and_a_closing_star():
+    tes = parse_tes(ENDPOINT_PREAMBLE + "meta m([1, T], 1) :- e([_, *], L), e([2, T], L2).")
+    assert [lit.atom.interval for lit in tes.meta_rules[0].body] == [
+        IntervalTerm(Var("_1"), StarTerm()), IntervalTerm(Nat(2), Var("T"))]

@@ -20,7 +20,7 @@ from timeloom import (
     repairs,
     timeline,
 )
-from timeloom.meta import close_models, meta_provenance
+from timeloom.meta import Factored, close_factored, meta_provenance
 from timeloom.repair import DEFAULT_CAP
 
 from conftest import random_ruleful_instance
@@ -28,6 +28,17 @@ from conftest import random_ruleful_instance
 
 def ev(pred, args, a, b, level):
     return AnnotatedEventFact(pred, args, Interval(a, b), level)
+
+
+def close_models(tes, dataset, models):
+    """Each set of simple events together with the meta facts derivable
+    from it, in order: `close_factored` of the models as their intersection
+    plus one unit per other fact, whose results are without it and with it."""
+    core = frozenset.intersection(*models) if models else frozenset()
+    rest = list(frozenset().union(*models) - core)
+    units = tuple([(frozenset(), frozenset([x])) for x in rest])
+    picks = tuple([tuple([int(x in m) for x in rest]) for m in models])
+    return close_factored(tes, dataset, Factored(core, units, picks)).models()
 
 
 def test_intersection_and_weakest_level():

@@ -16,7 +16,6 @@ from timeloom import (
     Interval,
     InvalidSpec,
     ObservationFact,
-    eval_body,
     ground_simple_heads,
     level_timepoints,
     parse_tes,
@@ -43,9 +42,20 @@ from timeloom.model import (
     fact_key,
     term_vars,
 )
-from timeloom.query import AuxStore, check_validity
+from timeloom.query import AuxStore, JoinPlan, check_validity
 
 from conftest import THERAPY_RULES
+
+
+def eval_body(body, sorts, dataset, events=None, delta=None, witnesses=False):
+    """All variable bindings satisfying the body, as dicts: `JoinPlan.solve`
+    with each tuple of slots named by the plan's binder variables. With
+    `witnesses`, each result is a (binding, facts) pair."""
+    plan = JoinPlan(body, sorts)
+    results = plan.solve(dataset, events, delta, witnesses)
+    if witnesses:
+        return [(dict(zip(plan.names, s)), m) for s, m in results]
+    return [dict(zip(plan.names, s)) for s in results]
 
 
 def body_of(rule_text, which="meta"):
