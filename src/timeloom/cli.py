@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from bisect import bisect_left
-from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -130,113 +129,87 @@ def _tsv_value(v: Value) -> str:
     return v
 
 
-def _tsv_fact_row(section: str, fj: dict, with_clamp: bool) -> str:
-    """One fact's TSV fields after the row prefix, with the line end."""
+def _tsv_fact_row(fj: dict, with_clamp: bool) -> str:
+    """One fact's TSV fields after the section, with the line end."""
     iv = fj["interval"]
-    row = [section, fj["pred"], ",".join(map(_tsv_value, fj["args"])),
+    row = [fj["pred"], ",".join(map(_tsv_value, fj["args"])),
            str(iv["start"]), str(iv["end"]), str(fj["level"])]
     if with_clamp:
         row.append(str(iv.get("clamped_end", "")))
     return "\t".join(row) + "\n"
 
 
-def _write_json(out: list[str], doc) -> None:
-    """Append the text of `json.dumps(doc, indent=2)` to `out`, for a
-    document of dicts with string keys, lists, tuples, strings, numbers,
-    booleans and None.
+def _json_scalar(v: Value) -> str:
+    return encode_basestring_ascii(v) if isinstance(v, str) else str(v)
 
-    A dict or list that lists hold more than once, at the same depth, is
-    encoded once: its first occurrence is written in place, and a repeat
-    takes its text from that stretch of `out`. A list whose items all have
-    such a text is written with one join, so models that share their facts
-    cost about as much as their distinct facts."""
-    spans: defaultdict[int, dict] = defaultdict(dict)  # depth -> id -> out[a:b]
-    texts: defaultdict[int, dict] = defaultdict(dict)  # depth -> id -> text
 
-    def write(o, depth: int) -> None:
-        if isinstance(o, str):
-            out.append(encode_basestring_ascii(o))
-        elif type(o) is int:
-            out.append(repr(o))
-        elif not isinstance(o, (dict, list, tuple)):
-            out.append(json.dumps(o))
-        elif not o:
-            out.append("{}" if isinstance(o, dict) else "[]")
-        elif isinstance(o, dict):
-            pad = "\n" + "  " * (depth + 1)
-            sep = "{" + pad
-            for k, v in o.items():
-                out.append(sep + encode_basestring_ascii(k) + ": ")
-                sep = "," + pad
-                write(v, depth + 1)
-            out.append("\n" + "  " * depth + "}")
-        else:
-            write_list(o, depth)
-
-    def write_list(o, depth: int) -> None:
-        sep = ",\n" + "  " * (depth + 1)
-        known = texts[depth + 1]
-        out.append("[" + sep[1:])
-        if id(o[0]) in known:
-            got = list(map(known.get, map(id, o)))
-            if None not in got:
-                out.append(sep.join(got))
-                out.append("\n" + "  " * depth + "]")
-                return
-        seen = spans[depth + 1]
-        for i, v in enumerate(o):
-            if i:
-                out.append(sep)
-            if not v or not isinstance(v, (dict, list, tuple)):
-                write(v, depth + 1)
-                continue
-            key = id(v)
-            text = known.get(key)
-            if text is None and key in seen:
-                a, b = seen[key]
-                text = known[key] = "".join(out[a:b])
-            if text is None:
-                a = len(out)
-                write(v, depth + 1)
-                seen[key] = (a, len(out))
-            else:
-                out.append(text)
-        out.append("\n" + "  " * depth + "]")
-
-    write(doc, 0)
+def _json_fact(fj: dict, pad: str) -> str:
+    """The text `json.dumps(fj, indent=2)` gives a `fact_to_json` dict,
+    each newline followed by `pad` less its own newline."""
+    p1, p2 = pad + "  ", pad + "    "
+    args = ("," + p2).join(map(_json_scalar, fj["args"]))
+    iv = ("," + p2).join(f'"{k}": {_json_scalar(v)}' for k, v in fj["interval"].items())
+    return (f'{{{p1}"pred": {_json_scalar(fj["pred"])},{p1}"args": '
+            + (f"[{p2}{args}{p1}]" if args else "[]")
+            + f',{p1}"interval": {{{p2}{iv}{p1}}},{p1}"level": {fj["level"]}{pad}}}')
 
 
 def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
-    """Render a run document as JSON or as flat tab-separated rows."""
+    """Render a document `run` writes, as the text of `json.dumps(doc,
+    indent=2)` or as tab-separated rows: a check verdict, a run, or a
+    partitioned run whose entities are runs led by their "entity".
+
+    TSV leaves out every key but the models' sections and the verdict.
+    Models share one dict per distinct fact, so a fact's text is built once
+    per call, for JSON at the one depth facts have in the document, and
+    each model section is one join of those texts."""
+    memo: dict[int, str] = {}  # id of a fact dict -> its text
     out: list[str] = []
-    if fmt == "json":
-        _write_json(out, doc)
-        out.append("\n")
+
+    def texts(facts: list, make) -> list[str]:
+        got = list(map(memo.get, map(id, facts)))
+        if None in got:
+            for j, fj in enumerate(facts):
+                if got[j] is None:
+                    got[j] = memo[id(fj)] = make(fj)
+        return got
+
+    if fmt != "json":
+        if "recognized" in doc:
+            return f"recognized\t{json.dumps(doc['recognized'])}\n"
+        runs = ([(_tsv_value(e["entity"]) + "\t", e) for e in doc["entities"]]
+                if "entities" in doc else [("", doc)])
+        for lead, r in runs:
+            for j, m in enumerate(r["models"]):
+                for k in ("simple", "meta"):
+                    got = texts(m[k], lambda fj: _tsv_fact_row(fj, with_clamp))
+                    if got:
+                        sep = f"{lead}{j}\t{k}\t"
+                        out.extend((sep, sep.join(got)))
         return "".join(out)
-    if "recognized" in doc:
-        return f"recognized\t{str(doc['recognized']).lower()}\n"
-    # models share one dict per distinct fact, so a fact's row is built once
-    rows = {"simple": {}, "meta": {}}  # section -> id of a fact dict -> row
 
-    def model_rows(prefix: str, m: dict) -> None:
-        for section, known in rows.items():
-            facts = m[section]
-            got = list(map(known.get, map(id, facts)))
-            if None in got:
-                for i, fj in enumerate(facts):
-                    if got[i] is None:
-                        got[i] = known[id(fj)] = _tsv_fact_row(section, fj, with_clamp)
-            if got:
-                out.append(prefix)
-                out.append(prefix.join(got))
+    def walk(d: dict, depth: int) -> None:
+        pad = "\n" + "  " * (depth + 1)  # leads a key
+        item = pad + "  "  # leads an item of a list
+        for i, (k, v) in enumerate(d.items()):
+            out.append(f'{"," if i else "{"}{pad}"{k}": ')
+            if not isinstance(v, list):
+                out.append(json.dumps(v))
+                continue
+            out.append("[" + item if v else "[]")
+            if k == "simple" or k == "meta":
+                out.append(("," + item).join(texts(v, lambda fj: _json_fact(fj, item))))
+            else:  # the models of a run, or the entities of a partitioned run
+                for j, sub in enumerate(v):
+                    if j:
+                        out.append("," + item)
+                    walk(sub, depth + 2)
+            if v:
+                out.append(pad + "]")
+        out.append(pad[:-2] + "}")
 
-    if "entities" in doc:
-        for ent in doc["entities"]:
-            for mi, m in enumerate(ent["models"]):
-                model_rows(f"{_tsv_value(ent['entity'])}\t{mi}\t", m)
-    else:
-        for mi, m in enumerate(doc["models"]):
-            model_rows(f"{mi}\t", m)
+    walk(doc, 0)
+    out.append("\n")
     return "".join(out)
 
 
@@ -350,8 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "branches (for preferred, results plus each level's "
                         "dead ends; for cautious, only alternative provenance "
                         "supports of constraint matches); candidate subsets "
-                        "examined instead when there are constraints and some "
-                        "rule negates an event or uses start/end")
+                        "examined instead when some constraint negates an "
+                        "event, or names a meta event while some meta rule "
+                        "negates an event or uses start/end")
     r.add_argument("--max-models", metavar="N", help="emit at most this many models")
     r.add_argument("--partition-by", metavar="N",
                    help="argument position to split entities on")

@@ -7,24 +7,24 @@ satisfiable over the data plus the facts. Repairs are the maximal
 consistent subsets of the inferred simple events; the four timeline modes
 differ only in which repairs they keep.
 
-When consistency is downward closed (monotone rules, or no constraints)
-the repairs are the maximal sets containing no minimal inconsistent set:
-the maximal independent sets of one conflict hypergraph. Every mode reads
-that hypergraph, split into the facts in no edge and connected components:
-repairs and preferred repairs are products of per-component results, and
-the cautious core is the facts in no edge. Other rule sets scan candidate
-subsets.
+When consistency is downward closed (monotone rules, or constraints that
+negate no event and name no meta event) the repairs are the maximal sets
+containing no minimal inconsistent set: the maximal independent sets of
+one conflict hypergraph. Every mode reads that hypergraph, split into the
+facts in no edge and connected components: repairs and preferred repairs
+are products of per-component results, and the cautious core is the facts
+in no edge. Other rule sets scan candidate subsets.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice, product
+from itertools import combinations, groupby, islice, product
 from math import prod
 from operator import attrgetter
 from typing import Callable, Iterator
 
 from .errors import EnumerationCapExceeded
-from .language import TES
+from .language import TES, EventAtom
 from .meta import (
     Factored,
     close_factored,
@@ -122,23 +122,26 @@ class _Budget:
 
 
 def _downward_closed(tes: TES) -> bool:
-    """Whether every subset of a consistent set is consistent: with monotone
-    rules, and without constraints, where consistency is pairwise whatever
-    the meta rules."""
-    return tes.is_monotone or not tes.has_domain_constraints
+    """Whether every subset of a consistent set is consistent. Clashes are
+    pairwise, and a constraint body matched over a subset is matched over
+    the whole set when the rules are monotone, or when the body negates no
+    event atom and names no meta event, whatever the meta rules."""
+    return tes.is_monotone or not tes.constraints_mention_meta() and not any(
+        lit.negated and isinstance(lit.atom, EventAtom) for c in tes.constraints for lit in c.body)
 
 
 def _minimal_edges(edges) -> list[frozenset]:
     """The edges no other edge is a proper subset of, each once, smallest
-    first."""
+    first. Distinct edges of one size are never proper subsets of each
+    other, so each edge is tested only against the smaller ones kept."""
     kept: list[frozenset] = []
-    by_fact: dict = {}
-    for e in sorted(set(edges), key=len):
-        if any(k <= e for f in e for k in by_fact.get(f, ())):
-            continue
-        kept.append(e)
-        for f in e:
-            by_fact.setdefault(f, []).append(e)
+    by_fact: dict = {}  # fact -> the smaller kept edges holding it
+    for _, group in groupby(sorted(set(edges), key=len), key=len):
+        new = [e for e in group if not any(k <= e for f in e for k in by_fact.get(f, ()))]
+        for e in new:
+            for f in e:
+                by_fact.setdefault(f, []).append(e)
+        kept += new
     if kept and not kept[0]:
         return kept[:1]
     return kept
@@ -146,7 +149,8 @@ def _minimal_edges(edges) -> list[frozenset]:
 
 def conflict_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset,
                         spend: Callable[[], None]) -> list[frozenset]:
-    """The minimal inconsistent subsets of `se` under a monotone rule set.
+    """The minimal inconsistent subsets of `se` under downward closed
+    consistency.
 
     Clashing pairs are edges of size 2. Each constraint is ground once over
     all of `se` (and, when it mentions meta events, over their closure); the
@@ -272,13 +276,14 @@ def _component_results(facts: list, edges: list[frozenset], budget: _Budget,
     level. A reduced edge of one fact excludes that fact. With every fact at
     one level these are the component's maximal independent sets; by fact
     level they are its preferred results."""
-    levels = sorted({level(f) for f in facts})
+    layers: dict = {}  # level -> its facts, in canonical order
+    for f in facts:
+        layers.setdefault(level(f), []).append(f)
+    levels = sorted(layers)
 
     def extend(k: int, chosen: frozenset) -> Iterator[frozenset]:
-        if k == len(levels):
-            yield chosen
-            return
-        layer = [f for f in facts if level(f) == levels[k]]
+        # the sets of facts chosen through level k that extend `chosen`
+        layer = layers[levels[k]]
         pool = chosen.union(layer)
         reduced = {e - chosen for e in edges if e <= pool}
         barred = {f for e in reduced if len(e) == 1 for f in e}
@@ -288,10 +293,21 @@ def _component_results(facts: list, edges: list[frozenset], budget: _Budget,
         live = [f for f in layer if f in touched]  # in canonical order
         pos = {f: i for i, f in enumerate(live)}
         index_edges = [tuple(pos[f] for f in e) for e in live_edges]
-        for pick in _independent_sets(len(live), index_edges, budget) if live else ((),):
-            yield from extend(k + 1, kept.union(live[i] for i in pick))
+        picks = _independent_sets(len(live), index_edges, budget) if live else ((),)
+        return (kept.union(live[i] for i in pick) for pick in picks)
 
-    return extend(0, frozenset())
+    # one iterator per level entered, so a component of many levels needs
+    # no deep recursion; the results and budget charges come in the order
+    # of a depth-first walk
+    stack = [extend(0, frozenset())]
+    while stack:
+        chosen = next(stack[-1], None)
+        if chosen is None:
+            stack.pop()
+        elif len(stack) == len(levels):
+            yield chosen
+        else:
+            stack.append(extend(len(stack), chosen))
 
 
 def _in_order(core: SimpleSet, units: tuple[tuple[SimpleSet, ...], ...], picks) -> Factored:
@@ -316,21 +332,23 @@ def _in_order(core: SimpleSet, units: tuple[tuple[SimpleSet, ...], ...], picks) 
 def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset,
                      cap: int) -> tuple[list[SimpleSet], bool]:
     """Maximal consistent subsets under arbitrary constraints, and whether
-    the cap left them all: scan subsets by decreasing size, keeping those
-    no earlier consistent set contains. The cap bounds the subsets
-    examined."""
+    the cap left them all: scan subsets by decreasing size, keeping the
+    consistent ones no repair found earlier contains. The cap bounds the
+    subsets examined.
+
+    A consistent set that is not maximal lies in a maximal consistent set,
+    which is larger, so the scan reached it earlier and found it: a subset
+    of no earlier repair is a repair exactly when it is consistent, and a
+    subset of one needs no test."""
     facts = sorted(se, key=fact_key)
     found: list[SimpleSet] = []
-    consistent_seen: list[SimpleSet] = []
     subsets = (frozenset(c) for size in range(len(facts), -1, -1)
                for c in combinations(facts, size))
     for examined, s in enumerate(subsets):
         if examined == cap:
             return found, False
-        if is_consistent(s, tes, dataset):
-            if not any(s < t for t in consistent_seen):
-                found.append(s)
-            consistent_seen.append(s)
+        if not any(s < t for t in found) and is_consistent(s, tes, dataset):
+            found.append(s)
     return found, True
 
 

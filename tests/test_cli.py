@@ -823,54 +823,84 @@ def test_max_models_closes_only_the_units_of_the_models_it_keeps(rendered, monke
         assert len(copies) == closed
 
 
-def test_render_document_encodes_shared_objects_like_json_dumps():
-    leaf = {"pred": "e", "args": [], "interval": {"start": 0, "end": "*"}, "level": 1}
-    doc = {"a": [leaf, leaf, {"nested": [leaf]}], "b": leaf, "c": {}, "d": [[]],
-           "e": [True, False, None, 1.5, -3, "\u00e9\"\\\n"], "é": (1, leaf)}
-    assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
-    assert render_document({"recognized": True}, "json") == '{\n  "recognized": true\n}\n'
-
-
 TEXTS = ("", "p1", "caf\u00e9 \u2713", 'say "hi"', "back\\slash", "tab\tline\n", "\x00\x7f",
-         "\U0001f600", "\u2028")
-SCALARS = (True, False, None, 0, 7, -3, -2 ** 70, 1.5, -0.0, 1e300, float("inf"), 2.5e-8)
+         "\U0001f600", "\u2028", "12", "a,b")
+VALUES = TEXTS + (0, 7, 2 ** 70)
 
 
-def random_document(rng: random.Random) -> dict:
-    """A document of dicts, lists and tuples, some held in several places at
-    one depth or at several depths, beside scalars of every JSON kind."""
-    pool: list = [{}, [], ()]  # finished containers, free to appear again
-
-    def value(depth: int):
-        r = rng.random()
-        if depth > 4 or r < 0.35:
-            return rng.choice(TEXTS + SCALARS)
-        if r < 0.55:
-            return rng.choice(pool)
-        n = rng.randrange(5)
-        if r < 0.7:
-            made = {rng.choice(TEXTS): value(depth + 1) for _ in range(n)}
-        elif r < 0.85:
-            made = [value(depth + 1) for _ in range(n)]
+def random_facts(rng: random.Random, now) -> list:
+    """Fact dicts of the `fact_to_json` shape: symbol and natural arguments,
+    sometimes none, and ongoing ends, clamped under `now`."""
+    facts = []
+    for _ in range(rng.randint(1, 6)):
+        iv: dict = {"start": rng.randrange(9)}
+        if rng.random() < 0.4:
+            iv["end"] = "*"
+            if now is not None:
+                iv["clamped_end"] = now + 1
         else:
-            made = tuple(value(depth + 1) for _ in range(n))
-        pool.append(made)
-        return made
+            iv["end"] = rng.randrange(9, 20)
+        args = [rng.choice(VALUES) for _ in range(rng.randrange(3))]
+        facts.append({"pred": rng.choice(TEXTS), "args": args, "interval": iv,
+                      "level": rng.randint(1, 3)})
+    return facts
 
-    # model-like lists whose items, after the first few, were all written
-    # before at the same depth
-    facts = [{"pred": rng.choice(TEXTS), "args": [value(3) for _ in range(rng.randrange(3))],
-              "interval": {"start": rng.randrange(9), "end": rng.choice((4, "*"))}}
-             for _ in range(rng.randint(1, 6))]
+
+def random_run(rng: random.Random, facts: list) -> dict:
+    """A run document whose models draw their sections from `facts`, so a
+    fact dict is shared across models and across the two sections."""
     models = [{"simple": rng.sample(facts, rng.randint(0, len(facts))),
-               "meta": [rng.choice(pool + facts) for _ in range(rng.randrange(3))]}
-              for _ in range(rng.randint(1, 8))]
-    return {"mode": value(1), "models": models, "extra": [value(1) for _ in range(4)],
-            rng.choice(TEXTS): rng.choice(facts)}
+               "meta": [rng.choice(facts) for _ in range(rng.randrange(3))]}
+              for _ in range(rng.randrange(4))]
+    return {"mode": rng.choice(("naive", "consistent")), "models": models,
+            "exhaustive": rng.random() < 0.5}
+
+
+def random_partitioned(rng: random.Random, facts: list) -> dict:
+    entities = [{"entity": rng.choice(VALUES), **random_run(rng, facts)}
+                for _ in range(rng.randrange(4))]
+    return {"mode": "consistent", "partition_by": rng.randrange(3), "entities": entities,
+            "exhaustive": rng.random() < 0.5}
+
+
+def assert_renders_like_references(doc: dict, now) -> None:
+    assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
+    if "recognized" in doc:
+        assert render_document(doc, "tsv") == f"recognized\t{json.dumps(doc['recognized'])}\n"
+        return
+    for with_clamp in {now is not None, False}:
+        assert (render_document(doc, "tsv", with_clamp=with_clamp)
+                == reference_tsv(doc, with_clamp=with_clamp))
+
+
+def test_render_document_encodes_shared_objects_like_json_dumps():
+    # one pool of fact dicts in a run, then in a partitioned run: the text
+    # of a fact is built once per call, at the depth of that call's facts,
+    # and in TSV apart from its section
+    rng = random.Random(29)
+    for _ in range(200):
+        now = rng.choice((None, 40))
+        facts = random_facts(rng, now)
+        for doc in (random_run(rng, facts), random_partitioned(rng, facts), random_run(rng, facts)):
+            assert_renders_like_references(doc, now)
+    assert render_document({"recognized": True}, "json") == '{\n  "recognized": true\n}\n'
+    assert render_document({"recognized": False}, "tsv") == "recognized\tfalse\n"
 
 
 def test_render_document_matches_json_dumps_on_random_documents():
-    rng = random.Random(29)
+    # run, partitioned and check documents, with empty args, sections,
+    # models and entities among them
+    rng = random.Random(31)
+    kinds = {"run": 0, "partitioned": 0, "check": 0, "no models": 0, "no entities": 0}
     for _ in range(600):
-        doc = random_document(rng)
-        assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
+        now = rng.choice((None, 40))
+        kind = rng.choice(("run", "partitioned", "check"))
+        if kind == "check":
+            doc = {"recognized": rng.random() < 0.5}
+        else:
+            doc = (random_run if kind == "run" else random_partitioned)(rng, random_facts(rng, now))
+        kinds[kind] += 1
+        kinds["no models"] += doc.get("models") == []
+        kinds["no entities"] += doc.get("entities") == []
+        assert_renders_like_references(doc, now)
+    assert min(kinds.values()) > 30, kinds

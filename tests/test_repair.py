@@ -25,7 +25,14 @@ from timeloom import (
     timeline,
 )
 from timeloom.model import fact_key
-from timeloom.repair import _Budget, _independent_sets, clash_pairs, conflict_hypergraph
+from timeloom.repair import (
+    _Budget,
+    _downward_closed,
+    _independent_sets,
+    _minimal_edges,
+    clash_pairs,
+    conflict_hypergraph,
+)
 
 from conftest import (
     PLAIN_TES,
@@ -355,6 +362,87 @@ def test_independent_sets_match_brute_on_random_hypergraphs():
     assert wide > 500
 
 
+def test_minimal_edges_match_brute_on_random_hypergraphs():
+    # duplicate edges, edges nested in others and the empty edge among them
+    rng = random.Random(37)
+    seen = {"duplicate": 0, "nested": 0, "empty": 0}
+    for _ in range(1500):
+        pool = [frozenset(rng.sample(range(6), rng.randint(0 if rng.random() < 0.05 else 1, 4)))
+                for _ in range(rng.randint(0, 10))]
+        edges = pool + [rng.choice(pool) for _ in range(rng.randrange(3))] if pool else []
+        got = _minimal_edges(edges)
+        want = {e for e in edges if not any(o < e for o in edges)}
+        assert len(got) == len(set(got)) and set(got) == want
+        assert [len(e) for e in got] == sorted(len(e) for e in got)
+        seen["duplicate"] += len(set(edges)) < len(edges)
+        seen["nested"] += len(want) < len(set(edges))
+        seen["empty"] += frozenset() in edges
+    assert min(seen.values()) > 50, seen
+
+
+def test_a_chain_of_many_levels_needs_no_recursion():
+    # 1100 facts at levels 1 to 1100, each clashing with the next: the
+    # level-wise search keeps every other fact, one level at a time
+    chain = [ev(2 * i, 2 * i + 3, i + 1) for i in range(1100)]
+    assert temporal_conflict(chain[0], chain[1]) and not temporal_conflict(chain[0], chain[2])
+    pref = preferred_repairs(EMPTY, PLAIN_TES, se=frozenset(chain))
+    assert pref.exhaustive and pref.repairs == (frozenset(chain[::2]),)
+
+
+# a meta rule negating an event, and a constraint over simple events only
+NEGATED_META = """\
+decl observation seen/1.
+decl persistent a/1.
+decl persistent b/1.
+decl persistent c/1.
+decl meta m/1.
+exists_pers(a(P), T, 1) :- seen(P, T).
+exists_pers(b(P), T, 1) :- seen(P, T).
+exists_pers(c(P), T, 1) :- seen(P, T).
+meta m(P, I, L) :- a(P, I, L), not b(P, _, _).
+constraint :- a(P, [T1, T2]), c(P, [T1, T3]).
+"""
+
+
+def test_negated_meta_rules_keep_simple_constraints_downward_closed():
+    # each patient's a and c start together: two repairs per patient, read
+    # off the conflict hypergraph rather than a scan of 2**24 subsets
+    tes = parse_tes(NEGATED_META)
+    assert not tes.is_monotone and _downward_closed(tes)
+    for patients in (3, 8):
+        dataset = Dataset([ObservationFact("seen", (f"p{i}",), 0) for i in range(patients)])
+        # the budget pays for the models alone
+        got = timeline(dataset, tes, "consistent", cap=2 ** patients)
+        assert got.exhaustive and len(got.models) == 2 ** patients
+        if patients == 3:
+            assert repairs(dataset, tes).repairs == brute_repairs(dataset, tes)
+    # a constraint naming the meta event keeps the scan
+    assert not _downward_closed(parse_tes(NEGATED_META.replace(
+        "constraint :- a(P,", "constraint :- m(P,")))
+
+
+def test_subset_scan_tests_no_subset_of_a_repair_found(monkeypatch):
+    # every consistent set lies in a repair the scan, going by decreasing
+    # size, found before it
+    tested = []
+    monkeypatch.setattr("timeloom.repair.is_consistent",
+                        lambda s, *a: tested.append(s) or is_consistent(s, *a))
+    rng = random.Random(47)
+    nonmono = ("constraint :- e([T1, T2]), not p([T1, _]).",)
+    seen = 0
+    for _ in range(25):
+        dataset, tes = random_ruleful_instance(rng, allow_constraints=False, extra=nonmono)
+        se = infer_all_simple(dataset, tes)
+        if len(se) > 10:
+            continue
+        tested.clear()
+        got = repairs(dataset, tes, se=se)
+        assert got.repairs == brute_repairs(dataset, tes, se=se)
+        assert not any(s < r for s in tested for r in got.repairs)
+        seen += len(tested) < 2 ** len(se)
+    assert seen > 5
+
+
 STAR_TES = parse_tes("decl persistent a/1.\ndecl persistent b/1.\ndecl persistent c/0.\n"
                      "constraint :- a(P, I1), b(P, I2), c(I3).")
 
@@ -397,37 +485,48 @@ def test_hyperedges_are_minimal_constraint_witnesses():
 
 
 def test_hypergraph_path_matches_brute_on_varied_constraints():
-    # repairs, preferred repairs, cautious cores and recognition
-    rng = random.Random(41)
-    checked, kinds, widest, none = 0, set(), 0, 0
-    while checked < 520:
-        dataset, tes = random_ruleful_instance(rng, varied_constraints=True)
-        se = infer_all_simple(dataset, tes)
-        if len(se) > 9:
-            continue
-        # the predicates a constraint body names tell the kinds apart
-        kinds.add(tuple(lit.atom.pred for lit in tes.constraints[0].body
-                        if hasattr(lit.atom, "pred")))
-        reps = brute_repairs(dataset, tes, se=se)
-        got = repairs(dataset, tes, se=se)
-        assert got.exhaustive
-        assert got.repairs == reps
-        pref = preferred_repairs(dataset, tes, se=se)
-        assert pref.exhaustive
-        assert pref.repairs == brute_preferred(reps)
-        core = frozenset.intersection(*reps) if reps else frozenset()
-        assert cautious_core(dataset, tes, se=se) == core
-        for cand in set(reps) | {frozenset(), se, core}:
-            full = cand | infer_meta(tes, dataset, cand)
-            assert recognize_timeline(dataset, tes, full) == (cand in reps)
-            assert recognize_timeline(dataset, tes, full, mode="preferred") == (
-                cand in pref.repairs)
-        edges = conflict_hypergraph(se, tes, dataset, lambda: None)
-        widest = max([widest] + [len(e) for e in edges])
-        none += not reps
-        checked += 1
-    assert len(kinds) == len(VARIED_CONSTRAINTS)
-    assert widest >= 3 and none > 0
+    # repairs, preferred repairs, cautious cores and recognition; then beside
+    # meta rules that are not monotone, where a constraint that negates no
+    # event and names no meta event keeps consistency downward closed
+    nonmono = ("decl meta lone/0.", "meta lone(I, L) :- e(I, L), not p(_, _).",
+               "decl meta first/0.", "meta first([T, T2], L) :- e([T, T2], L), start(e, T).")
+    for extra, seed, draws in (((), 41, 520), (nonmono, 43, 150)):
+        rng = random.Random(seed)
+        checked, kinds, widest, none, scanned = 0, set(), 0, 0, 0
+        while checked < draws:
+            dataset, tes = random_ruleful_instance(rng, varied_constraints=True, extra=extra)
+            se = infer_all_simple(dataset, tes)
+            if len(se) > 9:
+                continue
+            if not _downward_closed(tes):
+                # only the constraints over meta events take the subset scan
+                assert extra and tes.constraints_mention_meta()
+                scanned += 1
+                continue
+            # the predicates a constraint body names tell the kinds apart
+            kinds.add(tuple(lit.atom.pred for lit in tes.constraints[0].body
+                            if hasattr(lit.atom, "pred")))
+            reps = brute_repairs(dataset, tes, se=se)
+            got = repairs(dataset, tes, se=se)
+            assert got.exhaustive
+            assert got.repairs == reps
+            pref = preferred_repairs(dataset, tes, se=se)
+            assert pref.exhaustive
+            assert pref.repairs == brute_preferred(reps)
+            core = frozenset.intersection(*reps) if reps else frozenset()
+            assert cautious_core(dataset, tes, se=se) == core
+            for cand in set(reps) | {frozenset(), se, core}:
+                full = cand | infer_meta(tes, dataset, cand)
+                assert recognize_timeline(dataset, tes, full) == (cand in reps)
+                assert recognize_timeline(dataset, tes, full, mode="preferred") == (
+                    cand in pref.repairs)
+            edges = conflict_hypergraph(se, tes, dataset, lambda: None)
+            widest = max([widest] + [len(e) for e in edges])
+            none += not reps
+            checked += 1
+        # beside the non-monotone rules, the two kinds over meta events scan
+        assert len(kinds) == len(VARIED_CONSTRAINTS) - (2 if extra else 0)
+        assert widest >= 3 and none > 0 and (scanned > 20 if extra else not scanned)
 
 
 def test_greedy_matches_brute_preferred_on_guard_instances():
