@@ -87,17 +87,20 @@ class LevelOverflow(TimeloomError):
 
 
 class EnumerationCapExceeded(TimeloomError):
-    """Repair enumeration spent its budget before completing. Under monotone
-    rules the budget counts repairs emitted plus dead-end branches (and
-    alternative provenance supports of constraint matches, all that the
-    cautious core spends); otherwise it counts the candidate subsets
-    examined."""
+    """Repair enumeration spent its budget before completing. The budget
+    counts repairs emitted plus dead-end branches (and alternative
+    provenance supports of constraint matches, all that the cautious core
+    spends), or the candidate subsets examined when removing facts can make
+    a set inconsistent: when a constraint negates an event, or names a meta
+    event while a meta rule negates an event or uses start/end."""
 
     def __init__(self, cap: int):
         self.cap = cap
         super().__init__(f"enumeration cap of {cap} exceeded (repairs emitted plus "
                          "dead ends and provenance supports, or candidate subsets "
-                         "examined under non-monotone rules)")
+                         "examined when a constraint negates an event, or names a "
+                         "meta event while a meta rule negates an event or uses "
+                         "start/end)")
 
 
 class ResourceExhausted(TimeloomError):

@@ -225,9 +225,10 @@ def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:
 
 
 def read_file(path: str) -> str:
-    """The text of a rule, data, mapping or check-target file, read as UTF-8."""
+    """The text of a rule, data, mapping or check-target file, read as UTF-8
+    without a leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise IoError(f"cannot read {path}: {e}") from None
 

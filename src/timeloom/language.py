@@ -243,10 +243,6 @@ class TES(Record):
                     return False
         return True
 
-    @property
-    def has_domain_constraints(self) -> bool:
-        return bool(self.constraints)
-
     def constraints_mention_meta(self) -> bool:
         for c in self.constraints:
             for lit in c.body:

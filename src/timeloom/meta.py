@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import LevelOverflow, SortError
 from .language import TES, EventAtom, MetaRule
@@ -118,41 +118,48 @@ def infer_meta(tes: TES, dataset: Dataset,
     return store.facts.difference(simple)
 
 
-def _link_classes(tes: TES, dataset: Dataset, union: frozenset[AnnotatedEventFact],
-                  shared: EventStore, groups: Sequence[frozenset]) -> Callable:
-    """Close `union` once, joining each derived fact outside `shared` with
-    the facts outside `shared` its body matched, and the facts of each of
-    `groups` with each other. Returns the class representative of a fact
-    (union-find)."""
-    parent: dict[AnnotatedEventFact, AnnotatedEventFact] = {}
+def link(groups: Iterable[Iterable]) -> Callable:
+    """Union-find over the values of `groups`: returns the class
+    representative of a value, one for the values of each group and of
+    groups sharing a value; any other value is its own."""
+    parent: dict = {}
 
-    def find(f: AnnotatedEventFact) -> AnnotatedEventFact:
-        while f in parent:
-            up = parent[f]
-            parent[f] = parent.get(up, up)  # path halving
-            f = up
-        return f
-
-    def join(a: AnnotatedEventFact, b: AnnotatedEventFact) -> None:
-        a, b = find(a), find(b)
-        if a != b:
-            parent[a] = b
+    def find(v):
+        while v in parent:
+            up = parent[v]
+            parent[v] = parent.get(up, up)  # path halving
+            v = up
+        return v
 
     for group in groups:
-        for f in group:
-            join(f, next(iter(group)))
+        values = iter(group)
+        for first in values:
+            root = find(first)
+            for v in values:
+                r = find(v)
+                # equal but distinct values are one dict key: never a parent of itself
+                if r is not root and r != root:
+                    parent[r] = root
+    return find
+
+
+def _link_classes(tes: TES, dataset: Dataset, union: frozenset[AnnotatedEventFact],
+                  shared: EventStore, groups: Sequence[frozenset]) -> Callable:
+    """Close `union` once, linking each derived fact outside `shared` with
+    the facts outside `shared` its body matched, and the facts of each of
+    `groups` with each other. Returns the class representative of a fact
+    (`link`)."""
+    groups = list(groups)
     store = EventStore(union)
 
     def absorb(fired: Fired) -> list[AnnotatedEventFact]:
         for matched, head in fired:
             if head not in shared:
-                for f in matched:
-                    if f not in shared:
-                        join(head, f)
+                groups.append([head, *[f for f in matched if f not in shared]])
         return store.add_all([f for _, f in fired])
 
     _close(tes, dataset, store, absorb, witnesses=True)
-    return find
+    return link(groups)
 
 
 class Factored(Record):
@@ -195,10 +202,10 @@ def _close_units(tes: TES, dataset: Dataset, f: Factored) -> Factored:
     shared = EventStore(f.core)
     _close(tes, dataset, shared, _adding_to(shared))
     facts = [frozenset().union(*results) for results in f.units]
-    link = _link_classes(tes, dataset, f.core.union(*facts), shared, facts)
+    find = _link_classes(tes, dataset, f.core.union(*facts), shared, facts)
     members: dict = {}  # link class -> the units in it; a unit without facts is its own
     for u, unit_facts in enumerate(facts):
-        members.setdefault(link(next(iter(unit_facts))) if unit_facts else u, []).append(u)
+        members.setdefault(find(next(iter(unit_facts))) if unit_facts else u, []).append(u)
     if len(members) < len(f.units):
         f = regroup(f, f.picks, list(members.values()))
     base = shared.facts

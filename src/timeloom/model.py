@@ -506,9 +506,6 @@ class EventStore:
                           for p, by_pos in self._indexes.items()}
         return other
 
-    def by_pred(self, pred: str) -> tuple[AnnotatedEventFact, ...]:
-        return tuple(self._by_pred.get(pred, ()))
-
     def by_key(self, pred: str, args: tuple[Value, ...]) -> tuple[AnnotatedEventFact, ...]:
         return tuple(self._by_key.get((pred, args), ()))
 

@@ -417,10 +417,6 @@ class LevelTimepoints(Record):
 
     __slots__ = _fields = ("key", "levels", "exists_by_level", "ends_by_level")
 
-    @property
-    def max_level(self) -> int:
-        return self.levels[-1] if self.levels else 0
-
     def exists_at(self, level: int) -> tuple[int, ...]:
         i = bisect_right(self.levels, level)
         return self.exists_by_level[i - 1] if i else ()

@@ -10,10 +10,10 @@ differ only in which repairs they keep.
 When consistency is downward closed (monotone rules, or constraints that
 negate no event and name no meta event) the repairs are the maximal sets
 containing no minimal inconsistent set: the maximal independent sets of
-one conflict hypergraph. Every mode reads that hypergraph, split into the
-facts in no edge and connected components: repairs and preferred repairs
-are products of per-component results, and the cautious core is the facts
-in no edge. Other rule sets scan candidate subsets.
+one conflict hypergraph, and every mode reads its minimal edges: repairs
+and preferred repairs are the facts in no edge times per-component
+results, the cautious core is the facts in no edge, and recognition tests
+the candidate against the edges. Other rule sets scan candidate subsets.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .meta import (
     combine_supports,
     factor_models,
     infer_meta,
+    link,
     meta_provenance,
     regroup,
 )
@@ -173,21 +174,10 @@ def conflict_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset,
 def _components(edges: list[frozenset]) -> list[tuple[list, list[frozenset]]]:
     """Connected components of a hypergraph, each as its facts in canonical
     order and its edges."""
-    parent: dict = {}
-
-    def root(f):
-        while parent.setdefault(f, f) != f:
-            parent[f] = parent[parent[f]]
-            f = parent[f]
-        return f
-
-    for e in edges:
-        first, *rest = e
-        for f in rest:
-            parent[root(f)] = root(first)
+    find = link(edges)
     groups: dict = {}
     for e in edges:
-        groups.setdefault(root(next(iter(e))), []).append(e)
+        groups.setdefault(find(next(iter(e))), []).append(e)
     comps = []
     for comp_edges in groups.values():
         facts = sorted({f for e in comp_edges for f in e}, key=fact_key)
@@ -253,19 +243,6 @@ def _independent_sets(n: int, edges: list[tuple[int, ...]],
         else:
             yield frozenset(chosen)
         is_chosen[chosen.pop()] = False
-
-
-def _split_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset, budget: _Budget
-                      ) -> tuple[SimpleSet, list[tuple[list, list[frozenset]]]] | None:
-    """The conflict hypergraph of `se` as the facts in no edge, which are in
-    every repair, and the connected components of the edges of two or more
-    facts. A fact in a one-fact edge is in no repair. None when no subset is
-    consistent."""
-    edges = conflict_hypergraph(se, tes, dataset, budget.spend)
-    if edges and not edges[0]:
-        return None
-    core = frozenset(se).difference(*edges)
-    return core, _components([e for e in edges if len(e) > 1])
 
 
 def _component_results(facts: list, edges: list[frozenset], budget: _Budget,
@@ -359,7 +336,8 @@ def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
     closed consistency they are the facts in no edge plus one result per
     component (by level for preferred), the budget paying per dead end and
     per model, the first in product order; a component stops at more
-    results than the budget has left. Otherwise they are one unit."""
+    results than the budget has left. A fact in a one-fact edge is in no
+    repair. Otherwise they are one unit."""
     if se is None:
         se = infer_all_simple(dataset, tes)
     if not _downward_closed(tes):
@@ -371,14 +349,13 @@ def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
     budget = _Budget(cap)
     level = attrgetter("level") if preferred else lambda f: 0
     try:
-        split = _split_hypergraph(se, tes, dataset, budget)
-        if split is None:
+        edges = conflict_hypergraph(se, tes, dataset, budget.spend)
+        if edges and not edges[0]:  # no subset is consistent
             return Factored(frozenset(), (), ()), True
-        core, comps = split
         units = []
-        for facts, edges in comps:
+        for facts, comp_edges in _components([e for e in edges if len(e) > 1]):
             results: list[frozenset] = []
-            for result in _component_results(facts, edges, budget, level):
+            for result in _component_results(facts, comp_edges, budget, level):
                 results.append(result)
                 if len(results) > budget.left:
                     break
@@ -386,7 +363,8 @@ def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
     except _CapHit:
         return Factored(frozenset(), (), ()), False
     sizes = [len(results) for results in units]
-    found = _in_order(core, tuple(units), islice(product(*map(range, sizes)), budget.left))
+    picks = islice(product(*map(range, sizes)), budget.left)
+    found = _in_order(se.difference(*edges), tuple(units), picks)
     if prod(sizes) <= budget.left:
         return found, True
     return regroup(found, found.picks), False
@@ -430,6 +408,26 @@ def preferred_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     return RepairSet(found.models(), exhaustive)
 
 
+def _hypergraph_or_raise(se: SimpleSet, tes: TES, dataset: Dataset,
+                         cap: int) -> list[frozenset]:
+    """`conflict_hypergraph`, raising when `cap` alternative supports do
+    not suffice."""
+    try:
+        return conflict_hypergraph(se, tes, dataset, _Budget(cap).spend)
+    except _CapHit:
+        raise EnumerationCapExceeded(cap) from None
+
+
+def _all_repairs(dataset: Dataset, tes: TES, se: SimpleSet, cap: int,
+                 preferred: bool) -> tuple[SimpleSet, ...]:
+    """Every repair, or every preferred repair, raising when the cap stops
+    the enumeration first."""
+    found, exhaustive = _repair_factors(dataset, tes, se, cap, preferred)
+    if not exhaustive:
+        raise EnumerationCapExceeded(cap)
+    return found.models()
+
+
 def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
                   cap: int = DEFAULT_CAP) -> SimpleSet:
     """Facts present in every repair.
@@ -443,15 +441,10 @@ def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     if se is None:
         se = infer_all_simple(dataset, tes)
     if not _downward_closed(tes):
-        rep = repairs(dataset, tes, se=se, cap=cap)
-        if not rep.exhaustive:
-            raise EnumerationCapExceeded(cap)
-        return frozenset.intersection(*rep.repairs) if rep.repairs else frozenset()
-    try:
-        split = _split_hypergraph(se, tes, dataset, _Budget(cap))
-    except _CapHit:
-        raise EnumerationCapExceeded(cap) from None
-    return frozenset() if split is None else split[0]
+        reps = _all_repairs(dataset, tes, se, cap, False)
+        return frozenset.intersection(*reps) if reps else frozenset()
+    edges = _hypergraph_or_raise(se, tes, dataset, cap)
+    return frozenset() if edges and not edges[0] else se.difference(*edges)
 
 
 class TimelineResult(Record):
@@ -522,17 +515,9 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
     if candidate != s_se | infer_meta(tes, dataset, s_se):
         return False
     if not _downward_closed(tes):
-        rep = repairs(dataset, tes, se=se, cap=cap)
-        if not rep.exhaustive:
-            raise EnumerationCapExceeded(cap)
-        pool = _filter_preferred(rep.repairs) if mode == "preferred" else rep.repairs
-        return s_se in set(pool)
-    try:
-        edges = conflict_hypergraph(se, tes, dataset, _Budget(cap).spend)
-    except _CapHit:
-        raise EnumerationCapExceeded(cap) from None
+        return s_se in _all_repairs(dataset, tes, se, cap, mode == "preferred")
     by_fact: dict = {}
-    for e in edges:
+    for e in _hypergraph_or_raise(se, tes, dataset, cap):
         if e <= s_se:
             return False
         for f in e:

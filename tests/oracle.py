@@ -46,7 +46,7 @@ def brute_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None) -> tu
     n = len(facts)
     if n > 18:
         raise TooLarge(n)
-    if tes.has_domain_constraints:
+    if tes.constraints:
         consistent = [m for m in range(1 << n)
                       if is_consistent(_subset(facts, m), tes, dataset)]
     else:
@@ -56,7 +56,7 @@ def brute_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None) -> tu
         consistent = [m for m in range(1 << n)
                       if all(not (m >> i & 1) or not (clash[i] & m) for i in range(n))]
     cons_set = set(consistent)
-    if tes.has_domain_constraints and not tes.is_monotone:
+    if tes.constraints and not tes.is_monotone:
         maximal = [m for m in consistent
                    if not any(s != m and s & m == m for s in consistent)]
     else:
@@ -97,13 +97,19 @@ def brute_preferred(reps: tuple[SimpleSet, ...]) -> tuple[SimpleSet, ...]:
     return tuple(r for r in reps if not any(beats(rp, r) for rp in reps if rp != r))
 
 
+def max_level(tp: LevelTimepoints) -> int:
+    """The highest confidence level any evidence of the instance names, 0
+    without evidence."""
+    return tp.levels[-1] if tp.levels else 0
+
+
 def oracle_infer(tp: LevelTimepoints, persistent: bool,
                  w: int | None = None) -> set[tuple[Interval, int]]:
     """Infer one instance's intervals by checking every candidate against
     the defining conditions."""
     return {(iv, lvl)
             for iv in candidate_intervals(tp, persistent)
-            for lvl in range(1, tp.max_level + 1)
+            for lvl in range(1, max_level(tp) + 1)
             if oracle_check_interval(persistent, tp, iv, lvl, w)}
 
 
@@ -118,7 +124,7 @@ def oracle_check_interval(persistent: bool, tp: LevelTimepoints, interval: Inter
     This is the item-by-item reference used to test the constructive
     inference; it is deliberately literal rather than fast.
     """
-    if level < 1 or level > tp.max_level:
+    if level < 1 or level > max_level(tp):
         return False
     if persistent:
         if not _pers_items(tp, interval, level):
@@ -180,7 +186,7 @@ def _pers_items(tp: LevelTimepoints, interval: Interval, level: int) -> bool:
 def candidate_intervals(tp: LevelTimepoints, persistent: bool) -> list[Interval]:
     """Every interval a definitional check could accept: pairs of mentioned
     timepoints, plus ongoing ends for persistent instances."""
-    pts = sorted({t for lvl in range(1, tp.max_level + 1)
+    pts = sorted({t for lvl in range(1, max_level(tp) + 1)
                   for t in tp.exists_at(lvl) + tp.ends_at(lvl)})
     out = [Interval(a, b) for a in pts for b in pts if a <= b]
     if persistent:

@@ -177,7 +177,7 @@ def test_criterion_7_monotone_recognition_equivalence():
     constrained = checks = 0
     for ds, tes, se in _bounded_instances(rng, 200):
         assert tes.is_monotone
-        constrained += tes.has_domain_constraints
+        constrained += bool(tes.constraints)
         reps = brute_repairs(ds, tes, se=se)
         rep_set = set(reps)
         pref_set = set(brute_preferred(reps))

@@ -270,6 +270,22 @@ def test_ingest_files(tmp_path):
     }
 
 
+def test_ingest_drops_a_byte_order_mark(tmp_path):
+    # a BOM must not become part of the first CSV symbol, nor a fact-file token
+    data = tmp_path / "labs.csv"
+    data.write_bytes(b"\xef\xbb\xbfp1,4\np1,6\n")
+    mapping = tmp_path / "labs.map"
+    mapping.write_text("predicate=lab\ncolumns=0\ntimestamp_column=1\n")
+    native = tmp_path / "facts.txt"
+    native.write_bytes(b"\xef\xbb\xbfobs adm(p1, amox, 5).\n")
+    ds = ingest([(str(data), str(mapping)), (str(native), None)])
+    assert set(ds.facts) == {
+        ObservationFact("lab", ("p1",), 4),
+        ObservationFact("lab", ("p1",), 6),
+        ObservationFact("adm", ("p1", "amox"), 5),
+    }
+
+
 def test_ingest_errors(tmp_path):
     data = tmp_path / "labs.csv"
     data.write_text("p1,5\n")

@@ -229,7 +229,7 @@ def test_schematic_window():
 def test_monotonicity_flags():
     plain = parse_tes(TWO_LEVEL_NONPERSISTENT)
     assert plain.is_monotone
-    assert not plain.has_domain_constraints
+    assert not plain.constraints
     neg = parse_tes("decl persistent p/0.\ndecl persistent q/0.\n"
                     "constraint :- p([T, T2]), not q([T, T2]).")
     assert neg.has_negated_event_atoms

@@ -20,7 +20,7 @@ from timeloom import (
     repairs,
     timeline,
 )
-from timeloom.meta import Factored, close_factored, meta_provenance
+from timeloom.meta import Factored, close_factored, link, meta_provenance
 from timeloom.repair import DEFAULT_CAP, _downward_closed
 
 from conftest import random_ruleful_instance
@@ -366,3 +366,26 @@ def test_close_models_survives_a_firing_over_the_union_only():
         infer_meta(tes, Dataset([]), models[0] | models[1])
     want = tuple(m | infer_meta(tes, Dataset([]), m) for m in models)
     assert close_models(tes, Dataset([]), models) == want
+
+
+def test_link_matches_brute_force_components():
+    # groups may be empty or hold one value, and a value may come back as an
+    # equal but distinct object: comparing roots by identity alone would
+    # make such a root its own parent, and lookups would never end
+    rng = random.Random(11)
+    for _ in range(300):
+        pool = [ev("e", (i,), 0, 1, 1) for i in range(rng.randint(1, 12))]
+        groups = [[ev("e", f.args, 0, 1, 1) if rng.random() < 0.3 else f
+                   for f in rng.sample(pool, rng.randint(0, min(4, len(pool))))]
+                  for _ in range(rng.randint(0, 8))]
+        find = link(groups)
+        comp = {f: {f} for f in pool}  # brute force: merge whole classes per group
+        for g in groups:
+            merged = set().union(*[comp[f] for f in g])
+            for f in merged:
+                comp[f] = merged
+        for a, b in itertools.product(pool, repeat=2):
+            twin = ev("e", b.args, 0, 1, 1)
+            assert (find(a) == find(twin)) == (b in comp[a]), (groups, a, b)
+    stranger = ev("f", (), 0, 1, 1)
+    assert link([[], [pool[0]]])(stranger) is stranger

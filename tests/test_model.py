@@ -212,7 +212,7 @@ def test_event_store():
     assert s.add(f2)
     assert not s.add(f1)
     assert s.add_all([f1, f2]) == []
-    assert set(s.by_pred("e")) == {f1, f2}
+    assert set(s.probe("e", (), ())) == {f1, f2}
     assert s.by_key("e", ("a",)) == (f1,)
     assert len(s) == 2 and f1 in s
 
@@ -226,7 +226,7 @@ def test_event_store_copy_is_independent():
     assert c.add(f2)
     assert list(c.probe("e", (0,), ("a",))) == [f1, f2]
     assert list(s.probe("e", (0,), ("a",))) == [f1]
-    assert c.by_pred("e") == (f1, f2) and s.by_pred("e") == (f1,)
+    assert tuple(c.probe("e", (), ())) == (f1, f2) and tuple(s.probe("e", (), ())) == (f1,)
     assert c.by_key("e", ("a", 2)) == (f2,) and s.by_key("e", ("a", 2)) == ()
     assert f2 in c and f2 not in s and len(s) == 1
 

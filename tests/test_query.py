@@ -244,7 +244,7 @@ def test_check_validity_ignores_persistent(pers_tes, empty_dataset):
 def test_level_timepoints_cumulative(np_tes, empty_dataset):
     aux = ground_simple_heads(np_tes, empty_dataset)
     tp = level_timepoints(aux, ("e", ()))
-    assert tp.max_level == 2
+    assert tp.levels[-1] == 2
     assert tp.exists_at(1) == (2, 4, 9)
     assert tp.exists_at(2) == (1, 2, 4, 5, 6, 9, 10)
     assert tp.ends_at(1) == (7, 8)
@@ -687,7 +687,7 @@ def test_aux_store_grouping_matches_filters():
             en = [(t, lvl) for k, t, lvl in ends if k == key]
             top = max((lvl for _, lvl in ex + en), default=0)
             tp = level_timepoints(aux, key)
-            assert tp.max_level == top
+            assert (tp.levels[-1] if tp.levels else 0) == top
             for lvl in range(1, top + 1):
                 assert tp.exists_at(lvl) == tuple(sorted({t for t, l in ex if l <= lvl}))
                 assert tp.ends_at(lvl) == tuple(sorted({t for t, l in en if l <= lvl}))

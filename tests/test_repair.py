@@ -219,7 +219,7 @@ def test_monotone_path_matches_brute():
         se = infer_all_simple(dataset, tes)
         if len(se) > 14:
             continue
-        seen_constrained += tes.has_domain_constraints
+        seen_constrained += bool(tes.constraints)
         got = repairs(dataset, tes, se=se)
         assert got.exhaustive
         assert got.repairs == brute_repairs(dataset, tes, se=se)
@@ -544,7 +544,7 @@ def test_preferred_filter_with_constraints():
     seen = 0
     for _ in range(40):
         dataset, tes = random_ruleful_instance(rng)
-        if not tes.has_domain_constraints:
+        if not tes.constraints:
             continue
         se = infer_all_simple(dataset, tes)
         if len(se) > 12:

@@ -23,7 +23,7 @@ from timeloom import (
 from timeloom.query import AuxStore
 
 from conftest import make_timepoints, random_timepoint_config
-from oracle import candidate_intervals, oracle_check_interval, oracle_infer
+from oracle import candidate_intervals, max_level, oracle_check_interval, oracle_infer
 
 
 def iv(a, b):
@@ -225,7 +225,7 @@ def test_constructive_matches_checker(seed):
     for persistent, got in ((False, got_np), (True, got_p)):
         expected = set()
         for interval in candidate_intervals(tp, persistent):
-            for lvl in range(1, tp.max_level + 1):
+            for lvl in range(1, max_level(tp) + 1):
                 if oracle_check_interval(persistent, tp, interval, lvl,
                                          w=None if persistent else w):
                     expected.add((interval, lvl))
