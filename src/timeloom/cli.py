@@ -28,7 +28,6 @@ from .errors import (
 )
 from .ingest import ingest, read_file, validate_dataset
 from .language import NATURAL, TES, parse_tes
-from .meta import Factored
 from .model import (
     STAR,
     AnnotatedEventFact,
@@ -79,43 +78,43 @@ def fact_from_json(d: dict) -> AnnotatedEventFact:
     return AnnotatedEventFact(pred, tuple(args), interval, level)
 
 
-def _ranked(models: Factored, is_simple) -> tuple[list, int, list]:
-    """The distinct facts of the models, simple facts before meta facts and
-    each part in `fact_key` order; how many are simple; and each model as
-    the sorted positions of its facts there, which merge the positions of
-    the core and of its unit results, each placed once."""
+def _positioned(result: TimelineResult, tes: TES, now: int | None) -> dict:
+    """A run document with its models by position: the dicts of its
+    distinct facts, simple facts before meta facts and each part in
+    `fact_key` order, and each model as the sorted positions there of its
+    simple and of its meta facts, merged from the positions of the core and
+    of its unit results, each placed once."""
+    models = result.factored
     simple: list = []
     meta: list = []
     for f in models.core.union(*[r for rs in models.units for r in rs]):
-        (simple if is_simple(f.pred) else meta).append(f)
+        (simple if tes.is_simple_pred(f.pred) else meta).append(f)
     facts = sorted(simple, key=fact_key) + sorted(meta, key=fact_key)
+    n = len(simple)
     if len(models.core) == len(facts):  # every model holds every fact: nothing to look up
-        return facts, len(simple), [range(len(facts))] * len(models.picks)
-    rank = {f: i for i, f in enumerate(facts)}.__getitem__
-    base = sorted(map(rank, models.core))
-    placed = [[sorted(map(rank, r)) for r in rs] for rs in models.units]
-    ranked = []
-    for pick in models.picks:
-        positions = base.copy()
-        for u, i in enumerate(pick):
-            positions += placed[u][i]
-        positions.sort()
-        ranked.append(positions)
-    return facts, len(simple), ranked
+        ranked = [(range(n), range(n, len(facts)))] * len(models.picks)
+    else:
+        rank = {f: i for i, f in enumerate(facts)}.__getitem__
+        base = sorted(map(rank, models.core))
+        placed = [[sorted(map(rank, r)) for r in rs] for rs in models.units]
+        ranked = []
+        for pick in models.picks:
+            positions = sorted(base + [p for u, i in enumerate(pick) for p in placed[u][i]])
+            k = bisect_left(positions, n)
+            ranked.append((positions[:k], positions[k:]))
+    return {"mode": result.mode, "models": ([fact_to_json(f, now) for f in facts], ranked),
+            "exhaustive": result.exhaustive}
 
 
 def result_to_json(result: TimelineResult, tes: TES, now: int | None = None) -> dict:
     """A run's models as JSON-ready dicts, each model's facts sorted into
-    its simple and meta sections. Each distinct fact becomes one dict that
-    every model holding it shares, so `render_document` encodes it once."""
-    facts, n_simple, ranked = _ranked(result.factored, tes.is_simple_pred)
-    entry = [fact_to_json(f, now) for f in facts].__getitem__
-    out = []
-    for positions in ranked:
-        k = bisect_left(positions, n_simple)
-        out.append({"simple": list(map(entry, positions[:k])),
-                    "meta": list(map(entry, positions[k:]))})
-    return {"mode": result.mode, "models": out, "exhaustive": result.exhaustive}
+    its simple and meta sections; every model holding a fact shares its
+    one dict."""
+    doc = _positioned(result, tes, now)
+    facts, ranked = doc["models"]
+    doc["models"] = [{"simple": [facts[p] for p in s], "meta": [facts[p] for p in m]}
+                     for s, m in ranked]
+    return doc
 
 
 def _tsv_value(v: Value) -> str:
@@ -154,58 +153,66 @@ def _json_fact(fj: dict, pad: str) -> str:
             + f',{p1}"interval": {{{p2}{iv}{p1}}},{p1}"level": {fj["level"]}{pad}}}')
 
 
+def _models(out: list, models, fmt: str, at: str, with_clamp: bool) -> None:
+    """Append a run's models to `out`, each model section as one join of
+    its facts' texts, each text built once (for JSON at the facts' depth).
+    `models` is the pair `_positioned` gives, or a list of model dicts that
+    is reduced to it by the identity of their fact dicts. For JSON `at` is
+    the newline and indent before a model; for TSV the fields before its
+    index."""
+    if isinstance(models, list):
+        dicts = {id(fj): fj for m in models for k in ("simple", "meta") for fj in m[k]}
+        place = {i: p for p, i in enumerate(dicts)}
+        ranked = [[[place[id(fj)] for fj in m[k]] for k in ("simple", "meta")] for m in models]
+        models = list(dicts.values()), ranked
+    facts, ranked = models
+    if fmt != "json":
+        text = [_tsv_fact_row(fj, with_clamp) for fj in facts]
+        for j, sections in enumerate(ranked):
+            for name, ps in zip(("simple", "meta"), sections):
+                if ps:
+                    sep = f"{at}{j}\t{name}\t"
+                    out.extend((sep, sep.join([text[p] for p in ps])))
+        return
+    key, item = at + "  ", at + "    "  # lead a model's keys and its sections' facts
+    text = [_json_fact(fj, item) for fj in facts]
+    sep, first, last, ends = "," + item, "[" + item, key + "]", (f',{key}"meta": ', at + "}")
+    for j, sections in enumerate(ranked):
+        out.append(f'{"," if j else "["}{at}{{{key}"simple": ')
+        for ps, end in zip(sections, ends):
+            out.extend((first, sep.join([text[p] for p in ps]), last, end) if ps else ("[]", end))
+    out.append(at[:-2] + "]" if ranked else "[]")
+
+
 def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
     """Render a document `run` writes, as the text of `json.dumps(doc,
     indent=2)` or as tab-separated rows: a check verdict, a run, or a
-    partitioned run whose entities are runs led by their "entity".
-
-    TSV leaves out every key but the models' sections and the verdict.
-    Models share one dict per distinct fact, so a fact's text is built once
-    per call, for JSON at the one depth facts have in the document, and
-    each model section is one join of those texts."""
-    memo: dict[int, str] = {}  # id of a fact dict -> its text
+    partitioned run whose entities are runs led by their "entity". A run's
+    models may also be given by position, as `run` gives them (see
+    `_models`). TSV leaves out every key but the models' sections and the
+    verdict."""
     out: list[str] = []
-
-    def texts(facts: list, make) -> list[str]:
-        got = list(map(memo.get, map(id, facts)))
-        if None in got:
-            for j, fj in enumerate(facts):
-                if got[j] is None:
-                    got[j] = memo[id(fj)] = make(fj)
-        return got
-
     if fmt != "json":
         if "recognized" in doc:
             return f"recognized\t{json.dumps(doc['recognized'])}\n"
-        runs = ([(_tsv_value(e["entity"]) + "\t", e) for e in doc["entities"]]
-                if "entities" in doc else [("", doc)])
-        for lead, r in runs:
-            for j, m in enumerate(r["models"]):
-                for k in ("simple", "meta"):
-                    got = texts(m[k], lambda fj: _tsv_fact_row(fj, with_clamp))
-                    if got:
-                        sep = f"{lead}{j}\t{k}\t"
-                        out.extend((sep, sep.join(got)))
+        for r in doc.get("entities", [doc]):
+            lead = _tsv_value(r["entity"]) + "\t" if "entity" in r else ""
+            _models(out, r["models"], fmt, lead, with_clamp)
         return "".join(out)
 
     def walk(d: dict, depth: int) -> None:
         pad = "\n" + "  " * (depth + 1)  # leads a key
-        item = pad + "  "  # leads an item of a list
         for i, (k, v) in enumerate(d.items()):
             out.append(f'{"," if i else "{"}{pad}"{k}": ')
-            if not isinstance(v, list):
-                out.append(json.dumps(v))
-                continue
-            out.append("[" + item if v else "[]")
-            if k == "simple" or k == "meta":
-                out.append(("," + item).join(texts(v, lambda fj: _json_fact(fj, item))))
-            else:  # the models of a run, or the entities of a partitioned run
+            if k == "models":
+                _models(out, v, fmt, pad + "  ", with_clamp)
+            elif k == "entities":
                 for j, sub in enumerate(v):
-                    if j:
-                        out.append("," + item)
+                    out.append(f'{"," if j else "["}{pad}  ')
                     walk(sub, depth + 2)
-            if v:
-                out.append(pad + "]")
+                out.append(pad + "]" if v else "[]")
+            else:
+                out.append(json.dumps(v))
         out.append(pad[:-2] + "}")
 
     walk(doc, 0)
@@ -275,31 +282,31 @@ def run(args: argparse.Namespace) -> int:
         _write(args, {"recognized": ok})
         return 0 if ok else 3
 
-    exhaustive = True
-    if args.partition_by is not None:
-        entities = []
-        for key, part in partition_dataset(dataset, args.partition_by):
-            result = _solve(timeline, part, tes, args.mode, args.cap, args.max_models)
-            entities.append({"entity": key,
-                             **result_to_json(result, tes, args.now)})
-            exhaustive = exhaustive and result.exhaustive
-        doc = {"mode": args.mode, "partition_by": args.partition_by,
-               "entities": entities, "exhaustive": exhaustive}
+    def solved(data: Dataset) -> dict:
+        result = _solve(timeline, data, tes, args.mode, args.cap, args.max_models)
+        return _positioned(result, tes, args.now)
+
+    if args.partition_by is None:
+        doc = solved(dataset)
     else:
-        result = _solve(timeline, dataset, tes, args.mode, args.cap, args.max_models)
-        doc = result_to_json(result, tes, args.now)
-        exhaustive = result.exhaustive
+        entities = [{"entity": key, **solved(part)}
+                    for key, part in partition_dataset(dataset, args.partition_by)]
+        doc = {"mode": args.mode, "partition_by": args.partition_by, "entities": entities,
+               "exhaustive": all(e["exhaustive"] for e in entities)}
     _write(args, doc)
-    return 0 if exhaustive else 2
+    return 0 if doc["exhaustive"] else 2
 
 
 def _write(args: argparse.Namespace, doc: dict) -> None:
     text = render_document(doc, args.format, with_clamp=args.now is not None)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as e:
             raise IoError(f"cannot write {args.out}: {e}") from None
+    elif hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale, as --out
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode())
     else:
         sys.stdout.write(text)
 

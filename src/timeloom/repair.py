@@ -167,7 +167,8 @@ def conflict_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset,
         store.add_all(why)
         for c in tes.constraints:
             for _, matched in rule_plan(tes, c).solve(dataset, store, witnesses=True):
-                edges.extend(combine_supports(matched, why, spend))
+                # without provenance each fact supports itself: the match is one edge
+                edges.extend(combine_supports(matched, why, spend) if why else (frozenset(matched),))
     return _minimal_edges(edges)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: documents, formats, and exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -16,8 +17,11 @@ from timeloom.cli import (
     main,
     partition_dataset,
     render_document,
+    result_to_json,
 )
-from timeloom.model import EventStore, fact_key
+from timeloom.meta import Factored
+from timeloom.model import STAR, EventStore, fact_key
+from timeloom.repair import TimelineResult
 
 from conftest import TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
 
@@ -379,6 +383,36 @@ def test_tsv_quotes_symbols_that_would_lose_the_row_shape(tmp_path, capsys):
     rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()]
     assert all(len(r) == 8 for r in rows)
     assert [r[0] for r in rows] == ["p1"] * 5 + ['"x\\"y"']
+
+
+NON_ASCII_RULES = """\
+decl atemporal ab/1.
+decl observation adm/2.
+decl nonpersistent abth/2.
+exists(abth(P, D), T, 1) :- adm(P, D, T), ab(D).
+window(abth(P, D), 24).
+"""
+
+
+@pytest.mark.parametrize("env,out", [
+    ({"PYTHONIOENCODING": "ascii"}, False),
+    ({"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}, True),
+])
+def test_output_is_utf8_whatever_the_locale(tmp_path, env, out):
+    # input is read as UTF-8, so output is written as UTF-8 too, to stdout
+    # under an ASCII stdout encoding and to --out under an ASCII locale
+    (tmp_path / "r.tes").write_text(NON_ASCII_RULES)
+    (tmp_path / "u.facts").write_text("atemporal ab(amox).\nobs adm(p\u00e9, amox, 3).\n",
+                                      encoding="utf-8")
+    argv = [sys.executable, "-m", "timeloom", "run", "--rules", str(tmp_path / "r.tes"),
+            "--data", str(tmp_path / "u.facts"), "--format", "tsv"]
+    if out:
+        argv += ["--out", str(tmp_path / "u.tsv")]
+    base = {k: v for k, v in os.environ.items() if k != "LANG" and not k.startswith("LC_")}
+    proc = subprocess.run(argv, capture_output=True, env={**base, **env})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    written = (tmp_path / "u.tsv").read_bytes() if out else proc.stdout
+    assert written == "0\tsimple\tabth\tp\u00e9,amox\t3\t3\t1\n".encode()
 
 
 def test_partition_by_entity(ward, capsys):
@@ -904,3 +938,75 @@ def test_render_document_matches_json_dumps_on_random_documents():
         kinds["no entities"] += doc.get("entities") == []
         assert_renders_like_references(doc, now)
     assert min(kinds.values()) > 30, kinds
+
+
+POSITIONED_RULES = "decl persistent e/1.\ndecl persistent z/0.\ndecl meta m/1.\ndecl meta y/0.\n"
+
+
+def random_result(rng: random.Random) -> TimelineResult:
+    """A result in factored form: a core, units of results drawn from facts
+    no other unit holds, empty results among them, and zero or more models,
+    sometimes all holding the same facts."""
+    facts = list({AnnotatedEventFact(pred, (rng.choice(TEXTS + (0, 7)),) if pred in "em" else (),
+                                     Interval(start, rng.choice((STAR, start, start + 3))),
+                                     rng.randint(1, 3))
+                  for pred in rng.choices("emzy", k=rng.randrange(12))
+                  for start in [rng.randrange(6)]})
+    rng.shuffle(facts)
+    cut = sorted(rng.randint(0, len(facts)) for _ in range(rng.randrange(4)))
+    parts = [facts[a:b] for a, b in zip([0] + cut, cut + [len(facts)])]
+    units = tuple(tuple(frozenset(rng.sample(p, rng.randint(0, len(p))))
+                        for _ in range(rng.randint(1, 3))) for p in parts[1:])
+    picks = tuple(tuple(rng.randrange(len(rs)) for rs in units)
+                  for _ in range(rng.choice((0, 1, rng.randrange(6)))))
+    return TimelineResult(rng.choice(("naive", "consistent")), None, rng.random() < 0.7,
+                          Factored(frozenset(parts[0]), units, picks))
+
+
+def test_run_renders_models_by_position_like_json_dumps(tmp_path, monkeypatch, capsys):
+    # the command renders each run from its distinct facts and each model's
+    # positions among them; its output must be the standard encoder's text
+    # of result_to_json's document, its TSV what render_document makes of
+    # that document, and result_to_json must hold each model's facts sorted
+    # into its sections, for one run and for partitioned ones
+    tes = parse_tes(POSITIONED_RULES)
+    (tmp_path / "r.tes").write_text(POSITIONED_RULES + "decl observation adm/1.\n")
+    (tmp_path / "d.facts").write_text("obs adm(p1, 0).\nobs adm(p2, 0).\nobs adm(p3, 0).\n")
+    rng = random.Random(37)
+    kinds = {"no models": 0, "every model holds every fact": 0, "no simple": 0, "no meta": 0,
+             "ongoing": 0}
+    for round_ in range(300):
+        results = [random_result(rng) for _ in range(3)]
+        queue = iter(results)
+        monkeypatch.setattr(cli, "timeline", lambda *args: next(queue))
+        now = rng.choice((None, 40))
+        partition = round_ % 3 == 0
+        docs = [result_to_json(r, tes, now) for r in results[:3 if partition else 1]]
+        for r, doc in zip(results, docs):
+            models = r.factored.models()
+            assert doc["models"] == [
+                {k: [fact_to_json(f, now) for f in sorted(m, key=fact_key)
+                     if tes.is_simple_pred(f.pred) == (k == "simple")] for k in ("simple", "meta")}
+                for m in models]
+            kinds["no models"] += not models
+            kinds["every model holds every fact"] += (bool(models)
+                                                      and not any(map(any, r.factored.units)))
+            kinds["no simple"] += any(not m["simple"] for m in doc["models"])
+            kinds["no meta"] += any(not m["meta"] for m in doc["models"])
+            kinds["ongoing"] += now is not None and "clamped_end" in json.dumps(doc)
+        if partition:
+            doc = {"mode": "consistent", "partition_by": 0,
+                   "entities": [{"entity": f"p{i + 1}", **d} for i, d in enumerate(docs)],
+                   "exhaustive": all(d["exhaustive"] for d in docs)}
+        else:
+            doc = docs[0]
+        for fmt in ("json", "tsv"):
+            queue = iter(results)
+            argv = ["run", "--rules", str(tmp_path / "r.tes"), "--data", str(tmp_path / "d.facts"),
+                    "--mode", "consistent", "--format", fmt]
+            argv += ["--partition-by", "0"] * partition + ["--now", str(now)] * (now is not None)
+            assert main(argv) == (0 if doc["exhaustive"] else 2)
+            expected = (json.dumps(doc, indent=2) + "\n" if fmt == "json"
+                        else render_document(doc, "tsv", with_clamp=now is not None))
+            assert capsys.readouterr().out == expected
+    assert min(kinds.values()) > 10, kinds
