@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from bisect import bisect_left
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -311,6 +312,7 @@ def _write(args: argparse.Namespace, doc: dict) -> None:
         sys.stdout.write(text)
 
 
+@cache  # one per process: parsing leaves the parser and its defaults as they were
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="timeloom",
                                 description="Infer event timelines from timestamped facts.")

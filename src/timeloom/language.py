@@ -270,67 +270,35 @@ _PUNCT = {
     "/": "SLASH", "*": "STAR",
 }
 
+# One alternative per lexeme, tried in order; blanks and comments match no
+# named group. \w is what str.isalnum admits, and _, so a word may start with
+# a numeric character such as "²": the lexer refuses it as not a letter.
+_LEXEME = re.compile(r"""(?P<NL>\n) | [ \t\r]+ | \#[^\n]* | (?P<QSYM>'[^'\n]*'?)
+    | (?P<PUNCT>:-|<=|!=|[<()\[\],./*]) | (?P<NAT>[0-9]+) | (?P<WORD>[^\W\d]\w*)
+    | (?P<OTHER>.)""", re.VERBOSE)
+
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c == "'":
-            j = i + 1
-            while j < n and text[j] not in "'\n":
-                j += 1
-            if j >= n or text[j] != "'":
-                raise ParseError("unterminated quoted symbol", line, start_col)
-            toks.append(_Token("QSYM", text[i + 1:j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        punct = text[i:i + 2] if text[i:i + 2] in _PUNCT else c
-        if punct in _PUNCT:
-            toks.append(_Token(_PUNCT[punct], punct, line, start_col))
-            i += len(punct)
-            col += len(punct)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word == "_":
-                toks.append(_Token("WILD", word, line, start_col))
-            elif word[0] == "_":
-                raise ParseError(f"names may not start with underscore: {word}", line, start_col)
-            elif word[0].isupper():
-                toks.append(_Token("VAR", word, line, start_col))
-            else:
-                toks.append(_Token("IDENT", word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        nat = NATURAL.match(text, i)
-        if nat:
-            j = nat.end()
-            toks.append(_Token("NAT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    toks.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        kind, lexeme, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "QSYM":
+            if len(lexeme) == 1 or lexeme[-1] != "'":
+                raise ParseError("unterminated quoted symbol", line, col)
+            toks.append(_Token("QSYM", lexeme[1:-1], line, col))
+        elif kind in ("PUNCT", "NAT"):
+            toks.append(_Token(_PUNCT.get(lexeme, kind), lexeme, line, col))
+        elif kind == "WORD" and (lexeme[0].isalpha() or lexeme == "_"):
+            kind = "WILD" if lexeme == "_" else "VAR" if lexeme[0].isupper() else "IDENT"
+            toks.append(_Token(kind, lexeme, line, col))
+        elif kind == "WORD" and lexeme[0] == "_":
+            raise ParseError(f"names may not start with underscore: {lexeme}", line, col)
+        elif kind is not None:
+            raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
+    toks.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -441,7 +409,7 @@ class _Parser:
         args: tuple[Term, ...] = ()
         if self.peek().kind == "LPAREN":
             self.advance()
-            args = tuple(self.comma_list(lambda: self.parse_term(allow_wild=False)))
+            args = tuple(self.comma_list(self.parse_term))
             self.expect("RPAREN")
         if len(args) != d.arity:
             raise ArityMismatch(f"{d.name} declared with arity {d.arity}, used with {len(args)}",
@@ -459,7 +427,7 @@ class _Parser:
                                               + ("exists_pers" if kw.text == "exists" else "exists")
                                               + " for the other kind)")
         self.expect("COMMA")
-        t = self.parse_term(allow_wild=False, allow_fn=True)
+        t = self.parse_term()
         self.expect("COMMA")
         lvl_tok = self.expect("NAT", "a confidence level literal")
         level = int(lvl_tok.text)
@@ -476,7 +444,7 @@ class _Parser:
         d, args, _ = self.parse_event_ref((PredKind.NONPERSISTENT,),
                                           "a nonpersistent event (persistent events take no window)")
         self.expect("COMMA")
-        w = self.parse_term(allow_wild=False, allow_fn=True)
+        w = self.parse_term()
         self.expect("RPAREN")
         body = self.parse_body("se")
         self.expect("PERIOD")
@@ -489,20 +457,15 @@ class _Parser:
         if d.kind is not PredKind.META:
             raise ParseError(f"{tok.text} is {d.kind.value}, expected meta", tok.line, tok.col)
         self.expect("LPAREN")
-        items = self.comma_list(
-            lambda: self.parse_term(allow_wild=False, allow_fn=True, allow_interval=True))
-        rp = self.expect("RPAREN")
+        items = self.comma_list(self.parse_term)
+        self.expect("RPAREN")
         if len(items) != d.arity + 2:
             raise ArityMismatch(
                 f"meta head {d.name} needs {d.arity} data arguments plus interval and level",
                 tok.line, tok.col)
-        args, interval, level = tuple(items[:-2]), items[-2], items[-1]
-        if not isinstance(interval, (IntervalTerm, IntervalFn, Var)):
-            raise ParseError("meta head interval must be [lo,hi], inter(...), or a variable",
-                             rp.line, rp.col)
         body = self.parse_body("meta")
         self.expect("PERIOD")
-        return MetaRule(d.name, args, interval, level, body, line=kw.line)
+        return MetaRule(d.name, tuple(items[:-2]), items[-2], items[-1], body, line=kw.line)
 
     def parse_constraint(self) -> Constraint:
         kw = self.advance()
@@ -538,13 +501,13 @@ class _Parser:
                 return Literal(self.parse_atom(context), negated)
         if negated:
             raise ParseError("not applies to predicate atoms and builtins only", t.line, t.col)
-        lhs = self.parse_term(allow_wild=False, allow_fn=True)
+        lhs = self.parse_term()
         op_tok = self.peek()
         if op_tok.kind not in ("NEQ", "LT", "LE"):
             raise ParseError(f"expected a comparison operator, found {op_tok.text!r}",
                              op_tok.line, op_tok.col)
         self.advance()
-        rhs = self.parse_term(allow_wild=False, allow_fn=True)
+        rhs = self.parse_term()
         return Literal(Comparison(op_tok.text, lhs, rhs), negated)
 
     def parse_builtin(self) -> Atom:
@@ -553,21 +516,14 @@ class _Parser:
         if tok.text in EXTREMUM_BUILTINS:
             d, args, _ = self.parse_event_ref(EVENT_KINDS, "an event")
             self.expect("COMMA")
-            t = self.parse_term(allow_wild=False)
+            t = self.parse_term()
             self.expect("RPAREN")
             return ExtremumTest(tok.text, d.name, args, t)
-        a = self.parse_interval_arg()
+        a = self.parse_term()
         self.expect("COMMA")
-        b = self.parse_interval_arg()
+        b = self.parse_term()
         self.expect("RPAREN")
         return AllenTest(tok.text, a, b)
-
-    def parse_interval_arg(self) -> Term:
-        t = self.peek()
-        term = self.parse_term(allow_wild=False, allow_interval=True)
-        if not isinstance(term, (IntervalTerm, IntervalFn, Var)):
-            raise ParseError("builtin arguments must be intervals", t.line, t.col)
-        return term
 
     def parse_atom(self, context: str) -> Atom:
         tok = self.expect("IDENT", "a predicate")
@@ -575,52 +531,35 @@ class _Parser:
         args: list[Term] = []
         if self.peek().kind == "LPAREN":
             self.advance()
-            args = self.comma_list(lambda: self.parse_term(allow_interval=True))
+            args = self.comma_list(self.parse_term)
             self.expect("RPAREN")
         if d.kind is PredKind.ATEMPORAL:
             self._check_arity(d, len(args), tok)
-            return AtemporalAtom(d.name, self._data_args(args, tok))
+            return AtemporalAtom(d.name, tuple(args))
         if not args:
             raise ParseError(f"{d.name} needs its temporal arguments here", tok.line, tok.col)
         if d.kind is PredKind.OBSERVATION:
             self._check_arity(d, len(args) - 1, tok)
-            return ObservationAtom(d.name, self._data_args(args[:-1], tok), args[-1])
+            return ObservationAtom(d.name, tuple(args[:-1]), args[-1])
         if context == "se":
             raise ParseError("event atoms are not allowed in simple-event rule bodies",
                              tok.line, tok.col)
         if context == "constraint":
             self._check_arity(d, len(args) - 1, tok,
                               note=" (constraint event atoms take no confidence argument)")
-            interval = self._interval_arg(args[-1], tok)
-            return EventAtom(d.name, self._data_args(args[:-1], tok), interval)
-        if d.kind is PredKind.META or d.kind in SIMPLE_KINDS:
-            self._check_arity(d, len(args) - 2, tok,
-                              note=" (meta-rule event atoms take interval and confidence arguments)")
-            interval = self._interval_arg(args[-2], tok)
-            return EventAtom(d.name, self._data_args(args[:-2], tok), interval, args[-1])
-        raise ParseError(f"{d.name} cannot appear here", tok.line, tok.col)
+            return EventAtom(d.name, tuple(args[:-1]), args[-1])
+        self._check_arity(d, len(args) - 2, tok,
+                          note=" (meta-rule event atoms take interval and confidence arguments)")
+        return EventAtom(d.name, tuple(args[:-2]), args[-2], args[-1])
 
     def _check_arity(self, d: PredicateDecl, n: int, tok: _Token, note: str = "") -> None:
         if n != d.arity:
             raise ArityMismatch(f"{d.name} declared with arity {d.arity}{note}", tok.line, tok.col)
 
-    def _data_args(self, args: list[Term], tok: _Token) -> tuple[Term, ...]:
-        for a in args:
-            if isinstance(a, (IntervalTerm, IntervalFn, FnApp, StarTerm)):
-                raise ParseError("data arguments must be constants, naturals, or variables",
-                                 tok.line, tok.col)
-        return tuple(args)
-
-    def _interval_arg(self, term: Term, tok: _Token) -> Term:
-        if not isinstance(term, (IntervalTerm, Var)):
-            raise ParseError("the interval argument must be [lo,hi], a variable, or _",
-                             tok.line, tok.col)
-        return term
-
     # -- terms ---------------------------------------------------------------
 
-    def parse_term(self, allow_wild: bool = True, allow_fn: bool = False,
-                   allow_interval: bool = False) -> Term:
+    def parse_term(self) -> Term:
+        """Any term; `_validate_rule` decides where each kind may stand."""
         t = self.peek()
         if t.kind == "NAT":
             self.advance()
@@ -629,8 +568,6 @@ class _Parser:
             self.advance()
             return Var(t.text)
         if t.kind == "WILD":
-            if not allow_wild:
-                raise ParseError("wildcard is not allowed here", t.line, t.col)
             self.advance()
             self._wild += 1
             return Var(f"_{self._wild}")
@@ -641,8 +578,6 @@ class _Parser:
             self.advance()
             return Const(t.text)
         if t.kind == "LBRACK":
-            if not allow_interval:
-                raise ParseError("interval term is not allowed here", t.line, t.col)
             self.advance()
             lo = self._endpoint(False)
             self.expect("COMMA")
@@ -651,18 +586,9 @@ class _Parser:
             return IntervalTerm(lo, hi)
         if t.kind == "IDENT":
             if t.text == "inter":
-                if not allow_interval:
-                    raise ParseError("interval term is not allowed here", t.line, t.col)
-                items = self.operands(lambda: self.parse_term(allow_wild=False, allow_interval=True))
-                for a in items:
-                    if not isinstance(a, (IntervalTerm, IntervalFn, Var)):
-                        raise ParseError("inter arguments must be intervals", t.line, t.col)
-                return IntervalFn(tuple(items))
+                return IntervalFn(tuple(self.operands(self.parse_term)))
             if t.text in FN_NAMES:
-                if not allow_fn:
-                    raise ParseError(f"{t.text}(...) is not allowed in this position",
-                                     t.line, t.col)
-                items = self.operands(lambda: self.parse_term(allow_wild=False, allow_fn=True))
+                items = self.operands(self.parse_term)
                 if t.text in ("plus", "minus") and len(items) != 2:
                     raise ParseError(f"{t.text} takes exactly two arguments", t.line, t.col)
                 return FnApp(t.text, tuple(items))
@@ -789,13 +715,17 @@ def _binder_vars(body: tuple[Literal, ...]) -> set[str]:
 
 def is_schematic_window(rule: Rule) -> bool:
     """A window rule covering every instance of its predicate: empty body,
-    variable-only head arguments, and a closed window term."""
+    head arguments that are variables but not `_`, and a closed window term."""
     return (isinstance(rule, WindowRule) and not rule.body
-            and all(isinstance(a, Var) for a in rule.args)
+            and all(isinstance(a, Var) and not a.is_wildcard for a in rule.args)
             and not any(True for _ in term_vars(rule.w)))
 
 
 def _validate_rule(rule: Rule) -> Rule:
+    """The rule with its variables' sorts, once every term stands where its
+    kind may: the parser reads any term in any position. Functions stand in
+    heads and comparisons, and `inter` also in Allen tests; interval terms
+    stand where an interval does, but are not compared."""
     walk = _SortWalk(rule.line)
     for term, ctx in head_positions(rule):
         walk.term(term, ctx)
@@ -804,10 +734,15 @@ def _validate_rule(rule: Rule) -> Rule:
     for lit in rule.body:
         if not isinstance(lit.atom, Comparison):
             for term, ctx in atom_terms(lit.atom):
+                if isinstance(term, (FnApp, IntervalFn)) and not isinstance(lit.atom, AllenTest):
+                    name = term.fn if isinstance(term, FnApp) else "inter"
+                    raise SortError(f"{name}(...) in the arguments of an atom", rule.line)
                 walk.term(term, ctx)
     for lit in rule.body:
         if isinstance(lit.atom, Comparison):
             for side in (lit.atom.lhs, lit.atom.rhs):
+                if isinstance(side, (IntervalTerm, IntervalFn)):
+                    raise SortError(f"interval term compared with {lit.atom.op}", rule.line)
                 if isinstance(side, FnApp):
                     walk.term(side, SortKind.NAT)
             lit_vars = set(term_vars(lit.atom.lhs)) | set(term_vars(lit.atom.rhs))

@@ -1010,3 +1010,35 @@ def test_run_renders_models_by_position_like_json_dumps(tmp_path, monkeypatch, c
                         else render_document(doc, "tsv", with_clamp=now is not None))
             assert capsys.readouterr().out == expected
     assert min(kinds.values()) > 10, kinds
+
+
+@pytest.mark.parametrize("body", ["e(P, I, L), adm(P, plus(T, 1))",
+                                  "e(P, I, L), e(P, inter(I, J), L)"])
+def test_terms_out_of_place_exit_1_naming_the_rule_file(ward, capsys, body):
+    rules = ward / "place.tes"
+    rules.write_text("decl observation adm/1.\ndecl persistent e/1.\ndecl meta m/1.\n"
+                     f"meta m(P, I, L) :- {body}.\n")
+    assert run_cli("run", "--rules", str(rules), "--data", str(ward / "ward.facts")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rules}: ") and err.count("\n") == 1
+    assert "line 4" in err and "Traceback" not in err
+
+
+def test_main_twice_in_one_process_matches_separate_runs(ward, capsys):
+    (ward / "ward.csv").write_text("p1,0\np1,1\np3,9\n")
+    (ward / "ward.map").write_text("predicate=adm\ncolumns=0\ntimestamp_column=1\n")
+    runs = [["run", "--rules", str(ward / "care.tes"), "--data", str(ward / "ward.csv"),
+             "--map", str(ward / "ward.map")],
+            ["run", "--rules", str(ward / "care.tes"), "--data", str(ward / "ward.facts")]]
+    in_process = []
+    for argv in runs:
+        rc = main(argv)
+        in_process.append((rc, *capsys.readouterr()))
+    separate = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "timeloom", *argv],
+                              capture_output=True, text=True)
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == separate and [rc for rc, _, _ in separate] == [0, 0]
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser().parse_args(runs[1]).map == []

@@ -19,7 +19,7 @@ from timeloom import (
     parse_tes,
     print_tes,
 )
-from timeloom.language import MAX_TERM_DEPTH, is_schematic_window
+from timeloom.language import MAX_TERM_DEPTH, _tokenize, is_schematic_window
 from timeloom.model import IntervalTerm, Nat, StarTerm, Var
 
 from conftest import THERAPY_RULES, TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
@@ -309,3 +309,103 @@ def test_interval_endpoints_take_naturals_variables_wildcards_and_a_closing_star
     tes = parse_tes(ENDPOINT_PREAMBLE + "meta m([1, T], 1) :- e([_, *], L), e([2, T], L2).")
     assert [lit.atom.interval for lit in tes.meta_rules[0].body] == [
         IntervalTerm(Var("_1"), StarTerm()), IntervalTerm(Nat(2), Var("T"))]
+
+
+PLACES_PREAMBLE = ("decl atemporal a/1. decl observation o/1. decl persistent p/1.\n"
+                   "decl nonpersistent n/1. decl meta m/1.\n")
+META_BODY = "meta m(X, I, L) :- p(X, I, L), "
+
+
+@pytest.mark.parametrize("rule", [
+    # a wildcard where it binds nothing: head arguments and timepoints,
+    # comparison sides, extremum timepoints and Allen arguments
+    "exists_pers(p(_), T, 1) :- o(X, T).",
+    "window(n(_), 3).",
+    "meta m(_, I, L) :- p(X, I, L).",
+    "exists_pers(p(X), _, 1) :- o(X, T).",
+    "exists_pers(p(X), plus(_, 1), 1) :- o(X, T).",
+    META_BODY + "_ != X.",
+    META_BODY + "X != min(_, 1).",
+    META_BODY + "start(p(X), _).",
+    META_BODY + "before(I, _).",
+    META_BODY + "before(I, inter(I, _)).",
+    # functions stand only in heads and comparisons
+    "exists_pers(p(min(X, 1)), T, 1) :- o(X, T).",
+    "exists_pers(p(X), 3, 1) :- o(X, plus(T, 1)).",
+    META_BODY + "p(X, I, plus(L, 1)).",
+    META_BODY + "o(X, T), start(p(X), min(T, 3)).",
+    META_BODY + "p(X, inter(I, J), L).",
+    "constraint :- p(X, inter([1, 2], [1, 3])).",
+    # interval terms stand only where an interval does
+    META_BODY + "[1, 2] != I.",
+    META_BODY + "inter(I, I) != I.",
+    "constraint :- a([1, 2]).",
+    "constraint :- a(*).",
+    "meta m(X, 3, L) :- p(X, I, L).",
+    META_BODY + "before(c, I).",
+    "meta m(X, inter(3, I), L) :- p(X, I, L).",
+])
+def test_terms_out_of_place_are_refused_at_their_line(rule):
+    with pytest.raises(ParseError) as err:
+        parse_tes(PLACES_PREAMBLE + "exists_pers(p(X), T, 1) :- o(X, T).\n" + rule)
+    assert err.value.line == 4
+
+
+def test_a_function_may_close_a_window():
+    tes = parse_tes(PLACES_PREAMBLE + "window(n(X), plus(1, 2)) :- a(X).")
+    assert parse_tes(print_tes(tes)) == tes
+
+
+def _eof(line, col):
+    return ("EOF", "", line, col)
+
+
+def _unexpected(char, col):
+    return (f"unexpected character {char!r}", 1, col)
+
+
+@pytest.mark.parametrize("text, want", [
+    # not a letter, though \w (str.isalnum) admits it inside a word
+    ("\u00b2a", _unexpected("\u00b2", 1)),
+    ("x\u00b2b", [("IDENT", "x\u00b2b", 1, 1), _eof(1, 4)]),
+    ("\u0665a", _unexpected("\u0665", 1)),
+    ("x\u0665b", [("IDENT", "x\u0665b", 1, 1), _eof(1, 4)]),
+    ("\u216ba", _unexpected("\u216b", 1)),
+    ("x\u216bb", [("IDENT", "x\u216bb", 1, 1), _eof(1, 4)]),
+    # letters: upper case starts a variable; title case and ordinals do not
+    ("\u00c9a", [("VAR", "\u00c9a", 1, 1), _eof(1, 3)]),
+    ("x\u00c9b", [("IDENT", "x\u00c9b", 1, 1), _eof(1, 4)]),
+    ("\u01c5a", [("IDENT", "\u01c5a", 1, 1), _eof(1, 3)]),
+    ("x\u01c5b", [("IDENT", "x\u01c5b", 1, 1), _eof(1, 4)]),
+    ("\u00aaa", [("IDENT", "\u00aaa", 1, 1), _eof(1, 3)]),
+    ("x\u00aab", [("IDENT", "x\u00aab", 1, 1), _eof(1, 4)]),
+    # neither letters nor blanks, anywhere
+    ("\u0301a", _unexpected("\u0301", 1)),
+    ("x\u0301b", _unexpected("\u0301", 2)),
+    ("\u00a0a", _unexpected("\u00a0", 1)),
+    ("x\u00a0b", _unexpected("\u00a0", 2)),
+    ("\fa", _unexpected("\f", 1)),
+    ("x\fb", _unexpected("\f", 2)),
+    ("_x", ("names may not start with underscore: _x", 1, 1)),
+    ("a :b", _unexpected(":", 3)),
+    ("a ! b", _unexpected("!", 3)),
+    ("p('ab", ("unterminated quoted symbol", 1, 3)),
+    ("p('", ("unterminated quoted symbol", 1, 3)),
+    ("p('ab\n')", ("unterminated quoted symbol", 1, 3)),
+    ("a\r\n  'B c'<=_", [("IDENT", "a", 1, 1), ("QSYM", "B c", 2, 3), ("LE", "<=", 2, 8),
+                         ("WILD", "_", 2, 10), _eof(2, 11)]),
+])
+def test_tokens_and_errors_of_tricky_characters(text, want):
+    if isinstance(want, tuple):
+        with pytest.raises(ParseError) as err:
+            _tokenize(text)
+        assert (err.value.message, err.value.line, err.value.col) == want
+    else:
+        assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == want
+
+
+def test_end_of_input_after_a_comment_is_the_column_past_it():
+    with pytest.raises(ParseError) as err:
+        parse_tes("decl atemporal ab/ # x")
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "expected an arity, found ''", 1, 23)
