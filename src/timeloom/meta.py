@@ -10,7 +10,7 @@ that meta rules join merged, is closed once.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import groupby, product
 from math import prod
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -84,11 +84,11 @@ def _close(tes: TES, dataset: Dataset, store: EventStore,
     a positive event atom, and each stratum's derived facts count as new for
     the strata after it.
     """
-    for stratum in tes.strata:
-        members = frozenset(stratum)
-        rules = [r for r in tes.meta_rules if r.pred in members]
-        if not rules:
-            continue
+    stratum_of = {p: k for k, stratum in enumerate(tes.strata) for p in stratum}
+    # the sort is stable: each stratum's rules stay in `tes.meta_rules` order
+    ordered = sorted(tes.meta_rules, key=lambda r: stratum_of[r.pred])
+    for k, group in groupby(ordered, key=lambda r: stratum_of[r.pred]):
+        rules, members = list(group), frozenset(tes.strata[k])
         if new is None:
             fired = [x for r in rules for x in _fire(tes, r, dataset, store, None, witnesses)]
         else:

@@ -399,18 +399,26 @@ def fact_key(f) -> tuple:
 
 def event_values(f: AnnotatedEventFact) -> tuple:
     """An event fact's arguments, then its interval's start and end, its
-    level and its interval: the positions rule atoms match, the first
-    arity + 2 of which `EventStore.probe` indexes."""
+    level and its interval: the positions rule atoms match."""
     iv = f.interval
     return f.args + (iv.start, iv.end, f.level, iv)
 
 
-_args = attrgetter("args")
+# the values a fact of each kind shows to rule atoms and to `EventStore.probe`
+FACT_VALUES: dict[type, Callable[..., tuple]] = {
+    AtemporalFact: attrgetter("args"),
+    ObservationFact: lambda f: f.args + (f.t,),
+    AnnotatedEventFact: event_values,
+}
 
 
-def _group(facts: Iterable, positions: tuple[int, ...], values: Callable) -> dict[tuple, list]:
-    """Facts grouped by their values at `positions`, order kept."""
+def _group(facts: Sequence, positions: tuple[int, ...]) -> dict[tuple, list]:
+    """Facts of one kind grouped by their `FACT_VALUES` at `positions`,
+    order kept."""
     index: dict[tuple, list] = {}
+    # every kind's values begin with its arguments, read without a new tuple
+    inside = positions[-1] < len(facts[0].args)
+    values = attrgetter("args") if inside else FACT_VALUES[facts[0].__class__]
     pick, one = itemgetter(*positions), len(positions) == 1
     for f in facts:
         key = pick(values(f))
@@ -418,81 +426,31 @@ def _group(facts: Iterable, positions: tuple[int, ...], values: Callable) -> dic
     return index
 
 
-class Dataset:
-    """An immutable collection of atemporal and observation facts.
-
-    `probe` narrows a predicate's facts to those with given values at some
-    argument positions through a hash index built on first use.
-    """
-
-    def __init__(self, facts: Iterable[AtemporalFact | ObservationFact] = ()):
-        # each predicate's facts in first-seen order
-        self._atemporal: dict[str, list[AtemporalFact]] = {}
-        self._observations: dict[str, list[ObservationFact]] = {}
-        seen: set = set()
-        for f in facts:
-            if f in seen:
-                continue
-            seen.add(f)
-            if isinstance(f, AtemporalFact):
-                self._atemporal.setdefault(f.pred, []).append(f)
-            elif isinstance(f, ObservationFact):
-                self._observations.setdefault(f.pred, []).append(f)
-            else:
-                raise TypeError(f"not a dataset fact: {f!r}")
-        self._all = frozenset(seen)
-        self._indexes: dict[tuple, dict[tuple, list]] = {}
-
-    @property
-    def facts(self) -> frozenset:
-        return self._all
-
-    def probe(self, kind: type, pred: str, positions: tuple[int, ...],
-              values: tuple) -> Sequence[AtemporalFact | ObservationFact]:
-        """Facts of one kind (AtemporalFact or ObservationFact) and predicate
-        whose arguments at `positions` equal `values`. Do not mutate."""
-        facts = (self._atemporal if kind is AtemporalFact else self._observations).get(pred, ())
-        if not positions:
-            return facts
-        index = self._indexes.get((kind, pred, positions))
-        if index is None:
-            index = self._indexes[kind, pred, positions] = _group(facts, positions, _args)
-        return index.get(values, ())
-
-    def __len__(self) -> int:
-        return len(self._all)
-
-    def __contains__(self, f) -> bool:
-        return f in self._all
-
-
 class EventStore:
-    """Annotated event facts indexed by predicate, by (predicate, args) key,
-    and by values at chosen argument and interval-end positions (built on
-    first `probe`, then kept up to date by `add`)."""
+    """Facts of one kind indexed by predicate and by their `FACT_VALUES` at
+    chosen positions (built on first `probe`, then kept up to date by
+    `add`). Each predicate's facts keep their first-seen order."""
 
-    def __init__(self, facts: Iterable[AnnotatedEventFact] = ()):
-        self._facts: set[AnnotatedEventFact] = set()
-        self._by_pred: dict[str, list[AnnotatedEventFact]] = {}
-        self._by_key: dict[tuple, list[AnnotatedEventFact]] = {}
+    def __init__(self, facts: Iterable = ()):
+        self._facts: set = set()
+        self._by_pred: dict[str, list] = {}
         # pred -> positions -> values at those positions -> facts
         self._indexes: dict[str, dict[tuple[int, ...], dict[tuple, list]]] = {}
         self.add_all(facts)
 
-    def add(self, f: AnnotatedEventFact) -> bool:
+    def add(self, f) -> bool:
         if f in self._facts:
             return False
         self._facts.add(f)
         self._by_pred.setdefault(f.pred, []).append(f)
-        self._by_key.setdefault(f.key, []).append(f)
         indexes = self._indexes.get(f.pred)
         if indexes:
-            vals = event_values(f)
+            vals = FACT_VALUES[f.__class__](f)
             for positions, index in indexes.items():
                 index.setdefault(tuple([vals[i] for i in positions]), []).append(f)
         return True
 
-    def add_all(self, facts: Iterable[AnnotatedEventFact]) -> list[AnnotatedEventFact]:
+    def add_all(self, facts: Iterable) -> list:
         return [f for f in facts if self.add(f)]
 
     def copy(self) -> "EventStore":
@@ -500,31 +458,27 @@ class EventStore:
         other = EventStore()
         other._facts = set(self._facts)
         other._by_pred = {p: list(fs) for p, fs in self._by_pred.items()}
-        other._by_key = {k: list(fs) for k, fs in self._by_key.items()}
         other._indexes = {p: {pos: {v: list(fs) for v, fs in index.items()}
                               for pos, index in by_pos.items()}
                           for p, by_pos in self._indexes.items()}
         return other
 
-    def by_key(self, pred: str, args: tuple[Value, ...]) -> tuple[AnnotatedEventFact, ...]:
-        return tuple(self._by_key.get((pred, args), ()))
+    def by_key(self, pred: str, args: tuple[Value, ...]) -> tuple:
+        """The facts of `pred` whose arguments are `args`, in first-seen order."""
+        return tuple(self.probe(pred, tuple(range(len(args))), args))
 
-    def probe(self, pred: str, positions: tuple[int, ...],
-              values: tuple) -> Sequence[AnnotatedEventFact]:
-        """Facts of `pred` whose `event_values` at `positions` (ascending:
-        arguments, then the interval's start and end) equal `values`,
-        without copying; the result must not be mutated or held across an
-        `add`. With exactly the argument positions this reads the
-        (pred, args) map."""
+    def probe(self, pred: str, positions: tuple[int, ...], values: tuple) -> Sequence:
+        """Facts of `pred` whose `FACT_VALUES` at `positions` (ascending;
+        for an event, its arguments, then its interval's start and end)
+        equal `values`, without copying; the result must not be mutated or
+        held across an `add`."""
         facts = self._by_pred.get(pred, ())
         if not positions or not facts:
             return facts
-        if len(positions) == len(facts[0].args) == positions[-1] + 1:
-            return self._by_key.get((pred, values), ())
-        indexes = self._indexes.setdefault(pred, {})
-        index = indexes.get(positions)
-        if index is None:
-            index = indexes[positions] = _group(facts, positions, event_values)
+        try:
+            index = self._indexes[pred][positions]
+        except KeyError:
+            index = self._indexes.setdefault(pred, {})[positions] = _group(facts, positions)
         return index.get(values, ())
 
     @property
@@ -536,3 +490,35 @@ class EventStore:
 
     def __contains__(self, f) -> bool:
         return f in self._facts
+
+
+class Dataset:
+    """An immutable collection of atemporal and observation facts: one
+    `EventStore` per kind."""
+
+    def __init__(self, facts: Iterable[AtemporalFact | ObservationFact] = ()):
+        self._stores = {AtemporalFact: EventStore(), ObservationFact: EventStore()}
+        adds = {kind: store.add for kind, store in self._stores.items()}
+        for f in facts:
+            add = adds.get(f.__class__)
+            if add is None:
+                raise TypeError(f"not a dataset fact: {f!r}")
+            add(f)
+        self._all = frozenset().union(*[s._facts for s in self._stores.values()])
+
+    @property
+    def facts(self) -> frozenset:
+        return self._all
+
+    def probe(self, kind: type, pred: str, positions: tuple[int, ...],
+              values: tuple) -> Sequence[AtemporalFact | ObservationFact]:
+        """Facts of one kind (AtemporalFact or ObservationFact) and predicate
+        whose arguments at `positions` equal `values` (`EventStore.probe`).
+        Do not mutate."""
+        return self._stores[kind].probe(pred, positions, values)
+
+    def __len__(self) -> int:
+        return len(self._all)
+
+    def __contains__(self, f) -> bool:
+        return f in self._all

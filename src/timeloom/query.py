@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
-from operator import attrgetter, eq, itemgetter
+from operator import eq, itemgetter
 from typing import Callable, Mapping
 
 from .errors import InvalidSpec, SortError
@@ -32,6 +32,7 @@ from .language import (
     is_test,
 )
 from .model import (
+    FACT_VALUES,
     STAR,
     AnnotatedEventFact,
     AtemporalFact,
@@ -48,7 +49,6 @@ from .model import (
     args_key,
     compile_term,
     eval_term,
-    event_values,
     term_vars,
 )
 
@@ -63,14 +63,10 @@ _SORT_CHECKS = {
     SortKind.INTERVAL: lambda v: isinstance(v, Interval),
 }
 
-_VALUES = {AtemporalFact: attrgetter("args"),
-           ObservationFact: lambda f: f.args + (f.t,),
-           AnnotatedEventFact: event_values}
-
 
 def _positions(atom) -> tuple[type, list]:
     """The kind of fact an atom matches, and each of its terms beside the
-    position of the fact's `_VALUES` it matches."""
+    position of the fact's `FACT_VALUES` it matches."""
     n = len(atom.args)
     pairs = list(enumerate(atom.args))
     if isinstance(atom, AtemporalAtom):
@@ -115,7 +111,7 @@ class _Match:
                 if i < probed and (not isinstance(t, Var) or t.name in bound)]
         self.positions = tuple(i for i, _ in keys)
         self.key = _tuple_of([t for _, t in keys], slot_of)
-        checks, binds, sames, values = [], [], [], _VALUES[self.kind]
+        checks, binds, sames, values = [], [], [], FACT_VALUES[self.kind]
         seen = set(bound)
         for i, t in pairs:
             if not isinstance(t, Var):

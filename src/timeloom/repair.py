@@ -19,7 +19,7 @@ the candidate against the edges. Other rule sets scan candidate subsets.
 from __future__ import annotations
 
 from itertools import combinations, groupby, islice, product
-from math import prod
+from math import inf, prod
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -524,13 +524,10 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
         for f in e:
             by_fact.setdefault(f, []).append(e)
 
-    def completes_edge(sigma, kept: frozenset) -> bool:
-        return any(e - {sigma} <= kept for e in by_fact.get(sigma, ()))
+    def completes_edge(sigma, bound) -> bool:
+        # an edge of sigma whose other facts are kept, none weaker than `bound`
+        return any(all(f in s_se and f.level <= bound for f in e - {sigma})
+                   for e in by_fact.get(sigma, ()))
 
-    for sigma in se - s_se:
-        if not completes_edge(sigma, s_se):
-            return False
-        if mode == "preferred" and not completes_edge(
-                sigma, frozenset(f for f in s_se if f.level <= sigma.level)):
-            return False
-    return True
+    preferred = mode == "preferred"
+    return all(completes_edge(sigma, sigma.level if preferred else inf) for sigma in se - s_se)

@@ -99,7 +99,7 @@ def test_criterion_3_repair_modes_on_worked_example(np_tes, empty_dataset):
     print("criterion 3 PASS: four repairs, unique preferred repair, empty core")
 
 
-def test_criterion_4_greedy_matches_brute_preferred():
+def test_criterion_4_levelwise_matches_brute_preferred():
     """On 500 random guard-satisfying instances the level-by-level preferred
     construction returns the single brute-force preferred repair, in under
     30 s total."""

@@ -136,6 +136,31 @@ def test_long_predicate_chain_stratifies_and_derives():
     assert got == {ev(f"m{i}", (), 2, 5, 1) for i in range(n + 1)}
 
 
+class _CountedRules(tuple):
+    """A tuple of rules that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        _CountedRules.walks += 1
+        return super().__iter__()
+
+
+def test_closure_walks_the_meta_rules_once_per_call():
+    """The closure groups the rules by stratum in one walk over
+    `tes.meta_rules`, not one walk per stratum."""
+    n = 40
+    tes = parse_tes("decl persistent e/0.\n"
+                    + "".join(f"decl meta m{i}/0.\n" for i in range(n + 1))
+                    + "meta m0(I, L) :- e(I, L).\n"
+                    + "".join(f"meta m{i}(I, L) :- m{i - 1}(I, L).\n" for i in range(1, n + 1)))
+    tes = tes._replace(meta_rules=_CountedRules(tes.meta_rules))
+    _CountedRules.walks = 0
+    got = infer_meta(tes, Dataset([]), frozenset({ev("e", (), 2, 5, 1)}))
+    assert got == {ev(f"m{i}", (), 2, 5, 1) for i in range(n + 1)}
+    assert _CountedRules.walks == 1
+
+
 def test_meta_over_meta_interval_vars():
     tes = parse_tes(
         "decl persistent p/0.\ndecl meta wide/0.\ndecl meta spans/0.\n"

@@ -3,6 +3,7 @@ the value contract of the slotted classes."""
 
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -229,6 +230,84 @@ def test_event_store_copy_is_independent():
     assert tuple(c.probe("e", (), ())) == (f1, f2) and tuple(s.probe("e", (), ())) == (f1,)
     assert c.by_key("e", ("a", 2)) == (f2,) and s.by_key("e", ("a", 2)) == ()
     assert f2 in c and f2 not in s and len(s) == 1
+
+
+def _positions(rng, n):
+    return tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+
+
+def test_dataset_probe_matches_filters_and_keeps_kinds_apart():
+    """Atemporal and observation facts share predicate names, at other
+    arities; each probe finds exactly the facts of its kind a literal
+    filter over `facts` finds, in first-seen order."""
+    rng = random.Random(23)
+    values = ("a", "b", 0, 1)
+    arity = {(AtemporalFact, "p"): 2, (ObservationFact, "p"): 1,
+             (AtemporalFact, "q"): 0, (ObservationFact, "q"): 3}
+    for _ in range(300):
+        drawn = []
+        for _ in range(rng.randint(0, 25)):
+            kind, pred = rng.choice(list(arity))
+            args = tuple(rng.choice(values) for _ in range(arity[kind, pred]))
+            drawn.append(AtemporalFact(pred, args) if kind is AtemporalFact
+                         else ObservationFact(pred, args, rng.randrange(3)))
+        d = Dataset(drawn)
+        assert d.facts == set(drawn) and len(d) == len(d.facts)
+        seen = list(dict.fromkeys(drawn))
+        for _ in range(10):
+            kind, pred = rng.choice(list(arity))
+            positions = _positions(rng, arity[kind, pred])
+            key = tuple(rng.choice(values) for _ in positions)
+            want = [f for f in seen if f.__class__ is kind and f.pred == pred
+                    and all(f.args[i] == v for i, v in zip(positions, key))]
+            assert list(d.probe(kind, pred, positions, key)) == want
+            assert set(want) <= d.facts
+
+
+def test_event_store_probe_and_by_key_follow_adds_and_copies():
+    """After interleaved adds, copies and index-building probes, `probe`
+    and `by_key` find exactly what literal filters find, in first-seen
+    order, and a copy never sees the other store's later adds."""
+    rng = random.Random(31)
+    values = ("a", "b", 0)
+    arity = {"e": 2, "f": 1, "g": 0}
+
+    def fact():
+        pred = rng.choice(list(arity))
+        lo = rng.randrange(4)
+        return AnnotatedEventFact(pred, tuple(rng.choice(values) for _ in range(arity[pred])),
+                                  Interval(lo, rng.choice([lo + rng.randrange(3), STAR])),
+                                  rng.randint(1, 2))
+
+    for _ in range(100):
+        first = [fact() for _ in range(rng.randint(0, 5))]
+        stores = [(EventStore(first), list(dict.fromkeys(first)))]
+        for _ in range(40):
+            k = rng.randrange(len(stores))
+            store, held = stores[k]
+            step = rng.random()
+            if step < 0.4:
+                f = fact()
+                assert store.add(f) == (f not in held)
+                if f not in held:
+                    held.append(f)
+            elif step < 0.5:
+                stores.append((store.copy(), list(held)))
+            else:
+                pred = rng.choice(list(arity))
+                n = arity[pred]
+                positions = _positions(rng, n + 2)
+                key = tuple(rng.choice(values + (1, 2, 3, STAR)) if i >= n
+                            else rng.choice(values) for i in positions)
+                vals = {f: f.args + (f.interval.start, f.interval.end) for f in held}
+                want = [f for f in held if f.pred == pred
+                        and all(vals[f][i] == v for i, v in zip(positions, key))]
+                assert list(store.probe(pred, positions, key)) == want
+                args = tuple(rng.choice(values) for _ in range(n))
+                assert store.by_key(pred, args) == tuple(
+                    f for f in held if f.pred == pred and f.args == args)
+        for store, held in stores:
+            assert store.facts == set(held) and len(store) == len(held)
 
 
 # ---------------------------------------------------------------------------

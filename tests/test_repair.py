@@ -529,7 +529,7 @@ def test_hypergraph_path_matches_brute_on_varied_constraints():
         assert widest >= 3 and none > 0 and (scanned > 20 if extra else not scanned)
 
 
-def test_greedy_matches_brute_preferred_on_guard_instances():
+def test_levelwise_preferred_matches_brute_on_guard_instances():
     rng = random.Random(17)
     for _ in range(30):
         se, tes = random_guard_instance(rng)
@@ -664,6 +664,26 @@ def test_recognize_general_path_cap():
     assert recognize_timeline(EMPTY, tes, cand, mode="consistent")
     with pytest.raises(EnumerationCapExceeded):
         recognize_timeline(EMPTY, tes, cand, mode="consistent", cap=1)
+
+
+def test_preferred_check_tests_each_left_out_fact_once():
+    """Each of 4,000 patients has a level-1 interval [1,5] and a level-2
+    interval [0,5], clashing on their equal ends. Checking the level-1
+    facts as a preferred timeline costs about the facts left out, not
+    those times the facts kept."""
+    tes = parse_tes("decl observation s1/1.\ndecl observation s2/1.\ndecl observation stop/1.\n"
+                    "decl persistent e/1.\nexists_pers(e(P), T, 1) :- s1(P, T).\n"
+                    "exists_pers(e(P), T, 2) :- s2(P, T).\nends(e(P), T, 1) :- stop(P, T).\n")
+    n = 4000
+    dataset = Dataset([ObservationFact(pred, (f"p{i}",), t) for i in range(n)
+                       for pred, t in (("s1", 1), ("s2", 0), ("stop", 5))])
+    strong = frozenset(ev(1, 5, 1, args=(f"p{i}",)) for i in range(n))
+    weak = frozenset(ev(0, 5, 2, args=(f"p{i}",)) for i in range(n))
+    began = time.perf_counter()
+    assert recognize_timeline(dataset, tes, strong, mode="preferred")
+    assert time.perf_counter() - began < 1.0
+    assert recognize_timeline(dataset, tes, weak, mode="consistent")
+    assert not recognize_timeline(dataset, tes, weak, mode="preferred")
 
 
 def test_recognition_agrees_with_enumeration():
