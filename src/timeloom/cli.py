@@ -227,7 +227,9 @@ def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
 
 def partition_dataset(dataset: Dataset, argpos: int) -> list[tuple[Value, Dataset]]:
     """Split observations by the value at one argument position; atemporal
-    facts and observations without that position are shared by every entity."""
+    facts and observations without that position are shared by every entity.
+    Observations of which none has that position are refused: they would
+    make no entity to share them with."""
     groups: dict[Value, list] = {}
     shared: list = []
     for f in dataset.facts:
@@ -235,6 +237,9 @@ def partition_dataset(dataset: Dataset, argpos: int) -> list[tuple[Value, Datase
             groups.setdefault(f.args[argpos], []).append(f)
         else:
             shared.append(f)
+    if not groups and any(isinstance(f, ObservationFact) for f in shared):
+        raise TimeloomError(f"--partition-by {argpos}: no observation has an argument "
+                            f"at position {argpos}")
     return [(k, Dataset(groups[k] + shared))
             for k in sorted(groups, key=value_key)]
 
@@ -355,7 +360,8 @@ def _natural(flag: str, text: str | None) -> int | None:
 
 def _config_from_args(args: argparse.Namespace) -> None:
     """Resolve `run`'s options in place: pair each data file with its mapping
-    file or None, read the naturals, and check --check against --mode."""
+    file or None, read the naturals, and check --check and --partition-by
+    against --mode."""
     maps = list(args.map)
     pairs: list[tuple[str, str | None]] = []
     for d in args.data:
@@ -370,6 +376,8 @@ def _config_from_args(args: argparse.Namespace) -> None:
         setattr(args, name, _natural("--" + name.replace("_", "-"), getattr(args, name)))
     if (args.mode == "check") != (args.check is not None):
         raise ValueError("--check is required for mode check and only there")
+    if args.mode == "check" and args.partition_by is not None:
+        raise ValueError("--partition-by splits the run modes only, not mode check")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,6 +18,7 @@ the candidate against the edges. Other rule sets scan candidate subsets.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import combinations, groupby, islice, product
 from math import inf, prod
 from operator import attrgetter
@@ -108,18 +109,17 @@ class RepairSet(Record):
     __slots__ = _fields = ("repairs", "exhaustive")
 
 
-class _CapHit(Exception):
-    pass
-
-
 class _Budget:
+    """The cap of every enumerator: `spend` pays for one unit of work, and
+    past `cap` raises `EnumerationCapExceeded`, leaving `left` below zero."""
+
     def __init__(self, cap: int):
-        self.left = cap
+        self.cap = self.left = cap
 
     def spend(self) -> None:
-        if self.left <= 0:
-            raise _CapHit()
         self.left -= 1
+        if self.left < 0:
+            raise EnumerationCapExceeded(self.cap)
 
 
 def _downward_closed(tes: TES) -> bool:
@@ -308,11 +308,10 @@ def _in_order(core: SimpleSet, units: tuple[tuple[SimpleSet, ...], ...], picks) 
 
 
 def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset,
-                     cap: int) -> tuple[list[SimpleSet], bool]:
-    """Maximal consistent subsets under arbitrary constraints, and whether
-    the cap left them all: scan subsets by decreasing size, keeping the
-    consistent ones no repair found earlier contains. The cap bounds the
-    subsets examined.
+                     spend: Callable[[], None]) -> Iterator[SimpleSet]:
+    """Maximal consistent subsets under arbitrary constraints: scan subsets
+    by decreasing size, yielding the consistent ones no repair found earlier
+    contains. `spend` is charged once per subset examined.
 
     A consistent set that is not maximal lies in a maximal consistent set,
     which is larger, so the scan reached it earlier and found it: a subset
@@ -320,14 +319,13 @@ def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset,
     subset of one needs no test."""
     facts = sorted(se, key=fact_key)
     found: list[SimpleSet] = []
-    subsets = (frozenset(c) for size in range(len(facts), -1, -1)
-               for c in combinations(facts, size))
-    for examined, s in enumerate(subsets):
-        if examined == cap:
-            return found, False
-        if not any(s < t for t in found) and is_consistent(s, tes, dataset):
-            found.append(s)
-    return found, True
+    for size in range(len(facts), -1, -1):
+        for c in combinations(facts, size):
+            spend()
+            s = frozenset(c)
+            if not any(s < t for t in found) and is_consistent(s, tes, dataset):
+                found.append(s)
+                yield s
 
 
 def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
@@ -338,16 +336,19 @@ def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
     component (by level for preferred), the budget paying per dead end and
     per model, the first in product order; a component stops at more
     results than the budget has left. A fact in a one-fact edge is in no
-    repair. Otherwise they are one unit."""
+    repair. Otherwise they are one unit, the scan's repairs within the cap."""
     if se is None:
         se = infer_all_simple(dataset, tes)
+    budget = _Budget(cap)
     if not _downward_closed(tes):
-        found, exhaustive = _repairs_general(se, tes, dataset, cap)
+        found: list[SimpleSet] = []
+        with suppress(EnumerationCapExceeded):
+            for r in _repairs_general(se, tes, dataset, budget.spend):
+                found.append(r)
         if preferred:
             found = _filter_preferred(found)
         picks = [(i,) for i in range(len(found))]
-        return _in_order(frozenset(), (tuple(found),), picks), exhaustive
-    budget = _Budget(cap)
+        return _in_order(frozenset(), (tuple(found),), picks), budget.left >= 0
     level = attrgetter("level") if preferred else lambda f: 0
     try:
         edges = conflict_hypergraph(se, tes, dataset, budget.spend)
@@ -361,7 +362,7 @@ def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
                 if len(results) > budget.left:
                     break
             units.append(tuple(results))
-    except _CapHit:
+    except EnumerationCapExceeded:
         return Factored(frozenset(), (), ()), False
     sizes = [len(results) for results in units]
     picks = islice(product(*map(range, sizes)), budget.left)
@@ -409,26 +410,6 @@ def preferred_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     return RepairSet(found.models(), exhaustive)
 
 
-def _hypergraph_or_raise(se: SimpleSet, tes: TES, dataset: Dataset,
-                         cap: int) -> list[frozenset]:
-    """`conflict_hypergraph`, raising when `cap` alternative supports do
-    not suffice."""
-    try:
-        return conflict_hypergraph(se, tes, dataset, _Budget(cap).spend)
-    except _CapHit:
-        raise EnumerationCapExceeded(cap) from None
-
-
-def _all_repairs(dataset: Dataset, tes: TES, se: SimpleSet, cap: int,
-                 preferred: bool) -> tuple[SimpleSet, ...]:
-    """Every repair, or every preferred repair, raising when the cap stops
-    the enumeration first."""
-    found, exhaustive = _repair_factors(dataset, tes, se, cap, preferred)
-    if not exhaustive:
-        raise EnumerationCapExceeded(cap)
-    return found.models()
-
-
 def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
                   cap: int = DEFAULT_CAP) -> SimpleSet:
     """Facts present in every repair.
@@ -441,10 +422,11 @@ def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     unsound core."""
     if se is None:
         se = infer_all_simple(dataset, tes)
+    spend = _Budget(cap).spend
     if not _downward_closed(tes):
-        reps = _all_repairs(dataset, tes, se, cap, False)
+        reps = list(_repairs_general(se, tes, dataset, spend))
         return frozenset.intersection(*reps) if reps else frozenset()
-    edges = _hypergraph_or_raise(se, tes, dataset, cap)
+    edges = conflict_hypergraph(se, tes, dataset, spend)
     return frozenset() if edges and not edges[0] else se.difference(*edges)
 
 
@@ -480,14 +462,13 @@ def timeline(dataset: Dataset, tes: TES, mode: str = "consistent", cap: int = DE
     still counts them.
     """
     se = infer_all_simple(dataset, tes)
-    if mode == "naive":
-        return TimelineResult(mode, (se | infer_meta(tes, dataset, se),)[:max_models], True)
-    if mode == "cautious":
-        core = cautious_core(dataset, tes, se=se, cap=cap)
-        return TimelineResult(mode, (core | infer_meta(tes, dataset, core),)[:max_models], True)
-    if mode not in ("consistent", "preferred"):
+    if mode in ("naive", "cautious"):  # one model: its simple facts as the core
+        core = se if mode == "naive" else cautious_core(dataset, tes, se=se, cap=cap)
+        found, exhaustive = Factored(core, (), ((),)), True
+    elif mode in ("consistent", "preferred"):
+        found, exhaustive = _repair_factors(dataset, tes, se, cap, mode == "preferred")
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    found, exhaustive = _repair_factors(dataset, tes, se, cap, mode == "preferred")
     if max_models is not None and max_models < len(found.picks):
         found = regroup(found, found.picks[:max_models])
     return TimelineResult(mode, None, exhaustive, close_factored(tes, dataset, found))
@@ -515,10 +496,13 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
         return False
     if candidate != s_se | infer_meta(tes, dataset, s_se):
         return False
+    preferred = mode == "preferred"
+    spend = _Budget(cap).spend
     if not _downward_closed(tes):
-        return s_se in _all_repairs(dataset, tes, se, cap, mode == "preferred")
+        reps = tuple(_repairs_general(se, tes, dataset, spend))
+        return s_se in (_filter_preferred(reps) if preferred else reps)
     by_fact: dict = {}
-    for e in _hypergraph_or_raise(se, tes, dataset, cap):
+    for e in conflict_hypergraph(se, tes, dataset, spend):
         if e <= s_se:
             return False
         for f in e:
@@ -529,5 +513,4 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
         return any(all(f in s_se and f.level <= bound for f in e - {sigma})
                    for e in by_fact.get(sigma, ()))
 
-    preferred = mode == "preferred"
     return all(completes_edge(sigma, sigma.level if preferred else inf) for sigma in se - s_se)

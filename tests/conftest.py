@@ -1,5 +1,6 @@
 """Shared fixtures: the two-level worked example, clinical-style rule sets,
-and random instance generators used by the equivalence suites."""
+and random instance and whole-program generators used by the equivalence
+suites."""
 
 import random
 
@@ -188,3 +189,54 @@ def random_guard_instance(rng: random.Random, max_facts=12):
         se = infer_all_simple(dataset, tes)
         if 1 <= len(se) <= max_facts:
             return se, tes
+
+
+# meta rules for random_program over its events e/1 and p/1: a positive
+# join, a negated event atom, extremum tests, and an interval relation
+PROGRAM_META = (
+    "meta m(P, inter(I, J), max(L1, L2)) :- e(P, I, L1), p(P, J, L2).",
+    "meta m(P, I, L) :- e(P, I, L), not p(P, _, _).",
+    "meta m(P, [T, T2], L) :- e(P, [T, T2], L), start(e(P), T).",
+    "meta m(P, [T1, T], L) :- p(P, [T1, T], L), end(p(P), T).",
+    "meta m(P, I, L) :- e(P, I, L), p(P, J, _), during(I, J).",
+)
+# a second stratum over m, positive or through negation
+PROGRAM_META_2 = (
+    "meta n(P, I, L) :- m(P, I, L), p(P, _, _).",
+    "meta n(P, I, L) :- p(P, I, L), not m(P, _, _).",
+)
+# constraints over simple events (one beside an observation), over meta
+# events, and negating an event, each with the meta predicate it names
+PROGRAM_CONSTRAINTS = (
+    (None, "constraint :- e(P, [T, _]), p(P, [T, _])."),
+    (None, "constraint :- p(P, [T, _]), ps(P, T), e(P, [T2, _]), T2 < T."),
+    ("m", "constraint :- m(P, [T, _]), T < 4."),
+    ("n", "constraint :- n(P, I)."),
+    (None, "constraint :- e(P, [T, _]), not p(P, [T, _])."),
+    ("m", "constraint :- p(P, I), not m(P, _)."),
+)
+
+
+def random_program(rng: random.Random, horizon=8):
+    """A (dataset, tes) pair of a whole rule program: per entity, start and
+    end evidence for a non-persistent event e and a persistent event p from
+    observations, each read at one or two random levels; up to two meta
+    rules over e and p, half of the time under a second stratum; and up to
+    two constraints over predicates the program derives."""
+    lines = ["decl observation es/1.", "decl observation ee/1.", "decl observation ps/1.",
+             "decl observation pe/1.", "decl nonpersistent e/1.", "decl persistent p/1.",
+             "decl meta m/1.", "decl meta n/1.", f"window(e(P), {rng.randint(1, 3)})."]
+    for obs, head in (("es", "exists(e(P), T, {})"), ("ee", "ends(e(P), T, {})"),
+                      ("ps", "exists_pers(p(P), T, {})"), ("pe", "ends(p(P), T, {})")):
+        lines += [head.format(level) + f" :- {obs}(P, T)."
+                  for level in rng.sample((1, 2, 3), rng.randint(1, 2))]
+    meta = rng.sample(PROGRAM_META, rng.randint(0, 2))
+    if meta and rng.random() < 0.5:
+        meta.append(rng.choice(PROGRAM_META_2))
+    derived = {None} | {rule[len("meta ")] for rule in meta}  # m or n
+    usable = [c for needs, c in PROGRAM_CONSTRAINTS if needs in derived]
+    lines += meta + rng.sample(usable, rng.randint(0, 2))
+    facts = [ObservationFact(pred, (entity,), rng.randrange(horizon))
+             for entity in rng.sample("ab", rng.randint(1, 2))
+             for pred in ("es", "ee", "ps", "pe") for _ in range(rng.randint(0, 2))]
+    return Dataset(facts), parse_tes("\n".join(lines))

@@ -504,6 +504,41 @@ def test_partition_shares_atemporal_facts(tmp_path, capsys):
              "interval": {"start": start, "end": start}, "level": 1}], "meta": []}]
 
 
+def test_partition_by_is_refused_in_check_mode(ward, capsys):
+    # a check verdict is over the whole dataset, so a split would go unseen
+    target = ward / "target.json"
+    target.write_text(json.dumps({"facts": [P1_JSON, P2_JSON]}))
+    assert run_cli("run", "--rules", str(ward / "care.tes"), "--data", str(ward / "ward.facts"),
+                   "--mode", "check", "--check", str(target), "--partition-by", "0") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "--partition-by" in err
+
+
+def test_partition_by_past_every_observation_is_refused(tmp_path, capsys):
+    # no observation has position 3, so there would be no entity at all
+    (tmp_path / "o.tes").write_text("decl observation o/1.\ndecl persistent e/1.\n"
+                                    "exists_pers(e(X), T, 1) :- o(X, T).\n")
+    (tmp_path / "o.facts").write_text("obs o(a, 1).\n")
+    args = ("run", "--rules", str(tmp_path / "o.tes"), "--data", str(tmp_path / "o.facts"))
+    for mode in ("naive", "consistent", "preferred", "cautious"):
+        assert run_cli(*args, "--mode", mode, "--partition-by", "3") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "--partition-by 3" in err and "position 3" in err
+    assert run_cli(*args, "--partition-by", "0") == 0
+    assert [e["entity"] for e in json.loads(capsys.readouterr().out)["entities"]] == ["a"]
+
+
+def test_partition_by_without_observations_gives_no_entities(tmp_path, capsys):
+    (tmp_path / "o.tes").write_text("decl observation o/1.\ndecl atemporal k/0.\n")
+    (tmp_path / "k.facts").write_text("atemporal k.\n")
+    assert run_cli("run", "--rules", str(tmp_path / "o.tes"), "--data", str(tmp_path / "k.facts"),
+                   "--mode", "consistent", "--partition-by", "3") == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "mode": "consistent", "partition_by": 3, "entities": [], "exhaustive": True}
+
+
 def test_unused_map_is_an_error(ward, capsys):
     rc = run_cli("run", "--rules", str(ward / "care.tes"),
                  "--data", str(ward / "ward.facts"),

@@ -39,6 +39,7 @@ from conftest import (
     VARIED_CONSTRAINTS,
     random_fact_set,
     random_guard_instance,
+    random_program,
     random_ruleful_instance,
 )
 from oracle import (
@@ -650,20 +651,78 @@ def test_recognize_checks_meta_part(therapy_tes):
         simple, meta, AnnotatedEventFact("adm", ("p1", "amox"), Interval(5, 5), 1)})
 
 
+# three facts and a constraint negating an event: the subset scan, whose
+# one repair is the first e fact with p
+SCAN_3 = parse_tes(
+    "decl persistent e/0.\ndecl persistent p/0.\n"
+    "exists_pers(e, 0, 1).\nends(e, 4, 1).\n"
+    "exists_pers(e, 6, 1).\nends(e, 9, 1).\n"
+    "exists_pers(p, 0, 1).\nends(p, 9, 1).\n"
+    "constraint :- e([T1, T2]), not p([T1, _]).")
+SCAN_3_REPAIR = frozenset({
+    AnnotatedEventFact("e", (), Interval(0, 4), 1),
+    AnnotatedEventFact("p", (), Interval(0, 9), 1)})
+
+
 def test_recognize_general_path_cap():
-    tes = parse_tes(
-        "decl persistent e/0.\ndecl persistent p/0.\n"
-        "exists_pers(e, 0, 1).\nends(e, 4, 1).\n"
-        "exists_pers(e, 6, 1).\nends(e, 9, 1).\n"
-        "exists_pers(p, 0, 1).\nends(p, 9, 1).\n"
-        "constraint :- e([T1, T2]), not p([T1, _]).")
-    assert not tes.is_monotone
-    cand = frozenset({
-        AnnotatedEventFact("e", (), Interval(0, 4), 1),
-        AnnotatedEventFact("p", (), Interval(0, 9), 1)})
-    assert recognize_timeline(EMPTY, tes, cand, mode="consistent")
+    assert not SCAN_3.is_monotone
+    assert recognize_timeline(EMPTY, SCAN_3, SCAN_3_REPAIR, mode="consistent")
     with pytest.raises(EnumerationCapExceeded):
-        recognize_timeline(EMPTY, tes, cand, mode="consistent", cap=1)
+        recognize_timeline(EMPTY, SCAN_3, SCAN_3_REPAIR, mode="consistent", cap=1)
+
+
+def test_subset_scan_stops_at_exactly_two_to_the_facts():
+    # the scan pays once per subset examined: 2^3 answer in every mode, one
+    # fewer gives the repair found so far or raises with its cap
+    se = infer_all_simple(EMPTY, SCAN_3)
+    assert len(se) == 3 and not _downward_closed(SCAN_3)
+    for cap in (7, 8):
+        exhaustive = cap == 2 ** len(se)
+        for enumerate_ in (repairs, preferred_repairs):
+            got = enumerate_(EMPTY, SCAN_3, cap=cap)
+            assert got.exhaustive == exhaustive and got.repairs == (SCAN_3_REPAIR,)
+        for mode in ("consistent", "preferred"):
+            got = timeline(EMPTY, SCAN_3, mode, cap=cap)
+            assert got.exhaustive == exhaustive and got.models == (SCAN_3_REPAIR,)
+        answers = [(lambda: cautious_core(EMPTY, SCAN_3, cap=cap), SCAN_3_REPAIR),
+                   (lambda: timeline(EMPTY, SCAN_3, "cautious", cap=cap).models,
+                    (SCAN_3_REPAIR,))]
+        answers += [(lambda mode=mode: recognize_timeline(EMPTY, SCAN_3, SCAN_3_REPAIR, mode, cap),
+                     True) for mode in ("consistent", "preferred")]
+        for solve, want in answers:
+            if exhaustive:
+                assert solve() == want
+            else:
+                with pytest.raises(EnumerationCapExceeded) as err:
+                    solve()
+                assert err.value.cap == cap
+
+
+def test_hypergraph_budgets_stop_at_exactly_their_caps():
+    # alternative provenance supports: 13 build the hypergraph, and 12
+    # leave cautious and recognition raising and the repairs empty
+    dataset, tes = encode_3sat_cautious(UNSAT_2)
+    repair = brute_repairs(dataset, tes)[0]
+    full = repair | infer_meta(tes, dataset, repair)
+    assert cautious_core(dataset, tes, cap=13) == {probe_fact()}
+    assert recognize_timeline(dataset, tes, full, cap=13)
+    for solve in (lambda: cautious_core(dataset, tes, cap=12),
+                  lambda: timeline(dataset, tes, "cautious", cap=12),
+                  lambda: recognize_timeline(dataset, tes, full, cap=12)):
+        with pytest.raises(EnumerationCapExceeded) as err:
+            solve()
+        assert err.value.cap == 12
+    for enumerate_ in (repairs, preferred_repairs):
+        got = enumerate_(dataset, tes, cap=12)
+        assert not got.exhaustive and got.repairs == ()
+    # results plus dead ends: a star of three pairs has 2^3 + 1 repairs and
+    # one dead end
+    se = star_facts(3)
+    for enumerate_ in (repairs, preferred_repairs):
+        full_set = enumerate_(EMPTY, STAR_TES, se=se, cap=10)
+        assert full_set.exhaustive and len(full_set.repairs) == 9
+        capped = enumerate_(EMPTY, STAR_TES, se=se, cap=9)
+        assert not capped.exhaustive and set(capped.repairs) < set(full_set.repairs)
 
 
 def test_preferred_check_tests_each_left_out_fact_once():
@@ -710,3 +769,48 @@ def test_recognition_agrees_with_enumeration():
             assert got_p == (cand in pref)
             checked += 1
     assert checked > 40
+
+
+def test_whole_programs_agree_with_brute_force_in_every_mode():
+    # random whole rule programs: every timeline mode against the brute
+    # repairs, their preferred filter, their intersection and the closure
+    # of each; recognition on every repair and on candidates one fact off
+    # one, on a meta part one fact short, and beside a fact never inferred
+    rng = random.Random(53)
+    stray = AnnotatedEventFact("e", ("z",), Interval(0, 0), 1)
+    seen = {"scanned": 0, "levels": 0, "several": 0, "beaten": 0, "meta": 0}
+    checked = 0
+    while checked < 300:
+        dataset, tes = random_program(rng)
+        se = infer_all_simple(dataset, tes)
+        if len(se) > 11:
+            continue
+
+        def closed(s):
+            return s | infer_meta(tes, dataset, s)
+
+        reps = brute_repairs(dataset, tes, se=se)
+        pref = brute_preferred(reps)
+        core = frozenset.intersection(*reps) if reps else frozenset()
+        for mode, want in (("naive", (se,)), ("consistent", reps), ("preferred", pref),
+                           ("cautious", (core,))):
+            got = timeline(dataset, tes, mode)
+            assert got.exhaustive and got.models == tuple(map(closed, want)), mode
+        candidates = set(reps) | {frozenset(), se, core}
+        for r in reps:
+            candidates.update(r ^ {min(part, key=fact_key)} for part in (r, se - r) if part)
+        for cand in candidates:
+            full = closed(cand)
+            assert recognize_timeline(dataset, tes, full) == (cand in reps)
+            assert recognize_timeline(dataset, tes, full, "preferred") == (cand in pref)
+            if full != cand:  # a meta part one fact short
+                short = full - {max(full - cand, key=fact_key)}
+                assert not recognize_timeline(dataset, tes, short)
+            assert not recognize_timeline(dataset, tes, full | {stray})
+        seen["scanned"] += not _downward_closed(tes)
+        seen["levels"] += len({f.level for f in se}) > 1
+        seen["several"] += len(reps) > 1
+        seen["beaten"] += len(pref) < len(reps)
+        seen["meta"] += any(closed(r) != r for r in reps)
+        checked += 1
+    assert min(seen.values()) > 5, seen
