@@ -92,7 +92,9 @@ class EnumerationCapExceeded(TimeloomError):
     provenance supports of constraint matches, all that the cautious core
     spends), or the candidate subsets examined when removing facts can make
     a set inconsistent: when a constraint negates an event, or names a meta
-    event while a meta rule negates an event or uses start/end."""
+    event while a meta rule negates an event or uses start/end. On either
+    path the partial result of a capped enumeration holds only repairs, and
+    of a capped preferred enumeration only preferred repairs."""
 
     def __init__(self, cap: int):
         self.cap = cap

@@ -28,7 +28,7 @@ from .errors import (
     UndeclaredPredicate,
 )
 from .language import NATURAL, TES, PredKind, _Parser, _tokenize
-from .model import AtemporalFact, Dataset, Fact, ObservationFact
+from .model import AtemporalFact, Dataset, Fact, ObservationFact, fact_key
 
 
 # Blanks and `#` comments between tokens. A comment runs to the end of its
@@ -260,16 +260,28 @@ def ingest(pairs: list[tuple[str, str | None]]) -> Dataset:
     return Dataset(facts)
 
 
+def _misfit(f: Fact, tes: TES) -> UndeclaredPredicate | ArityMismatch | None:
+    """The error a fact that the rule set's declarations do not admit
+    raises, or None."""
+    decl = tes.decls.get(f.pred)
+    if decl is None:
+        return UndeclaredPredicate(f"{f.pred} is not declared")
+    want = PredKind.OBSERVATION if isinstance(f, ObservationFact) else PredKind.ATEMPORAL
+    if decl.kind is not want:
+        return UndeclaredPredicate(f"{f.pred} is declared {decl.kind.value}, used as {want.value}")
+    if len(f.args) != decl.arity:
+        return ArityMismatch(f"{f.pred} declared with arity {decl.arity}, fact has {len(f.args)}")
+    return None
+
+
 def validate_dataset(dataset: Dataset, tes: TES) -> None:
-    """Check every fact against the rule set's declarations."""
+    """Check every fact against the rule set's declarations. Of several
+    facts they do not admit, the least in `fact_key` order is reported, so
+    the error does not follow the order a set iterates in; that order is
+    sought only once a fact fails."""
     for f in dataset.facts:
         decl = tes.decls.get(f.pred)
-        if decl is None:
-            raise UndeclaredPredicate(f"{f.pred} is not declared")
         want = PredKind.OBSERVATION if isinstance(f, ObservationFact) else PredKind.ATEMPORAL
-        if decl.kind is not want:
-            raise UndeclaredPredicate(
-                f"{f.pred} is declared {decl.kind.value}, used as {want.value}")
-        if len(f.args) != decl.arity:
-            raise ArityMismatch(
-                f"{f.pred} declared with arity {decl.arity}, fact has {len(f.args)}")
+        if decl is None or decl.kind is not want or len(f.args) != decl.arity:
+            misfits = (g for g in dataset.facts if _misfit(g, tes))
+            raise _misfit(min(misfits, key=fact_key), tes)

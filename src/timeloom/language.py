@@ -233,8 +233,11 @@ class TES(Record):
 
     @property
     def is_monotone(self) -> bool:
-        """True when consistency is antitone under fact removal: no negated
-        event atoms and no start/end aggregates in meta rules."""
+        """True when no meta rule or constraint negates an event atom and no
+        meta rule tests a start or end: then every meta fact derived from a
+        set of facts is derived from each superset too. `meta.close_factored`
+        closes per unit only then; `repair._downward_closed`, which decides
+        the repair path, counts this as one of its cases."""
         if self.has_negated_event_atoms:
             return False
         for rule in self.meta_rules:

@@ -13,7 +13,8 @@ containing no minimal inconsistent set: the maximal independent sets of
 one conflict hypergraph, and every mode reads its minimal edges: repairs
 and preferred repairs are the facts in no edge times per-component
 results, the cautious core is the facts in no edge, and recognition tests
-the candidate against the edges. Other rule sets scan candidate subsets.
+the candidate against the edges. Other rule sets scan candidate subsets
+in one pass that yields the repairs, or only the preferred ones.
 """
 
 from __future__ import annotations
@@ -307,23 +308,39 @@ def _in_order(core: SimpleSet, units: tuple[tuple[SimpleSet, ...], ...], picks) 
         picks, key=lambda p: sum([m[i] for m, i in zip(masks, p)]), reverse=True)))
 
 
-def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset,
-                     spend: Callable[[], None]) -> Iterator[SimpleSet]:
-    """Maximal consistent subsets under arbitrary constraints: scan subsets
-    by decreasing size, yielding the consistent ones no repair found earlier
-    contains. `spend` is charged once per subset examined.
+def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset, spend: Callable[[], None],
+                     preferred: bool) -> Iterator[SimpleSet]:
+    """The repairs, or the preferred repairs, under arbitrary constraints:
+    the maximal consistent subsets no other beats by being strictly larger
+    at the first level where the two differ. Preferred reads each fact's
+    level; otherwise all share one, where beating is being a proper
+    superset. `spend` is charged once per subset examined.
 
-    A consistent set that is not maximal lies in a maximal consistent set,
-    which is larger, so the scan reached it earlier and found it: a subset
-    of no earlier repair is a repair exactly when it is consistent, and a
-    subset of one needs no test."""
-    facts = sorted(se, key=fact_key)
+    The scan goes by per-level sizes, strongest level first, in descending
+    lexicographic order. A proper superset of a set is no smaller at any
+    level and larger at one, and a set beating it is as large before their
+    first differing level and larger there: both come before it. Beating is
+    transitive, so a repair some repair beats is beaten by an unbeaten one,
+    found earlier. So a set no repair found earlier beats is beaten by no
+    repair, and is a repair exactly when it is consistent: a consistent set
+    lies in a repair, which beats it unless equal. A beaten set needs no
+    test."""
+    level = attrgetter("level") if preferred else lambda f: 0
+    # each level's facts in canonical order, the strongest level first
+    layers = [list(g) for _, g in groupby(sorted(se, key=lambda f: (level(f), fact_key(f))),
+                                          key=level)]
+
+    def beaten(s: SimpleSet) -> bool:
+        # t beats s when its strongest fact outside s is stronger than all of s outside t
+        return any(min(map(level, t - s), default=inf) < min(map(level, s - t), default=inf)
+                   for t in found)
+
     found: list[SimpleSet] = []
-    for size in range(len(facts), -1, -1):
-        for c in combinations(facts, size):
+    for sizes in product(*[range(len(layer), -1, -1) for layer in layers]):
+        for parts in product(*map(combinations, layers, sizes)):
             spend()
-            s = frozenset(c)
-            if not any(s < t for t in found) and is_consistent(s, tes, dataset):
+            s = frozenset().union(*parts)
+            if not beaten(s) and is_consistent(s, tes, dataset):
                 found.append(s)
                 yield s
 
@@ -336,17 +353,15 @@ def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
     component (by level for preferred), the budget paying per dead end and
     per model, the first in product order; a component stops at more
     results than the budget has left. A fact in a one-fact edge is in no
-    repair. Otherwise they are one unit, the scan's repairs within the cap."""
+    repair. Otherwise they are one unit, what the scan yields within the cap."""
     if se is None:
         se = infer_all_simple(dataset, tes)
     budget = _Budget(cap)
     if not _downward_closed(tes):
         found: list[SimpleSet] = []
         with suppress(EnumerationCapExceeded):
-            for r in _repairs_general(se, tes, dataset, budget.spend):
+            for r in _repairs_general(se, tes, dataset, budget.spend, preferred):
                 found.append(r)
-        if preferred:
-            found = _filter_preferred(found)
         picks = [(i,) for i in range(len(found))]
         return _in_order(frozenset(), (tuple(found),), picks), budget.left >= 0
     level = attrgetter("level") if preferred else lambda f: 0
@@ -382,21 +397,6 @@ def repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     return RepairSet(found.models(), exhaustive)
 
 
-def _filter_preferred(reps: tuple[SimpleSet, ...]) -> tuple[SimpleSet, ...]:
-    """The repairs no other repair beats: strictly larger at the first
-    confidence level where the two differ."""
-    levels = sorted({f.level for r in reps for f in r})
-    slices = {r: [frozenset(f for f in r if f.level == lvl) for lvl in levels] for r in reps}
-
-    def beats(better: SimpleSet, worse: SimpleSet) -> bool:
-        for a, b in zip(slices[better], slices[worse]):
-            if a != b:
-                return b < a
-        return False
-
-    return tuple(r for r in reps if not any(beats(rp, r) for rp in reps))
-
-
 def preferred_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
                       cap: int = DEFAULT_CAP) -> RepairSet:
     """Repairs preferred under the level ordering: no other repair beats them
@@ -404,8 +404,8 @@ def preferred_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
 
     When consistency is downward closed they are the product of each
     component's level-wise results, and `cap` bounds the results emitted
-    plus each level's dead ends. Otherwise the repairs are enumerated and
-    filtered."""
+    plus each level's dead ends. Otherwise one subset scan, strongest level
+    first, yields them alone, and `cap` bounds the subsets examined."""
     found, exhaustive = _repair_factors(dataset, tes, se, cap, True)
     return RepairSet(found.models(), exhaustive)
 
@@ -424,7 +424,7 @@ def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
         se = infer_all_simple(dataset, tes)
     spend = _Budget(cap).spend
     if not _downward_closed(tes):
-        reps = list(_repairs_general(se, tes, dataset, spend))
+        reps = list(_repairs_general(se, tes, dataset, spend, False))
         return frozenset.intersection(*reps) if reps else frozenset()
     edges = conflict_hypergraph(se, tes, dataset, spend)
     return frozenset() if edges and not edges[0] else se.difference(*edges)
@@ -483,8 +483,8 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
     closed, the conflict hypergraph decides the rest: the simple part
     contains no edge, every fact left out completes an edge with it, and
     for the preferred check with its same-or-stronger-level slice. Other
-    rule sets look the candidate up among the enumerated repairs.
-    """
+    rule sets look the candidate up in all the scan yields: a capped scan
+    raises."""
     if mode not in ("consistent", "preferred"):
         raise ValueError(f"unknown mode {mode!r}")
     candidate = frozenset(candidate)
@@ -499,8 +499,7 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
     preferred = mode == "preferred"
     spend = _Budget(cap).spend
     if not _downward_closed(tes):
-        reps = tuple(_repairs_general(se, tes, dataset, spend))
-        return s_se in (_filter_preferred(reps) if preferred else reps)
+        return s_se in tuple(_repairs_general(se, tes, dataset, spend, preferred))
     by_fact: dict = {}
     for e in conflict_hypergraph(se, tes, dataset, spend):
         if e <= s_se:

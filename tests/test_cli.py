@@ -23,6 +23,7 @@ from timeloom.meta import Factored
 from timeloom.model import STAR, EventStore, fact_key
 from timeloom.repair import TimelineResult
 
+import malformed
 from conftest import TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
 
 CLI_RULES = """\
@@ -1077,3 +1078,16 @@ def test_main_twice_in_one_process_matches_separate_runs(ward, capsys):
     assert in_process == separate and [rc for rc, _, _ in separate] == [0, 0]
     assert cli._build_parser() is cli._build_parser()
     assert cli._build_parser().parse_args(runs[1]).map == []
+
+
+def test_malformed_and_borderline_inputs_exit_cleanly(tmp_path, monkeypatch):
+    # seeded edits of rule text, fact text, CSV with a mapping and check
+    # targets: each run exits 0 to 3 with no traceback and at most one
+    # error line, and the runs reach every exit code, not only the parser's
+    monkeypatch.chdir(tmp_path)
+    codes = set()
+    for files, argv in malformed.cases(seed=7, count=500):
+        code, _, err = malformed.run_case(files, argv)
+        assert not malformed.faults(code, err), (argv, files, err)
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}

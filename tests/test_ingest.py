@@ -1,7 +1,10 @@
 """Native fact files, CSV mappings, timestamp handling, and dataset checks."""
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 from datetime import date
 
 import pytest
@@ -311,3 +314,20 @@ def test_validate_dataset(therapy_tes):  # noqa: F811
         validate_dataset(Dataset([ObservationFact("abth", ("p1", "amox"), 3)]), therapy_tes)
     with pytest.raises(ArityMismatch):
         validate_dataset(Dataset([ObservationFact("adm", ("p1",), 5)]), therapy_tes)
+
+
+def test_validation_reports_the_least_bad_fact_whatever_the_hash_seed(tmp_path):
+    # three undeclared predicates and one arity mismatch: the least of the
+    # four in fact order is reported, not the first the fact set yields
+    (tmp_path / "r.tes").write_text("decl observation lab/1.\n")
+    (tmp_path / "d.facts").write_text(
+        "obs zed(p1, 1).\nobs yak(p1, 2).\nobs wombat(p1, 3).\nobs lab(p1, a, b, 4).\n")
+    errs = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "timeloom", "run", "--rules", str(tmp_path / "r.tes"),
+             "--data", str(tmp_path / "d.facts")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 1
+        errs.add(proc.stderr)
+    assert errs == {"error: lab declared with arity 1, fact has 3\n"}

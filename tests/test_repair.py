@@ -698,6 +698,58 @@ def test_subset_scan_stops_at_exactly_two_to_the_facts():
                 assert err.value.cap == cap
 
 
+# one level-1 e interval and two level-2 ones inside it, each clashing with
+# it, and a q that needs an e starting with it: the scan's one preferred
+# repair is the level-1 e with q, though the level-2 pair with q is a repair
+# too and has more facts
+CAPPED_PREFERRED = parse_tes("decl persistent e/0.\ndecl persistent q/0.\n"
+                             "constraint :- q([T, _]), not e([T, _]).")
+
+
+def test_capped_preferred_scan_returns_only_the_preferred_repair():
+    q = AnnotatedEventFact("q", (), Interval(0, STAR), 1)
+    se = frozenset({fig(0, 5, 1), fig(0, 3, 2), fig(4, 5, 2), q})
+    want = (frozenset({fig(0, 5, 1), q}),)
+    assert brute_preferred(brute_repairs(EMPTY, CAPPED_PREFERRED, se=se)) == want
+    for cap in range(1, 2 ** len(se) + 1):
+        got = preferred_repairs(EMPTY, CAPPED_PREFERRED, se=se, cap=cap)
+        assert got.exhaustive == (cap == 2 ** len(se))
+        assert got.repairs == (want if cap >= 4 else ()), cap
+
+
+# rule sets whose consistency is not downward closed, over the e/1 and f/1
+# facts of conftest.random_fact_set
+CAPPED_SCANS = (
+    parse_tes("decl persistent e/1.\ndecl persistent f/1.\n"
+              "constraint :- f(X, [T, _]), not e(X, [T, _])."),
+    parse_tes("decl persistent e/1.\ndecl persistent f/1.\ndecl meta m/1.\n"
+              "meta m(X, I, L) :- f(X, I, L), not e(X, _, _).\n"
+              "constraint :- m(X, [T, _]), f(X, [T, _])."),
+)
+
+
+def test_capped_scans_return_only_repairs_and_preferred_repairs():
+    # at every cap up to the 2^n subsets, a capped answer holds only repairs,
+    # and a capped preferred answer only preferred repairs
+    assert not any(map(_downward_closed, CAPPED_SCANS))
+    rng = random.Random(61)
+    checked = 0
+    while checked < 200:
+        tes = rng.choice(CAPPED_SCANS)
+        se = random_fact_set(rng, max_facts=4, horizon=3)
+        if len({f.level for f in se}) < 2:
+            continue
+        reps = brute_repairs(EMPTY, tes, se=se)
+        pref = brute_preferred(reps)
+        for cap in range(1, 2 ** len(se) + 1):
+            got = repairs(EMPTY, tes, se=se, cap=cap)
+            assert set(got.repairs) <= set(reps), (se, cap)
+            got = preferred_repairs(EMPTY, tes, se=se, cap=cap)
+            assert set(got.repairs) <= set(pref), (se, cap)
+        assert got.exhaustive and got.repairs == pref
+        checked += 1
+
+
 def test_hypergraph_budgets_stop_at_exactly_their_caps():
     # alternative provenance supports: 13 build the hypergraph, and 12
     # leave cautious and recognition raising and the repairs empty
