@@ -28,7 +28,7 @@ from .errors import (
     TimeloomError,
 )
 from .ingest import ingest, read_file, validate_dataset
-from .language import NATURAL, TES, parse_tes
+from .language import NATURAL, TES, parse_tes, read_natural
 from .model import (
     STAR,
     AnnotatedEventFact,
@@ -355,7 +355,10 @@ def _natural(flag: str, text: str | None) -> int | None:
         return None
     if not NATURAL.fullmatch(text):
         raise ValueError(f"{flag} takes a natural number, not {text!r}")
-    return int(text)
+    try:
+        return read_natural(text)
+    except ValueError as e:
+        raise ValueError(f"{flag}: {e}") from None
 
 
 def _config_from_args(args: argparse.Namespace) -> None:

@@ -72,13 +72,17 @@ class UnboundVariable(TimeloomError):
 class InvalidSpec(TimeloomError):
     """A grounded rule set fails a validity requirement for some event instance.
 
-    kind is one of "MissingWindow", "AmbiguousWindow", "ZeroWindow".
+    kind is one of "MissingWindow", "AmbiguousWindow", "ZeroWindow"; key is
+    the instance, a (predicate, argument values) pair, which the message
+    writes in rule syntax.
     """
 
-    def __init__(self, kind: str, key: object = None):
+    def __init__(self, kind: str, key: tuple | None = None):
+        from .language import format_instance  # language imports this module
+
         self.kind = kind
         self.key = key
-        detail = f" for {key}" if key is not None else ""
+        detail = f" for {format_instance(*key)}" if key is not None else ""
         super().__init__(f"{kind}{detail}")
 
 

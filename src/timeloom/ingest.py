@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     UndeclaredPredicate,
 )
-from .language import NATURAL, TES, PredKind, _Parser, _tokenize
+from .language import MAX_DIGITS, NATURAL, TES, PredKind, _Parser, _tokenize, read_natural
 from .model import AtemporalFact, Dataset, Fact, ObservationFact, fact_key
 
 
@@ -37,9 +37,10 @@ from .model import AtemporalFact, Dataset, Fact, ObservationFact, fact_key
 _BLANK = r"[ \t\r\n]*(?:#[^\n]*$[ \t\r\n]*)*"
 # A word character other than a decimal digit, `_` or A-Z starts a name. That
 # is every start the lexer reads as a name, plus non-ASCII capitals and
-# numerics such as "²", which `_is_name` turns away.
+# numerics such as "²", which `_is_name` turns away. A natural of more than
+# MAX_DIGITS digits fails the statement, so the token walk refuses it.
 _NAME = r"[^\W\d_A-Z]\w*"
-_VALUE = rf"(?:'[^'\n]*'|{NATURAL.pattern}|{_NAME})"
+_VALUE = rf"(?:'[^'\n]*'|[0-9]{{1,{MAX_DIGITS}}}|{_NAME})"
 _STMT = re.compile(
     rf"{_BLANK}(atemporal|obs)(?!\w){_BLANK}({_NAME}){_BLANK}"
     rf"(?:\({_BLANK}({_VALUE}(?:{_BLANK},{_BLANK}{_VALUE})*){_BLANK}\){_BLANK})?\.",
@@ -91,7 +92,7 @@ def _parse_fact_tokens(text: str) -> list[Fact]:
     def value():
         t = p.advance()
         if t.kind == "NAT":
-            return int(t.text)
+            return p.natural(t)
         if t.kind in ("IDENT", "QSYM"):
             return t.text
         raise ParseError(f"expected a constant or natural, found {t.text!r}", t.line, t.col)
@@ -128,7 +129,10 @@ def _column_index(key: str, text: str, ln: int) -> int:
     text = text.strip()
     if not NATURAL.fullmatch(text):
         raise MappingError(key, f"line {ln}: {key}: {text!r} is not a column index (0, 1, ...)")
-    return int(text)
+    try:
+        return read_natural(text)
+    except ValueError as e:
+        raise MappingError(key, f"line {ln}: {key}: {e}") from None
 
 
 def parse_mapping(text: str) -> dict:
@@ -172,7 +176,10 @@ def _timestamp(raw: str, fmt: str) -> int:
     if fmt == "epoch":
         if not NATURAL.fullmatch(raw):
             raise MalformedTimestamp(f"timestamp {raw!r} is not a natural number")
-        return int(raw)
+        try:
+            return read_natural(raw)
+        except ValueError as e:
+            raise MalformedTimestamp(f"timestamp: {e}") from None
     from datetime import datetime, timezone  # only CSV files with RFC 3339 stamps need it
 
     try:
@@ -187,9 +194,14 @@ def _timestamp(raw: str, fmt: str) -> int:
     return epoch
 
 
-def _cell(raw: str):
-    raw = raw.strip()
-    return int(raw) if NATURAL.fullmatch(raw) else raw
+def _cell(row: list[str], c: int, rn: int):
+    raw = row[c].strip()
+    if not NATURAL.fullmatch(raw):
+        return raw
+    try:
+        return read_natural(raw)
+    except ValueError as e:
+        raise MappingError(c, f"row {rn}: column {c}: {e}") from None
 
 
 def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:
@@ -209,7 +221,7 @@ def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:
             for c in (*cols, ts_col):
                 if c >= len(row):
                     raise MappingError(c, f"row {rn} has only {len(row)} columns")
-            args = tuple(_cell(row[c]) for c in cols)
+            args = tuple(_cell(row, c, rn) for c in cols)
             try:
                 t = _timestamp(row[ts_col], fmt)
             except MalformedTimestamp as e:

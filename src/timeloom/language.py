@@ -265,7 +265,17 @@ class _Token(Record):
 
 # A natural is a run of ASCII digits in rule files, fact files, CSV cells and
 # epoch timestamps alike. (str.isdigit also accepts "²", which int() rejects.)
+# One of more than MAX_DIGITS digits is refused on every Python version, as
+# int() refuses it by default from CPython 3.10.7 on.
 NATURAL = re.compile(r"[0-9]+")
+MAX_DIGITS = 4300
+
+
+def read_natural(text: str) -> int:
+    """The value of a NATURAL match; ValueError past MAX_DIGITS digits."""
+    if len(text) > MAX_DIGITS:
+        raise ValueError(f"natural of {len(text)} digits (at most {MAX_DIGITS})")
+    return int(text)
 
 _PUNCT = {
     ":-": "ARROW", "<=": "LE", "!=": "NEQ", "<": "LT", "(": "LPAREN",
@@ -332,6 +342,13 @@ class _Parser:
             raise ParseError(f"expected {what or kind}, found {t.text!r}", t.line, t.col)
         return self.advance()
 
+    def natural(self, tok: _Token) -> int:
+        """The value of a NAT token, or a ParseError at it."""
+        try:
+            return read_natural(tok.text)
+        except ValueError as e:
+            raise ParseError(str(e), tok.line, tok.col) from None
+
     def comma_list(self, item: Callable) -> list:
         items = [item()]
         while self.peek().kind == "COMMA":
@@ -396,7 +413,7 @@ class _Parser:
         if name_tok.text in self.decls:
             raise DuplicateDeclaration(f"predicate {name_tok.text} declared twice",
                                        name_tok.line, name_tok.col)
-        self.decls[name_tok.text] = PredicateDecl(name_tok.text, int(arity_tok.text), kind)
+        self.decls[name_tok.text] = PredicateDecl(name_tok.text, self.natural(arity_tok), kind)
 
     def _decl(self, tok: _Token) -> PredicateDecl:
         d = self.decls.get(tok.text)
@@ -433,7 +450,7 @@ class _Parser:
         t = self.parse_term()
         self.expect("COMMA")
         lvl_tok = self.expect("NAT", "a confidence level literal")
-        level = int(lvl_tok.text)
+        level = self.natural(lvl_tok)
         if level < 1:
             raise ParseError("confidence levels start at 1", lvl_tok.line, lvl_tok.col)
         self.expect("RPAREN")
@@ -566,7 +583,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "NAT":
             self.advance()
-            return Nat(int(t.text))
+            return Nat(self.natural(t))
         if t.kind == "VAR":
             self.advance()
             return Var(t.text)
@@ -919,6 +936,12 @@ def _fmt_ref(pred: str, args: tuple[Term, ...]) -> str:
     if not args:
         return pred
     return f"{pred}({', '.join(_fmt_term(a) for a in args)})"
+
+
+def format_instance(pred: str, values: tuple) -> str:
+    """An event instance, a predicate with its argument values, as rule
+    text: `e(a)`, or `e('A b', 3)`."""
+    return _fmt_ref(pred, tuple(Nat(v) if isinstance(v, int) else Const(v) for v in values))
 
 
 def _fmt_atom(a: Atom) -> str:

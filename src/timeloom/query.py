@@ -24,7 +24,6 @@ from .language import (
     ExtremumTest,
     Literal,
     ObservationAtom,
-    PredKind,
     TES,
     atom_terms,
     head_positions,
@@ -349,8 +348,17 @@ class AuxStore(Record):
         return sorted(self._windows_by_key.get(key, set())
                       | self._defaults_by_pred.get(key[0], set()))
 
-    def window_for(self, key: EventKey) -> int:
-        return self.window_values(key)[0]
+    def window(self, key: EventKey) -> int:
+        """The instance's one window; `InvalidSpec` when it has none, more
+        than one, or one below 1, tested in that order."""
+        ws = self.window_values(key)
+        if not ws:
+            raise InvalidSpec("MissingWindow", key)
+        if len(ws) > 1:
+            raise InvalidSpec("AmbiguousWindow", key)
+        if ws[0] < 1:
+            raise InvalidSpec("ZeroWindow", key)
+        return ws[0]
 
 
 def _natural(v, what: str) -> int:
@@ -382,21 +390,6 @@ def ground_simple_heads(tes: TES, dataset: Dataset) -> AuxStore:
             windows.update(_heads(tes, rule, dataset, "window"))
     return AuxStore(frozenset(exists), frozenset(ends), frozenset(windows),
                     frozenset(defaults))
-
-
-def check_validity(aux: AuxStore, tes: TES) -> None:
-    """Every non-persistent instance with existence facts needs exactly one
-    positive window."""
-    for key in aux.keys():
-        if tes.kind(key[0]) is not PredKind.NONPERSISTENT:
-            continue
-        ws = aux.window_values(key)
-        if not ws:
-            raise InvalidSpec("MissingWindow", key)
-        if len(ws) > 1:
-            raise InvalidSpec("AmbiguousWindow", key)
-        if ws[0] < 1:
-            raise InvalidSpec("ZeroWindow", key)
 
 
 # ---------------------------------------------------------------------------

@@ -483,8 +483,8 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
     closed, the conflict hypergraph decides the rest: the simple part
     contains no edge, every fact left out completes an edge with it, and
     for the preferred check with its same-or-stronger-level slice. Other
-    rule sets look the candidate up in all the scan yields: a capped scan
-    raises."""
+    rule sets look the candidate up as the scan yields: it is recognized
+    once yielded, and a scan capped before then raises."""
     if mode not in ("consistent", "preferred"):
         raise ValueError(f"unknown mode {mode!r}")
     candidate = frozenset(candidate)
@@ -499,7 +499,7 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
     preferred = mode == "preferred"
     spend = _Budget(cap).spend
     if not _downward_closed(tes):
-        return s_se in tuple(_repairs_general(se, tes, dataset, spend, preferred))
+        return s_se in _repairs_general(se, tes, dataset, spend, preferred)
     by_fact: dict = {}
     for e in conflict_hypergraph(se, tes, dataset, spend):
         if e <= s_se:

@@ -1,99 +1,70 @@
 """Simple-event inference: maximal intervals from existence/termination
 timepoints.
 
-Non-persistent events chain existence evidence whose gaps stay within the
-event's window and close at terminations; persistent events run from an
-existence point to the first termination, or forever. Levels are processed
-in order of decreasing confidence; an interval already inferred at a
-stronger level is not repeated at a weaker one.
+One walk serves both kinds of simple event. Existence points chain while
+their gaps stay within the event's window and no termination falls between
+them, and each chain closes at the first termination within the window of
+its last point. A persistent event is the case of an unbounded window: a
+chain runs from an existence point to the first termination, or forever.
+Levels are processed in order of decreasing confidence; an interval already
+inferred at a stronger level is not repeated at a weaker one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .language import TES, PredKind
 from .model import STAR, AnnotatedEventFact, Dataset, Interval
-from .query import (
-    AuxStore,
-    LevelTimepoints,
-    check_validity,
-    ground_simple_heads,
-    level_timepoints,
-)
+from .query import AuxStore, LevelTimepoints, ground_simple_heads, level_timepoints
 
 
-def _next_ge(sorted_pts: list[int], x: int) -> int | None:
-    i = bisect_left(sorted_pts, x)
-    return sorted_pts[i] if i < len(sorted_pts) else None
+def _intervals(tp: LevelTimepoints, w: int | float) -> set[tuple[Interval, int]]:
+    """All maximal intervals of one instance under window `w` (STAR for a
+    persistent instance), each at the strongest level that infers it.
+
+    Consecutive existence points join one chain when their gap is at most
+    `w` and no termination falls at or after the earlier and before the
+    later. A chain closes at the first termination within `w` of its last
+    point; otherwise it ends at that point, or is ongoing when `w` is STAR.
+    Chains cannot contain one another: whatever breaks a chain (a wide gap
+    or an intervening termination) also bounds its closed end below the
+    next chain's start. Under STAR only terminations break chains, so the
+    points sharing their first termination at or after them form one chain
+    that runs from the earliest of them to that termination, or forever.
+    """
+    out: set[tuple[Interval, int]] = set()
+    seen: set[Interval] = set()
+    for level, te, tx in zip(tp.levels, tp.exists_by_level, tp.ends_by_level):
+        tx, j, start = tx + (STAR,), 0, None
+        for p, nxt in zip(te, te[1:] + (None,)):
+            while tx[j] < p:  # tx[j]: the first termination at or after p, or STAR
+                j += 1
+            if start is None:
+                start = p
+            if nxt is not None and nxt - p <= w and tx[j] >= nxt:
+                continue  # nxt joins the chain
+            # no termination within w of p: STAR is tested first, as STAR - p
+            # overflows a float once p has more than 308 digits
+            end = tx[j]
+            if end == STAR or end - p > w:
+                end = STAR if w == STAR else p
+            iv = Interval(start, end)
+            start = None
+            if iv not in seen:
+                seen.add(iv)
+                out.add((iv, level))
+    return out
 
 
 def infer_nonpersistent(tp: LevelTimepoints, w: int) -> set[tuple[Interval, int]]:
     """All maximal intervals of a non-persistent instance, per level."""
-    out: set[tuple[Interval, int]] = set()
-    seen: set[Interval] = set()
-    for level in tp.levels:  # an unnamed level repeats the one below it
-        te = list(tp.exists_at(level))
-        tx = list(tp.ends_at(level))
-        for a, b in _np_maximal(te, tx, w):
-            iv = Interval(a, b)
-            if iv not in seen:
-                out.add((iv, level))
-            seen.add(iv)
-    return out
-
-
-def _np_maximal(te: list[int], tx: list[int], w: int) -> list[tuple[int, int]]:
-    """One maximal interval per evidence chain.
-
-    Consecutive existence points join one chain when their gap stays within
-    the window and no termination falls between them; each chain closes at
-    the first termination within the window of its last point, or stays at
-    the last point when none follows. Chains cannot contain one another:
-    whatever breaks a chain (a wide gap or an intervening termination) also
-    bounds its closed end below the next chain's start.
-    """
-    cands: list[tuple[int, int]] = []
-    i, n = 0, len(te)
-    while i < n:
-        s = te[i]
-        while i + 1 < n and te[i + 1] - te[i] <= w:
-            nt = _next_ge(tx, te[i])
-            if nt is not None and nt < te[i + 1]:
-                break
-            i += 1
-        e = te[i]
-        nt = _next_ge(tx, e)
-        if nt is not None and nt <= e + w:
-            cands.append((s, nt))
-        else:
-            cands.append((s, e))
-        i += 1
-    return cands
+    return _intervals(tp, w)
 
 
 def infer_persistent(tp: LevelTimepoints) -> set[tuple[Interval, int]]:
     """All maximal intervals of a persistent instance, per level: each
     existence point runs to the first termination at or after it, or stays
-    ongoing when none exists.
-
-    Only runs sharing an end can contain one another: from b <= a, b's
-    first termination is at most a's. So each end keeps its earliest start.
-    """
-    out: set[tuple[Interval, int]] = set()
-    seen: set[Interval] = set()
-    for level in tp.levels:  # an unnamed level repeats the one below it
-        tx = list(tp.ends_at(level))
-        first_start: dict = {}  # end -> earliest start reaching it
-        for t1 in tp.exists_at(level):  # ascending
-            nt = _next_ge(tx, t1)
-            first_start.setdefault(STAR if nt is None else nt, t1)
-        for b, a in first_start.items():
-            iv = Interval(a, b)
-            if iv not in seen:
-                out.add((iv, level))
-            seen.add(iv)
-    return out
+    ongoing when none exists."""
+    return _intervals(tp, STAR)
 
 
 def infer_all_simple(dataset: Dataset, tes: TES) -> frozenset[AnnotatedEventFact]:
@@ -103,14 +74,12 @@ def infer_all_simple(dataset: Dataset, tes: TES) -> frozenset[AnnotatedEventFact
 
 
 def infer_from_aux(aux: AuxStore, tes: TES) -> frozenset[AnnotatedEventFact]:
-    check_validity(aux, tes)
+    """Infer every instance in key order; the first whose window is missing,
+    ambiguous or below 1 raises `InvalidSpec`."""
     facts: set[AnnotatedEventFact] = set()
     for key in aux.keys():
         pred, args = key
-        tp = level_timepoints(aux, key)
-        if tes.kind(pred) is PredKind.NONPERSISTENT:
-            pairs = infer_nonpersistent(tp, aux.window_for(key))
-        else:
-            pairs = infer_persistent(tp)
-        facts.update(AnnotatedEventFact(pred, args, iv, lvl) for iv, lvl in pairs)
+        w = aux.window(key) if tes.kind(pred) is PredKind.NONPERSISTENT else STAR
+        facts.update(AnnotatedEventFact(pred, args, iv, lvl)
+                     for iv, lvl in _intervals(level_timepoints(aux, key), w))
     return frozenset(facts)

@@ -106,14 +106,15 @@ CSV_RFC_ROWS = "p1,2021-03-01T00:00:00Z\np2,2021-03-01T08:30:00+02:00\n"
 CSV_RFC_MAP = "predicate = lab\ncolumns = 0\ntimestamp_column = 1\ntimestamp_format = rfc3339\n"
 
 # text an edit may insert: punctuation, keywords, terms, numbers at and
-# past every bound, non-ASCII letters and digits, and control characters
+# past every bound (the last past the 4,300 digits a natural may have),
+# non-ASCII letters and digits, and control characters
 TOKENS = ("(", ")", ",", ".", "[", "]", "_", "*", "#", ":-", "'", "'a b'", "not ", "X", "T",
           "P", "0", "007", "1", "2", "-1", "99999999999999999999", "1e3", "²", "é", "É", "٥",
           "\n", "\t", " ", "\r", "\ufeff", "\x00", "inter(", "min(", "max(", "plus(",
           "minus(", "decl ", "meta ", "constraint :- ", "exists(", "exists_pers(", "ends(",
           "window(", "start(", "end(", "during(", "<", "<=", "!=", "atemporal ", "obs ",
           "persistent", "observation", "/", "/0", "=", ";", '"', "\\", "{", "}", "null",
-          "true", "Infinity", "NaN", "1.5", "[]", "{}")
+          "true", "Infinity", "NaN", "1.5", "[]", "{}", "9" * 5000)
 # values a check target field may be given instead of its own
 ODD_VALUES = (None, True, False, 0, -1, 1.5, 10 ** 30, "", "x", "*", "Infinity", [], {}, [1],
               {"start": 0})

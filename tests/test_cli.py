@@ -614,6 +614,9 @@ def test_ordering_over_intervals_exits_1(ward, capsys):
     assert "order.tes" in err and "line 5" in err and "Traceback" not in err
 
 
+HUGE = "9" * 5000
+TOO_LONG = "natural of 5000 digits (at most 4300)"
+LAB_MAP = "predicate=lab\ncolumns=0\ntimestamp_column=1\n"
 SUP_RULES = """\
 decl observation lab/1.
 decl nonpersistent hi/1.
@@ -630,10 +633,27 @@ window(hi(P), 2).
      "unexpected character '\u00b2' at line 1"),
     (SUP_RULES, "p1,5\u00b2\n", "predicate=lab\ncolumns=0\ntimestamp_column=1\n",
      "timestamp '5\u00b2' is not a natural number"),
-], ids=["fact-value", "rule-comparison", "rule-arity", "csv-timestamp"])
+    (SUP_RULES, f"obs lab(p1, 4).\nobs lab(p1, {HUGE}).\n", None,
+     f"d.facts: {TOO_LONG} at line 2, col 13"),
+    (SUP_RULES, f"obs lab(p1, 4).\nobs lab({HUGE}, \u00c4).\n", None,
+     f"d.facts: {TOO_LONG} at line 2, col 9"),
+    (SUP_RULES.replace("T < 5", f"T < {HUGE}"), "obs lab(p1, 5).\n", None,
+     f"r.tes: {TOO_LONG} at line 3, col 39"),
+    (SUP_RULES.replace("lab/1", f"lab/{HUGE}"), "obs lab(p1, 5).\n", None,
+     f"r.tes: {TOO_LONG} at line 1, col 22"),
+    (SUP_RULES.replace("T, 1)", f"T, {HUGE})"), "obs lab(p1, 5).\n", None,
+     f"r.tes: {TOO_LONG} at line 3, col 18"),
+    (SUP_RULES, f"p1,4\n{HUGE},5\n", LAB_MAP, f"d.csv: row 2: column 0: {TOO_LONG}"),
+    (SUP_RULES, f"p1,4\np1,{HUGE}\n", LAB_MAP, f"d.csv: row 2: timestamp: {TOO_LONG}"),
+    (SUP_RULES, "p1,4\n", f"predicate=lab\ncolumns={HUGE}\ntimestamp_column=1\n",
+     f"d.map: line 2: columns: {TOO_LONG}"),
+], ids=["fact-value", "rule-comparison", "rule-arity", "csv-timestamp", "huge-fact-value",
+        "huge-fact-token-walk", "huge-rule-term", "huge-rule-arity", "huge-rule-level",
+        "huge-csv-cell", "huge-csv-timestamp", "huge-map-column"])
 def test_non_ascii_digits_exit_1(tmp_path, capsys, rules, data, mapping, message):
     """str.isdigit accepts "\u00b2" but int() does not: naturals are ASCII
-    digits, so these inputs are errors rather than tracebacks."""
+    digits, so these inputs are errors rather than tracebacks. So are
+    naturals of more than 4,300 digits, on every Python version."""
     (tmp_path / "r.tes").write_text(rules)
     args = ["run", "--rules", str(tmp_path / "r.tes")]
     if mapping is None:
@@ -655,9 +675,6 @@ def test_data_file_error_names_the_file(ward, capsys):
                    "--data", str(ward / "ward.facts"), "--data", str(bad)) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}: unexpected character '\u00b2' at line 2, col 14\n"
-
-
-LAB_MAP = "predicate=lab\ncolumns=0\ntimestamp_column=1\n"
 
 
 @pytest.mark.parametrize("data,mapping,message", [
@@ -701,12 +718,13 @@ def test_non_utf8_files_exit_1(tmp_path, capsys, role):
 
 
 @pytest.mark.parametrize("option", ["--now", "--cap", "--max-models", "--partition-by"])
-@pytest.mark.parametrize("value", ["1_0", "\u0665", "-1"])
+@pytest.mark.parametrize("value", ["1_0", "\u0665", "-1", pytest.param(HUGE, id="5000-digits")])
 def test_numeric_options_take_ascii_naturals(ward, capsys, option, value):
     assert run_cli("run", "--rules", str(ward / "care.tes"),
                    "--data", str(ward / "ward.facts"), option, value) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and option in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_module_entry_point(ward):

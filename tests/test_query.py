@@ -42,7 +42,8 @@ from timeloom.model import (
     fact_key,
     term_vars,
 )
-from timeloom.query import AuxStore, JoinPlan, check_validity
+from timeloom.query import AuxStore, JoinPlan
+from timeloom.simple import infer_from_aux
 
 from conftest import THERAPY_RULES
 
@@ -190,7 +191,7 @@ def test_ground_simple_heads_and_windows(therapy_tes):
     assert aux.ends == frozenset()
     assert aux.default_windows == frozenset({("abth", 48)})
     assert aux.window_values(("abth", ("p1", "amox"))) == [48]
-    assert aux.window_for(("abth", ("p1", "amox"))) == 48
+    assert aux.window(("abth", ("p1", "amox"))) == 48
     assert aux.keys() == [("abth", ("p1", "amox")), ("hyperglyc", ("p1",))]
 
 
@@ -211,8 +212,8 @@ def test_check_validity_missing_window():
                     "exists(e, T, 1) :- o(T).\nwindow(e, 2) :- o(9).")
     aux = ground_simple_heads(tes, Dataset([ObservationFact("o", (), 3)]))
     with pytest.raises(InvalidSpec) as err:
-        check_validity(aux, tes)
-    assert "MissingWindow" in str(err.value)
+        infer_from_aux(aux, tes)
+    assert str(err.value) == "MissingWindow for e"
 
 
 def test_check_validity_ambiguous_window():
@@ -222,8 +223,8 @@ def test_check_validity_ambiguous_window():
     aux = ground_simple_heads(tes, Dataset([ObservationFact("o", ("a",), 0)]))
     assert aux.window_values(("e", ("a",))) == [3, 7]
     with pytest.raises(InvalidSpec) as err:
-        check_validity(aux, tes)
-    assert "AmbiguousWindow" in str(err.value)
+        infer_from_aux(aux, tes)
+    assert str(err.value) == "AmbiguousWindow for e(a)"
 
 
 def test_check_validity_zero_window():
@@ -232,13 +233,27 @@ def test_check_validity_zero_window():
                     "window(e(X), minus(T, T)) :- o(X, T).")
     aux = ground_simple_heads(tes, Dataset([ObservationFact("o", ("a",), 3)]))
     with pytest.raises(InvalidSpec) as err:
-        check_validity(aux, tes)
-    assert "ZeroWindow" in str(err.value)
+        infer_from_aux(aux, tes)
+    assert str(err.value) == "ZeroWindow for e(a)"
+    assert (err.value.kind, err.value.key) == ("ZeroWindow", ("e", ("a",)))
 
 
 def test_check_validity_ignores_persistent(pers_tes, empty_dataset):
     aux = ground_simple_heads(pers_tes, empty_dataset)
-    check_validity(aux, pers_tes)  # no window needed
+    assert infer_from_aux(aux, pers_tes)  # no window needed
+
+
+def test_invalid_spec_reports_the_first_instance_in_rule_syntax():
+    # of two instances without a window the least in key order is named,
+    # its symbols quoted as rule text quotes them
+    tes = parse_tes("decl nonpersistent e/2.\ndecl atemporal o/2.\n"
+                    "exists(e(X, Y), 0, 1) :- o(X, Y).\n"
+                    "window(e(ok, Y), 2) :- o(ok, Y).")
+    d = Dataset([AtemporalFact("o", ("zz", 3)), AtemporalFact("o", ("A b", "not")),
+                 AtemporalFact("o", ("ok", 1))])
+    with pytest.raises(InvalidSpec) as err:
+        infer_from_aux(ground_simple_heads(tes, d), tes)
+    assert str(err.value) == "MissingWindow for e('A b', 'not')"
 
 
 def test_level_timepoints_cumulative(np_tes, empty_dataset):

@@ -662,6 +662,7 @@ SCAN_3 = parse_tes(
 SCAN_3_REPAIR = frozenset({
     AnnotatedEventFact("e", (), Interval(0, 4), 1),
     AnnotatedEventFact("p", (), Interval(0, 9), 1)})
+SCAN_3_P = frozenset({AnnotatedEventFact("p", (), Interval(0, 9), 1)})  # no repair
 
 
 def test_recognize_general_path_cap():
@@ -673,7 +674,9 @@ def test_recognize_general_path_cap():
 
 def test_subset_scan_stops_at_exactly_two_to_the_facts():
     # the scan pays once per subset examined: 2^3 answer in every mode, one
-    # fewer gives the repair found so far or raises with its cap
+    # fewer gives the repair found so far or raises with its cap; a check
+    # stops once the scan yields its candidate, at the 3rd subset, and a
+    # candidate that is no repair needs all 8
     se = infer_all_simple(EMPTY, SCAN_3)
     assert len(se) == 3 and not _downward_closed(SCAN_3)
     for cap in (7, 8):
@@ -687,8 +690,8 @@ def test_subset_scan_stops_at_exactly_two_to_the_facts():
         answers = [(lambda: cautious_core(EMPTY, SCAN_3, cap=cap), SCAN_3_REPAIR),
                    (lambda: timeline(EMPTY, SCAN_3, "cautious", cap=cap).models,
                     (SCAN_3_REPAIR,))]
-        answers += [(lambda mode=mode: recognize_timeline(EMPTY, SCAN_3, SCAN_3_REPAIR, mode, cap),
-                     True) for mode in ("consistent", "preferred")]
+        answers += [(lambda mode=mode: recognize_timeline(EMPTY, SCAN_3, SCAN_3_P, mode, cap),
+                     False) for mode in ("consistent", "preferred")]
         for solve, want in answers:
             if exhaustive:
                 assert solve() == want
@@ -696,6 +699,11 @@ def test_subset_scan_stops_at_exactly_two_to_the_facts():
                 with pytest.raises(EnumerationCapExceeded) as err:
                     solve()
                 assert err.value.cap == cap
+    for mode in ("consistent", "preferred"):
+        assert recognize_timeline(EMPTY, SCAN_3, SCAN_3_REPAIR, mode, cap=3)
+        with pytest.raises(EnumerationCapExceeded) as err:
+            recognize_timeline(EMPTY, SCAN_3, SCAN_3_REPAIR, mode, cap=2)
+        assert err.value.cap == 2
 
 
 # one level-1 e interval and two level-2 ones inside it, each clashing with

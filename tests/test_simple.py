@@ -199,8 +199,21 @@ def test_gapped_levels_match_checker():
         w = rng.choice((1, 2, 3))
         tp = level_timepoints(AuxStore(frozenset(exists), ends, frozenset(), frozenset()), key)
         assert set(tp.levels) == {lvl for _, _, lvl in exists | ends}
-        assert infer_nonpersistent(tp, w) == oracle_infer(tp, False, w)
+        for window in (w, len(points) + 1, 10 ** 9):  # the drawn one, and gaps none breaks
+            assert infer_nonpersistent(tp, window) == oracle_infer(tp, False, window)
         assert infer_persistent(tp) == oracle_infer(tp, True)
+
+
+def test_timepoints_past_the_float_range():
+    # a natural may have 4,300 digits, far past any float: the walk compares
+    # such a timepoint with STAR but never subtracts it from STAR
+    big = 10 ** 4299
+    for ends in ([{big + 5}], [set()]):
+        tp = make_timepoints([{big, big + 1}], ends)
+        for w in (1, 2, 10, 10 ** 9):
+            assert infer_nonpersistent(tp, w) == oracle_infer(tp, False, w)
+        assert infer_persistent(tp) == oracle_infer(tp, True)
+    assert infer_persistent(tp) == {(iv(big, STAR), 1)}
 
 
 def test_candidate_intervals_cover():
@@ -230,3 +243,5 @@ def test_constructive_matches_checker(seed):
                                          w=None if persistent else w):
                     expected.add((interval, lvl))
         assert got == expected
+    for wide in (21, 10 ** 9):  # past the drawn points' horizon of 20: no gap breaks a chain
+        assert infer_nonpersistent(tp, wide) == oracle_infer(tp, False, wide)
