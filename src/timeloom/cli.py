@@ -275,7 +275,7 @@ def run(args: argparse.Namespace) -> int:
 
     if args.mode == "check":
         try:
-            target = json.loads(read_file(args.check))
+            target = json.loads(read_file(args.check), parse_int=read_natural)
             if not isinstance(target, dict):
                 raise TypeError("the top level is not a JSON object")
             kind = target.get("kind", "consistent")

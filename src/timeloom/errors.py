@@ -73,17 +73,15 @@ class InvalidSpec(TimeloomError):
     """A grounded rule set fails a validity requirement for some event instance.
 
     kind is one of "MissingWindow", "AmbiguousWindow", "ZeroWindow"; key is
-    the instance, a (predicate, argument values) pair, which the message
-    writes in rule syntax.
+    the instance, a (predicate, argument values) pair, and instance, when
+    given, its rule text, which the message names in place of the key.
     """
 
-    def __init__(self, kind: str, key: tuple | None = None):
-        from .language import format_instance  # language imports this module
-
+    def __init__(self, kind: str, key: object = None, instance: str | None = None):
         self.kind = kind
         self.key = key
-        detail = f" for {format_instance(*key)}" if key is not None else ""
-        super().__init__(f"{kind}{detail}")
+        named = key if instance is None else instance
+        super().__init__(kind if named is None else f"{kind} for {named}")
 
 
 class LevelOverflow(TimeloomError):

@@ -26,6 +26,7 @@ from .language import (
     ObservationAtom,
     TES,
     atom_terms,
+    format_instance,
     head_positions,
     is_schematic_window,
     is_test,
@@ -352,12 +353,10 @@ class AuxStore(Record):
         """The instance's one window; `InvalidSpec` when it has none, more
         than one, or one below 1, tested in that order."""
         ws = self.window_values(key)
-        if not ws:
-            raise InvalidSpec("MissingWindow", key)
-        if len(ws) > 1:
-            raise InvalidSpec("AmbiguousWindow", key)
-        if ws[0] < 1:
-            raise InvalidSpec("ZeroWindow", key)
+        kind = ("MissingWindow" if not ws else "AmbiguousWindow" if len(ws) > 1
+                else "ZeroWindow" if ws[0] < 1 else None)
+        if kind is not None:
+            raise InvalidSpec(kind, key, format_instance(*key))
         return ws[0]
 
 

@@ -17,7 +17,7 @@ from .model import STAR, AnnotatedEventFact, Dataset, Interval
 from .query import AuxStore, LevelTimepoints, ground_simple_heads, level_timepoints
 
 
-def _intervals(tp: LevelTimepoints, w: int | float) -> set[tuple[Interval, int]]:
+def infer_nonpersistent(tp: LevelTimepoints, w: int | float) -> set[tuple[Interval, int]]:
     """All maximal intervals of one instance under window `w` (STAR for a
     persistent instance), each at the strongest level that infers it.
 
@@ -55,16 +55,11 @@ def _intervals(tp: LevelTimepoints, w: int | float) -> set[tuple[Interval, int]]
     return out
 
 
-def infer_nonpersistent(tp: LevelTimepoints, w: int) -> set[tuple[Interval, int]]:
-    """All maximal intervals of a non-persistent instance, per level."""
-    return _intervals(tp, w)
-
-
 def infer_persistent(tp: LevelTimepoints) -> set[tuple[Interval, int]]:
     """All maximal intervals of a persistent instance, per level: each
     existence point runs to the first termination at or after it, or stays
     ongoing when none exists."""
-    return _intervals(tp, STAR)
+    return infer_nonpersistent(tp, STAR)
 
 
 def infer_all_simple(dataset: Dataset, tes: TES) -> frozenset[AnnotatedEventFact]:
@@ -81,5 +76,5 @@ def infer_from_aux(aux: AuxStore, tes: TES) -> frozenset[AnnotatedEventFact]:
         pred, args = key
         w = aux.window(key) if tes.kind(pred) is PredKind.NONPERSISTENT else STAR
         facts.update(AnnotatedEventFact(pred, args, iv, lvl)
-                     for iv, lvl in _intervals(level_timepoints(aux, key), w))
+                     for iv, lvl in infer_nonpersistent(level_timepoints(aux, key), w))
     return frozenset(facts)

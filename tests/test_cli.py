@@ -308,14 +308,19 @@ def test_check_target_level_and_args_are_strict(figured, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
 
-@pytest.mark.parametrize("text", ["[]", '"x"', *(
-    '{"facts": [{"pred": %s, "args": [], "interval": {"start": %s, "end": %s}, "level": 1}]}'
-    % fields for fields in (("5", "2", '"*"'), ('"e"', "true", '"*"'),
-                            ('"e"', "-1", '"*"'), ('"e"', "5", "2"))),
-    "[" * 100000 + "]" * 100000],
+@pytest.mark.parametrize("text,message", [("[]", ""), ('"x"', ""), *(
+    ('{"facts": [{"pred": %s, "args": [], "interval": {"start": %s, "end": %s}, "level": 1}]}'
+     % tuple(fields), message)
+    for *fields, message in (("5", "2", '"*"', ""), ('"e"', "true", '"*"', ""),
+                             ('"e"', "-1", '"*"', ""), ('"e"', "5", "2", ""),
+                             ('"e"', "9" * 5000, '"*"', "natural of 5000 digits (at most 4300)"))),
+    ("[" * 100000 + "]" * 100000, "")],
                          ids=["list", "string", "pred", "bool-start", "negative-start",
-                              "end-before-start", "nested-past-the-recursion-limit"])
-def test_check_target_must_be_an_object_of_named_facts(figured, capsys, text):
+                              "end-before-start", "start-past-the-digit-bound",
+                              "nested-past-the-recursion-limit"])
+def test_check_target_must_be_an_object_of_named_facts(figured, capsys, text, message):
+    """A JSON integer is a natural like any other: past 4,300 digits it is
+    refused with timeloom's own message, on every Python version."""
     target = figured / "target.json"
     target.write_text(text)
     assert run_cli("run", "--rules", str(figured / "pers.tes"),
@@ -323,6 +328,7 @@ def test_check_target_must_be_an_object_of_named_facts(figured, capsys, text):
                    "--check", str(target)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad check target {target}: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_check_flag_pairing(figured, capsys):
