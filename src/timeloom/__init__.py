@@ -17,6 +17,7 @@ from .errors import (
     MalformedTimestamp,
     MappingError,
     MissingWindowRule,
+    NaturalOverflow,
     NotStratified,
     ParseError,
     ResourceExhausted,
@@ -101,6 +102,7 @@ __all__ = [
     "UnboundVariable",
     "InvalidSpec",
     "LevelOverflow",
+    "NaturalOverflow",
     "EnumerationCapExceeded",
     "ResourceExhausted",
     "IoError",

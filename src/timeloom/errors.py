@@ -88,6 +88,11 @@ class LevelOverflow(TimeloomError):
     """A rule computed a confidence level below 1."""
 
 
+class NaturalOverflow(TimeloomError):
+    """A rule's `plus` derived a natural of more digits than any input may
+    hold (`model.MAX_DIGITS`)."""
+
+
 class EnumerationCapExceeded(TimeloomError):
     """Repair enumeration spent its budget before completing. The budget
     counts repairs emitted plus dead-end branches (and alternative

@@ -33,22 +33,43 @@ from .model import AtemporalFact, Dataset, Fact, ObservationFact, fact_key
 
 # Blanks and `#` comments between tokens. A comment runs to the end of its
 # line (`$` under re.M), so backtracking cannot end it early and read the rest
-# of the line as statements.
-_BLANK = r"[ \t\r\n]*(?:#[^\n]*$[ \t\r\n]*)*"
+# of the line as statements. The comment branch starts with its `#`, so text
+# without one pays for no repeat.
+_BLANK = r"[ \t\r\n]*(?:#[^\n]*$[ \t\r\n]*(?:#[^\n]*$[ \t\r\n]*)*|)"
 # A word character other than a decimal digit, `_` or A-Z starts a name. That
 # is every start the lexer reads as a name, plus non-ASCII capitals and
 # numerics such as "²", which `_is_name` turns away. A natural of more than
 # MAX_DIGITS digits fails the statement, so the token walk refuses it.
 _NAME = r"[^\W\d_A-Z]\w*"
-_VALUE = rf"(?:'[^'\n]*'|[0-9]{{1,{MAX_DIGITS}}}|{_NAME})"
+_NAT = rf"[0-9]{{1,{MAX_DIGITS}}}"
+_VALUE = rf"(?:'[^'\n]*'|{_NAT}|{_NAME})"
+# A statement's prefix: its keyword, its predicate and, when it has
+# parentheses, the arguments before the last one and the comma after them.
+_PREFIX = re.compile(rf"(atemporal|obs)(?!\w){_BLANK}({_NAME}){_BLANK}"
+                     rf"(?:\(({_BLANK}(?:{_VALUE}{_BLANK},{_BLANK})*))?", re.M)
+# Text with no quote, comment, parenthesis or period, and text whose
+# parentheses and periods stand only in quoted symbols and comments. A
+# prefix taken this loosely is checked against `_PREFIX`, once per distinct
+# prefix. `_ANY` alone matches everything `_PLAIN` does, but the matcher
+# steps through its repeated group a character at a time, which made the
+# statement walk about three times slower on plain text; so `_PLAIN` is
+# tried first. A quote or `#` starts a quoted symbol or a comment and no
+# other character does, so a failed match backtracks through either in
+# linear time.
+_PLAIN = r"[^'#().]*"
+_ANY = r"(?:[^'#().]|'[^'\n]*'|#[^\n]*$)*"
+# One statement after blanks and comments: its prefix (group 1), taken
+# loosely; its `(` if it has one (group 2), and then its last value, a
+# natural (group 3) or a quoted symbol or name (group 4). Else the first
+# character that starts no statement (group 5), or the end of the text.
+# Without a `(`, the prefix takes the blanks before the period.
 _STMT = re.compile(
-    rf"{_BLANK}(atemporal|obs)(?!\w){_BLANK}({_NAME}){_BLANK}"
-    rf"(?:\({_BLANK}({_VALUE}(?:{_BLANK},{_BLANK}{_VALUE})*){_BLANK}\){_BLANK})?\.",
+    rf"{_BLANK}(?:((?:atemporal|obs)(?:{_PLAIN}|{_ANY})(?:(\()(?:{_PLAIN},|{_ANY},|)|))"
+    rf"(?(2){_BLANK}(?:({_NAT})|('[^'\n]*'|{_NAME})){_BLANK}\){_BLANK})\.|([^ \t\r\n#])|\Z)",
     re.M)
-# One statement's argument text, already matched by _STMT: a comment (no
-# group), a quoted symbol with its quotes, a natural, or a name.
+# Argument text already checked: a comment (no group), a quoted symbol with
+# its quotes, a natural, or a word.
 _ARG = re.compile(rf"#[^\n]*|('[^'\n]*')|({NATURAL.pattern})|(\w+)")
-_END = re.compile(rf"{_BLANK}\Z", re.M)
 
 
 def _is_name(word: str) -> bool:
@@ -56,31 +77,59 @@ def _is_name(word: str) -> bool:
     return word[0].isalpha() and not word[0].isupper()
 
 
+def _values(text: str) -> tuple | None:
+    """The values in argument text the statement pattern accepted, or None
+    when a word in it is no name to the lexer."""
+    parts = _ARG.findall(text)
+    if not text.isascii() and not all(map(_is_name, [w for _, _, w in parts if w])):
+        return None
+    return tuple([int(n) if n else (w or q[1:-1]) for q, n, w in parts if q or n or w])
+
+
+def _read_prefix(text: str) -> tuple | None:
+    """Whether a statement prefix is an observation's, its predicate and its
+    arguments; None when the token walk would refuse it."""
+    m = _PREFIX.fullmatch(text)
+    if m is None:
+        return None
+    kw, name, args = m.groups()
+    vals = _values(args or "")
+    return None if vals is None or not _is_name(name) else (kw == "obs", name, vals)
+
+
 def parse_fact_text(text: str) -> list[Fact]:
     """Parse native fact statements into atemporal and observation facts.
 
-    Statements are matched by one compiled pattern; text it rejects is
-    handed to the token walk, which raises the ParseError with its line and
-    column."""
+    One compiled pattern walks the statements. Fact files repeat their
+    argument prefixes, so each distinct prefix (the keyword, the predicate
+    and the arguments before the last) is checked and converted once, and
+    each statement converts only its last value: the timestamp of an `obs`,
+    or the last argument of an `atemporal`. The text accepted, the facts and
+    the error messages are exactly those of the token walk: text the pattern
+    does not accept is handed to it, and it raises the ParseError with its
+    line and column."""
     facts: list[Fact] = []
-    check_names = not text.isascii()
-    match, split = _STMT.match, _ARG.findall
-    pos = 0
-    while m := match(text, pos):
-        kw, name, args = m.groups()
-        parts = split(args) if args else ()
-        if check_names and not all(map(_is_name, [name, *(w for _, _, w in parts if w)])):
+    append = facts.append
+    known: dict[str, tuple | None] = {}  # each distinct prefix, read once
+    for m in _STMT.finditer(text):
+        prefix, _, nat, last, rest = m.groups("")
+        head = known.get(prefix)
+        if head is None:
+            if not prefix and not rest:  # the end of the text
+                continue
+            head = known[prefix] = _read_prefix(prefix)  # None, too, for a stray character
+            if head is None:
+                return _parse_fact_tokens(text)
+        obs, name, args = head
+        if obs and nat:
+            append(ObservationFact(name, args, int(nat)))
+        elif obs:
             return _parse_fact_tokens(text)
-        vals = [int(n) if n else (w or q[1:-1]) for q, n, w in parts if q or n or w]
-        if kw == "atemporal":
-            facts.append(AtemporalFact(name, tuple(vals)))
-        elif vals and type(vals[-1]) is int:
-            facts.append(ObservationFact(name, tuple(vals[:-1]), vals[-1]))
         else:
-            return _parse_fact_tokens(text)
-        pos = m.end()
-    if not _END.match(text, pos):
-        return _parse_fact_tokens(text)
+            tail = _values(nat or last)
+            if tail is None:
+                return _parse_fact_tokens(text)
+            append(AtemporalFact(name, args + tail))
     return facts
 
 

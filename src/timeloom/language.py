@@ -46,6 +46,7 @@ from .errors import (
 )
 from .model import (
     FN_NAMES,
+    MAX_DIGITS,
     Const,
     FnApp,
     IntervalFn,
@@ -265,10 +266,8 @@ class _Token(Record):
 
 # A natural is a run of ASCII digits in rule files, fact files, CSV cells and
 # epoch timestamps alike. (str.isdigit also accepts "²", which int() rejects.)
-# One of more than MAX_DIGITS digits is refused on every Python version, as
-# int() refuses it by default from CPython 3.10.7 on.
+# One of more than MAX_DIGITS digits is refused on every Python version.
 NATURAL = re.compile(r"[0-9]+")
-MAX_DIGITS = 4300
 
 
 def read_natural(text: str) -> int:

@@ -14,7 +14,7 @@ from itertools import groupby, product
 from math import prod
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import LevelOverflow, SortError
+from .errors import LevelOverflow, NaturalOverflow, SortError
 from .language import TES, EventAtom, MetaRule
 from .model import AnnotatedEventFact, Dataset, EventStore, Interval, Record
 from .query import rule_plan
@@ -245,7 +245,7 @@ def close_factored(tes: TES, dataset: Dataset, f: Factored) -> Factored:
     if len(f.picks) > 1 and tes.is_monotone:
         try:
             return _close_units(tes, dataset, f)
-        except (LevelOverflow, SortError):
+        except (LevelOverflow, NaturalOverflow, SortError):
             pass
     return factor_models([m | infer_meta(tes, dataset, m) for m in f.models()])
 

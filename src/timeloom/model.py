@@ -13,13 +13,19 @@ import math
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import InvalidInterval, SortError, UnboundVariable
+from .errors import InvalidInterval, NaturalOverflow, SortError, UnboundVariable
 
 STAR = math.inf  # the ongoing end of an interval
 
 # A data value is a symbol or a natural; interval ends may also be STAR.
 Value = Union[str, int]
 Timepoint = int
+
+# A natural has at most this many digits, whether read or derived, on every
+# Python version: from CPython 3.10.7 on, int() and str() refuse more by
+# default.
+MAX_DIGITS = 4300
+_PAST_MAX_DIGITS = 10 ** MAX_DIGITS  # the least natural with more digits
 
 
 _MISSING = object()
@@ -269,7 +275,11 @@ def compile_term(t: Term, slot_of: Mapping[str, object]) -> Callable:
             if STAR in vals:
                 raise SortError(f"ongoing marker used in {fn}")
             if fn == "plus":
-                return vals[0] + vals[1]
+                total = vals[0] + vals[1]
+                if total >= _PAST_MAX_DIGITS:
+                    raise NaturalOverflow(
+                        f"plus derives a natural of more than {MAX_DIGITS} digits")
+                return total
             return max(vals[0] - vals[1], 0)  # natural subtraction
         return apply
     if isinstance(t, IntervalTerm):

@@ -674,6 +674,24 @@ def test_non_ascii_digits_exit_1(tmp_path, capsys, rules, data, mapping, message
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("digit,code", [("4", 0), ("9", 1)], ids=["4300-digits", "4301-digits"])
+def test_plus_derives_at_most_4300_digits(tmp_path, capsys, digit, code):
+    """Twice a natural of 4,300 digits has 4,300 digits when it starts with
+    4 and 4,301 when it starts with 9: the first is written out, the second
+    is an error that states the bound, on every Python version."""
+    (tmp_path / "r.tes").write_text("decl observation lab/1.\ndecl persistent e/1.\n"
+                                    "exists_pers(e(P), plus(T, T), 1) :- lab(P, T).\n")
+    (tmp_path / "d.facts").write_text(f"obs lab(p1, {digit * 4300}).\n")
+    assert run_cli("run", "--rules", str(tmp_path / "r.tes"),
+                   "--data", str(tmp_path / "d.facts")) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert not err and json.loads(out)["models"][0]["simple"][0]["interval"]["start"] == \
+            2 * int(digit * 4300)
+    else:
+        assert not out and err == "error: plus derives a natural of more than 4300 digits\n"
+
+
 def test_data_file_error_names_the_file(ward, capsys):
     bad = ward / "bad.facts"
     bad.write_text("obs adm(p3, 4).\nobs adm(p3, 5\u00b2).\n")

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from datetime import date
 
 import pytest
@@ -25,22 +26,35 @@ from timeloom import (
 from timeloom.ingest import _parse_fact_tokens, parse_mapping, read_csv_mapped
 
 from conftest import therapy_tes  # noqa: F401
+from fact_texts import outcome, random_fact_text, repeated_prefix_text
 
 
 def test_parse_fact_text():
+    """Statements that share a prefix share its arguments, and the last comma
+    of a statement may stand inside a quoted symbol or a comment."""
     facts = parse_fact_text("""
         atemporal ab(amox, weak).   # comments run to end of line
-        obs adm(p1, amox, 5).
+        obs adm(p1, amox, 5).  obs adm(p1, amox,
+          7).
         obs tick(3).
         atemporal flag.
         atemporal named('amox/clav 875').
+        obs adm(p1, amox, # a comment, with a comma
+          9).
+        atemporal named(p1, 'a, b').
+        atemporal named(p1, # the last comma is in here,
+          c).
     """)
     assert facts == [
         AtemporalFact("ab", ("amox", "weak")),
         ObservationFact("adm", ("p1", "amox"), 5),
+        ObservationFact("adm", ("p1", "amox"), 7),
         ObservationFact("tick", (), 3),
         AtemporalFact("flag", ()),
         AtemporalFact("named", ("amox/clav 875",)),
+        ObservationFact("adm", ("p1", "amox"), 9),
+        AtemporalFact("named", ("p1", "a, b")),
+        AtemporalFact("named", ("p1", "c")),
     ]
 
 
@@ -68,73 +82,25 @@ def test_parse_fact_text_rejects(text):
     assert (info.value.message, info.value.line, info.value.col) == REJECTED[text]
 
 
-# Pieces of random fact texts for the differential test below: names the
-# lexer reads as names (lowercase, non-ASCII, titlecase) or not (capitals,
-# underscores, non-decimal numerics), quoted symbols, and blanks and comments
-# that may swallow what follows them on their line.
-GOOD_NAMES = ("adm", "ab", "x1", "lab_2", "obs", "atemporal", "\u00e9mission", "\u01c5x",
-              "\u03b1\u03b2", "caf\u00e9\u00b2")
-BAD_NAMES = ("Adm", "X", "\u00c9mile", "_x", "_", "\u00b2x", "\u2167", "\u0665")
-QUOTED = ("'amox/clav 875'", "''", "'S\u00e3o Paulo'", "'a#b'", "'5'", "'Ab'", "'\u2713'")
-BAD_QUOTED = ("'two\nlines'", "'it's'", "'open")
-BLANKS = ("", " ", "  ", "\t", "\n", "\r\n", " # note 'x' obs p(1).\n", "#\n")
-MUTANTS = ("(", ")", ",", ".", "'", "#", "\n", " ", "_", "A", "\u00c9", "\u00b2", "\u0665",
-           "5", ":-", "/", "x", "obs ", "atemporal ", "\f", "\u00a0", "# )")
-
-
-def random_fact_text(rng):
-    ascii_only = rng.random() < 0.5  # where the pattern alone must tell names apart
-
-    def pick(pool):
-        return rng.choice([p for p in pool if p.isascii()] if ascii_only else pool)
-
-    def blank():
-        return pick(BLANKS) if rng.random() < 0.3 else rng.choice(("", " "))
-
-    def name():
-        return pick(BAD_NAMES if rng.random() < 0.04 else GOOD_NAMES)
-
-    def value():
-        r = rng.random()
-        if r < 0.35:
-            return str(rng.randrange(0, 10 ** rng.randrange(1, 12)))
-        if r < 0.55:
-            return pick(BAD_QUOTED if rng.random() < 0.02 else QUOTED)
-        return name()
-
-    out = []
-    for _ in range(rng.randrange(0, 8)):
-        kw = "fact" if rng.random() < 0.02 else rng.choice(("obs", "atemporal"))
-        after_kw = "" if rng.random() < 0.02 else pick((" ", "\t", "\n", " #c\n"))
-        out += [blank(), kw, after_kw, name(), blank()]
-        if kw == "obs" or rng.random() < 0.7:
-            vals = [value() for _ in range(rng.randrange(kw != "obs", 4))]
-            if kw == "obs" and rng.random() < 0.97:
-                vals.append(str(rng.randrange(100)))
-            if rng.random() < 0.02:  # empty parentheses
-                vals = []
-            sep = [blank() + "," + blank() for _ in vals]
-            out += ["(", blank(), *[v + s for v, s in zip(vals, sep[1:] + [""])], blank(), ")"]
-        out += [blank(), "."]
-    out.append(blank())
-    text = "".join(out)
-    if text and rng.random() < 0.3:  # insert, replace or delete one character
-        i = rng.randrange(len(text))
-        cut = rng.randrange(2)
-        text = text[:i] + pick(MUTANTS + ("",)) + text[i + cut:]
-    return text
+@pytest.mark.parametrize("text, error", [
+    ("obs p" + "\n" * 100_000, ("expected '.', found ''", 100_001, 1)),
+    ("obs p" + " " * 100_000 + "(x", ("expected ')', found ''", 1, 100_008)),
+])
+def test_long_blank_runs_fail_in_linear_time(text, error):
+    """A statement that fails after a long blank run costs the statement
+    pattern one pass over the run, not one per blank: were it quadratic,
+    100,000 blanks would take minutes."""
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_fact_text(text)
+    assert time.perf_counter() - start < 2.0
+    assert (info.value.message, info.value.line, info.value.col) == error
 
 
 def test_parse_fact_text_matches_the_token_walk(monkeypatch):
     """The statement pattern gives the token walk's facts, or its ParseError
     with the same message, line and column, and valid text never reaches the
-    token walk."""
-    def outcome(parse, text):
-        try:
-            return parse(text)
-        except ParseError as e:
-            return (e.message, e.line, e.col)
-
+    token walk. The texts of the second draw share argument prefixes."""
     rng = random.Random(20261018)
     texts = [random_fact_text(rng) for _ in range(600)]
     want = [outcome(_parse_fact_tokens, t) for t in texts]
@@ -143,13 +109,23 @@ def test_parse_fact_text_matches_the_token_walk(monkeypatch):
     assert 150 < len(valid) < 450, len(valid)  # both kinds of text are well represented
     assert sum(len(w) for _, w in valid) > 300
 
+    shared = [repeated_prefix_text(rng) for _ in range(400)]
+    want = [outcome(_parse_fact_tokens, t) for t in shared]
+    assert [outcome(parse_fact_text, t) for t in shared] == want
+    shared_valid = [(t, w) for t, w in zip(shared, want) if isinstance(w, list)]
+    assert 100 < len(shared_valid) < 300, len(shared_valid)
+    # most valid texts give two facts of one prefix
+    repeats = sum(len({(f.pred, f.args) if isinstance(f, ObservationFact) else
+                       (f.pred, f.args[:-1]) for f in w}) < len(w) for _, w in shared_valid)
+    assert repeats > len(shared_valid) // 2, repeats
+
     def no_token_walk(text):
         raise AssertionError(f"valid text reached the token walk: {text!r}")
 
     # the package's `ingest` function hides the module of the same name
     ingest_module = importlib.import_module("timeloom.ingest")
     monkeypatch.setattr(ingest_module, "_parse_fact_tokens", no_token_walk)
-    for text, facts in valid:
+    for text, facts in valid + shared_valid:
         assert parse_fact_text(text) == facts
 
 
