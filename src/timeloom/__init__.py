@@ -40,7 +40,7 @@ from .model import (
     ObservationFact,
     allen_relation,
 )
-from .query import ground_simple_heads, level_timepoints
+from .query import ground_simple_heads
 from .repair import (
     DEFAULT_CAP,
     RepairSet,
@@ -71,7 +71,6 @@ __all__ = [
     "AnnotatedEventFact",
     "allen_relation",
     "ground_simple_heads",
-    "level_timepoints",
     "infer_all_simple",
     "infer_nonpersistent",
     "infer_persistent",

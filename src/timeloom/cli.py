@@ -63,7 +63,18 @@ def fact_from_json(d: dict) -> AnnotatedEventFact:
     """The inverse of `fact_to_json`. An end is a natural or "*", so JSON
     `Infinity` is refused rather than read as ongoing. The pred is a string,
     a level a positive integer and each argument a string or a natural; JSON
-    `true` is neither, nor is a float."""
+    `true` is neither, nor is a float. A value of another shape, or one
+    without a field, is refused with a message that names the field."""
+    if not isinstance(d, dict):
+        raise ValueError("not a JSON object")
+    for key in ("pred", "args", "interval", "level"):
+        if key not in d:
+            raise ValueError(f"no {key}")
+    if not isinstance(d["interval"], dict):
+        raise ValueError("interval is not a JSON object")
+    for key in ("start", "end"):
+        if key not in d["interval"]:
+            raise ValueError(f"interval has no {key}")
     end = d["interval"]["end"]
     if end != "*" and not isinstance(end, int):
         raise InvalidInterval(f"bad interval end: {end!r}")
@@ -77,6 +88,15 @@ def fact_from_json(d: dict) -> AnnotatedEventFact:
             isinstance(a, str) or type(a) is int and a >= 0 for a in args):
         raise ValueError(f"bad args: {args!r}")
     return AnnotatedEventFact(pred, tuple(args), interval, level)
+
+
+def _nth_fact(n: int, d) -> AnnotatedEventFact:
+    """`fact_from_json` of the nth fact of a check target (from 1), its
+    errors naming the fact by that position."""
+    try:
+        return fact_from_json(d)
+    except (ValueError, InvalidInterval) as e:
+        raise ValueError(f"fact {n}: {e}") from None
 
 
 def _positioned(result: TimelineResult, tes: TES, now: int | None) -> dict:
@@ -279,8 +299,10 @@ def run(args: argparse.Namespace) -> int:
             if not isinstance(target, dict):
                 raise TypeError("the top level is not a JSON object")
             kind = target.get("kind", "consistent")
-            facts = frozenset(fact_from_json(x) for x in target["facts"])
-        except (ValueError, KeyError, TypeError, InvalidInterval, RecursionError) as e:
+            if not isinstance(target.get("facts"), list):
+                raise ValueError("facts is not a list" if "facts" in target else "no facts list")
+            facts = frozenset(_nth_fact(n, x) for n, x in enumerate(target["facts"], 1))
+        except (ValueError, TypeError, InvalidInterval, RecursionError) as e:
             raise IoError(f"bad check target {args.check}: {e}") from None
         if kind not in ("consistent", "preferred"):
             raise IoError(f"bad check target kind {kind!r}")

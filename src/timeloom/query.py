@@ -5,11 +5,14 @@ negated atoms, interval builtins). Each body compiles once into a join plan
 over a slot array, one slot per variable. Evaluation expands the binder
 with the fewest candidates under the slots bound so far, and fires each
 test as soon as its variables are bound.
+
+`ground_simple_heads` evaluates the existence, termination and window
+rules this way, and adds each head to its event instance's group as it is
+derived; the interval walk reads those groups directly.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import partial
 from operator import eq, itemgetter
 from typing import Callable, Mapping
@@ -312,42 +315,21 @@ def rule_plan(tes: TES, rule) -> JoinPlan:
 
 
 class AuxStore(Record):
-    """Grounded existence, termination, and window facts for simple events,
-    grouped by event instance in one pass at construction: frozensets of
-    (key, timepoint, level) for `exists` and `ends`, of (key, window) for
-    `windows` and of (pred, window) for `default_windows`."""
+    """Grounded existence, termination and window facts for simple events,
+    grouped by event instance as they are derived: `exists` and `ends` map
+    an instance to its set of (timepoint, level) pairs, `windows` an
+    instance to its window values, and `default_windows` a predicate to the
+    values of its schematic window rules."""
 
-    # the fields, then key -> (timepoint, level) pairs, key -> windows,
-    # pred -> default windows, and the sorted keys
-    __slots__ = ("exists", "ends", "windows", "default_windows", "_exists_by_key",
-                 "_ends_by_key", "_windows_by_key", "_defaults_by_pred", "_keys")
-    _fields = __slots__[:4]
-    _defaults = {"default_windows": frozenset()}
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        for name, triples in (("_exists_by_key", self.exists), ("_ends_by_key", self.ends)):
-            grouped: dict[EventKey, list[tuple[int, int]]] = {}
-            for k, t, lvl in triples:
-                grouped.setdefault(k, []).append((t, lvl))
-            object.__setattr__(self, name, grouped)
-        for name, pairs in (("_windows_by_key", self.windows),
-                            ("_defaults_by_pred", self.default_windows)):
-            grouped = {}
-            for k, w in pairs:
-                grouped.setdefault(k, set()).add(w)
-            object.__setattr__(self, name, grouped)
-        object.__setattr__(self, "_keys", tuple(
-            sorted(self._exists_by_key, key=lambda k: (k[0], args_key(k[1])))))
+    __slots__ = _fields = ("exists", "ends", "windows", "default_windows")
 
     def keys(self) -> list[EventKey]:
         """Event instances with at least one existence fact, sorted (numbers
         before symbols at each argument)."""
-        return list(self._keys)
+        return sorted(self.exists, key=lambda k: (k[0], args_key(k[1])))
 
     def window_values(self, key: EventKey) -> list[int]:
-        return sorted(self._windows_by_key.get(key, set())
-                      | self._defaults_by_pred.get(key[0], set()))
+        return sorted(self.windows.get(key, set()) | self.default_windows.get(key[0], set()))
 
     def window(self, key: EventKey) -> int:
         """The instance's one window; `InvalidSpec` when it has none, more
@@ -375,50 +357,18 @@ def _heads(tes: TES, rule, dataset: Dataset, what: str) -> list[tuple[EventKey, 
 
 
 def ground_simple_heads(tes: TES, dataset: Dataset) -> AuxStore:
-    """Evaluate all existence/termination/window rules over the dataset."""
-    exists = {(key, t, rule.level) for rule in tes.existence
-              for key, t in _heads(tes, rule, dataset, "timepoint")}
-    ends = {(key, t, rule.level) for rule in tes.termination
-            for key, t in _heads(tes, rule, dataset, "timepoint")}
-    windows: set = set()
-    defaults: set = set()
+    """Evaluate all existence/termination/window rules over the dataset,
+    adding each head to its instance's group as it is derived."""
+    aux = AuxStore({}, {}, {}, {})
+    for rules, points in ((tes.existence, aux.exists), (tes.termination, aux.ends)):
+        for rule in rules:
+            for key, t in _heads(tes, rule, dataset, "timepoint"):
+                points.setdefault(key, set()).add((t, rule.level))
     for rule in tes.windows:
         if is_schematic_window(rule):
-            defaults.add((rule.pred, _natural(eval_term(rule.w, {}), "window")))
+            aux.default_windows.setdefault(rule.pred, set()).add(
+                _natural(eval_term(rule.w, {}), "window"))
         else:
-            windows.update(_heads(tes, rule, dataset, "window"))
-    return AuxStore(frozenset(exists), frozenset(ends), frozenset(windows),
-                    frozenset(defaults))
-
-
-# ---------------------------------------------------------------------------
-# Level-indexed timepoints
-
-
-class LevelTimepoints(Record):
-    """Cumulative per-level existence and termination timepoints for one
-    event instance: level l sees all evidence with confidence <= l. Only the
-    levels some evidence names are stored; any other level sees what the
-    nearest named level below it sees, so a level of 10**9 costs one entry.
-    `levels` ascend, each named by some evidence; `exists_by_level` and
-    `ends_by_level` hold a tuple of timepoints per entry of `levels`."""
-
-    __slots__ = _fields = ("key", "levels", "exists_by_level", "ends_by_level")
-
-    def exists_at(self, level: int) -> tuple[int, ...]:
-        i = bisect_right(self.levels, level)
-        return self.exists_by_level[i - 1] if i else ()
-
-    def ends_at(self, level: int) -> tuple[int, ...]:
-        i = bisect_right(self.levels, level)
-        return self.ends_by_level[i - 1] if i else ()
-
-
-def level_timepoints(aux: AuxStore, key: EventKey) -> LevelTimepoints:
-    ex, en = aux._exists_by_key.get(key, []), aux._ends_by_key.get(key, [])
-    levels = sorted({lvl for _, lvl in ex + en})
-    ex_cum, en_cum = [], []
-    for lvl in levels:
-        ex_cum.append(tuple(sorted({t for t, l in ex if l <= lvl})))
-        en_cum.append(tuple(sorted({t for t, l in en if l <= lvl})))
-    return LevelTimepoints(key, tuple(levels), tuple(ex_cum), tuple(en_cum))
+            for key, w in _heads(tes, rule, dataset, "window"):
+                aux.windows.setdefault(key, set()).add(w)
+    return aux

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from timeloom import AtemporalFact, Dataset, ObservationFact, parse_tes
-from timeloom.query import LevelTimepoints
 
 TWO_LEVEL_NONPERSISTENT = """
 decl nonpersistent e/0.
@@ -69,17 +68,11 @@ def therapy_tes():
     return parse_tes(THERAPY_RULES)
 
 
-def make_timepoints(exists_raw, ends_raw, key=("e", ())):
-    """Build cumulative per-level timepoints from per-level raw sets."""
-    levels = max(len(exists_raw), len(ends_raw))
-    ex, en = [], []
-    seen_e, seen_t = set(), set()
-    for lvl in range(levels):
-        seen_e |= set(exists_raw[lvl]) if lvl < len(exists_raw) else set()
-        seen_t |= set(ends_raw[lvl]) if lvl < len(ends_raw) else set()
-        ex.append(tuple(sorted(seen_e)))
-        en.append(tuple(sorted(seen_t)))
-    return LevelTimepoints(key, tuple(range(1, levels + 1)), tuple(ex), tuple(en))
+def make_timepoints(exists_raw, ends_raw):
+    """An instance's (existence pairs, termination pairs) from per-level raw
+    sets: the timepoints in `exists_raw[i]` exist at level i + 1."""
+    return tuple(frozenset((t, lvl) for lvl, raw in enumerate(side, 1) for t in raw)
+                 for side in (exists_raw, ends_raw))
 
 
 def random_timepoint_config(rng: random.Random, max_points=14, max_levels=3,

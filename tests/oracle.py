@@ -20,7 +20,6 @@ from timeloom.model import (
     ObservationFact,
     fact_key,
 )
-from timeloom.query import LevelTimepoints
 from timeloom.repair import is_consistent, temporal_conflict
 from timeloom.simple import infer_all_simple
 
@@ -97,13 +96,24 @@ def brute_preferred(reps: tuple[SimpleSet, ...]) -> tuple[SimpleSet, ...]:
     return tuple(r for r in reps if not any(beats(rp, r) for rp in reps if rp != r))
 
 
-def max_level(tp: LevelTimepoints) -> int:
+# An instance's evidence as the walk reads it: its existence and its
+# termination (timepoint, level) pairs.
+Timepoints = tuple
+
+
+def points_at(pairs, level: int) -> tuple[int, ...]:
+    """The sorted timepoints of the pairs whose level is at most `level`:
+    what that level sees of one side of an instance's evidence."""
+    return tuple(sorted({t for t, lvl in pairs if lvl <= level}))
+
+
+def max_level(tp: Timepoints) -> int:
     """The highest confidence level any evidence of the instance names, 0
     without evidence."""
-    return tp.levels[-1] if tp.levels else 0
+    return max((lvl for pairs in tp for _, lvl in pairs), default=0)
 
 
-def oracle_infer(tp: LevelTimepoints, persistent: bool,
+def oracle_infer(tp: Timepoints, persistent: bool,
                  w: int | None = None) -> set[tuple[Interval, int]]:
     """Infer one instance's intervals by checking every candidate against
     the defining conditions."""
@@ -117,7 +127,7 @@ def oracle_infer(tp: LevelTimepoints, persistent: bool,
 # Definitional checker
 
 
-def oracle_check_interval(persistent: bool, tp: LevelTimepoints, interval: Interval,
+def oracle_check_interval(persistent: bool, tp: Timepoints, interval: Interval,
                           level: int, w: int | None = None) -> bool:
     """Check one candidate interval directly against the defining conditions.
 
@@ -137,8 +147,8 @@ def oracle_check_interval(persistent: bool, tp: LevelTimepoints, interval: Inter
     return all(not _np_items(tp, interval, lo, w) for lo in range(1, level))
 
 
-def _np_items(tp: LevelTimepoints, interval: Interval, level: int, w: int) -> bool:
-    te, tx = set(tp.exists_at(level)), set(tp.ends_at(level))
+def _np_items(tp: Timepoints, interval: Interval, level: int, w: int) -> bool:
+    te, tx = set(points_at(tp[0], level)), set(points_at(tp[1], level))
     t1, t2 = interval.start, interval.end
     # existence chain from t1, gaps within w, confined to the interval
     pts = sorted(p for p in te if t1 <= p <= t2)
@@ -167,8 +177,8 @@ def _np_items(tp: LevelTimepoints, interval: Interval, level: int, w: int) -> bo
     return False
 
 
-def _pers_items(tp: LevelTimepoints, interval: Interval, level: int) -> bool:
-    te, tx = set(tp.exists_at(level)), set(tp.ends_at(level))
+def _pers_items(tp: Timepoints, interval: Interval, level: int) -> bool:
+    te, tx = set(points_at(tp[0], level)), set(points_at(tp[1], level))
     t1, t2 = interval.start, interval.end
     if t1 not in te:
         return False
@@ -183,11 +193,11 @@ def _pers_items(tp: LevelTimepoints, interval: Interval, level: int) -> bool:
     return not any(t1 <= x < t2 for x in tx)
 
 
-def candidate_intervals(tp: LevelTimepoints, persistent: bool) -> list[Interval]:
+def candidate_intervals(tp: Timepoints, persistent: bool) -> list[Interval]:
     """Every interval a definitional check could accept: pairs of mentioned
     timepoints, plus ongoing ends for persistent instances."""
     pts = sorted({t for lvl in range(1, max_level(tp) + 1)
-                  for t in tp.exists_at(lvl) + tp.ends_at(lvl)})
+                  for pairs in tp for t in points_at(pairs, lvl)})
     out = [Interval(a, b) for a in pts for b in pts if a <= b]
     if persistent:
         out += [Interval(a, STAR) for a in pts]

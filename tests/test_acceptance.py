@@ -76,10 +76,10 @@ def test_criterion_2_persistent_worked_example(pers_tes, empty_dataset):
     duplicate suppressed; single-level reruns re-expand to the full views."""
     out = infer_all_simple(empty_dataset, pers_tes)
     assert out == EXPECTED_PERSISTENT
-    view1 = {iv for iv, _ in infer_persistent(make_timepoints([{2, 4, 9}], [{7, 8}]))}
+    view1 = {iv for iv, _ in infer_persistent(*make_timepoints([{2, 4, 9}], [{7, 8}]))}
     assert view1 == {Interval(2, 7), Interval(9, STAR)}
     view2 = {iv for iv, _ in
-             infer_persistent(make_timepoints([{1, 2, 4, 5, 6, 9, 10}], [{7, 8}]))}
+             infer_persistent(*make_timepoints([{1, 2, 4, 5, 6, 9, 10}], [{7, 8}]))}
     assert view2 == {Interval(1, 7), Interval(9, STAR)}
     stacked = {(iv, 1) for iv in view1} | {(iv, 2) for iv in view2 if iv not in view1}
     assert stacked == {(f.interval, f.level) for f in out}
@@ -123,8 +123,8 @@ def test_criterion_5_constructive_matches_interval_checker():
     for _ in range(1000):
         exists_raw, ends_raw, w = random_timepoint_config(rng)
         tp = make_timepoints(exists_raw, ends_raw)
-        assert infer_nonpersistent(tp, w) == oracle_infer(tp, False, w)
-        assert infer_persistent(tp) == oracle_infer(tp, True)
+        assert infer_nonpersistent(*tp, w) == oracle_infer(tp, False, w)
+        assert infer_persistent(*tp) == oracle_infer(tp, True)
     print("criterion 5 PASS: 1000 configurations, both kinds, exact agreement")
 
 

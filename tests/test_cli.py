@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from datetime import date
@@ -329,6 +330,54 @@ def test_check_target_must_be_an_object_of_named_facts(figured, capsys, text, me
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad check target {target}: ") and err.count("\n") == 1
     assert message in err
+
+
+# a check-target error in Python's words: a KeyError's bare quoted key, or a
+# TypeError about a value's type or an index
+PYTHON_WORDS = re.compile(r"bad check target [^:]*: '[^']*'$|object is not|indices must be")
+FIG_FACT = '{"pred": "e", "args": [], "interval": {"start": 9, "end": "*"}, "level": 1}'
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"kind": "consistent"}', "no facts list"),
+    ('{"facts": 3}', "facts is not a list"),
+    ('{"facts": "ab"}', "facts is not a list"),
+    ('{"facts": [%s, true]}' % FIG_FACT, "fact 2: not a JSON object"),
+    ('{"facts": [3]}', "fact 1: not a JSON object"),
+    ('{"facts": [%s]}' % FIG_FACT.replace('"level": 1', '"lvl": 1'), "fact 1: no level"),
+    ('{"facts": [%s]}' % FIG_FACT.replace('"interval"', '"iv"'), "fact 1: no interval"),
+    ('{"facts": [%s]}' % FIG_FACT.replace('{"start": 9, "end": "*"}', '[9, "*"]'),
+     "fact 1: interval is not a JSON object"),
+    ('{"facts": [%s]}' % FIG_FACT.replace('{"start": 9, "end": "*"}', '"9"'),
+     "fact 1: interval is not a JSON object"),
+    ('{"facts": [%s]}' % FIG_FACT.replace('"end"', '"until"'), "fact 1: interval has no end"),
+    ('{"facts": [%s, %s]}' % (FIG_FACT, FIG_FACT.replace('"level": 1', '"level": 0')),
+     "fact 2: bad level: 0")])
+def test_check_target_errors_name_the_field_in_timeloom_words(figured, capsys, text, message):
+    target = figured / "target.json"
+    target.write_text(text)
+    assert run_cli("run", "--rules", str(figured / "pers.tes"),
+                   "--data", str(figured / "empty.facts"), "--mode", "check",
+                   "--check", str(target)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: bad check target {target}: {message}\n"
+    assert not PYTHON_WORDS.search(err.rstrip("\n"))
+
+
+def test_seeded_check_target_errors_are_in_timeloom_words(tmp_path, monkeypatch):
+    """The check-mode cases among 3,000 seeded malformed inputs: no error
+    line shows Python's exception text."""
+    monkeypatch.chdir(tmp_path)
+    seen = 0
+    for files, argv in malformed.cases(seed=77, count=3000):
+        if "--check" not in argv:
+            continue
+        _, _, err = malformed.run_case(files, argv)
+        for line in err.splitlines():
+            if "bad check target" in line:
+                seen += 1
+                assert not PYTHON_WORDS.search(line), (files["t.json"], line)
+    assert seen > 200
 
 
 def test_check_flag_pairing(figured, capsys):

@@ -17,7 +17,6 @@ from timeloom import (
     InvalidSpec,
     ObservationFact,
     ground_simple_heads,
-    level_timepoints,
     parse_tes,
 )
 from timeloom.language import (
@@ -29,6 +28,7 @@ from timeloom.language import (
     ExtremumTest,
     Literal,
     ObservationAtom,
+    format_instance,
 )
 from timeloom.model import (
     Const,
@@ -46,6 +46,7 @@ from timeloom.query import AuxStore, JoinPlan
 from timeloom.simple import infer_from_aux
 
 from conftest import THERAPY_RULES
+from oracle import max_level, points_at
 
 
 def eval_body(body, sorts, dataset, events=None, delta=None, witnesses=False):
@@ -184,12 +185,9 @@ def test_ground_simple_heads_and_windows(therapy_tes):
     d = Dataset([ObservationFact("adm", ("p1", "amox"), 5),
                  ObservationFact("lab", ("p1",), 30)])
     aux = ground_simple_heads(therapy_tes, d)
-    assert aux.exists == frozenset({
-        (("abth", ("p1", "amox")), 5, 1),
-        (("hyperglyc", ("p1",)), 30, 1),
-    })
-    assert aux.ends == frozenset()
-    assert aux.default_windows == frozenset({("abth", 48)})
+    assert aux.exists == {("abth", ("p1", "amox")): {(5, 1)}, ("hyperglyc", ("p1",)): {(30, 1)}}
+    assert aux.ends == {} and aux.windows == {}
+    assert aux.default_windows == {"abth": {48}}
     assert aux.window_values(("abth", ("p1", "amox"))) == [48]
     assert aux.window(("abth", ("p1", "amox"))) == 48
     assert aux.keys() == [("abth", ("p1", "amox")), ("hyperglyc", ("p1",))]
@@ -256,22 +254,19 @@ def test_invalid_spec_reports_the_first_instance_in_rule_syntax():
     assert str(err.value) == "MissingWindow for e('A b', 'not')"
 
 
-def test_level_timepoints_cumulative(np_tes, empty_dataset):
+def test_grounded_points_seen_per_level(np_tes, empty_dataset):
     aux = ground_simple_heads(np_tes, empty_dataset)
-    tp = level_timepoints(aux, ("e", ()))
-    assert tp.levels[-1] == 2
-    assert tp.exists_at(1) == (2, 4, 9)
-    assert tp.exists_at(2) == (1, 2, 4, 5, 6, 9, 10)
-    assert tp.ends_at(1) == (7, 8)
-    assert tp.ends_at(2) == (7, 8)
+    exists, ends = aux.exists[("e", ())], aux.ends[("e", ())]
+    assert max_level((exists, ends)) == 2
+    assert points_at(exists, 1) == (2, 4, 9)
+    assert points_at(exists, 2) == (1, 2, 4, 5, 6, 9, 10)
+    assert points_at(ends, 1) == (7, 8)
+    assert points_at(ends, 2) == (7, 8)
 
 
 def test_aux_store_direct():
-    aux = AuxStore(
-        exists=frozenset({(("e", ()), 1, 1)}),
-        ends=frozenset(),
-        windows=frozenset({(("e", ()), 4)}),
-        default_windows=frozenset({("e", 4)}))
+    aux = AuxStore(exists={("e", ()): {(1, 1)}}, ends={}, windows={("e", ()): {4}},
+                   default_windows={"e": {4}})
     # identical default and keyed values collapse to one
     assert aux.window_values(("e", ())) == [4]
 
@@ -676,33 +671,45 @@ def test_event_store_index_follows_later_adds():
 
 
 # ---------------------------------------------------------------------------
-# Grouped AuxStore against literal filters over its frozensets
+# Grounding's per-instance groups against literal filters over random heads
 
 
 def test_aux_store_grouping_matches_filters():
+    """Ground heads drawn at random, among them repeats and one timepoint
+    at several levels: grounding groups each by its instance, and the
+    keys, window values and each level's view of each side equal literal
+    filters over the drawn heads."""
     rng = random.Random(11)
     keys = [("e", ("a",)), ("e", ("b",)), ("f", ("a",)), ("f", (1,)), ("g", ())]
+    # a window rule per predicate that derives nothing, as parsing wants one
+    decls = ["decl nonpersistent e/1.", "decl nonpersistent f/1.", "decl nonpersistent g/0.",
+             "decl atemporal never/1.", "window(e(X), 1) :- never(X).",
+             "window(f(X), 1) :- never(X).", "window(g, 1) :- never(X)."]
     for _ in range(300):
-        exists = frozenset((rng.choice(keys), rng.randrange(8), rng.randint(1, 3))
-                           for _ in range(rng.randint(0, 12)))
-        ends = frozenset((rng.choice(keys), rng.randrange(8), rng.randint(1, 3))
-                         for _ in range(rng.randint(0, 6)))
-        windows = frozenset((rng.choice(keys), rng.randint(1, 4))
-                            for _ in range(rng.randint(0, 4)))
-        defaults = frozenset((rng.choice("efg"), rng.randint(1, 4))
-                             for _ in range(rng.randint(0, 2)))
-        aux = AuxStore(exists, ends, windows, defaults)
+        exists = [(rng.choice(keys), rng.randrange(8), rng.randint(1, 3))
+                  for _ in range(rng.randint(0, 12))]
+        ends = [(rng.choice(keys), rng.randrange(8), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 6))]
+        windows = [(rng.choice(keys), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+        defaults = [(rng.choice("efg"), rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
+        rules = ([f"exists({format_instance(*k)}, {t}, {lvl})." for k, t, lvl in exists]
+                 + [f"ends({format_instance(*k)}, {t}, {lvl})." for k, t, lvl in ends]
+                 + [f"window({format_instance(*k)}, {w})." for k, w in windows]
+                 + [f"window({p}{'' if p == 'g' else '(X)'}, {w})." for p, w in defaults])
+        aux = ground_simple_heads(parse_tes("\n".join(decls + rules)), Dataset([]))
         assert aux.keys() == sorted({k for k, _, _ in exists},
                                     key=lambda k: (k[0], args_key(k[1])))
+        for groups, heads in ((aux.exists, exists), (aux.ends, ends)):
+            assert groups == {key: {(t, lvl) for k, t, lvl in heads if k == key}
+                              for key in {k for k, _, _ in heads}}
         for key in keys:
             assert aux.window_values(key) == sorted(
                 {w for k, w in windows if k == key}
                 | {w for p, w in defaults if p == key[0]})
-            ex = [(t, lvl) for k, t, lvl in exists if k == key]
-            en = [(t, lvl) for k, t, lvl in ends if k == key]
-            top = max((lvl for _, lvl in ex + en), default=0)
-            tp = level_timepoints(aux, key)
-            assert (tp.levels[-1] if tp.levels else 0) == top
-            for lvl in range(1, top + 1):
-                assert tp.exists_at(lvl) == tuple(sorted({t for t, l in ex if l <= lvl}))
-                assert tp.ends_at(lvl) == tuple(sorted({t for t, l in en if l <= lvl}))
+            tp = aux.exists.get(key, ()), aux.ends.get(key, ())
+            assert max_level(tp) == max((lvl for k, _, lvl in exists + ends if k == key),
+                                        default=0)
+            for lvl in range(1, 4):
+                for side, heads in zip(tp, (exists, ends)):
+                    assert points_at(side, lvl) == tuple(
+                        sorted({t for k, t, l in heads if k == key and l <= lvl}))

@@ -16,14 +16,13 @@ from timeloom import (
     infer_all_simple,
     infer_nonpersistent,
     infer_persistent,
-    level_timepoints,
     parse_fact_text,
     parse_tes,
 )
-from timeloom.query import AuxStore
 
-from conftest import make_timepoints, random_timepoint_config
+from conftest import make_timepoints, random_program, random_timepoint_config
 from oracle import candidate_intervals, max_level, oracle_check_interval, oracle_infer
+from walk_configs import disagreement, random_config
 
 
 def iv(a, b):
@@ -36,7 +35,7 @@ FIG_TP = make_timepoints(FIG_EXISTS, FIG_ENDS)
 
 
 def test_two_level_nonpersistent_exact():
-    got = infer_nonpersistent(FIG_TP, w=2)
+    got = infer_nonpersistent(*FIG_TP, w=2)
     assert got == {
         (iv(2, 4), 1), (iv(9, 9), 1),
         (iv(1, 7), 2), (iv(9, 10), 2),
@@ -44,7 +43,7 @@ def test_two_level_nonpersistent_exact():
 
 
 def test_two_level_persistent_exact():
-    got = infer_persistent(FIG_TP)
+    got = infer_persistent(*FIG_TP)
     assert got == {
         (iv(2, 7), 1), (iv(9, STAR), 1),
         (iv(1, 7), 2),
@@ -56,13 +55,13 @@ def test_per_level_views_reexpand():
     run only suppresses exact duplicates from stronger levels."""
     view_np = {1: {iv(2, 4), iv(9, 9)}, 2: {iv(1, 7), iv(9, 10)}}
     view_pers = {1: {iv(2, 7), iv(9, STAR)}, 2: {iv(1, 7), iv(9, STAR)}}
-    stacked_np = infer_nonpersistent(FIG_TP, w=2)
-    stacked_pers = infer_persistent(FIG_TP)
+    stacked_np = infer_nonpersistent(*FIG_TP, w=2)
+    stacked_pers = infer_persistent(*FIG_TP)
     for lvl in (1, 2):
         solo = make_timepoints([set().union(*FIG_EXISTS[:lvl])],
                                [set().union(*FIG_ENDS[:lvl])])
-        assert {i for i, _ in infer_nonpersistent(solo, w=2)} == view_np[lvl]
-        assert {i for i, _ in infer_persistent(solo)} == view_pers[lvl]
+        assert {i for i, _ in infer_nonpersistent(*solo, w=2)} == view_np[lvl]
+        assert {i for i, _ in infer_persistent(*solo)} == view_pers[lvl]
         # stacked output at lvl plus duplicates carried from stronger levels
         assert {i for i, l in stacked_np if l == lvl} == view_np[lvl] - {
             i for i, l in stacked_np if l < lvl}
@@ -102,30 +101,30 @@ def test_checker_frozen_examples():
 
 def test_single_point_shapes():
     lone = make_timepoints([{5}], [])
-    assert infer_nonpersistent(lone, w=2) == {(iv(5, 5), 1)}
-    assert infer_persistent(lone) == {(iv(5, STAR), 1)}
+    assert infer_nonpersistent(*lone, w=2) == {(iv(5, 5), 1)}
+    assert infer_persistent(*lone) == {(iv(5, STAR), 1)}
     closed = make_timepoints([{1}], [{1}])
-    assert infer_nonpersistent(closed, w=2) == {(iv(1, 1), 1)}
-    assert infer_persistent(closed) == {(iv(1, 1), 1)}
+    assert infer_nonpersistent(*closed, w=2) == {(iv(1, 1), 1)}
+    assert infer_persistent(*closed) == {(iv(1, 1), 1)}
     ends_only = make_timepoints([set()], [{3}])
-    assert infer_nonpersistent(ends_only, w=2) == set()
-    assert infer_persistent(ends_only) == set()
+    assert infer_nonpersistent(*ends_only, w=2) == set()
+    assert infer_persistent(*ends_only) == set()
 
 
 def test_window_chaining():
     chain = make_timepoints([{1, 2, 3}], [])
-    assert infer_nonpersistent(chain, w=1) == {(iv(1, 3), 1)}
+    assert infer_nonpersistent(*chain, w=1) == {(iv(1, 3), 1)}
     gapped = make_timepoints([{1, 3}], [])
-    assert infer_nonpersistent(gapped, w=1) == {(iv(1, 1), 1), (iv(3, 3), 1)}
-    assert infer_nonpersistent(gapped, w=2) == {(iv(1, 3), 1)}
+    assert infer_nonpersistent(*gapped, w=1) == {(iv(1, 1), 1), (iv(3, 3), 1)}
+    assert infer_nonpersistent(*gapped, w=2) == {(iv(1, 3), 1)}
 
 
 def test_termination_closes_nonpersistent():
     tp = make_timepoints([{1}], [{2}])
-    assert infer_nonpersistent(tp, w=3) == {(iv(1, 2), 1)}
+    assert infer_nonpersistent(*tp, w=3) == {(iv(1, 2), 1)}
     # first termination wins even inside the window
     tp2 = make_timepoints([{1, 4}], [{2, 5}])
-    assert infer_nonpersistent(tp2, w=3) == {(iv(1, 2), 1), (iv(4, 5), 1)}
+    assert infer_nonpersistent(*tp2, w=3) == {(iv(1, 2), 1), (iv(4, 5), 1)}
 
 
 def test_persistent_inference_is_linear_in_episodes():
@@ -135,7 +134,7 @@ def test_persistent_inference_is_linear_in_episodes():
     tp = make_timepoints([{10 * i for i in range(n)} | {10 * i + 2 for i in range(n)}],
                          [{10 * i + 5 for i in range(n)}])
     t0 = perf_counter()
-    got = infer_persistent(tp)
+    got = infer_persistent(*tp)
     took = perf_counter() - t0
     assert got == {(iv(10 * i, 10 * i + 5), 1) for i in range(n)}
     assert took < 1.0, f"{took:.2f} s for {n} episodes"
@@ -189,19 +188,16 @@ def test_gapped_levels_match_checker():
     named level below them, and inference agrees with the checker, which
     walks every level."""
     rng = random.Random(41)
-    key = ("e", ())
     for _ in range(300):
         points = range(rng.randint(3, 14))
-        exists = frozenset((key, t, rng.choice((1, 4, 9)))
-                           for t in points if rng.random() < 0.5) or {(key, 0, 4)}
-        ends = frozenset((key, t, rng.choice((1, 4, 9)))
-                         for t in points if rng.random() < 0.25)
+        # a timepoint may be named at several levels
+        exists = {(t, lvl) for t in points for lvl in (1, 4, 9) if rng.random() < 0.15} or {(0, 4)}
+        ends = {(t, lvl) for t in points for lvl in (1, 4, 9) if rng.random() < 0.08}
+        tp = (exists, ends)
         w = rng.choice((1, 2, 3))
-        tp = level_timepoints(AuxStore(frozenset(exists), ends, frozenset(), frozenset()), key)
-        assert set(tp.levels) == {lvl for _, _, lvl in exists | ends}
         for window in (w, len(points) + 1, 10 ** 9):  # the drawn one, and gaps none breaks
-            assert infer_nonpersistent(tp, window) == oracle_infer(tp, False, window)
-        assert infer_persistent(tp) == oracle_infer(tp, True)
+            assert infer_nonpersistent(exists, ends, window) == oracle_infer(tp, False, window)
+        assert infer_persistent(exists, ends) == oracle_infer(tp, True)
 
 
 def test_timepoints_past_the_float_range():
@@ -211,9 +207,38 @@ def test_timepoints_past_the_float_range():
     for ends in ([{big + 5}], [set()]):
         tp = make_timepoints([{big, big + 1}], ends)
         for w in (1, 2, 10, 10 ** 9):
-            assert infer_nonpersistent(tp, w) == oracle_infer(tp, False, w)
-        assert infer_persistent(tp) == oracle_infer(tp, True)
-    assert infer_persistent(tp) == {(iv(big, STAR), 1)}
+            assert infer_nonpersistent(*tp, w) == oracle_infer(tp, False, w)
+        assert infer_persistent(*tp) == oracle_infer(tp, True)
+    assert infer_persistent(*tp) == {(iv(big, STAR), 1)}
+
+
+def test_random_configurations_match_the_oracle():
+    """A tier-1 share of the CI step's differential: timepoints named at
+    several levels, gapped levels, points past the float range, and finite
+    and STAR windows."""
+    rng = random.Random(26)
+    for i in range(500):
+        assert disagreement(*random_config(rng)) is None, f"configuration {i}"
+
+
+def test_grounded_instances_match_the_oracle():
+    """Every instance that grounding groups from 500 random whole programs
+    gives the oracle's intervals on the same pairs."""
+    rng = random.Random(26)
+    instances = with_ends = 0
+    for _ in range(500):
+        dataset, tes = random_program(rng)
+        aux = ground_simple_heads(tes, dataset)
+        for key in aux.keys():
+            tp = aux.exists[key], aux.ends.get(key, ())
+            if key[0] == "p":
+                assert infer_nonpersistent(*tp, STAR) == oracle_infer(tp, True)
+            else:
+                w = aux.window(key)
+                assert infer_nonpersistent(*tp, w) == oracle_infer(tp, False, w)
+            instances += 1
+            with_ends += bool(tp[1])
+    assert instances > 500 and with_ends > 200, (instances, with_ends)
 
 
 def test_candidate_intervals_cover():
@@ -233,8 +258,8 @@ def test_constructive_matches_checker(seed):
     rng = random.Random(seed)
     exists_raw, ends_raw, w = random_timepoint_config(rng)
     tp = make_timepoints(exists_raw, ends_raw)
-    got_np = infer_nonpersistent(tp, w)
-    got_p = infer_persistent(tp)
+    got_np = infer_nonpersistent(*tp, w)
+    got_p = infer_persistent(*tp)
     for persistent, got in ((False, got_np), (True, got_p)):
         expected = set()
         for interval in candidate_intervals(tp, persistent):
@@ -244,4 +269,4 @@ def test_constructive_matches_checker(seed):
                     expected.add((interval, lvl))
         assert got == expected
     for wide in (21, 10 ** 9):  # past the drawn points' horizon of 20: no gap breaks a chain
-        assert infer_nonpersistent(tp, wide) == oracle_infer(tp, False, wide)
+        assert infer_nonpersistent(*tp, wide) == oracle_infer(tp, False, wide)
