@@ -250,18 +250,24 @@ def partition_dataset(dataset: Dataset, argpos: int) -> list[tuple[Value, Datase
     facts and observations without that position are shared by every entity.
     Observations of which none has that position are refused: they would
     make no entity to share them with."""
-    groups: dict[Value, list] = {}
-    shared: list = []
-    for f in dataset.facts:
-        if isinstance(f, ObservationFact) and len(f.args) > argpos:
-            groups.setdefault(f.args[argpos], []).append(f)
-        else:
-            shared.append(f)
-    if not groups and any(isinstance(f, ObservationFact) for f in shared):
+    groups: dict[Value, dict] = {}  # entity -> (kind, pred) -> its rows
+    shared: dict = {}
+    for table, rows in dataset.rows.items():
+        for row in rows:  # an observation's row ends in its timestamp
+            if table[0] is ObservationFact and len(row) > argpos + 1:
+                groups.setdefault(row[argpos], {}).setdefault(table, {})[row] = None
+            else:
+                shared.setdefault(table, {})[row] = None
+    if not groups and any(kind is ObservationFact for kind, _ in shared):
         raise TimeloomError(f"--partition-by {argpos}: no observation has an argument "
                             f"at position {argpos}")
-    return [(k, Dataset(groups[k] + shared))
-            for k in sorted(groups, key=value_key)]
+    parts = []
+    for k in sorted(groups, key=value_key):
+        rows = dict(shared)
+        for table, own in groups[k].items():  # the entity's rows, then the shared ones
+            rows[table] = {**own, **shared.get(table, {})}
+        parts.append((k, Dataset.from_rows(rows)))
+    return parts
 
 
 def _solve(fn, *args, **kwargs):
@@ -302,10 +308,10 @@ def run(args: argparse.Namespace) -> int:
             if not isinstance(target.get("facts"), list):
                 raise ValueError("facts is not a list" if "facts" in target else "no facts list")
             facts = frozenset(_nth_fact(n, x) for n, x in enumerate(target["facts"], 1))
+            if kind not in ("consistent", "preferred"):
+                raise ValueError(f"bad kind: {json.dumps(kind)}")
         except (ValueError, TypeError, InvalidInterval, RecursionError) as e:
             raise IoError(f"bad check target {args.check}: {e}") from None
-        if kind not in ("consistent", "preferred"):
-            raise IoError(f"bad check target kind {kind!r}")
         ok = _solve(recognize_timeline, dataset, tes, facts, mode=kind, cap=args.cap)
         _write(args, {"recognized": ok})
         return 0 if ok else 3

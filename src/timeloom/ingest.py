@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import Callable
 
 from .errors import (
     ArityMismatch,
@@ -28,7 +29,15 @@ from .errors import (
     UndeclaredPredicate,
 )
 from .language import MAX_DIGITS, NATURAL, TES, PredKind, _Parser, _tokenize, read_natural
-from .model import AtemporalFact, Dataset, Fact, ObservationFact, fact_key
+from .model import (
+    AtemporalFact,
+    Dataset,
+    Fact,
+    ObservationFact,
+    fact_key,
+    fact_row,
+    row_fact,
+)
 
 
 # Blanks and `#` comments between tokens. A comment runs to the end of its
@@ -87,50 +96,66 @@ def _values(text: str) -> tuple | None:
 
 
 def _read_prefix(text: str) -> tuple | None:
-    """Whether a statement prefix is an observation's, its predicate and its
-    arguments; None when the token walk would refuse it."""
+    """A statement prefix's kind of fact, its predicate and its arguments;
+    None when the token walk would refuse it."""
     m = _PREFIX.fullmatch(text)
     if m is None:
         return None
     kw, name, args = m.groups()
     vals = _values(args or "")
-    return None if vals is None or not _is_name(name) else (kw == "obs", name, vals)
+    if vals is None or not _is_name(name):
+        return None
+    return ObservationFact if kw == "obs" else AtemporalFact, name, vals
 
 
-def parse_fact_text(text: str) -> list[Fact]:
-    """Parse native fact statements into atemporal and observation facts.
+def _read_statements(text: str, sink: Callable) -> list[Fact] | None:
+    """Walk native fact statements, putting each one's row (`fact_row`)
+    where `sink` says, and return None; or, when the pattern does not accept
+    the text, the token walk's facts, or its ParseError. `sink` is called
+    once per distinct statement prefix, with its kind of fact and its
+    predicate, and gives the function that takes the rows of that prefix's
+    statements.
 
     One compiled pattern walks the statements. Fact files repeat their
     argument prefixes, so each distinct prefix (the keyword, the predicate
     and the arguments before the last) is checked and converted once, and
     each statement converts only its last value: the timestamp of an `obs`,
-    or the last argument of an `atemporal`. The text accepted, the facts and
+    or the last argument of an `atemporal`. The text accepted, the rows and
     the error messages are exactly those of the token walk: text the pattern
     does not accept is handed to it, and it raises the ParseError with its
     line and column."""
-    facts: list[Fact] = []
-    append = facts.append
-    known: dict[str, tuple | None] = {}  # each distinct prefix, read once
+    known: dict[str, tuple] = {}  # each distinct prefix, read once
     for m in _STMT.finditer(text):
         prefix, _, nat, last, rest = m.groups("")
         head = known.get(prefix)
         if head is None:
             if not prefix and not rest:  # the end of the text
                 continue
-            head = known[prefix] = _read_prefix(prefix)  # None, too, for a stray character
-            if head is None:
+            read = _read_prefix(prefix)  # None, too, for a stray character
+            if read is None:
                 return _parse_fact_tokens(text)
-        obs, name, args = head
+            kind, name, args = read
+            head = known[prefix] = (kind is ObservationFact, sink(kind, name), args)
+        obs, put, args = head
         if obs and nat:
-            append(ObservationFact(name, args, int(nat)))
+            put(args + (int(nat),))
         elif obs:
             return _parse_fact_tokens(text)
         else:
             tail = _values(nat or last)
             if tail is None:
                 return _parse_fact_tokens(text)
-            append(AtemporalFact(name, args + tail))
-    return facts
+            put(args + tail)
+    return None
+
+
+def parse_fact_text(text: str) -> list[Fact]:
+    """Parse native fact statements into atemporal and observation facts, in
+    statement order (see `_read_statements`)."""
+    facts: list[Fact] = []
+    refused = _read_statements(
+        text, lambda kind, pred: lambda row: facts.append(row_fact(kind, pred, row)))
+    return facts if refused is None else refused
 
 
 def _parse_fact_tokens(text: str) -> list[Fact]:
@@ -255,13 +280,19 @@ def _cell(row: list[str], c: int, rn: int):
 
 def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:
     """Turn headerless CSV rows into observation facts under a mapping."""
-    pred = mapping["predicate"]
+    return [row_fact(ObservationFact, mapping["predicate"], row)
+            for row in _csv_rows(csv_text, mapping)]
+
+
+def _csv_rows(csv_text: str, mapping: dict) -> list[tuple]:
+    """The observation rows (`fact_row`) of headerless CSV text under a
+    mapping, in order."""
     cols = mapping["columns"]
     ts_col = mapping["timestamp_column"]
     fmt = mapping["timestamp_format"]
     import csv  # only mapped CSV files need it
 
-    out: list[ObservationFact] = []
+    out: list[tuple] = []
     rn = 0
     try:  # the line ends stay, so a quoted field may span lines
         for rn, row in enumerate(csv.reader(csv_text.splitlines(keepends=True)), start=1):
@@ -270,12 +301,12 @@ def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:
             for c in (*cols, ts_col):
                 if c >= len(row):
                     raise MappingError(c, f"row {rn} has only {len(row)} columns")
-            args = tuple(_cell(row, c, rn) for c in cols)
+            values = [_cell(row, c, rn) for c in cols]
             try:
-                t = _timestamp(row[ts_col], fmt)
+                values.append(_timestamp(row[ts_col], fmt))
             except MalformedTimestamp as e:
                 raise MalformedTimestamp(f"row {rn}: {e}") from None
-            out.append(ObservationFact(pred, args, t))
+            out.append(tuple(values))
     except csv.Error as e:  # e.g. a field over csv.field_size_limit()
         raise MappingError(None, f"row {rn + 1}: {e}") from None
     return out
@@ -296,8 +327,13 @@ def read_file(path: str) -> str:
 
 def ingest(pairs: list[tuple[str, str | None]]) -> Dataset:
     """Read (data_path, mapping_path) pairs into one dataset. Fact files
-    take no mapping; CSV files require one."""
-    facts: list[Fact] = []
+    take no mapping; CSV files require one. The rows go straight into the
+    dataset's tables; no fact object is built."""
+    rows: dict[tuple[type, str], dict[tuple, None]] = {}
+
+    def sink(kind: type, pred: str) -> Callable[[tuple], object]:
+        return rows.setdefault((kind, pred), {}).setdefault
+
     for data_path, map_path in pairs:
         text = read_file(data_path)
         if data_path.endswith(".csv"):
@@ -308,41 +344,52 @@ def ingest(pairs: list[tuple[str, str | None]]) -> Dataset:
             except MappingError as e:
                 raise MappingError(e.column, f"{map_path}: {e}") from None
             try:
-                facts.extend(read_csv_mapped(text, mapping))
+                csv_rows = _csv_rows(text, mapping)
             except MappingError as e:
                 raise MappingError(e.column, f"{data_path}: {e}") from None
             except MalformedTimestamp as e:
                 raise MalformedTimestamp(f"{data_path}: {e}") from None
+            put = sink(ObservationFact, mapping["predicate"])
+            for row in csv_rows:
+                put(row)
         else:
             try:
-                facts.extend(parse_fact_text(text))
+                refused = _read_statements(text, sink)
             except ParseError as e:
                 raise ParseError(f"{data_path}: {e.message}", e.line, e.col) from None
-    return Dataset(facts)
+            # text the pattern refused and the token walk read: the rows put
+            # before the refusal are its first ones, so they keep their place
+            for f in refused or ():
+                sink(f.__class__, f.pred)(fact_row(f))
+    return Dataset.from_rows(rows)
 
 
-def _misfit(f: Fact, tes: TES) -> UndeclaredPredicate | ArityMismatch | None:
-    """The error a fact that the rule set's declarations do not admit
-    raises, or None."""
-    decl = tes.decls.get(f.pred)
+def _misfit(kind: type, pred: str, arity: int,
+            tes: TES) -> UndeclaredPredicate | ArityMismatch | None:
+    """The error a fact of this kind, predicate and number of arguments
+    raises when the rule set's declarations do not admit it, or None."""
+    decl = tes.decls.get(pred)
     if decl is None:
-        return UndeclaredPredicate(f"{f.pred} is not declared")
-    want = PredKind.OBSERVATION if isinstance(f, ObservationFact) else PredKind.ATEMPORAL
+        return UndeclaredPredicate(f"{pred} is not declared")
+    want = PredKind.OBSERVATION if kind is ObservationFact else PredKind.ATEMPORAL
     if decl.kind is not want:
-        return UndeclaredPredicate(f"{f.pred} is declared {decl.kind.value}, used as {want.value}")
-    if len(f.args) != decl.arity:
-        return ArityMismatch(f"{f.pred} declared with arity {decl.arity}, fact has {len(f.args)}")
+        return UndeclaredPredicate(f"{pred} is declared {decl.kind.value}, used as {want.value}")
+    if arity != decl.arity:
+        return ArityMismatch(f"{pred} declared with arity {decl.arity}, fact has {arity}")
     return None
 
 
 def validate_dataset(dataset: Dataset, tes: TES) -> None:
-    """Check every fact against the rule set's declarations. Of several
-    facts they do not admit, the least in `fact_key` order is reported, so
-    the error does not follow the order a set iterates in; that order is
-    sought only once a fact fails."""
-    for f in dataset.facts:
-        decl = tes.decls.get(f.pred)
-        want = PredKind.OBSERVATION if isinstance(f, ObservationFact) else PredKind.ATEMPORAL
-        if decl is None or decl.kind is not want or len(f.args) != decl.arity:
-            misfits = (g for g in dataset.facts if _misfit(g, tes))
-            raise _misfit(min(misfits, key=fact_key), tes)
+    """Check every fact against the rule set's declarations, once per kind,
+    predicate and row length. Of several facts they do not admit, the least
+    in `fact_key` order is reported, so the error does not follow the order
+    of the rows; that order is sought only once a fact fails."""
+    misfits = []
+    for (kind, pred), rows in dataset.rows.items():
+        stamped = kind is ObservationFact  # a row's last value is its timestamp
+        for n in set(map(len, rows)):
+            if _misfit(kind, pred, n - stamped, tes):
+                misfits += [row_fact(kind, pred, r) for r in rows if len(r) == n]
+    if misfits:
+        f = min(misfits, key=fact_key)
+        raise _misfit(f.__class__, f.pred, len(f.args), tes)

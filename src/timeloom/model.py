@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvalidInterval, NaturalOverflow, SortError, UnboundVariable
 
@@ -414,48 +414,49 @@ def event_values(f: AnnotatedEventFact) -> tuple:
     return f.args + (iv.start, iv.end, f.level, iv)
 
 
-# the values a fact of each kind shows to rule atoms and to `EventStore.probe`
-FACT_VALUES: dict[type, Callable[..., tuple]] = {
-    AtemporalFact: attrgetter("args"),
-    ObservationFact: lambda f: f.args + (f.t,),
-    AnnotatedEventFact: event_values,
-}
+def fact_row(f: AtemporalFact | ObservationFact) -> tuple:
+    """A dataset fact's row, the values rule atoms match: its arguments,
+    then an observation's timestamp."""
+    return f.args + (f.t,) if f.__class__ is ObservationFact else f.args
 
 
-def _group(facts: Sequence, positions: tuple[int, ...]) -> dict[tuple, list]:
-    """Facts of one kind grouped by their `FACT_VALUES` at `positions`,
-    order kept."""
-    index: dict[tuple, list] = {}
-    # every kind's values begin with its arguments, read without a new tuple
-    inside = positions[-1] < len(facts[0].args)
-    values = attrgetter("args") if inside else FACT_VALUES[facts[0].__class__]
+def row_fact(kind: type, pred: str, row: tuple) -> AtemporalFact | ObservationFact:
+    """The dataset fact of one kind and predicate whose row is `row`."""
+    return ObservationFact(pred, row[:-1], row[-1]) if kind is ObservationFact \
+        else AtemporalFact(pred, row)
+
+
+def _group(items: Iterable, positions: tuple[int, ...],
+           values: Callable | None = None) -> dict[tuple, list]:
+    """Items grouped by their values (`values(item)`, or the item itself)
+    at `positions`, order kept; `items` is walked twice."""
     pick, one = itemgetter(*positions), len(positions) == 1
-    for f in facts:
-        key = pick(values(f))
-        index.setdefault((key,) if one else key, []).append(f)
+    index: dict[tuple, list] = {}
+    for item, key in zip(items, map(pick, items if values is None else map(values, items))):
+        index.setdefault((key,) if one else key, []).append(item)
     return index
 
 
 class EventStore:
-    """Facts of one kind indexed by predicate and by their `FACT_VALUES` at
+    """Event facts indexed by predicate and by their `event_values` at
     chosen positions (built on first `probe`, then kept up to date by
     `add`). Each predicate's facts keep their first-seen order."""
 
-    def __init__(self, facts: Iterable = ()):
+    def __init__(self, facts: Iterable[AnnotatedEventFact] = ()):
         self._facts: set = set()
         self._by_pred: dict[str, list] = {}
         # pred -> positions -> values at those positions -> facts
         self._indexes: dict[str, dict[tuple[int, ...], dict[tuple, list]]] = {}
         self.add_all(facts)
 
-    def add(self, f) -> bool:
+    def add(self, f: AnnotatedEventFact) -> bool:
         if f in self._facts:
             return False
         self._facts.add(f)
         self._by_pred.setdefault(f.pred, []).append(f)
         indexes = self._indexes.get(f.pred)
         if indexes:
-            vals = FACT_VALUES[f.__class__](f)
+            vals = event_values(f)
             for positions, index in indexes.items():
                 index.setdefault(tuple([vals[i] for i in positions]), []).append(f)
         return True
@@ -478,17 +479,20 @@ class EventStore:
         return tuple(self.probe(pred, tuple(range(len(args))), args))
 
     def probe(self, pred: str, positions: tuple[int, ...], values: tuple) -> Sequence:
-        """Facts of `pred` whose `FACT_VALUES` at `positions` (ascending;
-        for an event, its arguments, then its interval's start and end)
-        equal `values`, without copying; the result must not be mutated or
-        held across an `add`."""
+        """Facts of `pred` whose `event_values` at `positions` (ascending:
+        its arguments, then its interval's start and end) equal `values`,
+        without copying; the result must not be mutated or held across an
+        `add`."""
         facts = self._by_pred.get(pred, ())
         if not positions or not facts:
             return facts
         try:
             index = self._indexes[pred][positions]
         except KeyError:
-            index = self._indexes.setdefault(pred, {})[positions] = _group(facts, positions)
+            # every position inside the arguments reads them without a new tuple
+            values_of = attrgetter("args") if positions[-1] < len(facts[0].args) else event_values
+            index = self._indexes.setdefault(pred, {})[positions] = _group(
+                facts, positions, values_of)
         return index.get(values, ())
 
     @property
@@ -503,32 +507,60 @@ class EventStore:
 
 
 class Dataset:
-    """An immutable collection of atemporal and observation facts: one
-    `EventStore` per kind."""
+    """An immutable collection of atemporal and observation facts, held as
+    the rows rule atoms match (`fact_row`): per kind (`AtemporalFact` or
+    `ObservationFact`) and predicate, one dict whose keys are its distinct
+    rows in first-seen order. The fact objects are built when `facts` is
+    first read."""
 
     def __init__(self, facts: Iterable[AtemporalFact | ObservationFact] = ()):
-        self._stores = {AtemporalFact: EventStore(), ObservationFact: EventStore()}
-        adds = {kind: store.add for kind, store in self._stores.items()}
+        rows: dict[tuple[type, str], dict[tuple, None]] = {}
         for f in facts:
-            add = adds.get(f.__class__)
-            if add is None:
+            if f.__class__ not in (AtemporalFact, ObservationFact):
                 raise TypeError(f"not a dataset fact: {f!r}")
-            add(f)
-        self._all = frozenset().union(*[s._facts for s in self._stores.values()])
+            rows.setdefault((f.__class__, f.pred), {}).setdefault(fact_row(f))
+        self._rows = rows
+        self._facts: frozenset | None = None
+        # (kind, pred, positions) -> values at those positions -> rows
+        self._indexes: dict[tuple, dict[tuple, list]] = {}
+
+    @classmethod
+    def from_rows(cls, rows: dict[tuple[type, str], dict[tuple, None]]) -> "Dataset":
+        """The dataset of `rows`, shaped as `rows` gives them, which it
+        keeps: the caller must not change them afterwards."""
+        dataset = cls()
+        dataset._rows = rows
+        return dataset
+
+    @property
+    def rows(self) -> Mapping[tuple[type, str], Collection[tuple]]:
+        """Per (kind, predicate), its distinct rows in first-seen order. Do
+        not mutate."""
+        return self._rows
 
     @property
     def facts(self) -> frozenset:
-        return self._all
+        if self._facts is None:
+            self._facts = frozenset([row_fact(kind, pred, r)
+                                     for (kind, pred), rows in self._rows.items() for r in rows])
+        return self._facts
 
     def probe(self, kind: type, pred: str, positions: tuple[int, ...],
-              values: tuple) -> Sequence[AtemporalFact | ObservationFact]:
-        """Facts of one kind (AtemporalFact or ObservationFact) and predicate
-        whose arguments at `positions` equal `values` (`EventStore.probe`).
-        Do not mutate."""
-        return self._stores[kind].probe(pred, positions, values)
+              values: tuple) -> Collection[tuple]:
+        """The rows of one kind (AtemporalFact or ObservationFact) and
+        predicate whose values at `positions` (ascending) equal `values`,
+        in first-seen order. Do not mutate."""
+        if not positions:
+            return self._rows.get((kind, pred), {}).keys()
+        try:
+            index = self._indexes[kind, pred, positions]
+        except KeyError:
+            index = self._indexes[kind, pred, positions] = _group(
+                self._rows.get((kind, pred), ()), positions)
+        return index.get(values, ())
 
     def __len__(self) -> int:
-        return len(self._all)
+        return sum(map(len, self._rows.values()))
 
     def __contains__(self, f) -> bool:
-        return f in self._all
+        return f in self.facts

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import partial
 from operator import eq, itemgetter
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 from .errors import InvalidSpec, SortError
 from .language import (
@@ -35,7 +35,6 @@ from .language import (
     is_test,
 )
 from .model import (
-    FACT_VALUES,
     STAR,
     AnnotatedEventFact,
     AtemporalFact,
@@ -52,14 +51,18 @@ from .model import (
     args_key,
     compile_term,
     eval_term,
+    event_values,
+    fact_row,
     term_vars,
 )
 
 EventKey = tuple[str, tuple]
 
-# the check a variable's sort makes of a value before it is bound
+# the check a variable's sort makes of a value before it is bound (a plain
+# symbol, the commonest data value, is accepted without a call)
 _SORT_CHECKS = {
-    SortKind.DATA: lambda v: isinstance(v, (str, int)) and not isinstance(v, bool),
+    SortKind.DATA: lambda v: v.__class__ is str or (isinstance(v, (str, int))
+                                                    and not isinstance(v, bool)),
     SortKind.NAT: lambda v: isinstance(v, int) and v >= 0,
     SortKind.POSNAT: lambda v: isinstance(v, int) and v >= 1,
     SortKind.NAT_OR_STAR: lambda v: v == STAR or (isinstance(v, int) and v >= 0),
@@ -69,7 +72,8 @@ _SORT_CHECKS = {
 
 def _positions(atom) -> tuple[type, list]:
     """The kind of fact an atom matches, and each of its terms beside the
-    position of the fact's `FACT_VALUES` it matches."""
+    position it matches: in a dataset row (`fact_row`), or in an event
+    fact's `event_values`."""
     n = len(atom.args)
     pairs = list(enumerate(atom.args))
     if isinstance(atom, AtemporalAtom):
@@ -103,8 +107,10 @@ def _tuple_of(terms, slot_of: Mapping[str, int]) -> Callable:
 class _Match:
     """One atom compiled against a set of bound variables: the index probe
     its bound argument positions and interval ends allow, and one action
-    per fact position: check a constant, bind a slot after its sort's
-    check, or compare with a slot (bound earlier, or earlier in the atom)."""
+    per value position: check a constant, bind a slot after its sort's
+    check, or compare with a slot (bound earlier, or earlier in the atom).
+    A dataset atom matches rows, which are their own values; an event atom
+    matches event facts."""
 
     def __init__(self, atom, bound, slot_of: Mapping[str, int], sorts):
         self.kind, pairs = _positions(atom)
@@ -114,7 +120,8 @@ class _Match:
                 if i < probed and (not isinstance(t, Var) or t.name in bound)]
         self.positions = tuple(i for i, _ in keys)
         self.key = _tuple_of([t for _, t in keys], slot_of)
-        checks, binds, sames, values = [], [], [], FACT_VALUES[self.kind]
+        checks, binds, sames = [], [], []
+        values = event_values if self.kind is AnnotatedEventFact else None
         seen = set(bound)
         for i, t in pairs:
             if not isinstance(t, Var):
@@ -126,8 +133,9 @@ class _Match:
                 binds.append((i, slot_of[t.name], _SORT_CHECKS[sorts.get(t.name, SortKind.DATA)]))
 
         def match(f, slots: list) -> bool:
-            """Whether the fact matches, binding its fresh variables' slots."""
-            vals = values(f)
+            """Whether the row or fact matches, binding its fresh variables'
+            slots."""
+            vals = f if values is None else values(f)
             for i, check in checks:
                 if not check(vals[i]):
                     return False
@@ -143,7 +151,8 @@ class _Match:
         self.match = match
 
     def candidates(self, slots: list, dataset: Dataset, events: EventStore | None):
-        """The facts the probe finds; `match` still checks each one."""
+        """The rows or event facts the probe finds; `match` still checks
+        each one."""
         if self.kind is not AnnotatedEventFact:
             return dataset.probe(self.kind, self.pred, self.positions, self.key(slots))
         if events is None:
@@ -223,6 +232,7 @@ class JoinPlan:
         self.sorts = sorts
         self.binders = [(idx, lit.atom, frozenset(_atom_vars(lit.atom)))
                         for idx, lit in enumerate(body) if not is_test(lit)]
+        self.event_binders = {idx for idx, atom, _ in self.binders if isinstance(atom, EventAtom)}
         self.tests = [(lit, _needs(lit)) for lit in body if is_test(lit)]
         self.names = list(dict.fromkeys(n for _, a, _ in self.binders for n in _atom_vars(a)))
         free = [n for lit, _ in self.tests for n in _atom_vars(lit.atom)]
@@ -256,11 +266,15 @@ class JoinPlan:
               delta: tuple | None = None, witnesses: bool = False) -> list:
         """Every binding that satisfies the body, each a tuple of slots (an
         empty ground body has one). `delta`, a (body index, facts) pair, has
-        that binder match only those facts (a semi-naive step). With
+        that binder match only those facts (a semi-naive step). The meta
+        closure passes event facts only; dataset facts, which only tests
+        pass, are turned into their rows once, here. With
         `witnesses`, each result is a (slots, facts) pair: the event facts
         the positive event atoms matched, once per combination of them, as
         when an atom without a level matches an interval at several levels."""
         forced_idx, forced = delta if delta is not None else (None, None)
+        if delta is not None and forced_idx not in self.event_binders:
+            forced = [fact_row(f) for f in forced]
         slots: list = [None] * len(self.slot_of)
         out: list = []
 
@@ -333,13 +347,20 @@ class AuxStore(Record):
 
     def window(self, key: EventKey) -> int:
         """The instance's one window; `InvalidSpec` when it has none, more
-        than one, or one below 1, tested in that order."""
+        than one, or one below 1 (`window_fault`)."""
         ws = self.window_values(key)
-        kind = ("MissingWindow" if not ws else "AmbiguousWindow" if len(ws) > 1
-                else "ZeroWindow" if ws[0] < 1 else None)
+        kind = window_fault(ws)
         if kind is not None:
             raise InvalidSpec(kind, key, format_instance(*key))
         return ws[0]
+
+
+def window_fault(ws: Collection[int]) -> str | None:
+    """The `InvalidSpec` kind of an instance with these window values: none,
+    more than one, or one below 1, tested in that order; None when it has
+    one window."""
+    return ("MissingWindow" if not ws else "AmbiguousWindow" if len(ws) > 1
+            else "ZeroWindow" if min(ws) < 1 else None)
 
 
 def _natural(v, what: str) -> int:
@@ -348,27 +369,30 @@ def _natural(v, what: str) -> int:
     return v
 
 
-def _heads(tes: TES, rule, dataset: Dataset, what: str) -> list[tuple[EventKey, int]]:
-    """The event instance and the timepoint or window of each head an
-    existence, termination or window rule derives."""
-    plan = rule_plan(tes, rule)
-    args, (value,) = plan.args, plan.head
-    return [((rule.pred, args(s)), _natural(value(s), what)) for s in plan.solve(dataset)]
-
-
 def ground_simple_heads(tes: TES, dataset: Dataset) -> AuxStore:
     """Evaluate all existence/termination/window rules over the dataset,
-    adding each head to its instance's group as it is derived."""
+    adding each solved binding's head to its instance's group."""
     aux = AuxStore({}, {}, {}, {})
     for rules, points in ((tes.existence, aux.exists), (tes.termination, aux.ends)):
         for rule in rules:
-            for key, t in _heads(tes, rule, dataset, "timepoint"):
-                points.setdefault(key, set()).add((t, rule.level))
+            plan = rule_plan(tes, rule)
+            args, (value,), pred, level = plan.args, plan.head, rule.pred, rule.level
+            for s in plan.solve(dataset):
+                key, t = (pred, args(s)), value(s)
+                if t.__class__ is not int or t < 0:  # only a plain natural skips the check
+                    _natural(t, "timepoint")
+                group = points.get(key)
+                if group is None:  # a set made only when the instance is new
+                    points[key] = {(t, level)}
+                else:
+                    group.add((t, level))
     for rule in tes.windows:
         if is_schematic_window(rule):
             aux.default_windows.setdefault(rule.pred, set()).add(
                 _natural(eval_term(rule.w, {}), "window"))
         else:
-            for key, w in _heads(tes, rule, dataset, "window"):
-                aux.windows.setdefault(key, set()).add(w)
+            plan = rule_plan(tes, rule)
+            args, (value,), pred = plan.args, plan.head, rule.pred
+            for s in plan.solve(dataset):
+                aux.windows.setdefault((pred, args(s)), set()).add(_natural(value(s), "window"))
     return aux

@@ -18,7 +18,7 @@ from typing import Collection
 
 from .language import TES, PredKind
 from .model import STAR, AnnotatedEventFact, Dataset, Interval
-from .query import AuxStore, ground_simple_heads
+from .query import AuxStore, ground_simple_heads, window_fault
 
 Points = Collection[tuple[int, int]]  # (timepoint, level) pairs
 
@@ -47,9 +47,15 @@ def infer_nonpersistent(exists: Points, ends: Points,
     A timepoint named at two levels is kept twice; the second copy joins
     the first one's chain.
     """
+    return {(Interval(start, end), level) for start, end, level in _chains(exists, ends, w)}
+
+
+def _chains(exists: Points, ends: Points, w: int | float) -> list[tuple[int, int | float, int]]:
+    """The walk of `infer_nonpersistent`, giving each maximal interval as
+    (start, end, level)."""
     exists, ends = sorted(exists), sorted(ends)
-    out: set[tuple[Interval, int]] = set()
-    seen: set[Interval] = set()
+    out: list[tuple[int, int | float, int]] = []
+    seen: set[tuple[int, int | float]] = set()
     for level in sorted({lvl for _, lvl in exists} | {lvl for _, lvl in ends}):
         te = [t for t, lvl in exists if lvl <= level]
         tx = [t for t, lvl in ends if lvl <= level] + [STAR]
@@ -66,11 +72,10 @@ def infer_nonpersistent(exists: Points, ends: Points,
             end = tx[j]
             if end == STAR or end - p > w:
                 end = STAR if w == STAR else p
-            iv = Interval(start, end)
+            if (start, end) not in seen:
+                seen.add((start, end))
+                out.append((start, end, level))
             start = None
-            if iv not in seen:
-                seen.add(iv)
-                out.add((iv, level))
     return out
 
 
@@ -87,13 +92,32 @@ def infer_all_simple(dataset: Dataset, tes: TES) -> frozenset[AnnotatedEventFact
     return infer_from_aux(aux, tes)
 
 
+def _window(ws: Collection[int]) -> int | None:
+    """The one window of an instance with these window values, or None
+    (`window_fault`)."""
+    return None if window_fault(ws) else min(ws)
+
+
 def infer_from_aux(aux: AuxStore, tes: TES) -> frozenset[AnnotatedEventFact]:
-    """Infer every instance in key order; the first whose window is missing,
-    ambiguous or below 1 raises `InvalidSpec`."""
-    facts: set[AnnotatedEventFact] = set()
-    for key in aux.keys():
+    """Infer every instance, walking the groups in the order grounding made
+    them. The window a predicate's instances share (STAR when persistent)
+    is resolved once; an instance with window rules of its own resolves
+    its own. When some instance's window is missing, ambiguous or below 1,
+    the least such in key order raises `InvalidSpec`, whatever the order of
+    the walk."""
+    shared = {pred: STAR if tes.kind(pred) is not PredKind.NONPERSISTENT
+              else _window(aux.default_windows.get(pred, ()))
+              for pred in {pred for pred, _ in aux.exists}}
+    facts: list[AnnotatedEventFact] = []
+    for key, exists in aux.exists.items():
         pred, args = key
-        w = aux.window(key) if tes.kind(pred) is PredKind.NONPERSISTENT else STAR
-        found = infer_nonpersistent(aux.exists[key], aux.ends.get(key, ()), w)
-        facts.update(AnnotatedEventFact(pred, args, iv, lvl) for iv, lvl in found)
+        w = shared[pred]
+        if w is not STAR and key in aux.windows:
+            w = _window(aux.windows[key] | aux.default_windows.get(pred, set()))
+        if w is None:
+            for k in aux.keys():  # the first invalid one raises
+                if tes.kind(k[0]) is PredKind.NONPERSISTENT:
+                    aux.window(k)
+        facts += [AnnotatedEventFact(pred, args, Interval(start, end), level)
+                  for start, end, level in _chains(exists, aux.ends.get(key, ()), w)]
     return frozenset(facts)

@@ -11,7 +11,11 @@ Each text may then have one character inserted, replaced or deleted.
 parses each text with `ingest.parse_fact_text` and with the token walk it
 must agree with, `ingest._parse_fact_tokens`, and exits 1 at the first text
 where they give different facts or a different ParseError message, line or
-column, naming the text on stderr.
+column, naming the text on stderr. It also loads each text as a fact file
+through `ingest`, which puts rows straight into a `Dataset`, and exits 1
+where that dataset differs from the token walk's facts made a `Dataset`:
+in its facts, its length or any predicate's rows in order, or in the
+ParseError.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ import argparse
 import importlib
 import random
 import sys
+from unittest import mock
 
-from timeloom import ParseError
+from timeloom import Dataset, ParseError
 
 # the package's `ingest` function hides the module of the same name
 ingest = importlib.import_module("timeloom.ingest")
@@ -151,6 +156,27 @@ def outcome(parse, text: str):
         return (e.message, e.line, e.col)
 
 
+def dataset_view(dataset: Dataset) -> tuple:
+    """A dataset's facts, its length, and its rows per kind and predicate,
+    each in their order."""
+    return dataset.facts, len(dataset), {table: list(rows) for table, rows in dataset.rows.items()}
+
+
+def ingested(text: str):
+    """What `ingest` makes of a fact file holding `text`: its dataset's
+    view, or its ParseError's message, line and column."""
+    with mock.patch.object(ingest, "read_file", lambda path: text):
+        try:
+            return dataset_view(ingest.ingest([("t.facts", None)]))
+        except ParseError as e:  # its message leads with the file's name
+            return (e.message.removeprefix("t.facts: "), e.line, e.col)
+
+
+def reference_dataset(text: str):
+    """The view of the dataset of the token walk's facts, or its error."""
+    return outcome(lambda t: dataset_view(Dataset(ingest._parse_fact_tokens(t))), text)
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--count", type=int, default=100000)
@@ -166,8 +192,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"text {i} ({draw.__name__}): {text!r}\n  token walk: {want!r}\n"
                   f"  parse_fact_text: {got!r}", file=sys.stderr)
             return 1
-        valid += isinstance(want, list)
-    print(f"{args.count} texts, {valid} valid: parse_fact_text agrees with the token walk")
+        want, got = reference_dataset(text), ingested(text)
+        if got != want:
+            print(f"text {i} ({draw.__name__}): {text!r}\n  token walk's dataset: {want!r}\n"
+                  f"  ingest: {got!r}", file=sys.stderr)
+            return 1
+        valid += isinstance(want[0], frozenset)  # the facts, not an error message
+    print(f"{args.count} texts, {valid} valid: parse_fact_text and ingest agree with the "
+          f"token walk")
     return 0
 
 

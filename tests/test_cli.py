@@ -352,7 +352,9 @@ FIG_FACT = '{"pred": "e", "args": [], "interval": {"start": 9, "end": "*"}, "lev
      "fact 1: interval is not a JSON object"),
     ('{"facts": [%s]}' % FIG_FACT.replace('"end"', '"until"'), "fact 1: interval has no end"),
     ('{"facts": [%s, %s]}' % (FIG_FACT, FIG_FACT.replace('"level": 1', '"level": 0')),
-     "fact 2: bad level: 0")])
+     "fact 2: bad level: 0"),
+    ('{"kind": {"start": 0}, "facts": []}', 'bad kind: {"start": 0}'),
+    ('{"kind": "naive", "facts": []}', 'bad kind: "naive"')])
 def test_check_target_errors_name_the_field_in_timeloom_words(figured, capsys, text, message):
     target = figured / "target.json"
     target.write_text(text)
@@ -486,6 +488,26 @@ def test_partition_by_entity(ward, capsys):
     assert run_cli(*args, "--format", "tsv") == 0
     assert capsys.readouterr().out == ("p1\t0\tsimple\tabth\tp1\t0\t1\t1\n"
                                        "p2\t0\tsimple\tabth\tp2\t5\t5\t1\n")
+
+
+@pytest.mark.parametrize("extra", [("--mode", "naive"), ("--mode", "consistent"),
+                                   ("--partition-by", "0")])
+def test_a_run_builds_no_dataset_fact(tmp_path, monkeypatch, capsys, extra):
+    """Observations and atemporal facts go from the fact file to the join
+    as rows: a run constructs neither kind of fact object."""
+    from timeloom import AtemporalFact, ObservationFact
+
+    (tmp_path / "therapy.tes").write_text(malformed.THERAPY_RULES)
+    (tmp_path / "therapy.facts").write_text(malformed.THERAPY_FACTS)
+    built = []
+    for kind in (AtemporalFact, ObservationFact):
+        init = kind.__init__
+        monkeypatch.setattr(kind, "__init__",
+                            lambda self, *a, init=init: built.append(a) or init(self, *a))
+    assert run_cli("run", "--rules", str(tmp_path / "therapy.tes"),
+                   "--data", str(tmp_path / "therapy.facts"), *extra) == 0
+    assert '"ontherapy"' in capsys.readouterr().out  # the run got to its meta events
+    assert built == []
 
 
 def test_partition_cap_flags_each_entity_and_exits_2(tmp_path, capsys):

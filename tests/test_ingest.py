@@ -26,7 +26,13 @@ from timeloom import (
 from timeloom.ingest import _parse_fact_tokens, parse_mapping, read_csv_mapped
 
 from conftest import therapy_tes  # noqa: F401
-from fact_texts import outcome, random_fact_text, repeated_prefix_text
+from fact_texts import (
+    ingested,
+    outcome,
+    random_fact_text,
+    reference_dataset,
+    repeated_prefix_text,
+)
 
 
 def test_parse_fact_text():
@@ -100,7 +106,8 @@ def test_long_blank_runs_fail_in_linear_time(text, error):
 def test_parse_fact_text_matches_the_token_walk(monkeypatch):
     """The statement pattern gives the token walk's facts, or its ParseError
     with the same message, line and column, and valid text never reaches the
-    token walk. The texts of the second draw share argument prefixes."""
+    token walk; `ingest` gives the dataset of those facts, or that error.
+    The texts of the second draw share argument prefixes."""
     rng = random.Random(20261018)
     texts = [random_fact_text(rng) for _ in range(600)]
     want = [outcome(_parse_fact_tokens, t) for t in texts]
@@ -118,6 +125,10 @@ def test_parse_fact_text_matches_the_token_walk(monkeypatch):
     repeats = sum(len({(f.pred, f.args) if isinstance(f, ObservationFact) else
                        (f.pred, f.args[:-1]) for f in w}) < len(w) for _, w in shared_valid)
     assert repeats > len(shared_valid) // 2, repeats
+
+    # `ingest` puts the same statements as rows into a dataset: the token
+    # walk's facts made a dataset, each predicate's rows in their order
+    assert [ingested(t) for t in texts + shared] == [reference_dataset(t) for t in texts + shared]
 
     def no_token_walk(text):
         raise AssertionError(f"valid text reached the token walk: {text!r}")

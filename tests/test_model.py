@@ -38,6 +38,7 @@ from timeloom.model import (
     Var,
     eval_term,
     fact_key,
+    fact_row,
 )
 
 
@@ -200,7 +201,7 @@ def test_dataset_dedups_and_rejects_events():
     d = Dataset([obs, obs, AtemporalFact("drug", ("amox",))])
     assert len(d) == 2
     assert obs in d
-    assert list(d.probe(ObservationFact, "adm", (), ())) == [obs]
+    assert list(d.probe(ObservationFact, "adm", (), ())) == [("p1", 5)]  # the rows
     assert list(d.probe(AtemporalFact, "none", (), ())) == []
     with pytest.raises(TypeError):
         Dataset([AnnotatedEventFact("e", (), Interval(0, 1), 1)])
@@ -238,8 +239,8 @@ def _positions(rng, n):
 
 def test_dataset_probe_matches_filters_and_keeps_kinds_apart():
     """Atemporal and observation facts share predicate names, at other
-    arities; each probe finds exactly the facts of its kind a literal
-    filter over `facts` finds, in first-seen order."""
+    arities; each probe finds exactly the rows of the facts of its kind a
+    literal filter over `facts` finds, in first-seen order."""
     rng = random.Random(23)
     values = ("a", "b", 0, 1)
     arity = {(AtemporalFact, "p"): 2, (ObservationFact, "p"): 1,
@@ -260,7 +261,7 @@ def test_dataset_probe_matches_filters_and_keeps_kinds_apart():
             key = tuple(rng.choice(values) for _ in positions)
             want = [f for f in seen if f.__class__ is kind and f.pred == pred
                     and all(f.args[i] == v for i, v in zip(positions, key))]
-            assert list(d.probe(kind, pred, positions, key)) == want
+            assert list(d.probe(kind, pred, positions, key)) == [fact_row(f) for f in want]
             assert set(want) <= d.facts
 
 

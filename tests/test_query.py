@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import random
+from functools import partial
 from collections import Counter
 
 import pytest
@@ -241,17 +242,39 @@ def test_check_validity_ignores_persistent(pers_tes, empty_dataset):
     assert infer_from_aux(aux, pers_tes)  # no window needed
 
 
-def test_invalid_spec_reports_the_first_instance_in_rule_syntax():
+# Instances are grounded in the order of their facts, here not key order.
+ANY_WINDOW = ("decl nonpersistent e/1.\ndecl observation o/1.\ndecl atemporal p/1.\n"
+              "exists(e(X), 0, 1) :- o(X, T).\nexists(e(X), 0, 1) :- p(X).\n"
+              "window(e(X), plus(T, 0)) :- o(X, T).")
+O, P = partial(ObservationFact, "o"), partial(AtemporalFact, "p")
+
+
+@pytest.mark.parametrize("rules, facts, message", [
     # of two instances without a window the least in key order is named,
     # its symbols quoted as rule text quotes them
-    tes = parse_tes("decl nonpersistent e/2.\ndecl atemporal o/2.\n"
-                    "exists(e(X, Y), 0, 1) :- o(X, Y).\n"
-                    "window(e(ok, Y), 2) :- o(ok, Y).")
-    d = Dataset([AtemporalFact("o", ("zz", 3)), AtemporalFact("o", ("A b", "not")),
-                 AtemporalFact("o", ("ok", 1))])
+    ("decl nonpersistent e/2.\ndecl atemporal o/2.\nexists(e(X, Y), 0, 1) :- o(X, Y).\n"
+     "window(e(ok, Y), 2) :- o(ok, Y).",
+     [AtemporalFact("o", ("zz", 3)), AtemporalFact("o", ("A b", "not")),
+      AtemporalFact("o", ("ok", 1))],
+     "MissingWindow for e('A b', 'not')"),
+    # a zero, an ambiguous and a missing window: each kind in turn is the
+    # least instance in key order, and grounding meets a greater one first
+    (ANY_WINDOW, [O(("zz",), 0), O(("m",), 5), O(("m",), 6), P(("a",))],
+     "MissingWindow for e(a)"),
+    (ANY_WINDOW, [O(("zz",), 0), O(("a",), 5), O(("a",), 6), P(("m",))],
+     "AmbiguousWindow for e(a)"),
+    (ANY_WINDOW, [O(("zz",), 5), O(("zz",), 6), O(("a",), 0), P(("m",))],
+     "ZeroWindow for e(a)"),
+], ids=["two-missing", "missing-least", "ambiguous-least", "zero-least"])
+def test_invalid_spec_reports_the_first_instance_in_rule_syntax(rules, facts, message):
+    """The least failing instance in key order is named, whatever order
+    grounding met the instances in."""
+    tes = parse_tes(rules)
+    aux = ground_simple_heads(tes, Dataset(facts))
+    assert list(aux.exists) != aux.keys()
     with pytest.raises(InvalidSpec) as err:
-        infer_from_aux(ground_simple_heads(tes, d), tes)
-    assert str(err.value) == "MissingWindow for e('A b', 'not')"
+        infer_from_aux(aux, tes)
+    assert str(err.value) == message
 
 
 def test_grounded_points_seen_per_level(np_tes, empty_dataset):
