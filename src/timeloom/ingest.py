@@ -165,32 +165,30 @@ def _parse_fact_tokens(text: str) -> list[Fact]:
 
     def value():
         t = p.advance()
-        if t.kind == "NAT":
+        if t[0] == "NAT":
             return p.natural(t)
-        if t.kind in ("IDENT", "QSYM"):
-            return t.text
-        raise ParseError(f"expected a constant or natural, found {t.text!r}", t.line, t.col)
+        if t[0] in ("IDENT", "QSYM"):
+            return t[1]
+        raise ParseError(f"expected a constant or natural, found {t[1]!r}", *t[2:])
 
     facts: list[Fact] = []
-    while p.peek().kind != "EOF":
+    while p.peek()[0] != "EOF":
         kw = p.expect("IDENT", "'atemporal' or 'obs'")
-        if kw.text not in ("atemporal", "obs"):
-            raise ParseError(f"expected 'atemporal' or 'obs', found {kw.text!r}",
-                             kw.line, kw.col)
-        name = p.expect("IDENT", "a predicate name")
+        if kw[1] not in ("atemporal", "obs"):
+            raise ParseError(f"expected 'atemporal' or 'obs', found {kw[1]!r}", *kw[2:])
+        _, name, line, col = p.expect("IDENT", "a predicate name")
         vals: list = []
-        if p.peek().kind == "LPAREN":
+        if p.peek()[0] == "LPAREN":
             p.advance()
             vals = p.comma_list(value)
             p.expect("RPAREN", "')'")
         p.expect("PERIOD", "'.'")
-        if kw.text == "atemporal":
-            facts.append(AtemporalFact(name.text, tuple(vals)))
+        if kw[1] == "atemporal":
+            facts.append(AtemporalFact(name, tuple(vals)))
         else:
             if not vals or not isinstance(vals[-1], int):
-                raise ParseError(f"observation {name.text} needs a natural timestamp last",
-                                 name.line, name.col)
-            facts.append(ObservationFact(name.text, tuple(vals[:-1]), vals[-1]))
+                raise ParseError(f"observation {name} needs a natural timestamp last", line, col)
+            facts.append(ObservationFact(name, tuple(vals[:-1]), vals[-1]))
     return facts
 
 

@@ -260,10 +260,6 @@ class TES(Record):
 # Lexer
 
 
-class _Token(Record):
-    __slots__ = _fields = ("kind", "text", "line", "col")
-
-
 # A natural is a run of ASCII digits in rule files, fact files, CSV cells and
 # epoch timestamps alike. (str.isdigit also accepts "²", which int() rejects.)
 # One of more than MAX_DIGITS digits is refused on every Python version.
@@ -282,35 +278,46 @@ _PUNCT = {
     "/": "SLASH", "*": "STAR",
 }
 
-# One alternative per lexeme, tried in order; blanks and comments match no
-# named group. \w is what str.isalnum admits, and _, so a word may start with
-# a numeric character such as "²": the lexer refuses it as not a letter.
-_LEXEME = re.compile(r"""(?P<NL>\n) | [ \t\r]+ | \#[^\n]* | (?P<QSYM>'[^'\n]*'?)
-    | (?P<PUNCT>:-|<=|!=|[<()\[\],./*]) | (?P<NAT>[0-9]+) | (?P<WORD>[^\W\d]\w*)
-    | (?P<OTHER>.)""", re.VERBOSE)
+# One match per lexeme: the blanks and comments before it (group 1), then the
+# lexeme, one alternative each, tried in order (punctuation and naturals
+# share one); at the end of the text only the blanks match. Blanks take every
+# newline and a comment runs to one, so what follows them always matches and
+# nothing backtracks into them. \w is what str.isalnum admits, and _, so a
+# word may start with a numeric character such as "²": the lexer refuses it
+# as not a letter.
+_LEXEME = re.compile(r"""([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+    (?: ('[^'\n]*'?) | (:-|<=|!=|[<()\[\],./*]|[0-9]+) | ([^\W\d]\w*) | (.) | \Z )""",
+                     re.VERBOSE)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, line_start = 1, 0
-    for m in _LEXEME.finditer(text):
-        kind, lexeme, col = m.lastgroup, m.group(), m.start() - line_start + 1
-        if kind == "NL":
-            line, line_start = line + 1, m.end()
-        elif kind == "QSYM":
-            if len(lexeme) == 1 or lexeme[-1] != "'":
+def _tokenize(text: str) -> list[tuple]:
+    """The tokens of a rule text, each a (kind, text, line, col) tuple, the
+    last of kind EOF; a ParseError at the first character no token takes.
+    One `findall` call reads every lexeme, and each token's position is the
+    lengths of the text before it."""
+    toks: list[tuple] = []
+    line, line_start, at = 1, 0, 0  # `at`: the offset of the next blank or lexeme
+    for blank, qsym, sym, word, other in _LEXEME.findall(text):
+        if "\n" in blank:
+            line += blank.count("\n")
+            line_start = at + blank.rfind("\n") + 1
+        col = at + len(blank) - line_start + 1
+        at += len(blank) + len(sym or word or qsym or other)
+        if sym:
+            toks.append((_PUNCT.get(sym, "NAT"), sym, line, col))
+        elif word[:1].isalpha():
+            toks.append(("VAR" if word[0].isupper() else "IDENT", word, line, col))
+        elif word == "_":
+            toks.append(("WILD", word, line, col))
+        elif word[:1] == "_":
+            raise ParseError(f"names may not start with underscore: {word}", line, col)
+        elif qsym:
+            if len(qsym) == 1 or qsym[-1] != "'":
                 raise ParseError("unterminated quoted symbol", line, col)
-            toks.append(_Token("QSYM", lexeme[1:-1], line, col))
-        elif kind in ("PUNCT", "NAT"):
-            toks.append(_Token(_PUNCT.get(lexeme, kind), lexeme, line, col))
-        elif kind == "WORD" and (lexeme[0].isalpha() or lexeme == "_"):
-            kind = "WILD" if lexeme == "_" else "VAR" if lexeme[0].isupper() else "IDENT"
-            toks.append(_Token(kind, lexeme, line, col))
-        elif kind == "WORD" and lexeme[0] == "_":
-            raise ParseError(f"names may not start with underscore: {lexeme}", line, col)
-        elif kind is not None:
-            raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
-    toks.append(_Token("EOF", "", line, len(text) - line_start + 1))
+            toks.append(("QSYM", qsym[1:-1], line, col))
+        elif word or other:
+            raise ParseError(f"unexpected character {(word or other)[0]!r}", line, col)
+    toks.append(("EOF", "", line, at - line_start + 1))
     return toks
 
 
@@ -318,40 +325,50 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 
 
+_BUILTIN_NAMES = frozenset(ALLEN_BUILTINS + EXTREMUM_BUILTINS)
+_COMPARISON_KINDS = frozenset(("NEQ", "LT", "LE"))
+
+
 class _Parser:
-    def __init__(self, toks: list[_Token]):
-        self.toks = toks
+    """Recursive descent over `_tokenize`'s tokens, (kind, text, line, col)
+    tuples: `tok[2:]` is a token's position. Each variable, symbol and
+    natural of the text is one term object, made where it first stands."""
+
+    def __init__(self, toks: list[tuple]):
+        self.toks = toks + toks[-1:]  # a second EOF: a look one token ahead stays inside
         self.i = 0
         self.decls: dict[str, PredicateDecl] = {}
         self._wild = 0
         self._depth = 0
+        self._terms: dict[tuple, Term] = {}
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self, ahead: int = 0) -> tuple:
+        return self.toks[self.i + ahead]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         t = self.toks[self.i]
-        if t.kind != "EOF":
+        if t[0] != "EOF":
             self.i += 1
         return t
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {what or kind}, found {t.text!r}", t.line, t.col)
-        return self.advance()
+    def expect(self, kind: str, what: str | None = None) -> tuple:
+        t = self.toks[self.i]
+        if t[0] != kind:
+            raise ParseError(f"expected {what or kind}, found {t[1]!r}", *t[2:])
+        self.i += 1
+        return t
 
-    def natural(self, tok: _Token) -> int:
+    def natural(self, tok: tuple) -> int:
         """The value of a NAT token, or a ParseError at it."""
         try:
-            return read_natural(tok.text)
+            return read_natural(tok[1])
         except ValueError as e:
-            raise ParseError(str(e), tok.line, tok.col) from None
+            raise ParseError(str(e), *tok[2:]) from None
 
     def comma_list(self, item: Callable) -> list:
         items = [item()]
-        while self.peek().kind == "COMMA":
-            self.advance()
+        while self.toks[self.i][0] == "COMMA":
+            self.i += 1
             items.append(item())
         return items
 
@@ -360,7 +377,7 @@ class _Parser:
         MAX_TERM_DEPTH deep, so that no walk over a term exhausts the stack."""
         t = self.advance()
         if self._depth == MAX_TERM_DEPTH:
-            raise ParseError(f"terms may nest at most {MAX_TERM_DEPTH} deep", t.line, t.col)
+            raise ParseError(f"terms may nest at most {MAX_TERM_DEPTH} deep", *t[2:])
         self._depth += 1
         self.expect("LPAREN")
         items = self.comma_list(item)
@@ -376,254 +393,262 @@ class _Parser:
         windows: list[WindowRule] = []
         meta_rules: list[MetaRule] = []
         constraints: list[Constraint] = []
-        while self.peek().kind != "EOF":
+        while True:
+            kind, text, line, col = self.toks[self.i]
+            if kind == "EOF":
+                break
             self._wild = 0
-            t = self.peek()
-            if t.kind != "IDENT":
-                raise ParseError(f"expected a statement, found {t.text!r}", t.line, t.col)
-            if t.text == "decl":
+            if kind != "IDENT":
+                raise ParseError(f"expected a statement, found {text!r}", line, col)
+            if text == "decl":
                 self.parse_decl()
-            elif t.text in ("exists", "exists_pers", "ends"):
-                (termination if t.text == "ends" else existence).append(self.parse_point())
-            elif t.text == "window":
+            elif text in ("exists", "exists_pers", "ends"):
+                (termination if text == "ends" else existence).append(self.parse_point())
+            elif text == "window":
                 windows.append(self.parse_window())
-            elif t.text == "meta":
+            elif text == "meta":
                 meta_rules.append(self.parse_meta())
-            elif t.text == "constraint":
+            elif text == "constraint":
                 constraints.append(self.parse_constraint())
             else:
-                raise ParseError(f"unknown statement keyword {t.text!r}", t.line, t.col)
+                raise ParseError(f"unknown statement keyword {text!r}", line, col)
         return self.decls, existence, termination, windows, meta_rules, constraints
 
     def parse_decl(self) -> None:
-        self.advance()
+        self.i += 1
         kind_tok = self.expect("IDENT", "a predicate kind")
         try:
-            kind = PredKind(kind_tok.text)
+            kind = PredKind(kind_tok[1])
         except ValueError:
-            raise ParseError(f"unknown predicate kind {kind_tok.text!r}",
-                             kind_tok.line, kind_tok.col) from None
+            raise ParseError(f"unknown predicate kind {kind_tok[1]!r}", *kind_tok[2:]) from None
         name_tok = self.expect("IDENT", "a predicate name")
-        if name_tok.text in KEYWORDS:
-            raise ParseError(f"{name_tok.text!r} is reserved", name_tok.line, name_tok.col)
+        name = name_tok[1]
+        if name in KEYWORDS:
+            raise ParseError(f"{name!r} is reserved", *name_tok[2:])
         self.expect("SLASH")
         arity_tok = self.expect("NAT", "an arity")
         self.expect("PERIOD")
-        if name_tok.text in self.decls:
-            raise DuplicateDeclaration(f"predicate {name_tok.text} declared twice",
-                                       name_tok.line, name_tok.col)
-        self.decls[name_tok.text] = PredicateDecl(name_tok.text, self.natural(arity_tok), kind)
+        if name in self.decls:
+            raise DuplicateDeclaration(f"predicate {name} declared twice", *name_tok[2:])
+        self.decls[name] = PredicateDecl(name, self.natural(arity_tok), kind)
 
-    def _decl(self, tok: _Token) -> PredicateDecl:
-        d = self.decls.get(tok.text)
+    def _decl(self, tok: tuple) -> PredicateDecl:
+        d = self.decls.get(tok[1])
         if d is None:
-            raise UndeclaredPredicate(f"predicate {tok.text} is not declared", tok.line, tok.col)
+            raise UndeclaredPredicate(f"predicate {tok[1]} is not declared", *tok[2:])
         return d
 
-    def parse_event_ref(self, want: tuple[PredKind, ...], what: str) -> tuple[PredicateDecl, tuple[Term, ...], _Token]:
+    def parse_event_ref(self, want: tuple[PredKind, ...],
+                        what: str) -> tuple[PredicateDecl, tuple[Term, ...]]:
         tok = self.expect("IDENT", "an event predicate")
         d = self._decl(tok)
         if d.kind not in want:
-            raise ParseError(f"{tok.text} is {d.kind.value}, expected {what}", tok.line, tok.col)
+            raise ParseError(f"{tok[1]} is {d.kind.value}, expected {what}", *tok[2:])
         args: tuple[Term, ...] = ()
-        if self.peek().kind == "LPAREN":
-            self.advance()
+        if self.toks[self.i][0] == "LPAREN":
+            self.i += 1
             args = tuple(self.comma_list(self.parse_term))
             self.expect("RPAREN")
         if len(args) != d.arity:
             raise ArityMismatch(f"{d.name} declared with arity {d.arity}, used with {len(args)}",
-                                tok.line, tok.col)
-        return d, args, tok
+                                *tok[2:])
+        return d, args
 
     def parse_point(self) -> PointRule:
         kw = self.advance()
         self.expect("LPAREN")
-        if kw.text == "ends":
-            d, args, _ = self.parse_event_ref(SIMPLE_KINDS, "a simple event")
+        if kw[1] == "ends":
+            d, args = self.parse_event_ref(SIMPLE_KINDS, "a simple event")
         else:
-            want = PredKind.NONPERSISTENT if kw.text == "exists" else PredKind.PERSISTENT
-            d, args, _ = self.parse_event_ref((want,), f"a {want.value} event (use "
-                                              + ("exists_pers" if kw.text == "exists" else "exists")
-                                              + " for the other kind)")
+            want = PredKind.NONPERSISTENT if kw[1] == "exists" else PredKind.PERSISTENT
+            d, args = self.parse_event_ref((want,), f"a {want.value} event (use "
+                                           + ("exists_pers" if kw[1] == "exists" else "exists")
+                                           + " for the other kind)")
         self.expect("COMMA")
         t = self.parse_term()
         self.expect("COMMA")
         lvl_tok = self.expect("NAT", "a confidence level literal")
         level = self.natural(lvl_tok)
         if level < 1:
-            raise ParseError("confidence levels start at 1", lvl_tok.line, lvl_tok.col)
+            raise ParseError("confidence levels start at 1", *lvl_tok[2:])
         self.expect("RPAREN")
         body = self.parse_body("se")
         self.expect("PERIOD")
-        return PointRule(d.name, args, t, level, body, line=kw.line)
+        return PointRule(d.name, args, t, level, body, kw[2], None)
 
     def parse_window(self) -> WindowRule:
         kw = self.advance()
         self.expect("LPAREN")
-        d, args, _ = self.parse_event_ref((PredKind.NONPERSISTENT,),
-                                          "a nonpersistent event (persistent events take no window)")
+        d, args = self.parse_event_ref((PredKind.NONPERSISTENT,),
+                                       "a nonpersistent event (persistent events take no window)")
         self.expect("COMMA")
         w = self.parse_term()
         self.expect("RPAREN")
         body = self.parse_body("se")
         self.expect("PERIOD")
-        return WindowRule(d.name, args, w, body, line=kw.line)
+        return WindowRule(d.name, args, w, body, kw[2], None)
 
     def parse_meta(self) -> MetaRule:
         kw = self.advance()
         tok = self.expect("IDENT", "a meta predicate")
         d = self._decl(tok)
         if d.kind is not PredKind.META:
-            raise ParseError(f"{tok.text} is {d.kind.value}, expected meta", tok.line, tok.col)
+            raise ParseError(f"{tok[1]} is {d.kind.value}, expected meta", *tok[2:])
         self.expect("LPAREN")
         items = self.comma_list(self.parse_term)
         self.expect("RPAREN")
         if len(items) != d.arity + 2:
             raise ArityMismatch(
                 f"meta head {d.name} needs {d.arity} data arguments plus interval and level",
-                tok.line, tok.col)
+                *tok[2:])
         body = self.parse_body("meta")
         self.expect("PERIOD")
-        return MetaRule(d.name, tuple(items[:-2]), items[-2], items[-1], body, line=kw.line)
+        return MetaRule(d.name, tuple(items[:-2]), items[-2], items[-1], body, kw[2], None)
 
     def parse_constraint(self) -> Constraint:
         kw = self.advance()
         body = self.parse_body("constraint")
         if not body:
-            raise ParseError("constraint requires a body", kw.line, kw.col)
+            raise ParseError("constraint requires a body", *kw[2:])
         self.expect("PERIOD")
-        return Constraint(body, line=kw.line)
+        return Constraint(body, kw[2], None)
 
     # -- bodies -------------------------------------------------------------
 
     def parse_body(self, context: str) -> tuple[Literal, ...]:
-        if self.peek().kind != "ARROW":
+        if self.toks[self.i][0] != "ARROW":
             return ()
-        self.advance()
+        self.i += 1
         return tuple(self.comma_list(lambda: self.parse_literal(context)))
 
     def parse_literal(self, context: str) -> Literal:
         negated = False
-        t = self.peek()
-        if t.kind == "IDENT" and t.text == "not":
-            self.advance()
+        t = self.toks[self.i]
+        if t[0] == "IDENT" and t[1] == "not":
+            self.i += 1
             negated = True
-            t = self.peek()
-        if t.kind == "IDENT" and t.text in ALLEN_BUILTINS + EXTREMUM_BUILTINS:
-            if context != "meta":
-                raise ParseError(f"builtin {t.text} is only allowed in meta rule bodies",
-                                 t.line, t.col)
-            return Literal(self.parse_builtin(), negated)
-        if t.kind == "IDENT" and t.text not in KEYWORDS:
+            t = self.toks[self.i]
+        if t[0] == "IDENT":
+            if t[1] in _BUILTIN_NAMES:
+                if context != "meta":
+                    raise ParseError(f"builtin {t[1]} is only allowed in meta rule bodies",
+                                     *t[2:])
+                return Literal(self.parse_builtin(), negated)
             # could still be a comparison whose left side is a constant
-            if self.peek(1).kind == "LPAREN" or self.peek(1).kind not in ("NEQ", "LT", "LE"):
+            after = self.peek(1)[0]
+            if t[1] not in KEYWORDS and (after == "LPAREN" or after not in _COMPARISON_KINDS):
                 return Literal(self.parse_atom(context), negated)
         if negated:
-            raise ParseError("not applies to predicate atoms and builtins only", t.line, t.col)
+            raise ParseError("not applies to predicate atoms and builtins only", *t[2:])
         lhs = self.parse_term()
-        op_tok = self.peek()
-        if op_tok.kind not in ("NEQ", "LT", "LE"):
-            raise ParseError(f"expected a comparison operator, found {op_tok.text!r}",
-                             op_tok.line, op_tok.col)
-        self.advance()
+        op_tok = self.toks[self.i]
+        if op_tok[0] not in _COMPARISON_KINDS:
+            raise ParseError(f"expected a comparison operator, found {op_tok[1]!r}", *op_tok[2:])
+        self.i += 1
         rhs = self.parse_term()
-        return Literal(Comparison(op_tok.text, lhs, rhs), negated)
+        return Literal(Comparison(op_tok[1], lhs, rhs), negated)
 
     def parse_builtin(self) -> Atom:
         tok = self.advance()
         self.expect("LPAREN")
-        if tok.text in EXTREMUM_BUILTINS:
-            d, args, _ = self.parse_event_ref(EVENT_KINDS, "an event")
+        if tok[1] in EXTREMUM_BUILTINS:
+            d, args = self.parse_event_ref(EVENT_KINDS, "an event")
             self.expect("COMMA")
             t = self.parse_term()
             self.expect("RPAREN")
-            return ExtremumTest(tok.text, d.name, args, t)
+            return ExtremumTest(tok[1], d.name, args, t)
         a = self.parse_term()
         self.expect("COMMA")
         b = self.parse_term()
         self.expect("RPAREN")
-        return AllenTest(tok.text, a, b)
+        return AllenTest(tok[1], a, b)
 
     def parse_atom(self, context: str) -> Atom:
         tok = self.expect("IDENT", "a predicate")
         d = self._decl(tok)
         args: list[Term] = []
-        if self.peek().kind == "LPAREN":
-            self.advance()
+        if self.toks[self.i][0] == "LPAREN":
+            self.i += 1
             args = self.comma_list(self.parse_term)
             self.expect("RPAREN")
         if d.kind is PredKind.ATEMPORAL:
             self._check_arity(d, len(args), tok)
             return AtemporalAtom(d.name, tuple(args))
         if not args:
-            raise ParseError(f"{d.name} needs its temporal arguments here", tok.line, tok.col)
+            raise ParseError(f"{d.name} needs its temporal arguments here", *tok[2:])
         if d.kind is PredKind.OBSERVATION:
             self._check_arity(d, len(args) - 1, tok)
             return ObservationAtom(d.name, tuple(args[:-1]), args[-1])
         if context == "se":
-            raise ParseError("event atoms are not allowed in simple-event rule bodies",
-                             tok.line, tok.col)
+            raise ParseError("event atoms are not allowed in simple-event rule bodies", *tok[2:])
         if context == "constraint":
             self._check_arity(d, len(args) - 1, tok,
                               note=" (constraint event atoms take no confidence argument)")
-            return EventAtom(d.name, tuple(args[:-1]), args[-1])
+            return EventAtom(d.name, tuple(args[:-1]), args[-1], None)
         self._check_arity(d, len(args) - 2, tok,
                           note=" (meta-rule event atoms take interval and confidence arguments)")
         return EventAtom(d.name, tuple(args[:-2]), args[-2], args[-1])
 
-    def _check_arity(self, d: PredicateDecl, n: int, tok: _Token, note: str = "") -> None:
+    def _check_arity(self, d: PredicateDecl, n: int, tok: tuple, note: str = "") -> None:
         if n != d.arity:
-            raise ArityMismatch(f"{d.name} declared with arity {d.arity}{note}", tok.line, tok.col)
+            raise ArityMismatch(f"{d.name} declared with arity {d.arity}{note}", *tok[2:])
 
     # -- terms ---------------------------------------------------------------
 
+    def _shared(self, cls: type, value) -> Term:
+        """The one term of class `cls` over `value` in this text."""
+        term = self._terms.get((cls, value))
+        if term is None:
+            term = self._terms[cls, value] = cls(value)
+        return term
+
     def parse_term(self) -> Term:
         """Any term; `_validate_rule` decides where each kind may stand."""
-        t = self.peek()
-        if t.kind == "NAT":
-            self.advance()
-            return Nat(self.natural(t))
-        if t.kind == "VAR":
-            self.advance()
-            return Var(t.text)
-        if t.kind == "WILD":
-            self.advance()
+        t = self.toks[self.i]
+        kind, text = t[0], t[1]
+        if kind == "VAR":
+            self.i += 1
+            return self._shared(Var, text)
+        if kind == "IDENT":
+            if text == "inter":
+                return IntervalFn(tuple(self.operands(self.parse_term)))
+            if text in FN_NAMES:
+                items = self.operands(self.parse_term)
+                if text in ("plus", "minus") and len(items) != 2:
+                    raise ParseError(f"{text} takes exactly two arguments", *t[2:])
+                return FnApp(text, tuple(items))
+            if text in KEYWORDS:
+                raise ParseError(f"{text!r} is reserved", *t[2:])
+            self.i += 1
+            return self._shared(Const, text)
+        if kind == "WILD":
+            self.i += 1
             self._wild += 1
             return Var(f"_{self._wild}")
-        if t.kind == "STAR":
-            self.advance()
-            return StarTerm()
-        if t.kind == "QSYM":
-            self.advance()
-            return Const(t.text)
-        if t.kind == "LBRACK":
-            self.advance()
+        if kind == "NAT":
+            self.i += 1
+            return self._shared(Nat, self.natural(t))
+        if kind == "LBRACK":
+            self.i += 1
             lo = self._endpoint(False)
             self.expect("COMMA")
             hi = self._endpoint(True)
             self.expect("RBRACK")
             return IntervalTerm(lo, hi)
-        if t.kind == "IDENT":
-            if t.text == "inter":
-                return IntervalFn(tuple(self.operands(self.parse_term)))
-            if t.text in FN_NAMES:
-                items = self.operands(self.parse_term)
-                if t.text in ("plus", "minus") and len(items) != 2:
-                    raise ParseError(f"{t.text} takes exactly two arguments", t.line, t.col)
-                return FnApp(t.text, tuple(items))
-            if t.text in KEYWORDS:
-                raise ParseError(f"{t.text!r} is reserved", t.line, t.col)
-            self.advance()
-            return Const(t.text)
-        raise ParseError(f"expected a term, found {t.text!r}", t.line, t.col)
+        if kind == "STAR":
+            self.i += 1
+            return StarTerm()
+        if kind == "QSYM":
+            self.i += 1
+            return self._shared(Const, text)
+        raise ParseError(f"expected a term, found {text!r}", *t[2:])
 
     def _endpoint(self, is_hi: bool) -> Term:
-        t = self.peek()
-        if t.kind == "STAR" and not is_hi:
-            raise ParseError("* may only close an interval", t.line, t.col)
-        if t.kind not in ("NAT", "VAR", "WILD", "STAR"):
-            raise ParseError("interval endpoints must be naturals, variables, _, or *",
-                             t.line, t.col)
+        t = self.toks[self.i]
+        if t[0] == "STAR" and not is_hi:
+            raise ParseError("* may only close an interval", *t[2:])
+        if t[0] not in ("NAT", "VAR", "WILD", "STAR"):
+            raise ParseError("interval endpoints must be naturals, variables, _, or *", *t[2:])
         return self.parse_term()
 
 
@@ -650,8 +675,12 @@ class _SortWalk:
         self.line = line
         self.sorts: dict[str, SortKind] = {}
 
-    def term(self, t: Term, ctx: SortKind) -> None:
+    def term(self, t: Term, ctx: SortKind, found: list[Var]) -> None:
+        """Check the term in a position of sort `ctx`, meeting each of its
+        variables' sorts with its position's, and append each variable
+        occurrence to `found`."""
         if isinstance(t, Var):
+            found.append(t)
             prev = self.sorts.get(t.name)
             self.sorts[t.name] = ctx if prev is None else _meet(prev, ctx, t.name, self.line)
         elif isinstance(t, Const):
@@ -671,17 +700,17 @@ class _SortWalk:
                 raise SortError(f"{t.fn}(...) in a {ctx.value} position", self.line)
             arg_ctx = SortKind.NAT if t.fn in ("plus", "minus") else ctx
             for a in t.args:
-                self.term(a, arg_ctx)
+                self.term(a, arg_ctx, found)
         elif isinstance(t, IntervalTerm):
             if ctx is not SortKind.INTERVAL:
                 raise SortError("interval term in a non-interval position", self.line)
-            self.term(t.lo, SortKind.NAT)
-            self.term(t.hi, SortKind.NAT_OR_STAR)
+            self.term(t.lo, SortKind.NAT, found)
+            self.term(t.hi, SortKind.NAT_OR_STAR, found)
         elif isinstance(t, IntervalFn):
             if ctx is not SortKind.INTERVAL:
                 raise SortError("inter(...) in a non-interval position", self.line)
             for a in t.args:
-                self.term(a, SortKind.INTERVAL)
+                self.term(a, SortKind.INTERVAL, found)
 
     def comparison(self, c: Comparison) -> None:
         # operand sorts are fixed by binder positions; here we only rule out
@@ -727,17 +756,17 @@ def _rule_name(rule: Rule) -> str:
     return f"rule for {rule.pred}"
 
 
-def _binder_vars(body: tuple[Literal, ...]) -> set[str]:
-    return {v.name for lit in body if not is_test(lit)
-            for t, _ in atom_terms(lit.atom) for v in term_vars(t)}
-
-
 def is_schematic_window(rule: Rule) -> bool:
     """A window rule covering every instance of its predicate: empty body,
     head arguments that are variables but not `_`, and a closed window term."""
     return (isinstance(rule, WindowRule) and not rule.body
             and all(isinstance(a, Var) and not a.is_wildcard for a in rule.args)
-            and not any(True for _ in term_vars(rule.w)))
+            and not term_vars(rule.w))
+
+
+def _with_sorts(rule: Rule, sorts: Mapping[str, SortKind]) -> Rule:
+    """The rule with its variables' sorts, its last field."""
+    return rule.__class__(*[getattr(rule, name) for name in rule._fields[:-1]], dict(sorts))
 
 
 def _validate_rule(rule: Rule) -> Rule:
@@ -746,35 +775,39 @@ def _validate_rule(rule: Rule) -> Rule:
     heads and comparisons, and `inter` also in Allen tests; interval terms
     stand where an interval does, but are not compared."""
     walk = _SortWalk(rule.line)
+    used: list[Var] = []  # the head's variables, then those of its builtin tests
     for term, ctx in head_positions(rule):
-        walk.term(term, ctx)
+        walk.term(term, ctx, used)
     if is_schematic_window(rule):
-        return rule._replace(var_sorts=dict(walk.sorts))
+        return _with_sorts(rule, walk.sorts)
+    # each literal beside its variable occurrences, in order
+    body_vars: list[tuple[Literal, list[Var]]] = []
     for lit in rule.body:
-        if not isinstance(lit.atom, Comparison):
-            for term, ctx in atom_terms(lit.atom):
-                if isinstance(term, (FnApp, IntervalFn)) and not isinstance(lit.atom, AllenTest):
+        a, names = lit.atom, []
+        if not isinstance(a, Comparison):
+            for term, ctx in atom_terms(a):
+                if isinstance(term, (FnApp, IntervalFn)) and not isinstance(a, AllenTest):
                     name = term.fn if isinstance(term, FnApp) else "inter"
                     raise SortError(f"{name}(...) in the arguments of an atom", rule.line)
-                walk.term(term, ctx)
-    for lit in rule.body:
-        if isinstance(lit.atom, Comparison):
-            for side in (lit.atom.lhs, lit.atom.rhs):
+                walk.term(term, ctx, names)
+        body_vars.append((lit, names))
+    for lit, names in body_vars:
+        a = lit.atom
+        if isinstance(a, Comparison):
+            for side in (a.lhs, a.rhs):
                 if isinstance(side, (IntervalTerm, IntervalFn)):
-                    raise SortError(f"interval term compared with {lit.atom.op}", rule.line)
+                    raise SortError(f"interval term compared with {a.op}", rule.line)
                 if isinstance(side, FnApp):
-                    walk.term(side, SortKind.NAT)
-            lit_vars = set(term_vars(lit.atom.lhs)) | set(term_vars(lit.atom.rhs))
-            for v in lit_vars:
+                    walk.term(side, SortKind.NAT, [])
+            names += term_vars(a.lhs) + term_vars(a.rhs)
+            for v in names:
                 walk.sorts.setdefault(v.name, SortKind.DATA)
-            walk.comparison(lit.atom)
+            walk.comparison(a)
 
-    bound = _binder_vars(rule.body)
-    used = [v for term, _ in head_positions(rule) for v in term_vars(term)]
-    for lit in rule.body:
+    bound = {v.name for lit, names in body_vars if not is_test(lit) for v in names}
+    for lit, names in body_vars:
         if not is_test(lit):
             continue
-        names = [v for t, _ in atom_terms(lit.atom) for v in term_vars(t)]
         if isinstance(lit.atom, BUILTIN_ATOMS):
             used.extend(names)
             continue
@@ -786,7 +819,7 @@ def _validate_rule(rule: Rule) -> Rule:
             raise SafetyViolation(_rule_name(rule), "_", rule.line)
         if v.name not in bound:
             raise SafetyViolation(_rule_name(rule), v.name, rule.line)
-    return rule._replace(var_sorts=dict(walk.sorts))
+    return _with_sorts(rule, walk.sorts)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from operator import attrgetter, itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidInterval, NaturalOverflow, SortError, UnboundVariable
 
@@ -224,6 +224,14 @@ class IntervalTerm(Record):
     __slots__ = _fields = ("lo", "hi")
 
 
+def variable_ends(t) -> tuple[str, str] | None:
+    """The names of the two variables of an interval term `[T1, T2]`, or
+    None for any other term."""
+    if isinstance(t, IntervalTerm) and isinstance(t.lo, Var) and isinstance(t.hi, Var):
+        return t.lo.name, t.hi.name
+    return None
+
+
 class IntervalFn(Record):
     """Intersection of interval terms; evaluates to None when empty."""
 
@@ -235,26 +243,25 @@ Term = Union[Const, Nat, Var, StarTerm, FnApp, IntervalTerm, IntervalFn]
 FN_NAMES = ("min", "max", "plus", "minus")
 
 
-def term_vars(t: Term) -> Iterator[Var]:
+def term_vars(t: Term) -> list[Var]:
     """All variable occurrences inside a term, in left-to-right order."""
     if isinstance(t, Var):
-        yield t
-    elif isinstance(t, FnApp):
-        for a in t.args:
-            yield from term_vars(a)
-    elif isinstance(t, IntervalTerm):
-        yield from term_vars(t.lo)
-        yield from term_vars(t.hi)
-    elif isinstance(t, IntervalFn):
-        for a in t.args:
-            yield from term_vars(a)
+        return [t]
+    if isinstance(t, (FnApp, IntervalFn)):
+        return [v for a in t.args for v in term_vars(a)]
+    if isinstance(t, IntervalTerm):
+        return term_vars(t.lo) + term_vars(t.hi)
+    return []
 
 
-def compile_term(t: Term, slot_of: Mapping[str, object]) -> Callable:
+def compile_term(t: Term, slot_of: Mapping[str, object],
+                 intervals: Mapping[tuple[str, str], object] = {}) -> Callable:
     """A function computing the term's value from a binding that holds each
     variable at `slot_of[name]`: a slot array, or a dict when the slots are
-    the names. It raises as `eval_term` says; a variable `slot_of` lacks
-    raises `UnboundVariable` here."""
+    the names. An interval term whose `variable_ends` are in `intervals`
+    reads the interval held at that slot, a matched fact's, equal to the one
+    it would build. It raises as `eval_term` says; a variable
+    `slot_of` lacks raises `UnboundVariable` here."""
     if isinstance(t, (Const, Nat, StarTerm)):
         value = t.name if isinstance(t, Const) else STAR if isinstance(t, StarTerm) else t.value
         return lambda slots: value
@@ -263,7 +270,7 @@ def compile_term(t: Term, slot_of: Mapping[str, object]) -> Callable:
             raise UnboundVariable(t.name)
         return itemgetter(slot_of[t.name])
     if isinstance(t, FnApp):
-        fns, fn = [compile_term(a, slot_of) for a in t.args], t.fn
+        fns, fn = [compile_term(a, slot_of, intervals) for a in t.args], t.fn
 
         def apply(slots):
             vals = [f(slots) for f in fns]
@@ -283,6 +290,8 @@ def compile_term(t: Term, slot_of: Mapping[str, object]) -> Callable:
             return max(vals[0] - vals[1], 0)  # natural subtraction
         return apply
     if isinstance(t, IntervalTerm):
+        if intervals and variable_ends(t) in intervals:
+            return itemgetter(intervals[variable_ends(t)])
         lo_of, hi_of = compile_term(t.lo, slot_of), compile_term(t.hi, slot_of)
 
         def interval(slots):
@@ -292,7 +301,7 @@ def compile_term(t: Term, slot_of: Mapping[str, object]) -> Callable:
             return None if hi < lo else Interval(lo, hi)
         return interval
     if isinstance(t, IntervalFn):
-        fns = [compile_term(a, slot_of) for a in t.args]
+        fns = [compile_term(a, slot_of, intervals) for a in t.args]
 
         def inter(slots):
             acc: Interval | None = None

@@ -41,6 +41,7 @@ from .model import (
     Dataset,
     EventStore,
     Interval,
+    IntervalTerm,
     Nat,
     ObservationFact,
     Record,
@@ -54,6 +55,7 @@ from .model import (
     event_values,
     fact_row,
     term_vars,
+    variable_ends,
 )
 
 EventKey = tuple[str, tuple]
@@ -73,7 +75,8 @@ _SORT_CHECKS = {
 def _positions(atom) -> tuple[type, list]:
     """The kind of fact an atom matches, and each of its terms beside the
     position it matches: in a dataset row (`fact_row`), or in an event
-    fact's `event_values`."""
+    fact's `event_values`. The terms are variables and constants, in the
+    order of the atom's variables."""
     n = len(atom.args)
     pairs = list(enumerate(atom.args))
     if isinstance(atom, AtemporalAtom):
@@ -98,43 +101,63 @@ def _equals(term) -> Callable:
 
 def _tuple_of(terms, slot_of: Mapping[str, int]) -> Callable:
     """A function from slots to the tuple of the terms' values."""
-    if len(terms) > 1 and all(isinstance(t, Var) and t.name in slot_of for t in terms):
-        return itemgetter(*[slot_of[t.name] for t in terms])
+    at = [slot_of.get(t.name) if isinstance(t, Var) else None for t in terms]
+    if None not in at:  # only variables with slots
+        if len(at) > 1:
+            return itemgetter(*at)
+        if at:
+            slot = at[0]
+            return lambda slots: (slots[slot],)
+        return lambda slots: ()
     fns = [compile_term(t, slot_of) for t in terms]
     return lambda slots: tuple([f(slots) for f in fns])
 
 
 class _Match:
     """One atom compiled against a set of bound variables: the index probe
-    its bound argument positions and interval ends allow, and one action
-    per value position: check a constant, bind a slot after its sort's
-    check, or compare with a slot (bound earlier, or earlier in the atom).
-    A dataset atom matches rows, which are their own values; an event atom
-    matches event facts."""
+    its bound argument positions and interval ends allow, and, from
+    `compile`, its match: one action per value position, which checks a
+    constant, binds a slot after its sort's check, compares with a slot
+    (bound earlier, or earlier in the atom), or puts the fact's interval in
+    its interval term's slot. A dataset atom matches rows, which are their
+    own values; an event atom matches event facts."""
 
-    def __init__(self, atom, bound, slot_of: Mapping[str, int], sorts):
-        self.kind, pairs = _positions(atom)
+    def __init__(self, atom, bound, slot_of: Mapping[str, int], sorts,
+                 intervals: Mapping = {}, positioned: tuple | None = None):
+        # `positioned`: the atom's `_positions`, when the caller has them,
+        # with the fact's interval last where it has a slot in `intervals`
+        self.kind, self._pairs = positioned or _positions(atom)
         self.pred = atom.pred
         probed = len(atom.args) + (2 if self.kind is AnnotatedEventFact else 0)
-        keys = [(i, t) for i, t in pairs
-                if i < probed and (not isinstance(t, Var) or t.name in bound)]
-        self.positions = tuple(i for i, _ in keys)
-        self.key = _tuple_of([t for _, t in keys], slot_of)
+        positions, terms = [], []
+        for i, t in self._pairs:
+            if i < probed and (not isinstance(t, Var) or t.name in bound):
+                positions.append(i)
+                terms.append(t)
+        self.positions = tuple(positions)
+        self.key = _tuple_of(terms, slot_of)
+        self._bound, self._slot_of, self._sorts, self._intervals = bound, slot_of, sorts, intervals
+
+    def compile(self) -> Callable:
+        """The match, a function of (row or fact, slots): whether the row
+        or fact matches, binding its fresh variables' slots."""
         checks, binds, sames = [], [], []
         values = event_values if self.kind is AnnotatedEventFact else None
-        seen = set(bound)
-        for i, t in pairs:
-            if not isinstance(t, Var):
+        seen, slot_of = set(self._bound), self._slot_of
+        for i, t in self._pairs:
+            if t.__class__ is IntervalTerm:  # the fact's own interval, for the head
+                binds.append((i, self._intervals[variable_ends(t)],
+                              _SORT_CHECKS[SortKind.INTERVAL]))
+            elif not isinstance(t, Var):
                 checks.append((i, _equals(t)))
             elif t.name in seen:
                 sames.append((i, slot_of[t.name]))
             else:
                 seen.add(t.name)
-                binds.append((i, slot_of[t.name], _SORT_CHECKS[sorts.get(t.name, SortKind.DATA)]))
+                binds.append((i, slot_of[t.name],
+                              _SORT_CHECKS[self._sorts.get(t.name, SortKind.DATA)]))
 
         def match(f, slots: list) -> bool:
-            """Whether the row or fact matches, binding its fresh variables'
-            slots."""
             vals = f if values is None else values(f)
             for i, check in checks:
                 if not check(vals[i]):
@@ -148,7 +171,7 @@ class _Match:
                 if slots[slot] != vals[i]:
                     return False
             return True
-        self.match = match
+        return match
 
     def candidates(self, slots: list, dataset: Dataset, events: EventStore | None):
         """The rows or event facts the probe finds; `match` still checks
@@ -163,14 +186,6 @@ class _Match:
 def _atom_vars(a) -> list[str]:
     """The variables of an atom in order of position."""
     return [v.name for t, _ in atom_terms(a) for v in term_vars(t)]
-
-
-def _needs(lit: Literal) -> frozenset[str]:
-    """The variables a test reads; a negated atom's wildcards stay free."""
-    names = _atom_vars(lit.atom)
-    if isinstance(lit.atom, BUILTIN_ATOMS):
-        return frozenset(names)
-    return frozenset(n for n in names if not n.startswith("_"))
 
 
 def _compare(op: str, lhs, rhs) -> bool:
@@ -209,57 +224,101 @@ def _test(lit: Literal, bound, slot_of: Mapping[str, int], sorts) -> Callable:
             return max(f.interval.end for f in facts) == t(s)
     else:
         m = _Match(a, bound, slot_of, sorts)
+        match = m.compile()
 
         def holds(s, d, e):
-            return any(m.match(f, s) for f in m.candidates(s, d, e))
+            return any(match(f, s) for f in m.candidates(s, d, e))
     if lit.negated:
         return lambda s, d, e: not holds(s, d, e)
     return holds
+
+
+class _Step(_Match):
+    """Matching one more binder after a set of matched ones: the binder's
+    `_Match` under the variables bound so far, its body index, the set of
+    matched binders after it and whether it is an event atom. `take`, which
+    its plan calls when it first takes the step, compiles `match` and
+    `tests`, the tests whose variables the binder completes, in body
+    order."""
+
+    def __init__(self, plan: "JoinPlan", state: int, k: int, bound: frozenset):
+        self.idx, atom, self._names, positioned = plan.binders[k]
+        super().__init__(atom, bound, plan.slot_of, plan.sorts, plan.intervals, positioned)
+        self.after, self.event = state | 1 << k, self.kind is AnnotatedEventFact
+        self.match = self.tests = None
+
+    def take(self, plan: "JoinPlan") -> None:
+        bound, after = self._bound, self._bound | self._names
+        self.tests = [_test(lit, after, plan.slot_of, plan.sorts)
+                      for lit, need in plan.tests if need <= after and not need <= bound]
+        self.match = self.compile()
 
 
 class JoinPlan:
     """A body compiled for joins over slot arrays.
 
     `slot_of` gives each variable's slot; `names` are the binder variables,
-    whose slots come first. The steps out of each set of matched binders
-    (a bit mask) are compiled on first use: per remaining binder, its
-    `_Match` under the variables bound so far and the tests whose
-    variables it completes, in body order. A test reading a variable that
-    no binder binds raises `SortError`.
+    whose slots come first. Each positive event atom whose interval is a
+    term of two variables, `[T1, T2]`, also has a slot, after them:
+    `intervals` maps the pair of names to it. A match puts the fact's own
+    interval there, for a head to read in place of a new equal interval.
+    The steps out of each set of matched binders (a bit mask) are made on
+    first use, one `_Step` per remaining binder. A test reading a variable
+    that no binder binds raises `SortError`.
     """
 
     def __init__(self, body: tuple[Literal, ...], sorts: Mapping[str, SortKind]):
         self.sorts = sorts
-        self.binders = [(idx, lit.atom, frozenset(_atom_vars(lit.atom)))
-                        for idx, lit in enumerate(body) if not is_test(lit)]
-        self.event_binders = {idx for idx, atom, _ in self.binders if isinstance(atom, EventAtom)}
-        self.tests = [(lit, _needs(lit)) for lit in body if is_test(lit)]
-        self.names = list(dict.fromkeys(n for _, a, _ in self.binders for n in _atom_vars(a)))
-        free = [n for lit, _ in self.tests for n in _atom_vars(lit.atom)]
+        # each binder: its body index, atom, variables and `_positions`
+        self.binders: list[tuple[int, object, frozenset[str], tuple]] = []
+        self.event_binders: set[int] = set()
+        self.tests: list[tuple[Literal, frozenset[str]]] = []
+        names: list[str] = []
+        free: list[str] = []
+        ends_seen = []  # the names of each event binder's [T1, T2], in order
+        for idx, lit in enumerate(body):
+            atom = lit.atom
+            if not is_test(lit):
+                kind, pairs = _positions(atom)
+                atom_vars = [t.name for _, t in pairs if t.__class__ is Var]
+                self.binders.append((idx, atom, frozenset(atom_vars), (kind, pairs)))
+                names += atom_vars
+                if kind is AnnotatedEventFact:
+                    self.event_binders.add(idx)
+                    ends = variable_ends(atom.interval)
+                    if ends is not None:
+                        ends_seen.append(ends)
+                        pairs.append((len(atom.args) + 3, atom.interval))
+                continue
+            atom_vars = _atom_vars(atom)
+            free += atom_vars
+            if not isinstance(atom, BUILTIN_ATOMS):  # a negated atom's wildcards stay free
+                atom_vars = [n for n in atom_vars if not n.startswith("_")]
+            self.tests.append((lit, frozenset(atom_vars)))
+        self.names = list(dict.fromkeys(names))
         self.slot_of = {n: i for i, n in enumerate(dict.fromkeys(self.names + free))}
+        self.intervals = {ends: len(self.slot_of) + i
+                          for i, ends in enumerate(dict.fromkeys(ends_seen))}
         self.full = (1 << len(self.binders)) - 1
-        if not all(need <= set(self.names) for _, need in self.tests):
-            raise SortError("test with unbound variables after all binders")
+        bound = set(self.names)
+        for _, need in self.tests:
+            if not need <= bound:
+                raise SortError("test with unbound variables after all binders")
         self.root_tests = [_test(lit, frozenset(), self.slot_of, sorts)
                            for lit, need in self.tests if not need]
-        self._steps: dict[int, list] = {}
+        self._steps: dict[int, list[_Step]] = {}
 
-    def steps(self, state: int) -> list[tuple]:
-        """(body index, match, tests, next state, is an event atom) per
-        binder outside `state`."""
+    def steps(self, state: int) -> list[_Step]:
+        """One `_Step` per binder outside `state`."""
         steps = self._steps.get(state)
         if steps is None:
-            bound = frozenset().union(*(names for k, (_, _, names) in enumerate(self.binders)
-                                        if state >> k & 1))
-            steps = self._steps[state] = []
-            for k, (idx, atom, names) in enumerate(self.binders):
+            bound, rest = frozenset(), []
+            for k, (_, _, names, _) in enumerate(self.binders):
                 if state >> k & 1:
-                    continue
-                after = bound | names
-                tests = [_test(lit, after, self.slot_of, self.sorts)
-                         for lit, need in self.tests if need <= after and not need <= bound]
-                steps.append((idx, _Match(atom, bound, self.slot_of, self.sorts), tests,
-                              state | 1 << k, isinstance(atom, EventAtom)))
+                    bound |= names
+                else:
+                    rest.append(k)
+            steps = self._steps[state] = [_Step(self, state, k, bound) for k in rest]
         return steps
 
     def solve(self, dataset: Dataset, events: EventStore | None = None,
@@ -275,7 +334,7 @@ class JoinPlan:
         forced_idx, forced = delta if delta is not None else (None, None)
         if delta is not None and forced_idx not in self.event_binders:
             forced = [fact_row(f) for f in forced]
-        slots: list = [None] * len(self.slot_of)
+        slots: list = [None] * (len(self.slot_of) + len(self.intervals))
         out: list = []
 
         def run(state: int, matched: tuple) -> None:
@@ -284,13 +343,15 @@ class JoinPlan:
                 return
             best, cands = None, None
             for step in self.steps(state):
-                c = forced if step[0] == forced_idx else step[1].candidates(slots, dataset, events)
+                c = forced if step.idx == forced_idx else step.candidates(slots, dataset, events)
                 if best is None or len(c) < len(cands):
                     best, cands = step, c
                     if not c:
                         return
-            _, m, tests, after, event = best
-            match, keep, last = m.match, witnesses and event, after == self.full
+            if best.match is None:
+                best.take(self)
+            match, tests, after = best.match, best.tests, best.after
+            keep, last = witnesses and best.event, after == self.full
             for f in cands:
                 if match(f, slots):
                     for t in tests:
@@ -313,13 +374,15 @@ class JoinPlan:
 def rule_plan(tes: TES, rule) -> JoinPlan:
     """The join plan of a rule of `tes`, compiled once. Its head is compiled
     against the same slots: `args` gives the tuple of head arguments, and
-    `head` the functions of the other head terms (see `head_positions`)."""
+    `head` the functions of the other head terms (see `head_positions`),
+    which read a matched fact's interval where the plan keeps it."""
     hit = tes.plans.get(id(rule))
     if hit is None:  # the entry keeps the rule, so no other object takes its id
         plan = JoinPlan(rule.body, rule.var_sorts)
         args = getattr(rule, "args", ())
         plan.args = _tuple_of(args, plan.slot_of)
-        plan.head = [compile_term(t, plan.slot_of) for t, _ in head_positions(rule)[len(args):]]
+        plan.head = [compile_term(t, plan.slot_of, plan.intervals)
+                     for t, _ in head_positions(rule)[len(args):]]
         hit = tes.plans[id(rule)] = (rule, plan)
     return hit[1]
 

@@ -1,6 +1,7 @@
 """Rule language: parsing, validation, stratification, and printing."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -23,6 +24,7 @@ from timeloom.language import MAX_TERM_DEPTH, _tokenize, is_schematic_window
 from timeloom.model import IntervalTerm, Nat, StarTerm, Var
 
 from conftest import THERAPY_RULES, TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
+from rule_texts import compare, random_rule_text
 
 META_HEAVY = """
 decl observation adm/2.
@@ -401,7 +403,7 @@ def test_tokens_and_errors_of_tricky_characters(text, want):
             _tokenize(text)
         assert (err.value.message, err.value.line, err.value.col) == want
     else:
-        assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == want
+        assert _tokenize(text) == want
 
 
 def test_end_of_input_after_a_comment_is_the_column_past_it():
@@ -409,3 +411,16 @@ def test_end_of_input_after_a_comment_is_the_column_past_it():
         parse_tes("decl atemporal ab/ # x")
     assert (err.value.message, err.value.line, err.value.col) == (
         "expected an arity, found ''", 1, 23)
+
+
+def test_lexer_and_parse_tes_agree_with_the_token_walk():
+    """On printed random programs and randomly edited rule files, the lexer
+    gives the token walk's tokens or its ParseError, and `parse_tes` gives
+    the same TES and printed text, or the same error, over either."""
+    rng = random.Random(20261020)
+    results = [compare(random_rule_text(rng)) for _ in range(1000)]
+    assert [diff for diff, _, _ in results if diff is not None] == []
+    lexed = sum(isinstance(tokens, list) for _, tokens, _ in results)
+    valid = sum(not isinstance(tes[0], str) for _, _, tes in results)
+    # lexer errors, parse errors and valid texts are all well represented
+    assert 30 < len(results) - lexed < 150 and 300 < lexed - valid and valid > 500, (lexed, valid)
