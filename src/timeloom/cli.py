@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from bisect import bisect_left
 from functools import cache
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .errors import (
     TimeloomError,
 )
 from .ingest import ingest, read_file, validate_dataset
-from .language import NATURAL, TES, parse_tes, read_natural
+from .language import MAX_DIGITS, NATURAL, TES, parse_tes, read_natural
 from .model import (
     STAR,
     AnnotatedEventFact,
@@ -100,30 +100,38 @@ def _nth_fact(n: int, d) -> AnnotatedEventFact:
 
 
 def _positioned(result: TimelineResult, tes: TES, now: int | None) -> dict:
-    """A run document with its models by position: the dicts of its
-    distinct facts, simple facts before meta facts and each part in
-    `fact_key` order, and each model as the sorted positions there of its
-    simple and of its meta facts, merged from the positions of the core and
-    of its unit results, each placed once."""
+    """A run document with its models as runs: the dicts of its distinct
+    facts, simple facts before meta facts and each part in `fact_key`
+    order; its runs, the maximal stretches of one part whose facts the same
+    models hold (the core's, or one unit's held by the same set of its
+    results); and each model as the runs of its simple and of its meta
+    facts. When every model holds every fact, each part is one run."""
     models = result.factored
     simple: list = []
     meta: list = []
     for f in models.core.union(*[r for rs in models.units for r in rs]):
         (simple if tes.is_simple_pred(f.pred) else meta).append(f)
     facts = sorted(simple, key=fact_key) + sorted(meta, key=fact_key)
-    n = len(simple)
-    if len(models.core) == len(facts):  # every model holds every fact: nothing to look up
-        ranked = [(range(n), range(n, len(facts)))] * len(models.picks)
-    else:
-        rank = {f: i for i, f in enumerate(facts)}.__getitem__
-        base = sorted(map(rank, models.core))
-        placed = [[sorted(map(rank, r)) for r in rs] for rs in models.units]
-        ranked = []
-        for pick in models.picks:
-            positions = sorted(base + [p for u, i in enumerate(pick) for p in placed[u][i]])
-            k = bisect_left(positions, n)
-            ranked.append((positions[:k], positions[k:]))
-    return {"mode": result.mode, "models": ([fact_to_json(f, now) for f in facts], ranked),
+    core = (len(models.units), {0})  # the core: one more unit, whose one result every model picks
+    held: dict = {}  # a unit's fact -> (the unit, its results holding it)
+    for u, rs in enumerate(models.units):
+        for i, r in enumerate(rs):
+            for f in r:
+                held.setdefault(f, (u, set()))[1].add(i)
+    label = ([held.get(f, core) for f in facts] if held else [core] * len(facts)).__getitem__
+    starts: list[int] = []
+    parts: tuple[list, list] = ([], [])  # per part, its runs as (index, unit, results)
+    for part, ps in zip(parts, (range(len(simple)), range(len(simple), len(facts)))):
+        for (u, rs), run in groupby(ps, label):
+            part.append((len(starts), u, rs))
+            starts.append(next(run))
+    runs = list(map(slice, starts, starts[1:] + [len(facts)]))  # the runs cover the facts in turn
+    ranked = []
+    for pick in models.picks:
+        pick += (0,)
+        ranked.append(([k for k, u, rs in parts[0] if pick[u] in rs],
+                       [k for k, u, rs in parts[1] if pick[u] in rs]))
+    return {"mode": result.mode, "models": ([fact_to_json(f, now) for f in facts], runs, ranked),
             "exhaustive": result.exhaustive}
 
 
@@ -132,9 +140,9 @@ def result_to_json(result: TimelineResult, tes: TES, now: int | None = None) -> 
     its simple and meta sections; every model holding a fact shares its
     one dict."""
     doc = _positioned(result, tes, now)
-    facts, ranked = doc["models"]
-    doc["models"] = [{"simple": [facts[p] for p in s], "meta": [facts[p] for p in m]}
-                     for s, m in ranked]
+    facts, runs, ranked = doc["models"]
+    doc["models"] = [{"simple": [fj for k in s for fj in facts[runs[k]]],
+                      "meta": [fj for k in m for fj in facts[runs[k]]]} for s, m in ranked]
     return doc
 
 
@@ -175,33 +183,41 @@ def _json_fact(fj: dict, pad: str) -> str:
 
 
 def _models(out: list, models, fmt: str, at: str, with_clamp: bool) -> None:
-    """Append a run's models to `out`, each model section as one join of
-    its facts' texts, each text built once (for JSON at the facts' depth).
-    `models` is the pair `_positioned` gives, or a list of model dicts that
-    is reduced to it by the identity of their fact dicts. For JSON `at` is
-    the newline and indent before a model; for TSV the fields before its
-    index."""
+    """Append a run's models to `out`, each fact's text built once (for
+    JSON at the facts' depth) and, for JSON, each run's text once: a model
+    section is its runs' texts, appended as they are. `models` is the
+    triple `_positioned` gives, or a list of model dicts that is reduced to
+    it by the identity of their fact dicts, each fact a run of its own. For
+    JSON `at` is the newline and indent before a model; for TSV the fields
+    before its index."""
     if isinstance(models, list):
         dicts = {id(fj): fj for m in models for k in ("simple", "meta") for fj in m[k]}
         place = {i: p for p, i in enumerate(dicts)}
         ranked = [[[place[id(fj)] for fj in m[k]] for k in ("simple", "meta")] for m in models]
-        models = list(dicts.values()), ranked
-    facts, ranked = models
+        models = list(dicts.values()), [slice(p, p + 1) for p in range(len(dicts))], ranked
+    facts, runs, ranked = models
     if fmt != "json":
         text = [_tsv_fact_row(fj, with_clamp) for fj in facts]
+        texts = [text[r] for r in runs]
         for j, sections in enumerate(ranked):
-            for name, ps in zip(("simple", "meta"), sections):
-                if ps:
+            for name, ks in zip(("simple", "meta"), sections):
+                if ks:
+                    rows: list[str] = []
+                    for k in ks:
+                        rows += texts[k]
                     sep = f"{at}{j}\t{name}\t"
-                    out.extend((sep, sep.join([text[p] for p in ps])))
+                    out.extend((sep, sep.join(rows)))
         return
     key, item = at + "  ", at + "    "  # lead a model's keys and its sections' facts
     text = [_json_fact(fj, item) for fj in facts]
     sep, first, last, ends = "," + item, "[" + item, key + "]", (f',{key}"meta": ', at + "}")
+    body = [sep.join(text[r]) for r in runs]
+    after = [sep + b for b in body]  # a run's text after another run
     for j, sections in enumerate(ranked):
         out.append(f'{"," if j else "["}{at}{{{key}"simple": ')
-        for ps, end in zip(sections, ends):
-            out.extend((first, sep.join([text[p] for p in ps]), last, end) if ps else ("[]", end))
+        for ks, end in zip(sections, ends):
+            out.extend((first, body[ks[0]], *[after[k] for k in ks[1:]], last, end) if ks
+                       else ("[]", end))
     out.append(at[:-2] + "]" if ranked else "[]")
 
 
@@ -209,9 +225,9 @@ def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
     """Render a document `run` writes, as the text of `json.dumps(doc,
     indent=2)` or as tab-separated rows: a check verdict, a run, or a
     partitioned run whose entities are runs led by their "entity". A run's
-    models may also be given by position, as `run` gives them (see
-    `_models`). TSV leaves out every key but the models' sections and the
-    verdict."""
+    models may also be given as runs of facts, as `run` gives them (see
+    `_positioned`). TSV leaves out every key but the models' sections and
+    the verdict."""
     out: list[str] = []
     if fmt != "json":
         if "recognized" in doc:
@@ -391,7 +407,8 @@ def _natural(flag: str, text: str | None) -> int | None:
 
 def _config_from_args(args: argparse.Namespace) -> None:
     """Resolve `run`'s options in place: pair each data file with its mapping
-    file or None, read the naturals, and check --check and --partition-by
+    file or None, read the naturals, refuse a --now whose clamped end N+1
+    would pass the digit bound, and check --check and --partition-by
     against --mode."""
     maps = list(args.map)
     pairs: list[tuple[str, str | None]] = []
@@ -405,6 +422,9 @@ def _config_from_args(args: argparse.Namespace) -> None:
     args.data = pairs
     for name in ("now", "max_models", "cap", "partition_by"):
         setattr(args, name, _natural("--" + name.replace("_", "-"), getattr(args, name)))
+    if args.now is not None and args.now + 1 >= 10 ** MAX_DIGITS:
+        raise ValueError(f"--now: its clamped end N+1 has {MAX_DIGITS + 1} digits "
+                         f"(at most {MAX_DIGITS})")
     if (args.mode == "check") != (args.check is not None):
         raise ValueError("--check is required for mode check and only there")
     if args.mode == "check" and args.partition_by is not None:

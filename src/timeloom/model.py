@@ -409,6 +409,10 @@ def args_key(args: tuple[Value, ...]) -> tuple:
 
 def fact_key(f) -> tuple:
     """Total deterministic order over facts of any kind."""
+    if f.__class__ is AnnotatedEventFact:  # the kind sorted most: args_key inlined
+        iv = f.interval
+        return (2, f.pred, tuple([(0, a, "") if isinstance(a, int) else (1, 0, a) for a in f.args]),
+                (iv.start, iv.end), f.level)
     if isinstance(f, AtemporalFact):
         return (0, f.pred, args_key(f.args), (), 0)
     if isinstance(f, ObservationFact):

@@ -18,6 +18,7 @@ from timeloom.model import (
     Dataset,
     Interval,
     ObservationFact,
+    args_key,
     fact_key,
 )
 from timeloom.repair import is_consistent, temporal_conflict
@@ -68,6 +69,16 @@ def brute_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None) -> tu
 
 def _subset(facts: list, mask: int) -> frozenset:
     return frozenset(f for i, f in enumerate(facts) if mask >> i & 1)
+
+
+def reference_fact_key(f) -> tuple:
+    """`model.fact_key` as first written: each kind told by isinstance,
+    each argument keyed through `args_key`."""
+    if isinstance(f, AtemporalFact):
+        return (0, f.pred, args_key(f.args), (), 0)
+    if isinstance(f, ObservationFact):
+        return (1, f.pred, args_key(f.args), (f.t,), 0)
+    return (2, f.pred, args_key(f.args), (f.interval.start, f.interval.end), f.level)
 
 
 def brute_independent_sets(n: int, edges) -> set[frozenset[int]]:

@@ -763,6 +763,29 @@ def test_plus_derives_at_most_4300_digits(tmp_path, capsys, digit, code):
         assert not out and err == "error: plus derives a natural of more than 4300 digits\n"
 
 
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("nines,code", [(4299, 0), (4300, 1)], ids=["4299-nines", "4300-nines"])
+def test_now_clamps_to_at_most_4300_digits(tmp_path, capsys, fmt, nines, code):
+    """--now N writes N+1 as the clamped end of an ongoing fact. For 4,299
+    nines that is a natural of 4,300 digits, written out; for 4,300 nines
+    it has 4,301, and the option is refused with one error line that states
+    the bound, in either format."""
+    (tmp_path / "r.tes").write_text("decl persistent e/0.\nexists_pers(e, 2, 1).\n")
+    (tmp_path / "d.facts").write_text("")
+    now = "9" * nines
+    assert run_cli("run", "--rules", str(tmp_path / "r.tes"), "--data", str(tmp_path / "d.facts"),
+                   "--now", now, "--format", fmt) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert not err
+        clamped = str(int(now) + 1)
+        assert (json.loads(out)["models"][0]["simple"][0]["interval"]["clamped_end"] == int(clamped)
+                if fmt == "json" else out == f"0\tsimple\te\t\t2\t*\t1\t{clamped}\n")
+    else:
+        assert not out
+        assert err == "error: --now: its clamped end N+1 has 4301 digits (at most 4300)\n"
+
 def test_data_file_error_names_the_file(ward, capsys):
     bad = ward / "bad.facts"
     bad.write_text("obs adm(p3, 4).\nobs adm(p3, 5\u00b2).\n")
@@ -943,6 +966,7 @@ def rendered(tmp_path):
     ("render", "consistent", ("--max-models", "1")),
     ("render", "consistent", ("--partition-by", "0")),
     ("render", "consistent", ("--partition-by", "0", "--now", "12")),
+    ("many", "consistent", ()),  # all 256 models
     ("many", "consistent", ("--max-models", "70", "--now", "3")),
     ("many", "consistent", ("--partition-by", "0", "--max-models", "70", "--now", "3")),
     ("many", "consistent", ("--max-models", "1")),
@@ -967,7 +991,7 @@ def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
         assert doc["models"] == []
     elif rules == "many":
         models = doc["entities"][0]["models"] if "entities" in doc else doc["models"]
-        assert len(models) == max_models
+        assert len(models) == (256 if max_models is None else max_models)
         assert all(m["meta"] for m in models)
     if rules != "never":
         text = json.dumps(doc)
@@ -1114,7 +1138,7 @@ def random_result(rng: random.Random) -> TimelineResult:
 
 def test_run_renders_models_by_position_like_json_dumps(tmp_path, monkeypatch, capsys):
     # the command renders each run from its distinct facts and each model's
-    # positions among them; its output must be the standard encoder's text
+    # runs among them; its output must be the standard encoder's text
     # of result_to_json's document, its TSV what render_document makes of
     # that document, and result_to_json must hold each model's facts sorted
     # into its sections, for one run and for partitioned ones
@@ -1159,6 +1183,50 @@ def test_run_renders_models_by_position_like_json_dumps(tmp_path, monkeypatch, c
                         else render_document(doc, "tsv", with_clamp=now is not None))
             assert capsys.readouterr().out == expected
     assert min(kinds.values()) > 10, kinds
+
+
+def test_models_as_runs_expand_to_their_sorted_positions():
+    # _positioned gives each model as runs: maximal stretches of one section
+    # whose facts have one label, the core or one unit with the same of its
+    # results holding them. A model's runs, expanded, must be exactly the
+    # sorted positions of its simple and of its meta facts
+    tes = parse_tes(POSITIONED_RULES)
+    rng = random.Random(41)
+    kinds = {"held by some results of a unit": 0, "unit fact between core facts": 0,
+             "adjacent runs of two units": 0}
+    for _ in range(400):
+        result = random_result(rng)
+        core, units = result.factored.core, result.factored.units
+        facts, runs, ranked = cli._positioned(result, tes, None)["models"]
+        order = sorted(core.union(*[r for rs in units for r in rs]),
+                       key=lambda f: (not tes.is_simple_pred(f.pred), fact_key(f)))
+        assert facts == [fact_to_json(f) for f in order]
+        n = sum(map(tes.is_simple_pred, (f.pred for f in order)))
+        label = [(-1, frozenset()) if f in core else next(
+            (u, frozenset(i for i, r in enumerate(rs) if f in r))
+            for u, rs in enumerate(units) if any(f in r for r in rs)) for f in order]
+        positions = range(len(order))
+        assert [p for r in runs for p in positions[r]] == list(positions)
+        for a, b in zip(runs, runs[1:]):  # maximal: a label changes, or a section ends
+            assert a.stop == n or label[a.start] != label[b.start]
+        for r in runs:
+            assert len(set(label[r])) == 1 and (r.start < n) == (r.stop <= n)
+        assert len(ranked) == len(result.factored.picks)
+        for m, (simple, meta) in zip(result.factored.models(), ranked):
+            held = sorted(p for p in positions if order[p] in m)
+            assert [p for k in simple for p in positions[runs[k]]] == [p for p in held if p < n]
+            assert [p for k in meta for p in positions[runs[k]]] == [p for p in held if p >= n]
+        unit = [u for u, _ in label]
+        kinds["held by some results of a unit"] += any(
+            u >= 0 and len(rs) < len(units[u]) for u, rs in label)
+        for sec in (range(n), range(n, len(order))):
+            core_at = [p for p in sec if unit[p] < 0]
+            between = unit[core_at[0]:core_at[-1]] if core_at else []
+            kinds["unit fact between core facts"] += any(u >= 0 for u in between)
+        kinds["adjacent runs of two units"] += any(
+            b.start != n and -1 != unit[a.start] != unit[b.start] != -1
+            for a, b in zip(runs, runs[1:]))
+    assert min(kinds.values()) > 30, kinds
 
 
 @pytest.mark.parametrize("body", ["e(P, I, L), adm(P, plus(T, 1))",

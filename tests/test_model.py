@@ -41,6 +41,8 @@ from timeloom.model import (
     fact_row,
 )
 
+from oracle import reference_fact_key
+
 
 def test_interval_validation():
     assert Interval(2, 5).end == 5
@@ -186,6 +188,35 @@ def test_fact_key_total_order():
     assert fact_key(AtemporalFact("p", (2,))) < fact_key(AtemporalFact("p", ("b",)))
     assert fact_key(AnnotatedEventFact("a", (), Interval(0, 1), 1)) < fact_key(
         AnnotatedEventFact("a", (), Interval(0, 1), 2))
+
+
+
+def test_fact_key_agrees_with_the_reference_key():
+    # fact_key tells an event fact by its class and keys its arguments in
+    # one comprehension; its keys, so its order, must be those of the
+    # definition kept in oracle.py, over facts of all three kinds whose
+    # arguments mix symbols (digit ones among them) and naturals
+    rng = random.Random(43)
+    values = ("", "a", "b", "7", "10", 0, 7, 10, 2 ** 70)
+    kinds = {AtemporalFact: 0, ObservationFact: 0, AnnotatedEventFact: 0, "mixed": 0}
+    for _ in range(300):
+        facts = []
+        for _ in range(rng.randrange(2, 15)):
+            pred, args = rng.choice("pq"), tuple(rng.choices(values, k=rng.randrange(4)))
+            kind = rng.choice(list(kinds)[:3])
+            kinds[kind] += 1
+            kinds["mixed"] += len({type(a) for a in args}) == 2
+            if kind is AtemporalFact:
+                facts.append(AtemporalFact(pred, args))
+            elif kind is ObservationFact:
+                facts.append(ObservationFact(pred, args, rng.randrange(4)))
+            else:
+                start = rng.randrange(4)
+                facts.append(AnnotatedEventFact(pred, args, Interval(
+                    start, rng.choice((STAR, start, start + 2))), rng.randint(1, 3)))
+        assert list(map(fact_key, facts)) == list(map(reference_fact_key, facts))
+        assert sorted(facts, key=fact_key) == sorted(facts, key=reference_fact_key)
+    assert min(kinds.values()) > 300, kinds
 
 
 def test_interval_key_orders_ongoing_last():
