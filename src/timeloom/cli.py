@@ -102,10 +102,10 @@ def _nth_fact(n: int, d) -> AnnotatedEventFact:
 def _positioned(result: TimelineResult, tes: TES, now: int | None) -> dict:
     """A run document with its models as runs: the dicts of its distinct
     facts, simple facts before meta facts and each part in `fact_key`
-    order; its runs, the maximal stretches of one part whose facts the same
-    models hold (the core's, or one unit's held by the same set of its
-    results); and each model as the runs of its simple and of its meta
-    facts. When every model holds every fact, each part is one run."""
+    order; its runs, the maximal stretches of one part with one label (the
+    core, or one unit and the same set of its results); and each model as
+    the runs of its simple and of its meta facts, found by a scan of every
+    run. When every model holds every fact, each part is one run."""
     models = result.factored
     simple: list = []
     meta: list = []

@@ -398,26 +398,22 @@ class AnnotatedEventFact(Record):
 Fact = Union[AtemporalFact, ObservationFact, AnnotatedEventFact]
 
 
-def value_key(v: Value) -> tuple:
-    # ints sort before symbols; bool is not a data value
-    return (0, v, "") if isinstance(v, int) else (1, 0, v)
-
-
 def args_key(args: tuple[Value, ...]) -> tuple:
-    return tuple(value_key(a) for a in args)
+    # ints sort before symbols; bool is not a data value
+    return tuple([(0, a, "") if isinstance(a, int) else (1, 0, a) for a in args])
+
+
+def value_key(v: Value) -> tuple:
+    return args_key((v,))[0]
 
 
 def fact_key(f) -> tuple:
     """Total deterministic order over facts of any kind."""
-    if f.__class__ is AnnotatedEventFact:  # the kind sorted most: args_key inlined
-        iv = f.interval
-        return (2, f.pred, tuple([(0, a, "") if isinstance(a, int) else (1, 0, a) for a in f.args]),
-                (iv.start, iv.end), f.level)
-    if isinstance(f, AtemporalFact):
-        return (0, f.pred, args_key(f.args), (), 0)
-    if isinstance(f, ObservationFact):
-        return (1, f.pred, args_key(f.args), (f.t,), 0)
-    return (2, f.pred, args_key(f.args), (f.interval.start, f.interval.end), f.level)
+    if f.__class__ is not AnnotatedEventFact:  # events, the kind sorted most, pass one test
+        return (0, f.pred, args_key(f.args), (), 0) if f.__class__ is AtemporalFact \
+            else (1, f.pred, args_key(f.args), (f.t,), 0)
+    iv = f.interval
+    return (2, f.pred, args_key(f.args), (iv.start, iv.end), f.level)
 
 
 def event_values(f: AnnotatedEventFact) -> tuple:

@@ -18,7 +18,6 @@ from timeloom.model import (
     Dataset,
     Interval,
     ObservationFact,
-    args_key,
     fact_key,
 )
 from timeloom.repair import is_consistent, temporal_conflict
@@ -73,12 +72,13 @@ def _subset(facts: list, mask: int) -> frozenset:
 
 def reference_fact_key(f) -> tuple:
     """`model.fact_key` as first written: each kind told by isinstance,
-    each argument keyed through `args_key`."""
+    each argument keyed in a generator, ints before symbols."""
+    args = tuple((0, a, "") if isinstance(a, int) else (1, 0, a) for a in f.args)
     if isinstance(f, AtemporalFact):
-        return (0, f.pred, args_key(f.args), (), 0)
+        return (0, f.pred, args, (), 0)
     if isinstance(f, ObservationFact):
-        return (1, f.pred, args_key(f.args), (f.t,), 0)
-    return (2, f.pred, args_key(f.args), (f.interval.start, f.interval.end), f.level)
+        return (1, f.pred, args, (f.t,), 0)
+    return (2, f.pred, args, (f.interval.start, f.interval.end), f.level)
 
 
 def brute_independent_sets(n: int, edges) -> set[frozenset[int]]:

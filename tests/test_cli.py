@@ -763,7 +763,6 @@ def test_plus_derives_at_most_4300_digits(tmp_path, capsys, digit, code):
         assert not out and err == "error: plus derives a natural of more than 4300 digits\n"
 
 
-
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 @pytest.mark.parametrize("nines,code", [(4299, 0), (4300, 1)], ids=["4299-nines", "4300-nines"])
 def test_now_clamps_to_at_most_4300_digits(tmp_path, capsys, fmt, nines, code):
@@ -785,6 +784,7 @@ def test_now_clamps_to_at_most_4300_digits(tmp_path, capsys, fmt, nines, code):
     else:
         assert not out
         assert err == "error: --now: its clamped end N+1 has 4301 digits (at most 4300)\n"
+
 
 def test_data_file_error_names_the_file(ward, capsys):
     bad = ward / "bad.facts"

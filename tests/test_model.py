@@ -190,10 +190,9 @@ def test_fact_key_total_order():
         AnnotatedEventFact("a", (), Interval(0, 1), 2))
 
 
-
 def test_fact_key_agrees_with_the_reference_key():
     # fact_key tells an event fact by its class and keys its arguments in
-    # one comprehension; its keys, so its order, must be those of the
+    # one list comprehension; its keys, so its order, must be those of the
     # definition kept in oracle.py, over facts of all three kinds whose
     # arguments mix symbols (digit ones among them) and naturals
     rng = random.Random(43)
