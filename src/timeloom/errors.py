@@ -73,15 +73,14 @@ class InvalidSpec(TimeloomError):
     """A grounded rule set fails a validity requirement for some event instance.
 
     kind is one of "MissingWindow", "AmbiguousWindow", "ZeroWindow"; key is
-    the instance, a (predicate, argument values) pair, and instance, when
-    given, its rule text, which the message names in place of the key.
+    the instance, a (predicate, argument values) pair, and instance its rule
+    text, which the message names.
     """
 
-    def __init__(self, kind: str, key: object = None, instance: str | None = None):
+    def __init__(self, kind: str, key: tuple, instance: str):
         self.kind = kind
         self.key = key
-        named = key if instance is None else instance
-        super().__init__(kind if named is None else f"{kind} for {named}")
+        super().__init__(f"{kind} for {instance}")
 
 
 class LevelOverflow(TimeloomError):

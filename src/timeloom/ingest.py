@@ -276,12 +276,6 @@ def _cell(row: list[str], c: int, rn: int):
         raise MappingError(c, f"row {rn}: column {c}: {e}") from None
 
 
-def read_csv_mapped(csv_text: str, mapping: dict) -> list[ObservationFact]:
-    """Turn headerless CSV rows into observation facts under a mapping."""
-    return [row_fact(ObservationFact, mapping["predicate"], row)
-            for row in _csv_rows(csv_text, mapping)]
-
-
 def _csv_rows(csv_text: str, mapping: dict) -> list[tuple]:
     """The observation rows (`fact_row`) of headerless CSV text under a
     mapping, in order."""

@@ -224,26 +224,17 @@ class TES(Record):
         return d is not None and d.kind in SIMPLE_KINDS
 
     @property
-    def has_negated_event_atoms(self) -> bool:
-        """True when any meta rule or constraint negates an event atom."""
-        for rule in self.meta_rules + self.constraints:
-            for lit in rule.body:
-                if lit.negated and isinstance(lit.atom, EventAtom):
-                    return True
-        return False
-
-    @property
     def is_monotone(self) -> bool:
         """True when no meta rule or constraint negates an event atom and no
-        meta rule tests a start or end: then every meta fact derived from a
-        set of facts is derived from each superset too. `meta.close_factored`
-        closes per unit only then; `repair._downward_closed`, which decides
-        the repair path, counts this as one of its cases."""
-        if self.has_negated_event_atoms:
-            return False
-        for rule in self.meta_rules:
+        meta rule tests a start or end (a constraint body holds no builtin):
+        then every meta fact derived from a set of facts is derived from
+        each superset too. `meta.close_factored` closes per unit only then;
+        `repair._downward_closed`, which decides the repair path, counts
+        this as one of its cases."""
+        for rule in self.meta_rules + self.constraints:
             for lit in rule.body:
-                if isinstance(lit.atom, ExtremumTest):
+                if isinstance(lit.atom, ExtremumTest) or (
+                        lit.negated and isinstance(lit.atom, EventAtom)):
                     return False
         return True
 

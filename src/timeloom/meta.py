@@ -191,7 +191,7 @@ def regroup(f: Factored, picks: Sequence[tuple[int, ...]],
 def factor_models(models: Sequence[frozenset[AnnotatedEventFact]]) -> Factored:
     """Models as their intersection plus one unit of what each adds."""
     if len(models) == 1:  # the model is its own core, taken without a copy
-        return Factored(frozenset(models[0]), ((frozenset(),),), ((0,),))
+        return Factored(frozenset(models[0]), (), ((),))
     core = frozenset.intersection(*models) if models else frozenset()
     return Factored(core, (tuple([m - core for m in models]),),
                     tuple([(i,) for i in range(len(models))]))

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from functools import partial
 from operator import eq, itemgetter
-from typing import Callable, Collection, Mapping
+from typing import Callable, Mapping
 
-from .errors import InvalidSpec, SortError
+from .errors import SortError
 from .language import (
     BUILTIN_ATOMS,
     AllenTest,
@@ -29,7 +29,6 @@ from .language import (
     ObservationAtom,
     TES,
     atom_terms,
-    format_instance,
     head_positions,
     is_schematic_window,
     is_test,
@@ -53,7 +52,6 @@ from .model import (
     compile_term,
     eval_term,
     event_values,
-    fact_row,
     term_vars,
     variable_ends,
 )
@@ -271,7 +269,6 @@ class JoinPlan:
         self.sorts = sorts
         # each binder: its body index, atom, variables and `_positions`
         self.binders: list[tuple[int, object, frozenset[str], tuple]] = []
-        self.event_binders: set[int] = set()
         self.tests: list[tuple[Literal, frozenset[str]]] = []
         names: list[str] = []
         free: list[str] = []
@@ -284,7 +281,6 @@ class JoinPlan:
                 self.binders.append((idx, atom, frozenset(atom_vars), (kind, pairs)))
                 names += atom_vars
                 if kind is AnnotatedEventFact:
-                    self.event_binders.add(idx)
                     ends = variable_ends(atom.interval)
                     if ends is not None:
                         ends_seen.append(ends)
@@ -324,16 +320,13 @@ class JoinPlan:
     def solve(self, dataset: Dataset, events: EventStore | None = None,
               delta: tuple | None = None, witnesses: bool = False) -> list:
         """Every binding that satisfies the body, each a tuple of slots (an
-        empty ground body has one). `delta`, a (body index, facts) pair, has
-        that binder match only those facts (a semi-naive step). The meta
-        closure passes event facts only; dataset facts, which only tests
-        pass, are turned into their rows once, here. With
-        `witnesses`, each result is a (slots, facts) pair: the event facts
-        the positive event atoms matched, once per combination of them, as
-        when an atom without a level matches an interval at several levels."""
+        empty ground body has one). `delta`, a (body index, candidates)
+        pair, has that binder match only those candidates (a semi-naive
+        step): event facts, or rows for a dataset atom. With `witnesses`,
+        each result is a (slots, facts) pair: the event facts the positive
+        event atoms matched, once per combination of them, as when an atom
+        without a level matches an interval at several levels."""
         forced_idx, forced = delta if delta is not None else (None, None)
-        if delta is not None and forced_idx not in self.event_binders:
-            forced = [fact_row(f) for f in forced]
         slots: list = [None] * (len(self.slot_of) + len(self.intervals))
         out: list = []
 
@@ -401,29 +394,14 @@ class AuxStore(Record):
     __slots__ = _fields = ("exists", "ends", "windows", "default_windows")
 
     def keys(self) -> list[EventKey]:
-        """Event instances with at least one existence fact, sorted (numbers
-        before symbols at each argument)."""
-        return sorted(self.exists, key=lambda k: (k[0], args_key(k[1])))
-
-    def window_values(self, key: EventKey) -> list[int]:
-        return sorted(self.windows.get(key, set()) | self.default_windows.get(key[0], set()))
-
-    def window(self, key: EventKey) -> int:
-        """The instance's one window; `InvalidSpec` when it has none, more
-        than one, or one below 1 (`window_fault`)."""
-        ws = self.window_values(key)
-        kind = window_fault(ws)
-        if kind is not None:
-            raise InvalidSpec(kind, key, format_instance(*key))
-        return ws[0]
+        """Event instances with at least one existence fact, sorted by
+        `instance_key` (numbers before symbols at each argument)."""
+        return sorted(self.exists, key=instance_key)
 
 
-def window_fault(ws: Collection[int]) -> str | None:
-    """The `InvalidSpec` kind of an instance with these window values: none,
-    more than one, or one below 1, tested in that order; None when it has
-    one window."""
-    return ("MissingWindow" if not ws else "AmbiguousWindow" if len(ws) > 1
-            else "ZeroWindow" if min(ws) < 1 else None)
+def instance_key(key: EventKey) -> tuple:
+    """The order of event instances: by predicate, then by arguments."""
+    return key[0], args_key(key[1])
 
 
 def _natural(v, what: str) -> int:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from typing import Collection
 
-from .language import TES, PredKind
+from .errors import InvalidSpec
+from .language import TES, PredKind, format_instance
 from .model import STAR, AnnotatedEventFact, Dataset, Interval
-from .query import AuxStore, ground_simple_heads, window_fault
+from .query import AuxStore, ground_simple_heads, instance_key
 
 Points = Collection[tuple[int, int]]  # (timepoint, level) pairs
 
@@ -92,6 +93,14 @@ def infer_all_simple(dataset: Dataset, tes: TES) -> frozenset[AnnotatedEventFact
     return infer_from_aux(aux, tes)
 
 
+def window_fault(ws: Collection[int]) -> str | None:
+    """The `InvalidSpec` kind of an instance with these window values: none,
+    more than one, or one below 1, tested in that order; None when it has
+    one window."""
+    return ("MissingWindow" if not ws else "AmbiguousWindow" if len(ws) > 1
+            else "ZeroWindow" if min(ws) < 1 else None)
+
+
 def _window(ws: Collection[int]) -> int | None:
     """The one window of an instance with these window values, or None
     (`window_fault`)."""
@@ -102,22 +111,26 @@ def infer_from_aux(aux: AuxStore, tes: TES) -> frozenset[AnnotatedEventFact]:
     """Infer every instance, walking the groups in the order grounding made
     them. The window a predicate's instances share (STAR when persistent)
     is resolved once; an instance with window rules of its own resolves
-    its own. When some instance's window is missing, ambiguous or below 1,
-    the least such in key order raises `InvalidSpec`, whatever the order of
-    the walk."""
+    its own. An instance whose window is missing, ambiguous or below 1 is
+    skipped and recorded; after the walk the least such in `instance_key`
+    order raises `InvalidSpec`, whatever the order of the walk."""
     shared = {pred: STAR if tes.kind(pred) is not PredKind.NONPERSISTENT
               else _window(aux.default_windows.get(pred, ()))
               for pred in {pred for pred, _ in aux.exists}}
     facts: list[AnnotatedEventFact] = []
+    faulty: list = []
     for key, exists in aux.exists.items():
         pred, args = key
         w = shared[pred]
         if w is not STAR and key in aux.windows:
             w = _window(aux.windows[key] | aux.default_windows.get(pred, set()))
         if w is None:
-            for k in aux.keys():  # the first invalid one raises
-                if tes.kind(k[0]) is PredKind.NONPERSISTENT:
-                    aux.window(k)
+            faulty.append(key)
+            continue
         facts += [AnnotatedEventFact(pred, args, Interval(start, end), level)
                   for start, end, level in _chains(exists, aux.ends.get(key, ()), w)]
+    if faulty:
+        key = min(faulty, key=instance_key)
+        ws = aux.windows.get(key, set()) | aux.default_windows.get(key[0], set())
+        raise InvalidSpec(window_fault(ws), key, format_instance(*key))
     return frozenset(facts)

@@ -100,6 +100,29 @@ exists_pers(q, 0, 1).
 ends(q, 4, 2).
 constraint :- q([T, _]), not e([T, _]).
 """
+# windows per instance, from rules and from data, beside a schematic one:
+# an edit may leave an instance with no window, two, or a zero one
+WINDOW_RULES = """\
+decl observation o/1.
+decl observation w/1.
+decl nonpersistent e/1.
+decl nonpersistent f/1.
+exists(e(X), T, 1) :- o(X, T).
+exists(f(X), T, 1) :- o(X, T).
+window(e(a), 2).
+window(e(b), 3).
+window(e(X), plus(T, 0)) :- w(X, T).
+window(f(X), 2).
+window(f(b), 2).
+"""
+WINDOW_FACTS = """\
+obs o(a, 1).
+obs o(a, 3).
+obs o(b, 2).
+obs o(c, 4).
+obs w(b, 3).
+obs w(c, 1).
+"""
 CSV_ROWS = 'p1,amox,5\np2,"amox",7\np1,amox,"9"\n'
 CSV_MAP = "predicate=adm\ncolumns=0,1\ntimestamp_column=2\n"
 CSV_RFC_ROWS = "p1,2021-03-01T00:00:00Z\np2,2021-03-01T08:30:00+02:00\n"
@@ -185,7 +208,8 @@ def cases(seed: int, count: int):
     rng = random.Random(seed)
     bases = ((THERAPY_RULES, THERAPY_FACTS, ("abth", "hyperglyc"), 2),
              (PROGRAM_RULES, PROGRAM_FACTS, ("e", "p"), 1),
-             (GROUND_RULES, "", ("e", "q"), 0))
+             (GROUND_RULES, "", ("e", "q"), 0),
+             (WINDOW_RULES, WINDOW_FACTS, ("e", "f"), 1))
     for _ in range(count):
         rules, facts, preds, arity = rng.choice(bases)
         target = _target(rng, preds, arity)

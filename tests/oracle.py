@@ -112,6 +112,12 @@ def brute_preferred(reps: tuple[SimpleSet, ...]) -> tuple[SimpleSet, ...]:
 Timepoints = tuple
 
 
+def window_values(aux, key) -> list[int]:
+    """The window values an instance of a grounded `AuxStore` reads: those
+    of its own window rules and of its predicate's schematic ones."""
+    return sorted(aux.windows.get(key, set()) | aux.default_windows.get(key[0], set()))
+
+
 def points_at(pairs, level: int) -> tuple[int, ...]:
     """The sorted timepoints of the pairs whose level is at most `level`:
     what that level sees of one side of an instance's evidence."""

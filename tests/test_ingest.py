@@ -23,7 +23,8 @@ from timeloom import (
     parse_fact_text,
     validate_dataset,
 )
-from timeloom.ingest import _parse_fact_tokens, parse_mapping, read_csv_mapped
+from timeloom.ingest import _csv_rows, _parse_fact_tokens, parse_mapping
+from timeloom.model import row_fact
 
 from conftest import therapy_tes  # noqa: F401
 from fact_texts import (
@@ -181,10 +182,16 @@ def test_parse_mapping_rejects(text):
         parse_mapping(text)
 
 
-def test_read_csv_mapped_epoch():
+def csv_facts(csv_text, mapping):
+    """The observation facts of headerless CSV text under a mapping."""
+    return [row_fact(ObservationFact, mapping["predicate"], row)
+            for row in _csv_rows(csv_text, mapping)]
+
+
+def test_csv_rows_epoch():
     m = parse_mapping("predicate=adm\ncolumns=0,1\ntimestamp_column=2")
     rows = "p1,amox,5\n\np2, 7 ,12\np3,5\u00b2,13\np4,\u0665,14\n"
-    assert read_csv_mapped(rows, m) == [
+    assert csv_facts(rows, m) == [
         ObservationFact("adm", ("p1", "amox"), 5),
         ObservationFact("adm", ("p2", 7), 12),  # numeric cells become naturals
         ObservationFact("adm", ("p3", "5\u00b2"), 13),  # only ASCII digits do
@@ -192,9 +199,9 @@ def test_read_csv_mapped_epoch():
     ]
 
 
-def test_read_csv_mapped_keeps_line_breaks_in_quoted_fields():
+def test_csv_rows_keeps_line_breaks_in_quoted_fields():
     m = parse_mapping("predicate=adm\ncolumns=0,1\ntimestamp_column=2")
-    assert read_csv_mapped('p1,"a\nb",5\np2,"c\r\nd",6\n', m) == [
+    assert csv_facts('p1,"a\nb",5\np2,"c\r\nd",6\n', m) == [
         ObservationFact("adm", ("p1", "a\nb"), 5), ObservationFact("adm", ("p2", "c\r\nd"), 6)]
 
 
@@ -203,16 +210,16 @@ def test_read_csv_mapped_keeps_line_breaks_in_quoted_fields():
     ("p1,a,5\x0cp2,b,6\np3,c,x\n", 3),       # so is each part of a line str.splitlines breaks
     ('p1,"a\nb",5\np2,b,x\n', 2),           # a quoted line break ends no row
 ], ids=["blank-line", "form-feed", "quoted-line-break"])
-def test_read_csv_mapped_error_rows(rows, row):
+def test_csv_rows_error_rows(rows, row):
     m = parse_mapping("predicate=adm\ncolumns=0,1\ntimestamp_column=2")
     with pytest.raises(MalformedTimestamp, match=f"^row {row}: "):
-        read_csv_mapped(rows, m)
+        csv_facts(rows, m)
 
 
-def test_read_csv_mapped_short_row():
+def test_csv_rows_short_row():
     m = parse_mapping("predicate=adm\ncolumns=0,1\ntimestamp_column=2")
     with pytest.raises(MappingError):
-        read_csv_mapped("p1,amox\n", m)
+        csv_facts("p1,amox\n", m)
 
 
 RFC_MAP = "predicate=lab\ncolumns=0\ntimestamp_column=1\ntimestamp_format=rfc3339"
@@ -223,12 +230,12 @@ def test_rfc3339_timestamps():
     # independent count of days since the epoch
     want = (date(2021, 3, 1).toordinal() - date(1970, 1, 1).toordinal()) * 86400
     assert want == 1614556800
-    got = read_csv_mapped(
+    got = csv_facts(
         "p1,2021-03-01T00:00:00Z\n"
         "p2,2021-03-01T00:00:00\n"          # naive datetimes count as UTC
         "p3,2021-03-01T01:00:00+01:00\n", m)
     assert [f.t for f in got] == [want, want, want]
-    assert read_csv_mapped("p1,1970-01-01T00:00:30Z\n", m)[0].t == 30
+    assert csv_facts("p1,1970-01-01T00:00:30Z\n", m)[0].t == 30
 
 
 @pytest.mark.parametrize("cell,fmt", [
@@ -242,7 +249,7 @@ def test_rfc3339_timestamps():
 def test_bad_timestamps(cell, fmt):
     m = parse_mapping(f"predicate=lab\ntimestamp_column=0\ntimestamp_format={fmt}")
     with pytest.raises(MalformedTimestamp):
-        read_csv_mapped(f"{cell}\n", m)
+        csv_facts(f"{cell}\n", m)
 
 
 def test_ingest_files(tmp_path):

@@ -234,11 +234,9 @@ def test_monotonicity_flags():
     assert not plain.constraints
     neg = parse_tes("decl persistent p/0.\ndecl persistent q/0.\n"
                     "constraint :- p([T, T2]), not q([T, T2]).")
-    assert neg.has_negated_event_atoms
     assert not neg.is_monotone
     agg = parse_tes("decl persistent p/1.\ndecl meta m/1.\n"
                     "meta m(X, [T1, T2], 1) :- p(X, [T1, T2], L), start(p(X), T1).")
-    assert not agg.has_negated_event_atoms
     assert not agg.is_monotone
 
 

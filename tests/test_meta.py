@@ -311,6 +311,23 @@ def test_close_models_copies_no_store_for_one_model_or_nonmonotone_rules(monkeyp
             assert close_models(tes, dataset, models) == want
 
 
+def test_a_one_model_result_is_its_core_with_no_unit():
+    """A run of one model, in any mode, holds its facts, meta facts among
+    them, in its core, and has no unit."""
+    rng = random.Random(5)
+    seen, with_meta = set(), 0
+    for _ in range(40):
+        dataset, tes = random_ruleful_instance(rng, allow_constraints=False,
+                                               extra=CLOSURE_RULES[0])
+        for mode in ("naive", "consistent", "preferred", "cautious"):
+            f = timeline(dataset, tes, mode).factored
+            if len(f.picks) == 1:
+                assert (f.units, f.picks) == ((), ((),))
+                seen.add(mode)
+                with_meta += any(x.pred == "a" for x in f.core)
+    assert seen == {"naive", "consistent", "preferred", "cautious"} and with_meta > 20
+
+
 def test_timeline_matches_closing_each_repair_from_scratch():
     # timeline() closes the repairs in factored form and orders them by
     # their results' bits; it must give each repair closed on its own, in

@@ -41,20 +41,24 @@ from timeloom.model import (
     allen_relation,
     args_key,
     fact_key,
+    fact_row,
     term_vars,
 )
 from timeloom.query import AuxStore, JoinPlan
 from timeloom.simple import infer_from_aux
 
 from conftest import THERAPY_RULES
-from oracle import max_level, points_at
+from oracle import max_level, points_at, window_values
 
 
 def eval_body(body, sorts, dataset, events=None, delta=None, witnesses=False):
     """All variable bindings satisfying the body, as dicts: `JoinPlan.solve`
-    with each tuple of slots named by the plan's binder variables. With
-    `witnesses`, each result is a (binding, facts) pair."""
+    with each tuple of slots named by the plan's binder variables. A
+    `delta` of dataset facts is passed as their rows. With `witnesses`,
+    each result is a (binding, facts) pair."""
     plan = JoinPlan(body, sorts)
+    if delta is not None and not isinstance(body[delta[0]].atom, EventAtom):
+        delta = (delta[0], [fact_row(f) for f in delta[1]])
     results = plan.solve(dataset, events, delta, witnesses)
     if witnesses:
         return [(dict(zip(plan.names, s)), m) for s, m in results]
@@ -189,8 +193,7 @@ def test_ground_simple_heads_and_windows(therapy_tes):
     assert aux.exists == {("abth", ("p1", "amox")): {(5, 1)}, ("hyperglyc", ("p1",)): {(30, 1)}}
     assert aux.ends == {} and aux.windows == {}
     assert aux.default_windows == {"abth": {48}}
-    assert aux.window_values(("abth", ("p1", "amox"))) == [48]
-    assert aux.window(("abth", ("p1", "amox"))) == 48
+    assert window_values(aux, ("abth", ("p1", "amox"))) == [48]
     assert aux.keys() == [("abth", ("p1", "amox")), ("hyperglyc", ("p1",))]
 
 
@@ -220,7 +223,7 @@ def test_check_validity_ambiguous_window():
                     "exists(e(X), T, 1) :- o(X, T).\nwindow(e(A), 7).\n"
                     "window(e(X), 3) :- o(X, T).")
     aux = ground_simple_heads(tes, Dataset([ObservationFact("o", ("a",), 0)]))
-    assert aux.window_values(("e", ("a",))) == [3, 7]
+    assert window_values(aux, ("e", ("a",))) == [3, 7]
     with pytest.raises(InvalidSpec) as err:
         infer_from_aux(aux, tes)
     assert str(err.value) == "AmbiguousWindow for e(a)"
@@ -288,10 +291,11 @@ def test_grounded_points_seen_per_level(np_tes, empty_dataset):
 
 
 def test_aux_store_direct():
-    aux = AuxStore(exists={("e", ()): {(1, 1)}}, ends={}, windows={("e", ()): {4}},
+    aux = AuxStore(exists={("e", ()): {(1, 1), (5, 1)}}, ends={}, windows={("e", ()): {4}},
                    default_windows={"e": {4}})
-    # identical default and keyed values collapse to one
-    assert aux.window_values(("e", ())) == [4]
+    # identical default and keyed values collapse to one window, of 4
+    tes = parse_tes("decl nonpersistent e/0.\nwindow(e, 4).")
+    assert infer_from_aux(aux, tes) == {AnnotatedEventFact("e", (), Interval(1, 5), 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +730,7 @@ def test_aux_store_grouping_matches_filters():
             assert groups == {key: {(t, lvl) for k, t, lvl in heads if k == key}
                               for key in {k for k, _, _ in heads}}
         for key in keys:
-            assert aux.window_values(key) == sorted(
+            assert window_values(aux, key) == sorted(
                 {w for k, w in windows if k == key}
                 | {w for p, w in defaults if p == key[0]})
             tp = aux.exists.get(key, ()), aux.ends.get(key, ())

@@ -1,7 +1,9 @@
 """Simple-event inference: worked two-level example, edge shapes, and
 agreement between the constructive engine and the item-by-item checker."""
 
+import itertools
 import random
+from collections import Counter
 from time import perf_counter
 
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from timeloom import (
     AnnotatedEventFact,
     Dataset,
     Interval,
+    InvalidSpec,
     ground_simple_heads,
     infer_all_simple,
     infer_nonpersistent,
@@ -19,9 +22,16 @@ from timeloom import (
     parse_fact_text,
     parse_tes,
 )
+from timeloom.simple import infer_from_aux
 
 from conftest import make_timepoints, random_program, random_timepoint_config
-from oracle import candidate_intervals, max_level, oracle_check_interval, oracle_infer
+from oracle import (
+    candidate_intervals,
+    max_level,
+    oracle_check_interval,
+    oracle_infer,
+    window_values,
+)
 from walk_configs import disagreement, random_config
 
 
@@ -234,11 +244,72 @@ def test_grounded_instances_match_the_oracle():
             if key[0] == "p":
                 assert infer_nonpersistent(*tp, STAR) == oracle_infer(tp, True)
             else:
-                w = aux.window(key)
+                (w,) = window_values(aux, key)
                 assert infer_nonpersistent(*tp, w) == oracle_infer(tp, False, w)
             instances += 1
             with_ends += bool(tp[1])
     assert instances > 500 and with_ends > 200, (instances, with_ends)
+
+
+# instance arguments in key order (numbers before symbols), each beside
+# its rule text
+WINDOW_ARGS = ((0, "0"), (7, "7"), ("B c", "'B c'"), ("a", "a"), ("b", "b"))
+
+
+def _window_text(w):
+    return "minus(1, 1)" if w == 0 else str(w)
+
+
+def random_window_rules(rng):
+    """Rule text with instances of several predicates, window rules per
+    instance and per predicate (some of them zero), in shuffled order; and
+    the error its least faulty instance in key order raises, read from the
+    text, as (kind, key, message), or None."""
+    decls = ["decl atemporal never/1.", "decl persistent p/1."]
+    lines, faulty = ["exists_pers(p(a), 1, 1)."], []
+    for pred, arity in (("e", 1), ("f", 1), ("h", 2)):
+        head = f"{pred}({', '.join('XY'[:arity])})"
+        decls.append(f"decl nonpersistent {pred}/{arity}.")
+        # a window rule that derives nothing, as parsing wants one
+        lines.append(f"window({head}, 1) :- {', '.join(f'never({v})' for v in 'XY'[:arity])}.")
+        shared = rng.choices(range(4), k=rng.choice((0, 0, 1, 1, 1)))
+        lines += [f"window({head}, {_window_text(w)})." for w in shared]
+        combos = list(itertools.product(range(len(WINDOW_ARGS)), repeat=arity))
+        for combo in rng.sample(combos, rng.randint(0, min(3, len(combos)))):
+            text = f"{pred}({', '.join(WINDOW_ARGS[i][1] for i in combo)})"
+            own = rng.choices(range(4), k=rng.choice((0, 0, 1, 1, 1)))
+            lines += [f"window({text}, {_window_text(w)})." for w in own]
+            if rng.random() < 0.2:
+                continue  # window rules for an instance that never exists
+            lines.append(f"exists({text}, {rng.randrange(5)}, 1).")
+            ws = set(shared) | set(own)
+            kind = ("MissingWindow" if not ws else "AmbiguousWindow" if len(ws) > 1
+                    else "ZeroWindow" if 0 in ws else None)
+            if kind:
+                key = (pred, tuple(WINDOW_ARGS[i][0] for i in combo))
+                faulty.append(((pred, combo), (kind, key, f"{kind} for {text}")))
+    rng.shuffle(lines)
+    return "\n".join(decls + lines), min(faulty)[1] if faulty else None
+
+
+def test_window_faults_name_the_least_instance():
+    """Of the instances whose window is missing, ambiguous or zero, the
+    least in key order is named, whatever order grounding met them in."""
+    rng = random.Random(30)
+    kinds, unordered = Counter(), 0
+    for i in range(2000):
+        text, want = random_window_rules(rng)
+        tes = parse_tes(text)
+        aux = ground_simple_heads(tes, Dataset([]))
+        try:
+            infer_from_aux(aux, tes)
+            got = None
+        except InvalidSpec as err:
+            got = (err.kind, err.key, str(err))
+        assert got == want, (i, text)
+        kinds[want and want[0]] += 1
+        unordered += bool(want) and list(aux.exists) != aux.keys()
+    assert min(kinds.values()) > 200 and len(kinds) == 4 and unordered > 500, (kinds, unordered)
 
 
 def test_candidate_intervals_cover():
