@@ -143,25 +143,6 @@ def link(groups: Iterable[Iterable]) -> Callable:
     return find
 
 
-def _link_classes(tes: TES, dataset: Dataset, union: frozenset[AnnotatedEventFact],
-                  shared: EventStore, groups: Sequence[frozenset]) -> Callable:
-    """Close `union` once, linking each derived fact outside `shared` with
-    the facts outside `shared` its body matched, and the facts of each of
-    `groups` with each other. Returns the class representative of a fact
-    (`link`)."""
-    groups = list(groups)
-    store = EventStore(union)
-
-    def absorb(fired: Fired) -> list[AnnotatedEventFact]:
-        for matched, head in fired:
-            if head not in shared:
-                groups.append([head, *[f for f in matched if f not in shared]])
-        return store.add_all([f for _, f in fired])
-
-    _close(tes, dataset, store, absorb, witnesses=True)
-    return link(groups)
-
-
 class Factored(Record):
     """Models in factored form: the facts every model holds (`core`); per
     unit its results, each the facts it adds, which no other unit's hold;
@@ -201,14 +182,25 @@ def _close_units(tes: TES, dataset: Dataset, f: Factored) -> Factored:
     """`close_factored` for two or more models under monotone rules."""
     shared = EventStore(f.core)
     _close(tes, dataset, shared, _adding_to(shared))
+    base = shared.facts
     facts = [frozenset().union(*results) for results in f.units]
-    find = _link_classes(tes, dataset, f.core.union(*facts), shared, facts)
+    groups: list = list(facts)
+    store = shared.copy()
+
+    def absorb(fired: Fired) -> list[AnnotatedEventFact]:
+        for matched, head in fired:
+            if head not in base:
+                groups.append([head, *[x for x in matched if x not in base]])
+        return store.add_all([x for _, x in fired])
+
+    _close(tes, dataset, store, absorb, witnesses=True,
+           new=store.add_all(frozenset().union(*facts)))
+    find = link(groups)
     members: dict = {}  # link class -> the units in it; a unit without facts is its own
     for u, unit_facts in enumerate(facts):
         members.setdefault(find(next(iter(unit_facts))) if unit_facts else u, []).append(u)
     if len(members) < len(f.units):
         f = regroup(f, f.picks, list(members.values()))
-    base = shared.facts
 
     def closed(result: frozenset) -> frozenset:
         if not result:
@@ -224,23 +216,29 @@ def close_factored(tes: TES, dataset: Dataset, f: Factored) -> Factored:
     """The models of `f`, sets of simple events, each with the meta facts
     derivable from it, in factored form.
 
-    Under monotone rules the core is closed once. One closure over the core
-    and every result links each derived fact with the matched facts of its
-    body, leaving out facts of the core's closure, and the facts of each
-    unit with each other. Units of one link class are joined, and each
-    result is closed once on a copy of the core's closure (incremental view
-    maintenance).
+    Under monotone rules the core is closed once. One pass on a copy of its
+    closure adds every result's facts as new (incremental view maintenance)
+    and links each derived fact outside the core's closure with the matched
+    facts of its body outside it, and the facts of each unit with each
+    other. Units of one link class are joined, and each result is closed
+    once on a copy of the core's closure.
+
+    These are the links of a closure of the core and every result from
+    scratch: by semi-naive completeness the pass fires each binding over it
+    that matches a fact outside the core's closure, and any other binding
+    derives a fact of that closure, which is not linked.
 
     Soundness: cut the derivation tree of a fact derived from a model but
     not from the core at the facts of the core's closure. Every firing left
-    is one over the union too (the rules are monotone), and joins its head
-    with its children outside the core's closure. So the tree lies in one
-    link class, and its leaves in the core's closure plus one result of one
-    joined unit.
+    is one of the pass, and joins its head with its children outside the
+    core's closure. So the tree lies in one link class, and its leaves in
+    the core's closure plus one result of one joined unit.
 
     A single model, or rules that negate an event or test a start or end,
     are closed from scratch, and so are all models when a firing raises: a
-    firing over the union may combine facts that no model holds together.
+    firing over the core and every result may combine facts no model holds
+    together. Such a firing lies in the core's closure, which raised while
+    closed, or the pass makes it.
     """
     if len(f.picks) > 1 and tes.is_monotone:
         try:
@@ -287,8 +285,7 @@ def meta_provenance(tes: TES, dataset: Dataset, simple: frozenset[AnnotatedEvent
     as `infer_meta`; a pass re-joins every fact whose supports grew, and
     `spend` is charged as `combine_supports` says.
     """
-    store = EventStore()
-    store.add_all(simple)
+    store = EventStore(simple)
     why: dict[AnnotatedEventFact, Supports] = {}
 
     def absorb(fired: Fired) -> list[AnnotatedEventFact]:

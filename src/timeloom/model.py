@@ -19,7 +19,6 @@ STAR = math.inf  # the ongoing end of an interval
 
 # A data value is a symbol or a natural; interval ends may also be STAR.
 Value = Union[str, int]
-Timepoint = int
 
 # A natural has at most this many digits, whether read or derived, on every
 # Python version: from CPython 3.10.7 on, int() and str() refuse more by
@@ -333,39 +332,11 @@ def eval_term(t: Term, binding: Mapping[str, object]):
 
 
 class AtemporalFact(Record):
-    __slots__ = ("pred", "args", "_hash")
-    _fields = ("pred", "args")  # args: a tuple of values
-    __hash__ = _stored_hash
-
-    def __init__(self, pred: str, args: tuple[Value, ...]):
-        set_pred, set_args, set_hash = self._setters
-        set_pred(self, pred)
-        set_args(self, args)
-        set_hash(self, hash((pred, args)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self.pred == other.pred and self.args == other.args
+    __slots__ = _fields = ("pred", "args")  # args: a tuple of values
 
 
 class ObservationFact(Record):
-    __slots__ = ("pred", "args", "t", "_hash")
-    _fields = ("pred", "args", "t")
-    __hash__ = _stored_hash
-
-    def __init__(self, pred: str, args: tuple[Value, ...], t: Timepoint):
-        set_pred, set_args, set_t, set_hash = self._setters
-        set_pred(self, pred)
-        set_args(self, args)
-        set_t(self, t)
-        set_hash(self, hash((pred, args, t)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.t == other.t and self.pred == other.pred
-                and self.args == other.args)
+    __slots__ = _fields = ("pred", "args", "t")
 
 
 class AnnotatedEventFact(Record):

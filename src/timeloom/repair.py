@@ -168,8 +168,7 @@ def conflict_hypergraph(se: SimpleSet, tes: TES, dataset: Dataset,
         store.add_all(why)
         for c in tes.constraints:
             for _, matched in rule_plan(tes, c).solve(dataset, store, witnesses=True):
-                # without provenance each fact supports itself: the match is one edge
-                edges.extend(combine_supports(matched, why, spend) if why else (frozenset(matched),))
+                edges.extend(combine_supports(matched, why, spend))
     return _minimal_edges(edges)
 
 

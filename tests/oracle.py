@@ -8,14 +8,17 @@ checked one by one against the defining conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from timeloom.errors import IoError, TimeloomError
 from timeloom.language import TES, parse_tes
+from timeloom.meta import _close, link
 from timeloom.model import (
     STAR,
     AnnotatedEventFact,
     AtemporalFact,
     Dataset,
+    EventStore,
     Interval,
     ObservationFact,
     fact_key,
@@ -79,6 +82,25 @@ def reference_fact_key(f) -> tuple:
     if isinstance(f, ObservationFact):
         return (1, f.pred, args, (f.t,), 0)
     return (2, f.pred, args, (f.interval.start, f.interval.end), f.level)
+
+
+def link_classes(tes: TES, dataset: Dataset, union: frozenset[AnnotatedEventFact],
+                 shared: frozenset[AnnotatedEventFact], groups: Sequence[frozenset]) -> Callable:
+    """The links of `union`'s closure from scratch: close `union` once,
+    linking each derived fact outside `shared` with the facts outside
+    `shared` its body matched, and the facts of each of `groups` with each
+    other. Returns the class representative of a fact (`meta.link`)."""
+    groups = list(groups)
+    store = EventStore(union)
+
+    def absorb(fired):
+        for matched, head in fired:
+            if head not in shared:
+                groups.append([head, *[f for f in matched if f not in shared]])
+        return store.add_all([f for _, f in fired])
+
+    _close(tes, dataset, store, absorb, witnesses=True)
+    return link(groups)
 
 
 def brute_independent_sets(n: int, edges) -> set[frozenset[int]]:

@@ -1011,8 +1011,9 @@ def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
 def test_max_models_closes_only_the_units_of_the_models_it_keeps(rendered, monkeypatch, capsys):
     # many.tes gives four conflict components of four results each; a meta
     # rule joins each result with facts every model holds, so each result
-    # is closed on its own copy of the core's closure. Under --max-models N
-    # only the results of the first N models are closed: a single model is
+    # is closed on its own copy of the core's closure, after one more copy
+    # on which every result's facts are linked. Under --max-models N only
+    # the results of the first N models are closed: a single model is
     # closed from scratch, and the second model differs from the first in
     # one unit
     copies = []
@@ -1022,8 +1023,8 @@ def test_max_models_closes_only_the_units_of_the_models_it_keeps(rendered, monke
             "--mode", "consistent")
     assert run_cli(*args) == 0
     full = json.loads(capsys.readouterr().out)
-    assert len(full["models"]) == 256 and len(copies) == 16
-    for n, closed in ((0, 0), (1, 0), (2, 5)):
+    assert len(full["models"]) == 256 and len(copies) == 16 + 1
+    for n, closed in ((0, 0), (1, 0), (2, 5 + 1)):
         copies.clear()
         assert run_cli(*args, "--max-models", str(n)) == 0
         assert json.loads(capsys.readouterr().out) == {**full, "models": full["models"][:n]}

@@ -20,10 +20,12 @@ from timeloom import (
     repairs,
     timeline,
 )
+from timeloom import meta
 from timeloom.meta import Factored, close_factored, link, meta_provenance
-from timeloom.repair import DEFAULT_CAP, _downward_closed
+from timeloom.repair import DEFAULT_CAP, _downward_closed, _repair_factors
 
 from conftest import random_ruleful_instance
+from oracle import link_classes
 
 
 def ev(pred, args, a, b, level):
@@ -393,7 +395,60 @@ def test_close_models_closes_each_linked_piece_once(monkeypatch):
     got = close_models(LINKED, Dataset([]), models)
     assert got == want
     assert all(sum(f.pred == "m" for f in w) == 4 for w in got)
-    assert len(copies) <= 16
+    # one copy per result closed, and one for the pass that links them
+    assert len(copies) == 16 + 1
+
+
+def test_a_monotone_run_of_several_models_closes_the_core_from_scratch_once(monkeypatch):
+    # the link pass and each result's closure add facts to a copy of the
+    # core's closure (`new`); only the core itself is closed from scratch
+    calls = []
+    close = meta._close
+    monkeypatch.setattr(meta, "_close", lambda *args, **kwargs: calls.append(
+        kwargs.get("new") is None) or close(*args, **kwargs))
+    se = frozenset(fact for p in ("p1", "p2") for fact in (
+        ev("a", (p,), 0, 9, 1), ev("a", (p,), 0, 5, 2), ev("b", (p,), 2, 9, 1)))
+    models = repairs(Dataset([]), LINKED, se=se).repairs
+    want = tuple(m | infer_meta(LINKED, Dataset([]), m) for m in models)
+    calls.clear()
+    assert close_models(LINKED, Dataset([]), models) == want
+    # the core, the link pass, and the two results of each patient's a clash
+    assert calls == [True, False, False, False, False, False]
+    rng = random.Random(23)
+    runs = 0
+    for draw in range(60):
+        dataset, tes = random_ruleful_instance(rng, allow_constraints=False,
+                                               extra=CLOSURE_RULES[draw % 3])
+        calls.clear()
+        result = timeline(dataset, tes)
+        if len(result.factored.picks) > 1:
+            runs += 1
+            assert calls.count(True) == 1
+    assert runs > 20
+
+
+def test_units_join_as_a_closure_of_the_core_and_every_result_links_them():
+    # the link pass over the core's closure joins exactly the units that a
+    # closure of the core and every result from scratch links
+    rng = random.Random(29)
+    kinds = {"merged": 0, "apart": 0}
+    while sum(kinds.values()) < 300:
+        rules = CLOSURE_RULES[rng.randrange(3)]
+        dataset, tes = random_ruleful_instance(rng, allow_constraints=False, extra=rules)
+        f, _ = _repair_factors(dataset, tes, None, DEFAULT_CAP, False)
+        if len(f.units) < 2:
+            continue
+        facts = [frozenset().union(*results) for results in f.units]
+        shared = f.core | infer_meta(tes, dataset, f.core)
+        find = link_classes(tes, dataset, f.core.union(*facts), shared, facts)
+        want: dict = {}
+        for u, unit_facts in enumerate(facts):
+            want.setdefault(find(next(iter(unit_facts))), set()).add(u)
+        got = [{u for u, unit_facts in enumerate(facts) if unit_facts & frozenset().union(*rs)}
+               for rs in close_factored(tes, dataset, f).units]
+        assert sorted(map(sorted, got)) == sorted(map(sorted, want.values()))
+        kinds["merged" if len(want) < len(f.units) else "apart"] += 1
+    assert min(kinds.values()) > 30, kinds
 
 
 def test_close_models_survives_a_firing_over_the_union_only():
