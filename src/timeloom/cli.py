@@ -148,11 +148,11 @@ def result_to_json(result: TimelineResult, tes: TES, now: int | None = None) -> 
 
 def _tsv_value(v: Value) -> str:
     """A data value as TSV text: a symbol that is empty, reads as a natural,
-    or holds a tab, comma, backslash or double quote as its JSON string
-    literal, so that a row keeps its fields and reads back one way."""
+    or holds a tab, line break, comma, backslash or double quote as its JSON
+    string literal, so that a row keeps its fields and reads back one way."""
     if isinstance(v, int):
         return str(v)
-    if not v or NATURAL.fullmatch(v) or any(c in v for c in '\t,\\"'):
+    if not v or NATURAL.fullmatch(v) or any(c in v for c in '\t\n\r,\\"'):
         return encode_basestring_ascii(v)
     return v
 

@@ -4,8 +4,9 @@ Each stratum is evaluated to a fixpoint before the next begins, so negated
 event references and extremum tests always see a completed collection.
 Within a stratum, repeated passes restrict one body literal at a time to
 the newest facts. Under monotone rules, models in factored form are
-closed from the closure of their core, and each result of a unit, units
-that meta rules join merged, is closed once.
+closed by one closure of their core and every result, whose recorded
+firings give the core's closure, the units that meta rules join, and
+each result's closure.
 """
 
 from __future__ import annotations
@@ -42,13 +43,10 @@ def _fire(tes: TES, rule: MetaRule, dataset: Dataset, store: EventStore, delta: 
     return out
 
 
-def _event_positions(rule: MetaRule, preds: frozenset[str] | None = None) -> list[int]:
-    """The body positions of the rule's positive event atoms, only those
-    over `preds` when given."""
+def _event_positions(rule: MetaRule, preds: frozenset[str]) -> list[int]:
+    """The body positions of the rule's positive event atoms over `preds`."""
     return [i for i, lit in enumerate(rule.body)
-            if not lit.negated
-            and isinstance(lit.atom, EventAtom)
-            and (preds is None or lit.atom.pred in preds)]
+            if not lit.negated and isinstance(lit.atom, EventAtom) and lit.atom.pred in preds]
 
 
 Fired = list[tuple[tuple, AnnotatedEventFact]]
@@ -70,52 +68,68 @@ def _fire_delta(tes: TES, joins: list[tuple[MetaRule, list[int]]],
 
 
 def _close(tes: TES, dataset: Dataset, store: EventStore,
-           absorb: Callable[[Fired], list[AnnotatedEventFact]],
-           witnesses: bool = False, new: list[AnnotatedEventFact] | None = None) -> None:
+           absorb: Callable[[Fired], list[AnnotatedEventFact]], witnesses: bool = False) -> None:
     """Evaluate the strata in order, each to a fixpoint by semi-naive passes.
 
     `absorb` receives one pass's firings (see `_fire`) and returns the facts
     that changed, which the next pass joins against. It must add new facts
     to the store; the store is not touched while a pass fires.
-
-    With `new`, the store already holds the closure of its other facts, and
-    `new` lists the facts added since; the rules must be monotone. Then the
-    first pass of a stratum joins only bindings that match some new fact at
-    a positive event atom, and each stratum's derived facts count as new for
-    the strata after it.
     """
     stratum_of = {p: k for k, stratum in enumerate(tes.strata) for p in stratum}
     # the sort is stable: each stratum's rules stay in `tes.meta_rules` order
     ordered = sorted(tes.meta_rules, key=lambda r: stratum_of[r.pred])
     for k, group in groupby(ordered, key=lambda r: stratum_of[r.pred]):
         rules, members = list(group), frozenset(tes.strata[k])
-        if new is None:
-            fired = [x for r in rules for x in _fire(tes, r, dataset, store, None, witnesses)]
-        else:
-            fired = _fire_delta(tes, [(r, _event_positions(r)) for r in rules], new,
-                                dataset, store, witnesses)
-        delta = absorb(fired)
-        derived = list(delta)
+        delta = absorb([x for r in rules for x in _fire(tes, r, dataset, store, None, witnesses)])
         recursive = [(r, _event_positions(r, members)) for r in rules]
         recursive = [(r, ps) for r, ps in recursive if ps]
         while delta:
             delta = absorb(_fire_delta(tes, recursive, delta, dataset, store, witnesses))
-            derived += delta
-        if new is not None:
-            new = new + derived
-
-
-def _adding_to(store: EventStore) -> Callable[[Fired], list[AnnotatedEventFact]]:
-    """The `_close` absorber that adds each derived fact to the store."""
-    return lambda fired: store.add_all([f for _, f in fired])
 
 
 def infer_meta(tes: TES, dataset: Dataset,
                simple: frozenset[AnnotatedEventFact]) -> frozenset[AnnotatedEventFact]:
     """All meta-event facts derivable from the dataset and simple events."""
     store = EventStore(simple)
-    _close(tes, dataset, store, _adding_to(store))
+    _close(tes, dataset, store, lambda fired: store.add_all([f for _, f in fired]))
     return store.facts.difference(simple)
+
+
+def _firings(tes: TES, dataset: Dataset, facts: frozenset[AnnotatedEventFact]) -> list[list]:
+    """Each firing of one closure of `facts` from scratch, as `[head, *matched]`."""
+    store, firings = EventStore(facts), []
+
+    def absorb(fired: Fired) -> list[AnnotatedEventFact]:
+        firings.extend([head, *matched] for matched, head in fired)
+        return store.add_all([head for _, head in fired])
+
+    _close(tes, dataset, store, absorb, witnesses=True)
+    return firings
+
+
+def derived(firings: Sequence[list], given: Iterable) -> frozenset:
+    """`given` with what it derives through `firings`, each `[head,
+    *matched]`: a firing derives its head once each matched fact is given
+    or derived, in whatever order the firings were recorded."""
+    have, todo = set(given), []
+    waiting: dict = {}  # fact -> the firings whose body holds it, once per holding
+    missing: list[int] = []  # per firing, its matched facts not yet derived
+    for k, (head, *body) in enumerate(firings):
+        need = [x for x in body if x not in have]
+        for x in need:
+            waiting.setdefault(x, []).append(k)
+        missing.append(len(need))
+        if not need:
+            todo.append(head)
+    while todo:
+        x = todo.pop()
+        if x not in have:
+            have.add(x)
+            for k in waiting.get(x, ()):
+                missing[k] -= 1
+                if not missing[k]:
+                    todo.append(firings[k][0])
+    return frozenset(have)
 
 
 def link(groups: Iterable[Iterable]) -> Callable:
@@ -180,65 +194,48 @@ def factor_models(models: Sequence[frozenset[AnnotatedEventFact]]) -> Factored:
 
 def _close_units(tes: TES, dataset: Dataset, f: Factored) -> Factored:
     """`close_factored` for two or more models under monotone rules."""
-    shared = EventStore(f.core)
-    _close(tes, dataset, shared, _adding_to(shared))
-    base = shared.facts
     facts = [frozenset().union(*results) for results in f.units]
-    groups: list = list(facts)
-    store = shared.copy()
-
-    def absorb(fired: Fired) -> list[AnnotatedEventFact]:
-        for matched, head in fired:
-            if head not in base:
-                groups.append([head, *[x for x in matched if x not in base]])
-        return store.add_all([x for _, x in fired])
-
-    _close(tes, dataset, store, absorb, witnesses=True,
-           new=store.add_all(frozenset().union(*facts)))
-    find = link(groups)
+    firings = _firings(tes, dataset, f.core.union(*facts))
+    base = derived(firings, f.core)
+    cut = [[head, *[x for x in body if x not in base]]
+           for head, *body in firings if head not in base]
+    find = link([*facts, *cut])
     members: dict = {}  # link class -> the units in it; a unit without facts is its own
     for u, unit_facts in enumerate(facts):
         members.setdefault(find(next(iter(unit_facts))) if unit_facts else u, []).append(u)
     if len(members) < len(f.units):
         f = regroup(f, f.picks, list(members.values()))
-
-    def closed(result: frozenset) -> frozenset:
-        if not result:
-            return result
-        store = shared.copy()
-        _close(tes, dataset, store, _adding_to(store), new=store.add_all(result))
-        return store.facts - base
-
-    return Factored(base, tuple([tuple(map(closed, rs)) for rs in f.units]), f.picks)
+    return Factored(base, tuple([tuple([derived(cut, r) for r in rs]) for rs in f.units]),
+                    f.picks)
 
 
 def close_factored(tes: TES, dataset: Dataset, f: Factored) -> Factored:
     """The models of `f`, sets of simple events, each with the meta facts
     derivable from it, in factored form.
 
-    Under monotone rules the core is closed once. One pass on a copy of its
-    closure adds every result's facts as new (incremental view maintenance)
-    and links each derived fact outside the core's closure with the matched
-    facts of its body outside it, and the facts of each unit with each
-    other. Units of one link class are joined, and each result is closed
-    once on a copy of the core's closure.
-
-    These are the links of a closure of the core and every result from
-    scratch: by semi-naive completeness the pass fires each binding over it
-    that matches a fact outside the core's closure, and any other binding
-    derives a fact of that closure, which is not linked.
+    Under monotone rules the core and every result, U, are closed together
+    once from scratch, recording each firing with the facts its body
+    matched, and each closure is read off those firings (`derived`). For S
+    a subset of U, every binding over the closure of S is one over the
+    closure of U, as the rules are monotone, and semi-naive evaluation
+    fires, and so records, each binding over the closure of U. So what S
+    derives through the firings is its closure. The core derives its own.
+    A result derives the facts of its closure outside the core's through
+    the cut firings: those whose head lies outside the core's closure,
+    each body cut to its facts outside it. A cut firing links its head with
+    its body, and the facts of each unit link with each other; the units
+    of one link class are joined before their results are derived.
 
     Soundness: cut the derivation tree of a fact derived from a model but
     not from the core at the facts of the core's closure. Every firing left
-    is one of the pass, and joins its head with its children outside the
-    core's closure. So the tree lies in one link class, and its leaves in
-    the core's closure plus one result of one joined unit.
+    is a cut firing, and links its head with its children. So the tree lies
+    in one link class, and its leaves in the core's closure plus one result
+    of one joined unit.
 
     A single model, or rules that negate an event or test a start or end,
-    are closed from scratch, and so are all models when a firing raises: a
-    firing over the core and every result may combine facts no model holds
-    together. Such a firing lies in the core's closure, which raised while
-    closed, or the pass makes it.
+    are closed from scratch, and so are all models when a firing over the
+    core and every result raises: it may combine facts no model holds
+    together.
     """
     if len(f.picks) > 1 and tes.is_monotone:
         try:

@@ -444,16 +444,6 @@ class EventStore:
     def add_all(self, facts: Iterable) -> list:
         return [f for f in facts if self.add(f)]
 
-    def copy(self) -> "EventStore":
-        """An independent store with the same facts and built indexes."""
-        other = EventStore()
-        other._facts = set(self._facts)
-        other._by_pred = {p: list(fs) for p, fs in self._by_pred.items()}
-        other._indexes = {p: {pos: {v: list(fs) for v, fs in index.items()}
-                              for pos, index in by_pos.items()}
-                          for p, by_pos in self._indexes.items()}
-        return other
-
     def by_key(self, pred: str, args: tuple[Value, ...]) -> tuple:
         """The facts of `pred` whose arguments are `args`, in first-seen order."""
         return tuple(self.probe(pred, tuple(range(len(args))), args))

@@ -171,6 +171,19 @@ def random_ruleful_instance(rng: random.Random, allow_constraints=True,
     return Dataset(facts), parse_tes("\n".join(lines))
 
 
+def counting_derivations(monkeypatch) -> list:
+    """The facts each call of `meta.derived` is given, in call order; a run
+    of several models under monotone rules derives the core's closure
+    first, then each kept result's."""
+    from timeloom import meta
+
+    given = []
+    derived = meta.derived
+    monkeypatch.setattr(meta, "derived", lambda firings, facts: given.append(facts) or derived(
+        firings, facts))
+    return given
+
+
 def random_guard_instance(rng: random.Random, max_facts=12):
     """An instance with a single preferred repair: no domain constraints and
     termination knowledge only at the strongest level.  Returns (se, tes)."""

@@ -21,11 +21,11 @@ from timeloom.cli import (
     result_to_json,
 )
 from timeloom.meta import Factored
-from timeloom.model import STAR, EventStore, fact_key
+from timeloom.model import STAR, fact_key
 from timeloom.repair import TimelineResult
 
 import malformed
-from conftest import TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
+from conftest import TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT, counting_derivations
 
 CLI_RULES = """\
 decl observation adm/1.
@@ -441,6 +441,25 @@ def test_tsv_quotes_symbols_that_would_lose_the_row_shape(tmp_path, capsys):
     rows = [r.split("\t") for r in capsys.readouterr().out.splitlines()]
     assert all(len(r) == 8 for r in rows)
     assert [r[0] for r in rows] == ["p1"] * 5 + ['"x\\"y"']
+
+
+def test_tsv_writes_a_symbol_with_a_line_break_as_its_json_literal(tmp_path, capsys):
+    # a quoted CSV cell may span lines, so a symbol can hold a line break,
+    # which written raw would split its row
+    (tmp_path / "r.tes").write_text(
+        "decl observation lab/1.\ndecl nonpersistent hi/1.\n"
+        "exists(hi(P), T, 1) :- lab(P, T).\nwindow(hi(P), 2).\n")
+    (tmp_path / "d.csv").write_text('"a\nb",4\n')
+    (tmp_path / "d.map").write_text("predicate=lab\ncolumns=0\ntimestamp_column=1\n")
+    args = ("run", "--rules", str(tmp_path / "r.tes"), "--data", str(tmp_path / "d.csv"),
+            "--map", str(tmp_path / "d.map"), "--format", "tsv")
+    assert run_cli(*args) == 0
+    assert capsys.readouterr().out == '0\tsimple\thi\t"a\\nb"\t4\t4\t1\n'
+    assert run_cli(*args, "--partition-by", "0") == 0
+    assert capsys.readouterr().out == '"a\\nb"\t0\tsimple\thi\t"a\\nb"\t4\t4\t1\n'
+    assert run_cli(*args[:-2]) == 0
+    assert json.loads(capsys.readouterr().out)["models"][0]["simple"][0]["args"] == ["a\nb"]
+    assert [cli._tsv_value(v) for v in ("a\rb", "a\nb", "ab")] == ['"a\\rb"', '"a\\nb"', "ab"]
 
 
 NON_ASCII_RULES = """\
@@ -917,10 +936,10 @@ def reference_doc(dataset, tes, mode, now=None, max_models=None):
 
 def tsv_value(v):
     """A value as the README says TSV writes it: a symbol that is empty,
-    all ASCII digits, or holds a tab, comma, backslash or double quote as
-    its JSON string literal."""
+    all ASCII digits, or holds a tab, line break (CR or LF), comma,
+    backslash or double quote as its JSON string literal."""
     if isinstance(v, str) and (v == "" or v.isascii() and v.isdigit()
-                               or any(c in v for c in '\t,\\"')):
+                               or any(c in v for c in '\t\n\r,\\"')):
         return json.dumps(v)
     return str(v)
 
@@ -1010,25 +1029,24 @@ def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
 
 def test_max_models_closes_only_the_units_of_the_models_it_keeps(rendered, monkeypatch, capsys):
     # many.tes gives four conflict components of four results each; a meta
-    # rule joins each result with facts every model holds, so each result
-    # is closed on its own copy of the core's closure, after one more copy
-    # on which every result's facts are linked. Under --max-models N only
-    # the results of the first N models are closed: a single model is
-    # closed from scratch, and the second model differs from the first in
-    # one unit
-    copies = []
-    copy = EventStore.copy
-    monkeypatch.setattr(EventStore, "copy", lambda self: copies.append(1) or copy(self))
+    # rule joins each result with facts every model holds. The core and
+    # every kept result are closed together once, and the core's closure
+    # and each kept result's are derived from its firings. Under
+    # --max-models N only the results of the first N models are derived: a
+    # single model is closed from scratch, and the second model differs
+    # from the first in one unit
+    given = counting_derivations(monkeypatch)
     args = ("run", "--rules", str(rendered / "many.tes"), "--data", str(rendered / "many.facts"),
             "--mode", "consistent")
     assert run_cli(*args) == 0
     full = json.loads(capsys.readouterr().out)
-    assert len(full["models"]) == 256 and len(copies) == 16 + 1
-    for n, closed in ((0, 0), (1, 0), (2, 5 + 1)):
-        copies.clear()
+    # the core's closure, then one derivation per kept result
+    assert len(full["models"]) == 256 and len(given) == 1 + 16
+    for n, results in ((0, 0), (1, 0), (2, 5)):
+        given.clear()
         assert run_cli(*args, "--max-models", str(n)) == 0
         assert json.loads(capsys.readouterr().out) == {**full, "models": full["models"][:n]}
-        assert len(copies) == closed
+        assert len(given) == (1 + results if results else 0)
 
 
 TEXTS = ("", "p1", "caf\u00e9 \u2713", 'say "hi"', "back\\slash", "tab\tline\n", "\x00\x7f",

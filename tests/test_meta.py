@@ -9,7 +9,6 @@ from timeloom import (
     AnnotatedEventFact,
     AtemporalFact,
     Dataset,
-    EventStore,
     Interval,
     LevelOverflow,
     TimelineResult,
@@ -24,7 +23,8 @@ from timeloom import meta
 from timeloom.meta import Factored, close_factored, link, meta_provenance
 from timeloom.repair import DEFAULT_CAP, _downward_closed, _repair_factors
 
-from conftest import random_ruleful_instance
+from closure_draws import compare
+from conftest import counting_derivations, random_ruleful_instance
 from oracle import link_classes
 
 
@@ -298,11 +298,14 @@ def test_close_models_matches_closing_each_model():
     assert min(grown) > 20
 
 
-def test_close_models_copies_no_store_for_one_model_or_nonmonotone_rules(monkeypatch):
-    def no_copy(self):
-        raise AssertionError("store copied")
+def test_close_models_records_no_firings_for_one_model_or_nonmonotone_rules(monkeypatch):
+    close = meta._close
 
-    monkeypatch.setattr(EventStore, "copy", no_copy)
+    def unwitnessed(*args, witnesses=False):
+        assert not witnesses, "firings recorded"
+        close(*args)
+
+    monkeypatch.setattr(meta, "_close", unwitnessed)
     rng = random.Random(3)
     for draw in range(40):
         rules = CLOSURE_RULES[draw % len(CLOSURE_RULES)]
@@ -389,31 +392,29 @@ def test_close_models_closes_each_linked_piece_once(monkeypatch):
     models = repairs(Dataset([]), LINKED, se=se).repairs
     assert len(models) == 256
     want = tuple(m | infer_meta(LINKED, Dataset([]), m) for m in models)
-    copies = []
-    copy = EventStore.copy
-    monkeypatch.setattr(EventStore, "copy", lambda self: copies.append(1) or copy(self))
+    given = counting_derivations(monkeypatch)
     got = close_models(LINKED, Dataset([]), models)
     assert got == want
     assert all(sum(f.pred == "m" for f in w) == 4 for w in got)
-    # one copy per result closed, and one for the pass that links them
-    assert len(copies) == 16 + 1
+    # the core's closure (every fact is some model's choice, so the core is
+    # empty), then one derivation per kept result: four for each patient
+    assert given[0] == frozenset() and len(given) == 1 + 16
 
 
-def test_a_monotone_run_of_several_models_closes_the_core_from_scratch_once(monkeypatch):
-    # the link pass and each result's closure add facts to a copy of the
-    # core's closure (`new`); only the core itself is closed from scratch
+def test_a_monotone_run_of_several_models_calls_close_once(monkeypatch):
+    # the core and every result are closed together once, recording the
+    # firings; the core's closure and each result's are read off them
     calls = []
     close = meta._close
     monkeypatch.setattr(meta, "_close", lambda *args, **kwargs: calls.append(
-        kwargs.get("new") is None) or close(*args, **kwargs))
+        kwargs.get("witnesses", False)) or close(*args, **kwargs))
     se = frozenset(fact for p in ("p1", "p2") for fact in (
         ev("a", (p,), 0, 9, 1), ev("a", (p,), 0, 5, 2), ev("b", (p,), 2, 9, 1)))
     models = repairs(Dataset([]), LINKED, se=se).repairs
     want = tuple(m | infer_meta(LINKED, Dataset([]), m) for m in models)
     calls.clear()
     assert close_models(LINKED, Dataset([]), models) == want
-    # the core, the link pass, and the two results of each patient's a clash
-    assert calls == [True, False, False, False, False, False]
+    assert calls == [True]
     rng = random.Random(23)
     runs = 0
     for draw in range(60):
@@ -423,13 +424,25 @@ def test_a_monotone_run_of_several_models_closes_the_core_from_scratch_once(monk
         result = timeline(dataset, tes)
         if len(result.factored.picks) > 1:
             runs += 1
-            assert calls.count(True) == 1
+            assert calls == [True]
     assert runs > 20
 
 
+def test_what_a_subset_derives_through_one_closures_firings_is_its_closure():
+    # the firings of one closure of U give, for every S within U, exactly
+    # S | infer_meta(S) (ROADMAP item 13's obligation (b), monotone half).
+    # A fact may reach S only through a firing recorded after one that
+    # reads it, so one forward scan of the firings falls short there
+    rng = random.Random(32)
+    results = [compare(rng, 4) for _ in range(300)]
+    assert [diff for diff, *_ in results if diff is not None] == []
+    short = sum(k for *_, k in results)
+    assert short > 30, short
+
+
 def test_units_join_as_a_closure_of_the_core_and_every_result_links_them():
-    # the link pass over the core's closure joins exactly the units that a
-    # closure of the core and every result from scratch links
+    # close_factored joins exactly the units that the reference's closure of
+    # the core and every result links
     rng = random.Random(29)
     kinds = {"merged": 0, "apart": 0}
     while sum(kinds.values()) < 300:

@@ -249,20 +249,6 @@ def test_event_store():
     assert len(s) == 2 and f1 in s
 
 
-def test_event_store_copy_is_independent():
-    f1 = AnnotatedEventFact("e", ("a", 1), Interval(0, 2), 1)
-    f2 = AnnotatedEventFact("e", ("a", 2), Interval(1, 3), 2)
-    s = EventStore([f1])
-    assert list(s.probe("e", (0,), ("a",))) == [f1]  # builds the index
-    c = s.copy()
-    assert c.add(f2)
-    assert list(c.probe("e", (0,), ("a",))) == [f1, f2]
-    assert list(s.probe("e", (0,), ("a",))) == [f1]
-    assert tuple(c.probe("e", (), ())) == (f1, f2) and tuple(s.probe("e", (), ())) == (f1,)
-    assert c.by_key("e", ("a", 2)) == (f2,) and s.by_key("e", ("a", 2)) == ()
-    assert f2 in c and f2 not in s and len(s) == 1
-
-
 def _positions(rng, n):
     return tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
 
@@ -295,10 +281,9 @@ def test_dataset_probe_matches_filters_and_keeps_kinds_apart():
             assert set(want) <= d.facts
 
 
-def test_event_store_probe_and_by_key_follow_adds_and_copies():
-    """After interleaved adds, copies and index-building probes, `probe`
-    and `by_key` find exactly what literal filters find, in first-seen
-    order, and a copy never sees the other store's later adds."""
+def test_event_store_probe_and_by_key_follow_adds():
+    """After interleaved adds and index-building probes, `probe` and
+    `by_key` find exactly what literal filters find, in first-seen order."""
     rng = random.Random(31)
     values = ("a", "b", 0)
     arity = {"e": 2, "f": 1, "g": 0}
@@ -312,18 +297,13 @@ def test_event_store_probe_and_by_key_follow_adds_and_copies():
 
     for _ in range(100):
         first = [fact() for _ in range(rng.randint(0, 5))]
-        stores = [(EventStore(first), list(dict.fromkeys(first)))]
+        store, held = EventStore(first), list(dict.fromkeys(first))
         for _ in range(40):
-            k = rng.randrange(len(stores))
-            store, held = stores[k]
-            step = rng.random()
-            if step < 0.4:
+            if rng.random() < 0.4:
                 f = fact()
                 assert store.add(f) == (f not in held)
                 if f not in held:
                     held.append(f)
-            elif step < 0.5:
-                stores.append((store.copy(), list(held)))
             else:
                 pred = rng.choice(list(arity))
                 n = arity[pred]
@@ -337,8 +317,7 @@ def test_event_store_probe_and_by_key_follow_adds_and_copies():
                 args = tuple(rng.choice(values) for _ in range(n))
                 assert store.by_key(pred, args) == tuple(
                     f for f in held if f.pred == pred and f.args == args)
-        for store, held in stores:
-            assert store.facts == set(held) and len(store) == len(held)
+        assert store.facts == set(held) and len(store) == len(held)
 
 
 # ---------------------------------------------------------------------------
