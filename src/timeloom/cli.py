@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_left
 from functools import cache
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
@@ -36,7 +37,9 @@ from .model import (
     Interval,
     ObservationFact,
     Value,
-    fact_key,
+    args_key,
+    fact_of,
+    row_of,
     value_key,
 )
 from .repair import DEFAULT_CAP, TimelineResult, recognize_timeline, timeline
@@ -49,13 +52,9 @@ from .repair import DEFAULT_CAP, TimelineResult, recognize_timeline, timeline
 def fact_to_json(f: AnnotatedEventFact, now: int | None = None) -> dict:
     """One event fact as a JSON-ready dict; an ongoing end becomes "*" and,
     under --now, gains a display-only clamped_end."""
-    iv: dict = {"start": f.interval.start}
-    if f.interval.ongoing:
-        iv["end"] = "*"
-        if now is not None:
-            iv["clamped_end"] = now + 1
-    else:
-        iv["end"] = f.interval.end
+    iv: dict = {"start": f.interval.start, "end": "*" if f.interval.ongoing else f.interval.end}
+    if f.interval.ongoing and now is not None:
+        iv["clamped_end"] = now + 1
     return {"pred": f.pred, "args": list(f.args), "interval": iv, "level": f.level}
 
 
@@ -100,18 +99,23 @@ def _nth_fact(n: int, d) -> AnnotatedEventFact:
 
 
 def _positioned(result: TimelineResult, tes: TES, now: int | None) -> dict:
-    """A run document with its models as runs: the dicts of its distinct
-    facts, simple facts before meta facts and each part in `fact_key`
-    order; its runs, the maximal stretches of one part with one label (the
-    core, or one unit and the same set of its results); and each model as
-    the runs of its simple and of its meta facts, found by a scan of every
-    run. When every model holds every fact, each part is one run."""
+    """A run document with its models as runs: its distinct event rows,
+    simple rows before meta rows and each part in `fact_key` order; its
+    runs, the maximal stretches of one part with one label (the core, or
+    one unit and the same set of its results); each model as the runs of
+    its simple and of its meta facts, found by a scan of every run; and
+    `now`. When every model holds every fact, each part is one run."""
     models = result.factored
-    simple: list = []
-    meta: list = []
-    for f in models.core.union(*[r for rs in models.units for r in rs]):
-        (simple if tes.is_simple_pred(f.pred) else meta).append(f)
-    facts = sorted(simple, key=fact_key) + sorted(meta, key=fact_key)
+    rows = models.core.union(*[r for rs in models.units for r in rs])
+    preds = sorted({r[0] for r in rows}, key=lambda p: (not tes.is_simple_pred(p), p))
+    try:  # argument tuples sort as `args_key` does unless a natural meets a symbol, which raises
+        order = sorted({r[1] for r in rows})
+    except TypeError:
+        order = sorted({r[1] for r in rows}, key=args_key)
+    place, rank = {p: i for i, p in enumerate(preds)}, {a: i for i, a in enumerate(order)}
+    facts = sorted(rows, key=lambda r: (place[r[0]], rank[r[1]], r[2], r[3], r[4]))
+    # the simple rows come first, their predicates placed before every meta one
+    n = bisect_left(facts, sum(map(tes.is_simple_pred, preds)), key=lambda r: place[r[0]])
     core = (len(models.units), {0})  # the core: one more unit, whose one result every model picks
     held: dict = {}  # a unit's fact -> (the unit, its results holding it)
     for u, rs in enumerate(models.units):
@@ -121,7 +125,7 @@ def _positioned(result: TimelineResult, tes: TES, now: int | None) -> dict:
     label = ([held.get(f, core) for f in facts] if held else [core] * len(facts)).__getitem__
     starts: list[int] = []
     parts: tuple[list, list] = ([], [])  # per part, its runs as (index, unit, results)
-    for part, ps in zip(parts, (range(len(simple)), range(len(simple), len(facts)))):
+    for part, ps in zip(parts, (range(n), range(n, len(facts)))):
         for (u, rs), run in groupby(ps, label):
             part.append((len(starts), u, rs))
             starts.append(next(run))
@@ -131,7 +135,7 @@ def _positioned(result: TimelineResult, tes: TES, now: int | None) -> dict:
         pick += (0,)
         ranked.append(([k for k, u, rs in parts[0] if pick[u] in rs],
                        [k for k, u, rs in parts[1] if pick[u] in rs]))
-    return {"mode": result.mode, "models": ([fact_to_json(f, now) for f in facts], runs, ranked),
+    return {"mode": result.mode, "models": (facts, runs, ranked, now),
             "exhaustive": result.exhaustive}
 
 
@@ -140,7 +144,8 @@ def result_to_json(result: TimelineResult, tes: TES, now: int | None = None) -> 
     its simple and meta sections; every model holding a fact shares its
     one dict."""
     doc = _positioned(result, tes, now)
-    facts, runs, ranked = doc["models"]
+    rows, runs, ranked, _ = doc["models"]
+    facts = [fact_to_json(fact_of(r), now) for r in rows]
     doc["models"] = [{"simple": [fj for k in s for fj in facts[runs[k]]],
                       "meta": [fj for k in m for fj in facts[runs[k]]]} for s, m in ranked]
     return doc
@@ -157,47 +162,55 @@ def _tsv_value(v: Value) -> str:
     return v
 
 
-def _tsv_fact_row(fj: dict, with_clamp: bool) -> str:
-    """One fact's TSV fields after the section, with the line end."""
-    iv = fj["interval"]
-    row = [fj["pred"], ",".join(map(_tsv_value, fj["args"])),
-           str(iv["start"]), str(iv["end"]), str(fj["level"])]
-    if with_clamp:
-        row.append(str(iv.get("clamped_end", "")))
-    return "\t".join(row) + "\n"
+def _tsv_rows(rows: list, now: int | None, with_clamp: bool) -> list[str]:
+    """Each event row's TSV fields after the section, with the line end."""
+    tail = "\t\n" if with_clamp else "\n"
+    ongoing = f"\t{now + 1}\n" if with_clamp and now is not None else tail
+    return [f"{pred}\t{','.join(map(_tsv_value, args))}\t{start}\t"
+            + (f"*\t{level}{ongoing}" if end == STAR else f"{end}\t{level}{tail}")
+            for pred, args, start, end, level in rows]
 
 
 def _json_scalar(v: Value) -> str:
     return encode_basestring_ascii(v) if isinstance(v, str) else str(v)
 
 
-def _json_fact(fj: dict, pad: str) -> str:
-    """The text `json.dumps(fj, indent=2)` gives a `fact_to_json` dict,
-    each newline followed by `pad` less its own newline."""
+def _json_rows(rows: list, pad: str, now: int | None) -> list[str]:
+    """The text `json.dumps(d, indent=2)` gives the `fact_to_json` dict d
+    of each event row, each newline followed by `pad` less its own newline."""
     p1, p2 = pad + "  ", pad + "    "
-    args = ("," + p2).join(map(_json_scalar, fj["args"]))
-    iv = ("," + p2).join(f'"{k}": {_json_scalar(v)}' for k, v in fj["interval"].items())
-    return (f'{{{p1}"pred": {_json_scalar(fj["pred"])},{p1}"args": '
-            + (f"[{p2}{args}{p1}]" if args else "[]")
-            + f',{p1}"interval": {{{p2}{iv}{p1}}},{p1}"level": {fj["level"]}{pad}}}')
+    sep = "," + p2
+    star = '"*"' if now is None else f'"*"{sep}"clamped_end": {now + 1}'
+    lead = {p: f'{{{p1}"pred": {encode_basestring_ascii(p)},{p1}"args": '
+            for p in {r[0] for r in rows}}
+    args = {r[1] for r in rows}
+    text = {v: _json_scalar(v) for v in {v for a in args for v in a}}.__getitem__
+    args_of = {a: f"[{p2}{sep.join(map(text, a))}{p1}]" if a else "[]" for a in args}
+    return [f'{lead[pred]}{args_of[args]},{p1}"interval": {{{p2}"start": {start}{sep}"end": '
+            f'{star if end == STAR else end}{p1}}},{p1}"level": {level}{pad}}}'
+            for pred, args, start, end, level in rows]
 
 
 def _models(out: list, models, fmt: str, at: str, with_clamp: bool) -> None:
-    """Append a run's models to `out`, each fact's text built once (for
-    JSON at the facts' depth) and, for JSON, each run's text once: a model
-    section is its runs' texts, appended as they are. `models` is the
-    triple `_positioned` gives, or a list of model dicts that is reduced to
-    it by the identity of their fact dicts, each fact a run of its own. For
-    JSON `at` is the newline and indent before a model; for TSV the fields
-    before its index."""
+    """Append a run's models to `out`, each fact's text built once from its
+    row (for JSON at the facts' depth) and, for JSON, each run's text once:
+    a model section is its runs' texts, appended as they are. `models` is
+    what `_positioned` gives, or a list of model dicts that is reduced to
+    it by the identity of their fact dicts, each read back as a row
+    (`fact_from_json`) and a run of its own, their ongoing facts clamped
+    alike, as `result_to_json` gives them. For JSON `at` is the newline and
+    indent before a model; for TSV the fields before its index."""
     if isinstance(models, list):
         dicts = {id(fj): fj for m in models for k in ("simple", "meta") for fj in m[k]}
         place = {i: p for p, i in enumerate(dicts)}
         ranked = [[[place[id(fj)] for fj in m[k]] for k in ("simple", "meta")] for m in models]
-        models = list(dicts.values()), [slice(p, p + 1) for p in range(len(dicts))], ranked
-    facts, runs, ranked = models
+        rows = [row_of(fact_from_json(fj)) for fj in dicts.values()]
+        now = next((fj["interval"]["clamped_end"] - 1 for fj in dicts.values()
+                    if "clamped_end" in fj["interval"]), None)
+        models = rows, [slice(p, p + 1) for p in range(len(rows))], ranked, now
+    facts, runs, ranked, now = models
     if fmt != "json":
-        text = [_tsv_fact_row(fj, with_clamp) for fj in facts]
+        text = _tsv_rows(facts, now, with_clamp)
         texts = [text[r] for r in runs]
         for j, sections in enumerate(ranked):
             for name, ks in zip(("simple", "meta"), sections):
@@ -209,7 +222,7 @@ def _models(out: list, models, fmt: str, at: str, with_clamp: bool) -> None:
                     out.extend((sep, sep.join(rows)))
         return
     key, item = at + "  ", at + "    "  # lead a model's keys and its sections' facts
-    text = [_json_fact(fj, item) for fj in facts]
+    text = _json_rows(facts, item, now)
     sep, first, last, ends = "," + item, "[" + item, key + "]", (f',{key}"meta": ', at + "}")
     body = [sep.join(text[r]) for r in runs]
     after = [sep + b for b in body]  # a run's text after another run

@@ -16,8 +16,8 @@ columns, and the timestamp column:
 
 from __future__ import annotations
 
+import io
 import re
-from pathlib import Path
 from typing import Callable
 
 from .errors import (
@@ -286,8 +286,8 @@ def _csv_rows(csv_text: str, mapping: dict) -> list[tuple]:
 
     out: list[tuple] = []
     rn = 0
-    try:  # the line ends stay, so a quoted field may span lines
-        for rn, row in enumerate(csv.reader(csv_text.splitlines(keepends=True)), start=1):
+    try:  # lines end only at CR, LF or CRLF, which stay, so a quoted field may span lines
+        for rn, row in enumerate(csv.reader(io.StringIO(csv_text, newline="")), start=1):
             if not row or all(not c.strip() for c in row):
                 continue
             for c in (*cols, ts_col):
@@ -308,11 +308,13 @@ def _csv_rows(csv_text: str, mapping: dict) -> list[tuple]:
 # File-level entry points
 
 
-def read_file(path: str) -> str:
+def read_file(path: str, newline: str | None = None) -> str:
     """The text of a rule, data, mapping or check-target file, read as UTF-8
-    without a leading byte-order mark."""
+    without a leading byte-order mark; `newline` as `open` takes it (a CSV
+    file is read with "", which keeps a quoted cell's line breaks)."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig", newline=newline) as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise IoError(f"cannot read {path}: {e}") from None
 
@@ -327,8 +329,8 @@ def ingest(pairs: list[tuple[str, str | None]]) -> Dataset:
         return rows.setdefault((kind, pred), {}).setdefault
 
     for data_path, map_path in pairs:
-        text = read_file(data_path)
         if data_path.endswith(".csv"):
+            text = read_file(data_path, newline="")
             if map_path is None:
                 raise MappingError(None, f"CSV input {data_path} needs --map")
             try:
@@ -346,7 +348,7 @@ def ingest(pairs: list[tuple[str, str | None]]) -> Dataset:
                 put(row)
         else:
             try:
-                refused = _read_statements(text, sink)
+                refused = _read_statements(read_file(data_path), sink)
             except ParseError as e:
                 raise ParseError(f"{data_path}: {e.message}", e.line, e.col) from None
             # text the pattern refused and the token walk read: the rows put

@@ -1,6 +1,7 @@
 """Meta-event inference: stratified rule evaluation over inferred events.
 
-Each stratum is evaluated to a fixpoint before the next begins, so negated
+Event facts are rows (`model.row_of`) here. Each stratum is evaluated to a
+fixpoint before the next begins, so negated
 event references and extremum tests always see a completed collection.
 Within a stratum, repeated passes restrict one body literal at a time to
 the newest facts. Under monotone rules, models in factored form are
@@ -17,29 +18,28 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import LevelOverflow, NaturalOverflow, SortError
 from .language import TES, EventAtom, MetaRule
-from .model import AnnotatedEventFact, Dataset, EventStore, Interval, Record
+from .model import AnnotatedEventFact, Dataset, EventStore, Record, fact_of, row_of
 from .query import rule_plan
 
 
 def _fire(tes: TES, rule: MetaRule, dataset: Dataset, store: EventStore, delta: tuple | None,
-          witnesses: bool) -> list[tuple[tuple, AnnotatedEventFact]]:
-    """Each head fact the rule derives, beside the event facts its body
+          witnesses: bool) -> list[tuple[tuple, tuple]]:
+    """Each head row the rule derives, beside the event rows its body
     matched (empty without `witnesses`)."""
     plan = rule_plan(tes, rule)
     results = plan.solve(dataset, store, delta, witnesses)
     if not witnesses:
         results = [(s, ()) for s in results]
     interval_of, level_of = plan.head
-    out: list[tuple[tuple, AnnotatedEventFact]] = []
+    out: list[tuple[tuple, tuple]] = []
     for slots, matched in results:
         interval = interval_of(slots)
         if interval is None:  # empty intersection or inverted endpoints
             continue
-        assert isinstance(interval, Interval)
         level = level_of(slots)
         if not isinstance(level, int) or level < 1:
             raise LevelOverflow(f"rule for {rule.pred} computed level {level}")
-        out.append((matched, AnnotatedEventFact(rule.pred, plan.args(slots), interval, level)))
+        out.append((matched, (rule.pred, plan.args(slots), interval[0], interval[1], level)))
     return out
 
 
@@ -49,11 +49,11 @@ def _event_positions(rule: MetaRule, preds: frozenset[str]) -> list[int]:
             if not lit.negated and isinstance(lit.atom, EventAtom) and lit.atom.pred in preds]
 
 
-Fired = list[tuple[tuple, AnnotatedEventFact]]
+Fired = list[tuple[tuple, tuple]]
 
 
 def _fire_delta(tes: TES, joins: list[tuple[MetaRule, list[int]]],
-                delta: list[AnnotatedEventFact], dataset: Dataset, store: EventStore,
+                delta: list[tuple], dataset: Dataset, store: EventStore,
                 witnesses: bool) -> Fired:
     """Each rule fired once per listed position, that position restricted to
     the facts of `delta` over its predicate."""
@@ -61,14 +61,14 @@ def _fire_delta(tes: TES, joins: list[tuple[MetaRule, list[int]]],
     for rule, positions in joins:
         for pos in positions:
             pred = rule.body[pos].atom.pred
-            fresh = [f for f in delta if f.pred == pred]
+            fresh = [f for f in delta if f[0] == pred]
             if fresh:
                 fired += _fire(tes, rule, dataset, store, (pos, fresh), witnesses)
     return fired
 
 
 def _close(tes: TES, dataset: Dataset, store: EventStore,
-           absorb: Callable[[Fired], list[AnnotatedEventFact]], witnesses: bool = False) -> None:
+           absorb: Callable[[Fired], list[tuple]], witnesses: bool = False) -> None:
     """Evaluate the strata in order, each to a fixpoint by semi-naive passes.
 
     `absorb` receives one pass's firings (see `_fire`) and returns the facts
@@ -90,16 +90,21 @@ def _close(tes: TES, dataset: Dataset, store: EventStore,
 def infer_meta(tes: TES, dataset: Dataset,
                simple: frozenset[AnnotatedEventFact]) -> frozenset[AnnotatedEventFact]:
     """All meta-event facts derivable from the dataset and simple events."""
+    return frozenset(map(fact_of, meta_rows(tes, dataset, frozenset(map(row_of, simple)))))
+
+
+def meta_rows(tes: TES, dataset: Dataset, simple: frozenset[tuple]) -> frozenset[tuple]:
+    """`infer_meta` over event rows."""
     store = EventStore(simple)
     _close(tes, dataset, store, lambda fired: store.add_all([f for _, f in fired]))
     return store.facts.difference(simple)
 
 
-def _firings(tes: TES, dataset: Dataset, facts: frozenset[AnnotatedEventFact]) -> list[list]:
+def _firings(tes: TES, dataset: Dataset, facts: frozenset[tuple]) -> list[list]:
     """Each firing of one closure of `facts` from scratch, as `[head, *matched]`."""
     store, firings = EventStore(facts), []
 
-    def absorb(fired: Fired) -> list[AnnotatedEventFact]:
+    def absorb(fired: Fired) -> list[tuple]:
         firings.extend([head, *matched] for matched, head in fired)
         return store.add_all([head for _, head in fired])
 
@@ -164,7 +169,7 @@ class Factored(Record):
 
     __slots__ = _fields = ("core", "units", "picks")
 
-    def models(self) -> tuple[frozenset[AnnotatedEventFact], ...]:
+    def models(self) -> tuple[frozenset[tuple], ...]:
         core, units = self.core, self.units
         return tuple(core.union(*[units[u][i] for u, i in enumerate(p)]) for p in self.picks)
 
@@ -183,7 +188,7 @@ def regroup(f: Factored, picks: Sequence[tuple[int, ...]],
         for us, combos in zip(members, index)]), kept)
 
 
-def factor_models(models: Sequence[frozenset[AnnotatedEventFact]]) -> Factored:
+def factor_models(models: Sequence[frozenset[tuple]]) -> Factored:
     """Models as their intersection plus one unit of what each adds."""
     if len(models) == 1:  # the model is its own core, taken without a copy
         return Factored(frozenset(models[0]), (), ((),))
@@ -242,7 +247,7 @@ def close_factored(tes: TES, dataset: Dataset, f: Factored) -> Factored:
             return _close_units(tes, dataset, f)
         except (LevelOverflow, NaturalOverflow, SortError):
             pass
-    return factor_models([m | infer_meta(tes, dataset, m) for m in f.models()])
+    return factor_models([m | meta_rows(tes, dataset, m) for m in f.models()])
 
 
 Supports = list[frozenset]
@@ -258,8 +263,7 @@ def _add_minimal(antichain: Supports, s: frozenset) -> bool:
     return True
 
 
-def combine_supports(matched: tuple[AnnotatedEventFact, ...],
-                     why: Mapping[AnnotatedEventFact, Supports],
+def combine_supports(matched: tuple[tuple, ...], why: Mapping[tuple, Supports],
                      spend: Callable[[], None]) -> list[frozenset]:
     """The simple-fact sets supporting one body match: one support of each
     matched fact, in every combination. A fact missing from `why` supports
@@ -271,8 +275,8 @@ def combine_supports(matched: tuple[AnnotatedEventFact, ...],
     return [frozenset().union(*combo) for combo in product(*options)]
 
 
-def meta_provenance(tes: TES, dataset: Dataset, simple: frozenset[AnnotatedEventFact],
-                    spend: Callable[[], None]) -> dict[AnnotatedEventFact, Supports]:
+def meta_provenance(tes: TES, dataset: Dataset, simple: frozenset[tuple],
+                    spend: Callable[[], None]) -> dict[tuple, Supports]:
     """Why-provenance of the meta closure: each derivable meta fact with the
     minimal sets of simple facts from which the rules derive it.
 
@@ -283,10 +287,10 @@ def meta_provenance(tes: TES, dataset: Dataset, simple: frozenset[AnnotatedEvent
     `spend` is charged as `combine_supports` says.
     """
     store = EventStore(simple)
-    why: dict[AnnotatedEventFact, Supports] = {}
+    why: dict[tuple, Supports] = {}
 
-    def absorb(fired: Fired) -> list[AnnotatedEventFact]:
-        changed: dict[AnnotatedEventFact, None] = {}
+    def absorb(fired: Fired) -> list[tuple]:
+        changed: dict[tuple, None] = {}
         for matched, fact in fired:
             for s in combine_supports(matched, why, spend):
                 if _add_minimal(why.setdefault(fact, []), s):

@@ -101,16 +101,10 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _stored_hash(self) -> int:
-    return self._hash
-
-
 class Interval(Record):
     """A closed interval [start, end] over naturals; end may be STAR (ongoing)."""
 
-    __slots__ = ("start", "end", "_hash")
-    _fields = ("start", "end")
-    __hash__ = _stored_hash
+    __slots__ = _fields = ("start", "end")
 
     def __init__(self, start: int, end: int | float):  # end: a natural, or STAR
         if not isinstance(start, int) or isinstance(start, bool) or start < 0:
@@ -120,15 +114,9 @@ class Interval(Record):
                 raise InvalidInterval(f"bad interval end: {end!r}")
             if end < start:
                 raise InvalidInterval(f"interval end {end} before start {start}")
-        set_start, set_end, set_hash = self._setters
+        set_start, set_end = self._setters
         set_start(self, start)
         set_end(self, end)
-        set_hash(self, hash((start, end)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self.start == other.start and self.end == other.end
 
     @property
     def ongoing(self) -> bool:
@@ -145,8 +133,13 @@ class Interval(Record):
 
 def allen_relation(a: Interval, b: Interval) -> str:
     """The unique Allen relation holding from a to b (point intervals included)."""
-    s = _cmp(a.start, b.start)
-    e = _cmp(a.end, b.end)
+    return allen((a.start, a.end), (b.start, b.end))
+
+
+def allen(a: tuple, b: tuple) -> str:
+    """`allen_relation` of two (start, end) pairs."""
+    s = _cmp(a[0], b[0])
+    e = _cmp(a[1], b[1])
     if s == 0:
         if e == 0:
             return "equals"
@@ -159,12 +152,12 @@ def allen_relation(a: Interval, b: Interval) -> str:
         return "during"
     if s < 0:
         # a begins first and ends first: separated, touching, or overlapping
-        if a.end < b.start:
+        if a[1] < b[0]:
             return "before"
-        return "meets" if a.end == b.start else "overlaps"
-    if b.end < a.start:
+        return "meets" if a[1] == b[0] else "overlaps"
+    if b[1] < a[0]:
         return "after"
-    return "met_by" if b.end == a.start else "overlapped_by"
+    return "met_by" if b[1] == a[0] else "overlapped_by"
 
 
 def _cmp(x, y) -> int:
@@ -257,10 +250,10 @@ def compile_term(t: Term, slot_of: Mapping[str, object],
                  intervals: Mapping[tuple[str, str], object] = {}) -> Callable:
     """A function computing the term's value from a binding that holds each
     variable at `slot_of[name]`: a slot array, or a dict when the slots are
-    the names. An interval term whose `variable_ends` are in `intervals`
-    reads the interval held at that slot, a matched fact's, equal to the one
-    it would build. It raises as `eval_term` says; a variable
-    `slot_of` lacks raises `UnboundVariable` here."""
+    the names. An interval is a (start, end) pair. An interval term whose
+    `variable_ends` are in `intervals` reads the pair held at that slot, a
+    matched fact's. It raises as `eval_term` says; a variable `slot_of`
+    lacks raises `UnboundVariable` here."""
     if isinstance(t, (Const, Nat, StarTerm)):
         value = t.name if isinstance(t, Const) else STAR if isinstance(t, StarTerm) else t.value
         return lambda slots: value
@@ -297,21 +290,21 @@ def compile_term(t: Term, slot_of: Mapping[str, object],
             lo, hi = lo_of(slots), hi_of(slots)
             if lo == STAR or isinstance(lo, str) or isinstance(hi, str):
                 raise SortError(f"bad interval endpoint in {t}")
-            return None if hi < lo else Interval(lo, hi)
+            return None if hi < lo else (lo, hi)
         return interval
     if isinstance(t, IntervalFn):
         fns = [compile_term(a, slot_of, intervals) for a in t.args]
 
         def inter(slots):
-            acc: Interval | None = None
+            acc: tuple | None = None
             for f in fns:
                 v = f(slots)
                 if v is None:
                     return None
-                if not isinstance(v, Interval):
+                if v.__class__ is not tuple:
                     raise SortError(f"non-interval argument to inter: {v!r}")
-                acc = v if acc is None else acc.intersect(v)
-                if acc is None:
+                acc = v if acc is None else (max(acc[0], v[0]), min(acc[1], v[1]))
+                if acc[1] < acc[0]:
                     return None
             return acc
         return inter
@@ -321,10 +314,11 @@ def compile_term(t: Term, slot_of: Mapping[str, object],
 def eval_term(t: Term, binding: Mapping[str, object]):
     """Evaluate a ground-under-binding term to a value.
 
-    Interval-sorted terms may evaluate to None, meaning the empty interval;
-    callers derive no fact from an empty interval.
+    Interval-sorted terms evaluate to an `Interval`, or to None, meaning the
+    empty interval; callers derive no fact from an empty interval.
     """
-    return compile_term(t, {name: name for name in binding})(binding)
+    v = compile_term(t, {name: name for name in binding})(binding)
+    return Interval(*v) if v.__class__ is tuple else v
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +334,10 @@ class ObservationFact(Record):
 
 
 class AnnotatedEventFact(Record):
-    """An event over an interval at a confidence level (1 is the strongest)."""
+    """An event over an interval at a confidence level (1 is the strongest).
+    Inside the library an event fact is its row (`row_of`)."""
 
-    __slots__ = ("pred", "args", "interval", "level", "_hash")
-    _fields = ("pred", "args", "interval", "level")
-    __hash__ = _stored_hash
-
-    def __init__(self, pred: str, args: tuple[Value, ...], interval: Interval, level: int):
-        set_pred, set_args, set_interval, set_level, set_hash = self._setters
-        set_pred(self, pred)
-        set_args(self, args)
-        set_interval(self, interval)
-        set_level(self, level)
-        set_hash(self, hash((pred, args, interval, level)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.interval == other.interval
-                and self.level == other.level and self.pred == other.pred
-                and self.args == other.args)
+    __slots__ = _fields = ("pred", "args", "interval", "level")
 
     @property
     def key(self) -> tuple[str, tuple[Value, ...]]:
@@ -387,11 +365,27 @@ def fact_key(f) -> tuple:
     return (2, f.pred, args_key(f.args), (iv.start, iv.end), f.level)
 
 
-def event_values(f: AnnotatedEventFact) -> tuple:
-    """An event fact's arguments, then its interval's start and end, its
-    level and its interval: the positions rule atoms match."""
+def row_of(f: AnnotatedEventFact) -> tuple:
+    """An event fact's row, (pred, args, start, end, level): a plain tuple
+    that hashes and compares in C."""
     iv = f.interval
-    return f.args + (iv.start, iv.end, f.level, iv)
+    return f.pred, f.args, iv.start, iv.end, f.level
+
+
+def fact_of(r: tuple) -> AnnotatedEventFact:
+    """The event fact of a row."""
+    return AnnotatedEventFact(r[0], r[1], Interval(r[2], r[3]), r[4])
+
+
+def row_key(r: tuple) -> tuple:
+    """The `fact_key` order of event rows."""
+    return r[0], args_key(r[1]), r[2], r[3], r[4]
+
+
+def event_values(r: tuple) -> tuple:
+    """An event row's arguments, then its start, end and level and its
+    (start, end) pair: the positions rule atoms match."""
+    return r[1] + r[2:] + (r[2:4],)
 
 
 def fact_row(f: AtemporalFact | ObservationFact) -> tuple:
@@ -418,39 +412,42 @@ def _group(items: Iterable, positions: tuple[int, ...],
 
 
 class EventStore:
-    """Event facts indexed by predicate and by their `event_values` at
+    """Event rows indexed by predicate and by their `event_values` at
     chosen positions (built on first `probe`, then kept up to date by
-    `add`). Each predicate's facts keep their first-seen order."""
+    `add_all`). Each predicate's rows keep their first-seen order."""
 
-    def __init__(self, facts: Iterable[AnnotatedEventFact] = ()):
+    def __init__(self, facts: Iterable[tuple] = ()):
         self._facts: set = set()
         self._by_pred: dict[str, list] = {}
         # pred -> positions -> values at those positions -> facts
         self._indexes: dict[str, dict[tuple[int, ...], dict[tuple, list]]] = {}
         self.add_all(facts)
 
-    def add(self, f: AnnotatedEventFact) -> bool:
-        if f in self._facts:
-            return False
-        self._facts.add(f)
-        self._by_pred.setdefault(f.pred, []).append(f)
-        indexes = self._indexes.get(f.pred)
-        if indexes:
-            vals = event_values(f)
-            for positions, index in indexes.items():
-                index.setdefault(tuple([vals[i] for i in positions]), []).append(f)
-        return True
+    def add(self, f: tuple) -> bool:
+        return bool(self.add_all((f,)))
 
     def add_all(self, facts: Iterable) -> list:
-        return [f for f in facts if self.add(f)]
+        """Add each row not yet held, in order; returns the rows added."""
+        have, by_pred, indexes, new = self._facts, self._by_pred, self._indexes, []
+        for f in facts:
+            if f in have:
+                continue
+            have.add(f)
+            new.append(f)
+            by_pred.setdefault(f[0], []).append(f)
+            if f[0] in indexes:
+                vals = event_values(f)
+                for positions, index in indexes[f[0]].items():
+                    index.setdefault(tuple([vals[i] for i in positions]), []).append(f)
+        return new
 
     def by_key(self, pred: str, args: tuple[Value, ...]) -> tuple:
-        """The facts of `pred` whose arguments are `args`, in first-seen order."""
+        """The rows of `pred` whose arguments are `args`, in first-seen order."""
         return tuple(self.probe(pred, tuple(range(len(args))), args))
 
     def probe(self, pred: str, positions: tuple[int, ...], values: tuple) -> Sequence:
-        """Facts of `pred` whose `event_values` at `positions` (ascending:
-        its arguments, then its interval's start and end) equal `values`,
+        """Rows of `pred` whose `event_values` at `positions` (ascending:
+        its arguments, then its start and end) equal `values`,
         without copying; the result must not be mutated or held across an
         `add`."""
         facts = self._by_pred.get(pred, ())
@@ -460,7 +457,7 @@ class EventStore:
             index = self._indexes[pred][positions]
         except KeyError:
             # every position inside the arguments reads them without a new tuple
-            values_of = attrgetter("args") if positions[-1] < len(facts[0].args) else event_values
+            values_of = itemgetter(1) if positions[-1] < len(facts[0][1]) else event_values
             index = self._indexes.setdefault(pred, {})[positions] = _group(
                 facts, positions, values_of)
         return index.get(values, ())

@@ -39,7 +39,6 @@ from .model import (
     AtemporalFact,
     Dataset,
     EventStore,
-    Interval,
     IntervalTerm,
     Nat,
     ObservationFact,
@@ -47,7 +46,7 @@ from .model import (
     SortKind,
     StarTerm,
     Var,
-    allen_relation,
+    allen,
     args_key,
     compile_term,
     eval_term,
@@ -66,14 +65,14 @@ _SORT_CHECKS = {
     SortKind.NAT: lambda v: isinstance(v, int) and v >= 0,
     SortKind.POSNAT: lambda v: isinstance(v, int) and v >= 1,
     SortKind.NAT_OR_STAR: lambda v: v == STAR or (isinstance(v, int) and v >= 0),
-    SortKind.INTERVAL: lambda v: isinstance(v, Interval),
+    SortKind.INTERVAL: lambda v: v.__class__ is tuple,  # a (start, end) pair
 }
 
 
 def _positions(atom) -> tuple[type, list]:
     """The kind of fact an atom matches, and each of its terms beside the
     position it matches: in a dataset row (`fact_row`), or in an event
-    fact's `event_values`. The terms are variables and constants, in the
+    row's `event_values`. The terms are variables and constants, in the
     order of the atom's variables."""
     n = len(atom.args)
     pairs = list(enumerate(atom.args))
@@ -118,7 +117,7 @@ class _Match:
     constant, binds a slot after its sort's check, compares with a slot
     (bound earlier, or earlier in the atom), or puts the fact's interval in
     its interval term's slot. A dataset atom matches rows, which are their
-    own values; an event atom matches event facts."""
+    own values; an event atom matches event rows."""
 
     def __init__(self, atom, bound, slot_of: Mapping[str, int], sorts,
                  intervals: Mapping = {}, positioned: tuple | None = None):
@@ -137,8 +136,8 @@ class _Match:
         self._bound, self._slot_of, self._sorts, self._intervals = bound, slot_of, sorts, intervals
 
     def compile(self) -> Callable:
-        """The match, a function of (row or fact, slots): whether the row
-        or fact matches, binding its fresh variables' slots."""
+        """The match, a function of (dataset or event row, slots): whether
+        the row matches, binding its fresh variables' slots."""
         checks, binds, sames = [], [], []
         values = event_values if self.kind is AnnotatedEventFact else None
         seen, slot_of = set(self._bound), self._slot_of
@@ -172,7 +171,7 @@ class _Match:
         return match
 
     def candidates(self, slots: list, dataset: Dataset, events: EventStore | None):
-        """The rows or event facts the probe finds; `match` still checks
+        """The dataset or event rows the probe finds; `match` still checks
         each one."""
         if self.kind is not AnnotatedEventFact:
             return dataset.probe(self.kind, self.pred, self.positions, self.key(slots))
@@ -208,7 +207,7 @@ def _test(lit: Literal, bound, slot_of: Mapping[str, int], sorts) -> Callable:
 
         def holds(s, d, e):
             ia, ib = first(s), second(s)
-            return ia is not None and ib is not None and allen_relation(ia, ib) == name
+            return ia is not None and ib is not None and allen(ia, ib) == name
     elif isinstance(a, ExtremumTest):
         args, t = _tuple_of(a.args, slot_of), compile_term(a.t, slot_of)
         pred, start = a.pred, a.name == "start"
@@ -218,8 +217,8 @@ def _test(lit: Literal, bound, slot_of: Mapping[str, int], sorts) -> Callable:
             if not facts:
                 return False
             if start:
-                return min(f.interval.start for f in facts) == t(s)
-            return max(f.interval.end for f in facts) == t(s)
+                return min([f[2] for f in facts]) == t(s)
+            return max([f[3] for f in facts]) == t(s)
     else:
         m = _Match(a, bound, slot_of, sorts)
         match = m.compile()
@@ -258,8 +257,8 @@ class JoinPlan:
     `slot_of` gives each variable's slot; `names` are the binder variables,
     whose slots come first. Each positive event atom whose interval is a
     term of two variables, `[T1, T2]`, also has a slot, after them:
-    `intervals` maps the pair of names to it. A match puts the fact's own
-    interval there, for a head to read in place of a new equal interval.
+    `intervals` maps the pair of names to it. A match puts the row's own
+    (start, end) pair there, for a head to read.
     The steps out of each set of matched binders (a bit mask) are made on
     first use, one `_Step` per remaining binder. A test reading a variable
     that no binder binds raises `SortError`.
@@ -322,8 +321,8 @@ class JoinPlan:
         """Every binding that satisfies the body, each a tuple of slots (an
         empty ground body has one). `delta`, a (body index, candidates)
         pair, has that binder match only those candidates (a semi-naive
-        step): event facts, or rows for a dataset atom. With `witnesses`,
-        each result is a (slots, facts) pair: the event facts the positive
+        step): event rows, or rows for a dataset atom. With `witnesses`,
+        each result is a (slots, facts) pair: the event rows the positive
         event atoms matched, once per combination of them, as when an atom
         without a level matches an interval at several levels."""
         forced_idx, forced = delta if delta is not None else (None, None)

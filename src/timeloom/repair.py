@@ -22,7 +22,7 @@ from __future__ import annotations
 from contextlib import suppress
 from itertools import combinations, groupby, islice, product
 from math import inf, prod
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import EnumerationCapExceeded
@@ -32,35 +32,52 @@ from .meta import (
     close_factored,
     combine_supports,
     factor_models,
-    infer_meta,
     link,
     meta_provenance,
+    meta_rows,
     regroup,
 )
-from .model import AnnotatedEventFact, Dataset, EventStore, Record, fact_key
-from .query import rule_plan
-from .simple import infer_all_simple
+from .model import Dataset, EventStore, Record, fact_of, row_key, row_of
+from .query import ground_simple_heads, rule_plan
+from .simple import infer_rows
 
 DEFAULT_CAP = 10000
 
-SimpleSet = frozenset[AnnotatedEventFact]
+SimpleSet = frozenset  # of event rows (`model.row_of`); the public functions take event facts
+_level = itemgetter(4)
+
+
+def _simple(dataset: Dataset, tes: TES, se=None) -> SimpleSet:
+    """The rows of the simple events `se`, by default every one inferred."""
+    if se is None:
+        return infer_rows(ground_simple_heads(tes, dataset), tes)
+    return frozenset(map(row_of, se))
+
+
+def _as_facts(models) -> tuple[frozenset, ...]:
+    """Sets of event rows as sets of event facts, each distinct row built once."""
+    fact = {r: fact_of(r) for r in frozenset().union(*models)}.__getitem__
+    return tuple([frozenset(map(fact, m)) for m in models])
 
 
 def temporal_conflict(a, b) -> bool:
     """Whether two facts about the same event instance clash: equal starts
     with different ends, equal ends with different starts, or one interval
     starting strictly inside the other."""
-    if a.key != b.key:
-        return False
-    i, j = a.interval, b.interval
-    if i == j:
-        return False
-    if i.start == j.start or i.end == j.end:
-        return True
-    return i.start < j.start < i.end or j.start < i.start < j.end
+    return _clash(row_of(a), row_of(b))
 
 
-_start = attrgetter("interval.start")
+def _clash(a: tuple, b: tuple) -> bool:
+    """`temporal_conflict` of two event rows."""
+    if a[0] != b[0] or a[1] != b[1]:
+        return False
+    s, e, t, u = a[2], a[3], b[2], b[3]
+    if s == t and e == u:
+        return False
+    return s == t or e == u or s < t < e or t < s < u
+
+
+_start = itemgetter(2)
 
 
 def clash_pairs(facts) -> Iterator[tuple]:
@@ -75,31 +92,36 @@ def clash_pairs(facts) -> Iterator[tuple]:
     O(n log n) plus the pairs."""
     groups: dict[tuple, list] = {}
     for f in facts:
-        groups.setdefault(f.key, []).append(f)
+        groups.setdefault(f[:2], []).append(f)
     for group in groups.values():
         if len(group) < 2:
             continue
         group.sort(key=_start)
         running: list = []  # earlier facts, none known to end before this start
         for b in group:
-            start = b.interval.start
-            running = [a for a in running if a.interval.end >= start]
+            start = b[2]
+            running = [a for a in running if a[3] >= start]
             for a in running:
-                if temporal_conflict(a, b):
+                if _clash(a, b):
                     yield a, b
             running.append(b)
 
 
 def is_consistent(facts, tes: TES, dataset: Dataset) -> bool:
     """Whether a set of event facts violates no temporal or domain constraint."""
+    return _consistent(frozenset(map(row_of, facts)), tes, dataset)
+
+
+def _consistent(facts: SimpleSet, tes: TES, dataset: Dataset) -> bool:
+    """`is_consistent` of a set of event rows."""
     if next(clash_pairs(facts), None) is not None:
         return False
     if not tes.constraints:
         return True
     store = EventStore(facts)
     if tes.constraints_mention_meta():
-        simple = frozenset(f for f in facts if tes.is_simple_pred(f.pred))
-        store.add_all(infer_meta(tes, dataset, simple))
+        simple = frozenset(f for f in facts if tes.is_simple_pred(f[0]))
+        store.add_all(meta_rows(tes, dataset, simple))
     return not any(rule_plan(tes, c).solve(dataset, store) for c in tes.constraints)
 
 
@@ -181,9 +203,9 @@ def _components(edges: list[frozenset]) -> list[tuple[list, list[frozenset]]]:
         groups.setdefault(find(next(iter(e))), []).append(e)
     comps = []
     for comp_edges in groups.values():
-        facts = sorted({f for e in comp_edges for f in e}, key=fact_key)
+        facts = sorted({f for e in comp_edges for f in e}, key=row_key)
         comps.append((facts, comp_edges))
-    comps.sort(key=lambda c: fact_key(c[0][0]))
+    comps.sort(key=lambda c: row_key(c[0][0]))
     return comps
 
 
@@ -247,7 +269,7 @@ def _independent_sets(n: int, edges: list[tuple[int, ...]],
 
 
 def _component_results(facts: list, edges: list[frozenset], budget: _Budget,
-                       level: Callable[[AnnotatedEventFact], int]) -> Iterator[frozenset]:
+                       level: Callable[[tuple], int]) -> Iterator[frozenset]:
     """One component's results, level by level, strongest first: with P the
     facts chosen at stronger levels, the maximal independent sets of a
     level's facts under the edges `e - P` of each edge `e` inside P and the
@@ -300,7 +322,7 @@ def _in_order(core: SimpleSet, units: tuple[tuple[SimpleSet, ...], ...], picks) 
     comes first, as the other cannot end before `x` without being a proper
     subset. The sums agree above the bit of `x`, so the sum holding it is
     the larger."""
-    facts = sorted(frozenset().union(*[r for rs in units for r in rs]), key=fact_key)
+    facts = sorted(frozenset().union(*[r for rs in units for r in rs]), key=row_key)
     bit = {f: 1 << k for k, f in enumerate(reversed(facts))}.__getitem__
     masks = [[sum(map(bit, r)) for r in rs] for rs in units]
     return Factored(core, units, tuple(sorted(
@@ -324,9 +346,9 @@ def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset, spend: Callable[
     repair, and is a repair exactly when it is consistent: a consistent set
     lies in a repair, which beats it unless equal. A beaten set needs no
     test."""
-    level = attrgetter("level") if preferred else lambda f: 0
+    level = _level if preferred else lambda f: 0
     # each level's facts in canonical order, the strongest level first
-    layers = [list(g) for _, g in groupby(sorted(se, key=lambda f: (level(f), fact_key(f))),
+    layers = [list(g) for _, g in groupby(sorted(se, key=lambda f: (level(f), row_key(f))),
                                           key=level)]
 
     def beaten(s: SimpleSet) -> bool:
@@ -339,12 +361,12 @@ def _repairs_general(se: SimpleSet, tes: TES, dataset: Dataset, spend: Callable[
         for parts in product(*map(combinations, layers, sizes)):
             spend()
             s = frozenset().union(*parts)
-            if not beaten(s) and is_consistent(s, tes, dataset):
+            if not beaten(s) and _consistent(s, tes, dataset):
                 found.append(s)
                 yield s
 
 
-def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
+def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet, cap: int,
                     preferred: bool) -> tuple[Factored, bool]:
     """The repairs, or the preferred repairs, in factored form and in
     canonical order, and whether the cap left them all. Under downward
@@ -353,8 +375,6 @@ def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
     per model, the first in product order; a component stops at more
     results than the budget has left. A fact in a one-fact edge is in no
     repair. Otherwise they are one unit, what the scan yields within the cap."""
-    if se is None:
-        se = infer_all_simple(dataset, tes)
     budget = _Budget(cap)
     if not _downward_closed(tes):
         found: list[SimpleSet] = []
@@ -363,7 +383,7 @@ def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
                 found.append(r)
         picks = [(i,) for i in range(len(found))]
         return _in_order(frozenset(), (tuple(found),), picks), budget.left >= 0
-    level = attrgetter("level") if preferred else lambda f: 0
+    level = _level if preferred else lambda f: 0
     try:
         edges = conflict_hypergraph(se, tes, dataset, budget.spend)
         if edges and not edges[0]:  # no subset is consistent
@@ -386,17 +406,17 @@ def _repair_factors(dataset: Dataset, tes: TES, se: SimpleSet | None, cap: int,
     return regroup(found, found.picks), False
 
 
-def repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
+def repairs(dataset: Dataset, tes: TES, se: frozenset | None = None,
             cap: int = DEFAULT_CAP) -> RepairSet:
     """Enumerate repairs; a capped run returns the sound partial result.
 
     `cap` bounds the work: repairs emitted plus dead ends when consistency
     is downward closed, candidate subsets examined otherwise."""
-    found, exhaustive = _repair_factors(dataset, tes, se, cap, False)
-    return RepairSet(found.models(), exhaustive)
+    found, exhaustive = _repair_factors(dataset, tes, _simple(dataset, tes, se), cap, False)
+    return RepairSet(_as_facts(found.models()), exhaustive)
 
 
-def preferred_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
+def preferred_repairs(dataset: Dataset, tes: TES, se: frozenset | None = None,
                       cap: int = DEFAULT_CAP) -> RepairSet:
     """Repairs preferred under the level ordering: no other repair beats them
     at their first differing confidence level.
@@ -405,12 +425,12 @@ def preferred_repairs(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     component's level-wise results, and `cap` bounds the results emitted
     plus each level's dead ends. Otherwise one subset scan, strongest level
     first, yields them alone, and `cap` bounds the subsets examined."""
-    found, exhaustive = _repair_factors(dataset, tes, se, cap, True)
-    return RepairSet(found.models(), exhaustive)
+    found, exhaustive = _repair_factors(dataset, tes, _simple(dataset, tes, se), cap, True)
+    return RepairSet(_as_facts(found.models()), exhaustive)
 
 
-def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
-                  cap: int = DEFAULT_CAP) -> SimpleSet:
+def cautious_core(dataset: Dataset, tes: TES, se: frozenset | None = None,
+                  cap: int = DEFAULT_CAP) -> frozenset:
     """Facts present in every repair.
 
     When consistency is downward closed these are the facts in no edge of
@@ -419,8 +439,11 @@ def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
     fact. `cap` then bounds only alternative provenance supports. Otherwise
     the repairs are enumerated. A capped run raises rather than return an
     unsound core."""
-    if se is None:
-        se = infer_all_simple(dataset, tes)
+    return _as_facts([_cautious(dataset, tes, _simple(dataset, tes, se), cap)])[0]
+
+
+def _cautious(dataset: Dataset, tes: TES, se: SimpleSet, cap: int) -> SimpleSet:
+    """`cautious_core` over event rows."""
     spend = _Budget(cap).spend
     if not _downward_closed(tes):
         reps = list(_repairs_general(se, tes, dataset, spend, False))
@@ -431,22 +454,24 @@ def cautious_core(dataset: Dataset, tes: TES, se: SimpleSet | None = None,
 
 class TimelineResult(Record):
     """Computed timelines for one mode: each model is a full event set,
-    simple and meta facts together. `factored` holds them in factored form
-    (see `meta.Factored`), which `models` expands when first read."""
+    simple and meta facts together. `factored` holds them as event rows in
+    factored form (see `meta.Factored`), which `models` expands to event
+    facts when first read."""
 
     __slots__ = ("mode", "_models", "exhaustive", "factored")
     _fields = ("mode", "models", "exhaustive")
 
     def __init__(self, mode: str, models: tuple | None, exhaustive: bool,
                  factored: Factored | None = None):
-        values = (mode, models, exhaustive, factored or factor_models(models))
+        factored = factored or factor_models([frozenset(map(row_of, m)) for m in models])
+        values = (mode, models, exhaustive, factored)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     @property
     def models(self) -> tuple[frozenset, ...]:
         if self._models is None:
-            object.__setattr__(self, "_models", self.factored.models())
+            object.__setattr__(self, "_models", _as_facts(self.factored.models()))
         return self._models
 
 
@@ -460,9 +485,9 @@ def timeline(dataset: Dataset, tes: TES, mode: str = "consistent", cap: int = DE
     models past the first that many are neither closed nor kept; the cap
     still counts them.
     """
-    se = infer_all_simple(dataset, tes)
+    se = _simple(dataset, tes)
     if mode in ("naive", "cautious"):  # one model: its simple facts as the core
-        core = se if mode == "naive" else cautious_core(dataset, tes, se=se, cap=cap)
+        core = se if mode == "naive" else _cautious(dataset, tes, se, cap)
         found, exhaustive = Factored(core, (), ((),)), True
     elif mode in ("consistent", "preferred"):
         found, exhaustive = _repair_factors(dataset, tes, se, cap, mode == "preferred")
@@ -489,11 +514,12 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
     candidate = frozenset(candidate)
     if not all(tes.is_event_pred(f.pred) for f in candidate):
         return False
-    se = infer_all_simple(dataset, tes)
-    s_se = frozenset(f for f in candidate if tes.is_simple_pred(f.pred))
+    candidate = frozenset(map(row_of, candidate))
+    se = _simple(dataset, tes)
+    s_se = frozenset(f for f in candidate if tes.is_simple_pred(f[0]))
     if not s_se <= se:
         return False
-    if candidate != s_se | infer_meta(tes, dataset, s_se):
+    if candidate != s_se | meta_rows(tes, dataset, s_se):
         return False
     preferred = mode == "preferred"
     spend = _Budget(cap).spend
@@ -508,7 +534,7 @@ def recognize_timeline(dataset: Dataset, tes: TES, candidate, mode: str = "consi
 
     def completes_edge(sigma, bound) -> bool:
         # an edge of sigma whose other facts are kept, none weaker than `bound`
-        return any(all(f in s_se and f.level <= bound for f in e - {sigma})
+        return any(all(f in s_se and f[4] <= bound for f in e - {sigma})
                    for e in by_fact.get(sigma, ()))
 
-    return all(completes_edge(sigma, sigma.level if preferred else inf) for sigma in se - s_se)
+    return all(completes_edge(sigma, sigma[4] if preferred else inf) for sigma in se - s_se)

@@ -18,7 +18,7 @@ from typing import Collection
 
 from .errors import InvalidSpec
 from .language import TES, PredKind, format_instance
-from .model import STAR, AnnotatedEventFact, Dataset, Interval
+from .model import STAR, AnnotatedEventFact, Dataset, Interval, fact_of
 from .query import AuxStore, ground_simple_heads, instance_key
 
 Points = Collection[tuple[int, int]]  # (timepoint, level) pairs
@@ -89,8 +89,7 @@ def infer_persistent(exists: Points, ends: Points) -> set[tuple[Interval, int]]:
 
 def infer_all_simple(dataset: Dataset, tes: TES) -> frozenset[AnnotatedEventFact]:
     """Ground the simple-event rules and infer every event instance."""
-    aux = ground_simple_heads(tes, dataset)
-    return infer_from_aux(aux, tes)
+    return infer_from_aux(ground_simple_heads(tes, dataset), tes)
 
 
 def window_fault(ws: Collection[int]) -> str | None:
@@ -108,16 +107,21 @@ def _window(ws: Collection[int]) -> int | None:
 
 
 def infer_from_aux(aux: AuxStore, tes: TES) -> frozenset[AnnotatedEventFact]:
-    """Infer every instance, walking the groups in the order grounding made
-    them. The window a predicate's instances share (STAR when persistent)
-    is resolved once; an instance with window rules of its own resolves
-    its own. An instance whose window is missing, ambiguous or below 1 is
+    """`infer_rows` as event facts."""
+    return frozenset(map(fact_of, infer_rows(aux, tes)))
+
+
+def infer_rows(aux: AuxStore, tes: TES) -> frozenset[tuple]:
+    """Infer every instance as event rows, in the order grounding made the
+    groups. The window a predicate's instances share (STAR when persistent)
+    is resolved once; an instance with window rules of its own resolves its
+    own. An instance whose window is missing, ambiguous or below 1 is
     skipped and recorded; after the walk the least such in `instance_key`
     order raises `InvalidSpec`, whatever the order of the walk."""
     shared = {pred: STAR if tes.kind(pred) is not PredKind.NONPERSISTENT
               else _window(aux.default_windows.get(pred, ()))
               for pred in {pred for pred, _ in aux.exists}}
-    facts: list[AnnotatedEventFact] = []
+    facts: list[tuple] = []
     faulty: list = []
     for key, exists in aux.exists.items():
         pred, args = key
@@ -127,7 +131,7 @@ def infer_from_aux(aux: AuxStore, tes: TES) -> frozenset[AnnotatedEventFact]:
         if w is None:
             faulty.append(key)
             continue
-        facts += [AnnotatedEventFact(pred, args, Interval(start, end), level)
+        facts += [(pred, args, start, end, level)
                   for start, end, level in _chains(exists, aux.ends.get(key, ()), w)]
     if faulty:
         key = min(faulty, key=instance_key)

@@ -24,7 +24,7 @@ import sys
 from timeloom import (AnnotatedEventFact, Dataset, Interval, ObservationFact, infer_meta,
                      parse_tes)
 from timeloom import meta
-from timeloom.model import fact_key
+from timeloom.model import fact_key, fact_of, row_of
 
 from conftest import random_fact_set
 
@@ -83,18 +83,19 @@ def compare(rng: random.Random, subsets: int) -> tuple[str | None, int, int, int
     firings recorded, the facts of the subsets' closures, and the subsets
     on which a forward scan falls short."""
     dataset, tes, simple = random_closure_draw(rng)
-    firings = meta._firings(tes, dataset, frozenset(simple))
+    firings = meta._firings(tes, dataset, frozenset(map(row_of, simple)))
     facts = short = 0
     for _ in range(subsets):
         s = frozenset(x for x in simple if rng.random() < 0.7)
         want = s | infer_meta(tes, dataset, s)
-        got = meta.derived(firings, s)
+        rows = frozenset(map(row_of, s))
+        got = frozenset(map(fact_of, meta.derived(firings, rows)))
         if got != want:
             return (f"subset {sorted(s, key=fact_key)!r}\n  closure: "
                     f"{sorted(want, key=fact_key)!r}\n  derived: {sorted(got, key=fact_key)!r}",
                     len(firings), facts, short)
         facts += len(want)
-        short += forward_scan(firings, s) != want
+        short += frozenset(map(fact_of, forward_scan(firings, rows))) != want
     return None, len(firings), facts, short
 
 

@@ -84,9 +84,9 @@ def reference_fact_key(f) -> tuple:
     return (2, f.pred, args, (f.interval.start, f.interval.end), f.level)
 
 
-def link_classes(tes: TES, dataset: Dataset, union: frozenset[AnnotatedEventFact],
-                 shared: frozenset[AnnotatedEventFact], groups: Sequence[frozenset]) -> Callable:
-    """The links of `union`'s closure from scratch: close `union` once,
+def link_classes(tes: TES, dataset: Dataset, union: frozenset[tuple],
+                 shared: frozenset[tuple], groups: Sequence[frozenset]) -> Callable:
+    """The links of `union`'s closure from scratch, over event rows: close `union` once,
     linking each derived fact outside `shared` with the facts outside
     `shared` its body matched, and the facts of each of `groups` with each
     other. Returns the class representative of a fact (`meta.link`)."""

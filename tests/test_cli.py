@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from timeloom.cli import (
     result_to_json,
 )
 from timeloom.meta import Factored
-from timeloom.model import STAR, fact_key
+from timeloom.model import STAR, fact_key, fact_of, row_of
 from timeloom.repair import TimelineResult
 
 import malformed
@@ -1136,14 +1137,13 @@ POSITIONED_RULES = "decl persistent e/1.\ndecl persistent z/0.\ndecl meta m/1.\n
 
 
 def random_result(rng: random.Random) -> TimelineResult:
-    """A result in factored form: a core, units of results drawn from facts
-    no other unit holds, empty results among them, and zero or more models,
-    sometimes all holding the same facts."""
-    facts = list({AnnotatedEventFact(pred, (rng.choice(TEXTS + (0, 7)),) if pred in "em" else (),
-                                     Interval(start, rng.choice((STAR, start, start + 3))),
-                                     rng.randint(1, 3))
-                  for pred in rng.choices("emzy", k=rng.randrange(12))
-                  for start in [rng.randrange(6)]})
+    """A result in factored form, over event rows: a core, units of results
+    drawn from facts no other unit holds, empty results among them, and
+    zero or more models, sometimes all holding the same facts."""
+    facts = list({row_of(AnnotatedEventFact(
+        pred, (rng.choice(TEXTS + (0, 7)),) if pred in "em" else (),
+        Interval(start, rng.choice((STAR, start, start + 3))), rng.randint(1, 3)))
+        for pred in rng.choices("emzy", k=rng.randrange(12)) for start in [rng.randrange(6)]})
     rng.shuffle(facts)
     cut = sorted(rng.randint(0, len(facts)) for _ in range(rng.randrange(4)))
     parts = [facts[a:b] for a, b in zip([0] + cut, cut + [len(facts)])]
@@ -1175,7 +1175,7 @@ def test_run_renders_models_by_position_like_json_dumps(tmp_path, monkeypatch, c
         partition = round_ % 3 == 0
         docs = [result_to_json(r, tes, now) for r in results[:3 if partition else 1]]
         for r, doc in zip(results, docs):
-            models = r.factored.models()
+            models = r.models
             assert doc["models"] == [
                 {k: [fact_to_json(f, now) for f in sorted(m, key=fact_key)
                      if tes.is_simple_pred(f.pred) == (k == "simple")] for k in ("simple", "meta")}
@@ -1216,11 +1216,11 @@ def test_models_as_runs_expand_to_their_sorted_positions():
     for _ in range(400):
         result = random_result(rng)
         core, units = result.factored.core, result.factored.units
-        facts, runs, ranked = cli._positioned(result, tes, None)["models"]
+        facts, runs, ranked, now = cli._positioned(result, tes, None)["models"]
         order = sorted(core.union(*[r for rs in units for r in rs]),
-                       key=lambda f: (not tes.is_simple_pred(f.pred), fact_key(f)))
-        assert facts == [fact_to_json(f) for f in order]
-        n = sum(map(tes.is_simple_pred, (f.pred for f in order)))
+                       key=lambda f: (not tes.is_simple_pred(f[0]), fact_key(fact_of(f))))
+        assert facts == order and now is None  # event rows
+        n = sum(map(tes.is_simple_pred, (f[0] for f in order)))
         label = [(-1, frozenset()) if f in core else next(
             (u, frozenset(i for i, r in enumerate(rs) if f in r))
             for u, rs in enumerate(units) if any(f in r for r in rs)) for f in order]
@@ -1291,3 +1291,97 @@ def test_malformed_and_borderline_inputs_exit_cleanly(tmp_path, monkeypatch):
         assert not malformed.faults(code, err), (argv, files, err)
         codes.add(code)
     assert codes == {0, 1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# Runs over the benchmark's workload shapes (bench/workloads.py, read only)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+RUN_MODES = ("naive", "consistent", "preferred", "cautious")
+# scales that keep each shape (ward's episodes, clash's 256 repairs beside
+# filler patients, guard's constraint) small enough for tier-1
+SHAPES = {"ward": 0.25, "clash": 0.1, "guard": 1}
+
+
+def workload_files(tmp_path, name: str, seed: int) -> tuple:
+    """The rule and fact files of a benchmark workload, and its parsed
+    rules and dataset."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import generate
+    finally:
+        sys.path.remove(str(BENCH))
+    wl = generate(name, seed, SHAPES[name])
+    rules, facts = tmp_path / f"{name}{seed}.tes", tmp_path / f"{name}{seed}.facts"
+    rules.write_text(wl.rules)
+    facts.write_text(wl.facts)
+    return str(rules), str(facts), parse_tes(wl.rules), ingest([(str(facts), None)])
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_run_output_equals_documents_built_from_the_public_objects(tmp_path, capsys, name):
+    # the command writes each fact's text from its event row; its output
+    # must be json.dumps of the document built from timeline().models, each
+    # model's facts as fact_to_json dicts in fact_key order, and its TSV
+    # the rows built from those dicts
+    for seed in (1, 7):
+        rules, facts, tes, dataset = workload_files(tmp_path, name, seed)
+        for mode in RUN_MODES:
+            doc = reference_doc(dataset, tes, mode)
+            argv = ("run", "--rules", rules, "--data", facts, "--mode", mode)
+            assert run_cli(*argv) == (0 if doc["exhaustive"] else 2)
+            assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+            run_cli(*argv, "--format", "tsv")
+            assert capsys.readouterr().out == reference_tsv(doc, with_clamp=False)
+            assert doc["models"] and all(m["simple"] for m in doc["models"])
+            if name == "clash" and mode == "consistent":
+                assert len(doc["models"]) == 256
+
+
+def test_repeated_runs_leave_no_objects_behind_and_keep_the_collector_settings(tmp_path, capsys):
+    # the benchmark loops cli.main in one process: a cache or a cycle kept
+    # across runs would grow the tracked objects; nor may a run change the
+    # collector's settings
+    import gc
+
+    rules, facts, _, _ = workload_files(tmp_path, "clash", 1)
+    argv = ["run", "--rules", rules, "--data", facts, "--mode", "consistent",
+            "--out", str(tmp_path / "out.json")]
+    settings = gc.isenabled(), gc.get_threshold()
+    counts = []
+    for n in range(201):
+        assert main(argv) == 0
+        assert (gc.isenabled(), gc.get_threshold()) == settings
+        if n % 100 == 0:
+            gc.collect()
+            counts.append(len(gc.get_objects()))
+    assert counts[2] <= counts[1] <= counts[0], counts  # after 1, 101 and 201 runs
+    capsys.readouterr()
+
+
+def test_run_modes_build_no_event_fact_objects(tmp_path, capsys, monkeypatch):
+    # event facts are rows from the interval walk to the rendered text:
+    # neither an AnnotatedEventFact nor an Interval is built in a run mode,
+    # while a check target and timeline().models still give event facts
+    built = {AnnotatedEventFact: 0, Interval: 0}
+    for cls in built:
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _cls=cls, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    for name in sorted(SHAPES):
+        rules, facts, tes, dataset = workload_files(tmp_path, name, 1)
+        for mode in RUN_MODES:
+            assert run_cli("run", "--rules", rules, "--data", facts, "--mode", mode) in (0, 2)
+            assert built == {AnnotatedEventFact: 0, Interval: 0}, (name, mode)
+        capsys.readouterr()
+        models = timeline(dataset, tes, "naive").models
+        assert built[AnnotatedEventFact] == len(models[0]) > 0
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"facts": [fact_to_json(f) for f in models[0]]}))
+        before = built[AnnotatedEventFact]
+        run_cli("run", "--rules", rules, "--data", facts, "--mode", "check", "--check", str(target))
+        assert built[AnnotatedEventFact] == before + len(models[0])
+        built.update({AnnotatedEventFact: 0, Interval: 0})

@@ -207,13 +207,38 @@ def test_csv_rows_keeps_line_breaks_in_quoted_fields():
 
 @pytest.mark.parametrize("rows, row", [
     ("p1,a,5\n\np2,b,x\n", 3),              # a blank line is a row
-    ("p1,a,5\x0cp2,b,6\np3,c,x\n", 3),       # so is each part of a line str.splitlines breaks
+    ("p1,a,6\x0cp2,b,6\np3,c,x\n", 1),       # a form feed is part of its cell: 6\x0cp2
     ('p1,"a\nb",5\np2,b,x\n', 2),           # a quoted line break ends no row
-], ids=["blank-line", "form-feed", "quoted-line-break"])
+    ('p1,"a\r\nb\rc",5\r\np2,b,6\rp3,c,x\r\n', 3),  # CR and CRLF end rows outside quotes
+], ids=["blank-line", "form-feed", "quoted-line-break", "carriage-returns"])
 def test_csv_rows_error_rows(rows, row):
     m = parse_mapping("predicate=adm\ncolumns=0,1\ntimestamp_column=2")
     with pytest.raises(MalformedTimestamp, match=f"^row {row}: "):
         csv_facts(rows, m)
+
+
+def test_csv_files_read_their_cells_as_the_csv_module_does(tmp_path):
+    # a CSV file is read with newline="": a quoted CR or CRLF stays in its
+    # cell, and only CR, LF and CRLF end a row, not the other characters
+    # str.splitlines breaks at; the cells equal those csv.reader gives the
+    # file opened with newline="", and a short row's error counts records
+    import csv
+
+    breaks = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    text = ('p1,"c\r\nd",1\r\np2,"e\rf",2\rp3,"g\nh",3\n'
+            + "".join(f"q{i},e{b}f,{i}\n" for i, b in enumerate(breaks)))
+    data = tmp_path / "d.csv"
+    data.write_bytes(text.encode("utf-8"))
+    mapping = tmp_path / "d.map"
+    mapping.write_text("predicate=adm\ncolumns=0,1\ntimestamp_column=2\n")
+    with open(data, encoding="utf-8", newline="") as f:
+        want = [(r[0], r[1], int(r[2])) for r in csv.reader(f)]
+    assert [w[1] for w in want[:3]] == ["c\r\nd", "e\rf", "g\nh"] and len(want) == 3 + len(breaks)
+    assert list(ingest([(str(data), str(mapping))]).rows[ObservationFact, "adm"]) == want
+    # the fourth record is short; the quoted line breaks before it end no row
+    data.write_bytes(b'p1,"a\r\nb",1\r\np2,"c\rd",2\rp3,e,3\np4,f\x0cg\r\n')
+    with pytest.raises(MappingError, match="row 4 has only 2 columns"):
+        ingest([(str(data), str(mapping))])
 
 
 def test_csv_rows_short_row():

@@ -20,8 +20,9 @@ from timeloom import (
     timeline,
 )
 from timeloom import meta
-from timeloom.meta import Factored, close_factored, link, meta_provenance
-from timeloom.repair import DEFAULT_CAP, _downward_closed, _repair_factors
+from timeloom.meta import Factored, close_factored, link, meta_provenance, meta_rows
+from timeloom.model import fact_of, row_of
+from timeloom.repair import DEFAULT_CAP, _downward_closed, _repair_factors, _simple
 
 from closure_draws import compare
 from conftest import counting_derivations, random_ruleful_instance
@@ -32,15 +33,22 @@ def ev(pred, args, a, b, level):
     return AnnotatedEventFact(pred, args, Interval(a, b), level)
 
 
+def rows(facts) -> frozenset:
+    return frozenset(map(row_of, facts))
+
+
 def close_models(tes, dataset, models):
     """Each set of simple events together with the meta facts derivable
-    from it, in order: `close_factored` of the models as their intersection
-    plus one unit per other fact, whose results are without it and with it."""
+    from it, in order: `close_factored` of the models' event rows as their
+    intersection plus one unit per other row, whose results are without it
+    and with it."""
+    models = [rows(m) for m in models]
     core = frozenset.intersection(*models) if models else frozenset()
     rest = list(frozenset().union(*models) - core)
     units = tuple([(frozenset(), frozenset([x])) for x in rest])
     picks = tuple([tuple([int(x in m) for x in rest]) for m in models])
-    return close_factored(tes, dataset, Factored(core, units, picks)).models()
+    closed = close_factored(tes, dataset, Factored(core, units, picks)).models()
+    return tuple([frozenset(map(fact_of, m)) for m in closed])
 
 
 def test_intersection_and_weakest_level():
@@ -246,15 +254,15 @@ def test_provenance_decides_derivability_of_every_subset():
                                               iv, rng.randint(1, 2)))
         simple = sorted(simple, key=repr)
         spent = []
-        why = meta_provenance(tes, Dataset([]), frozenset(simple), lambda: spent.append(1))
-        assert set(why) == infer_meta(tes, Dataset([]), frozenset(simple))
+        why = meta_provenance(tes, Dataset([]), rows(simple), lambda: spent.append(1))
+        assert set(why) == rows(infer_meta(tes, Dataset([]), frozenset(simple)))
         for supports in why.values():
             assert supports and all(not s < t for s in supports for t in supports)
         several += len(spent) > 0
         for k in range(len(simple) + 1):
             for subset in itertools.combinations(simple, k):
-                subset = frozenset(subset)
-                want = infer_meta(tes, Dataset([]), subset)
+                want = rows(infer_meta(tes, Dataset([]), frozenset(subset)))
+                subset = rows(subset)
                 assert want == {m for m, sups in why.items() if any(s <= subset for s in sups)}
     assert several > 5
 
@@ -329,7 +337,7 @@ def test_a_one_model_result_is_its_core_with_no_unit():
             if len(f.picks) == 1:
                 assert (f.units, f.picks) == ((), ((),))
                 seen.add(mode)
-                with_meta += any(x.pred == "a" for x in f.core)
+                with_meta += any(x[0] == "a" for x in f.core)  # event rows
     assert seen == {"naive", "consistent", "preferred", "cautious"} and with_meta > 20
 
 
@@ -370,7 +378,7 @@ def test_timeline_matches_closing_each_repair_from_scratch():
             # without constraints e and p facts never share a conflict
             # component, so a unit holding both was joined by a meta rule
             seen["joined"] += rng is plain and len(want) > 1 and any(
-                {"e", "p"} <= {f.pred for f in r} for rs in got.factored.units for r in rs)
+                {"e", "p"} <= {f[0] for f in r} for rs in got.factored.units for r in rs)
             seen["capped"] += not rep.exhaustive and len(want) > 1
             seen["scanned"] += scanned and len(want) > 1
             seen["cut"] += 0 < n < len(want)
@@ -448,11 +456,11 @@ def test_units_join_as_a_closure_of_the_core_and_every_result_links_them():
     while sum(kinds.values()) < 300:
         rules = CLOSURE_RULES[rng.randrange(3)]
         dataset, tes = random_ruleful_instance(rng, allow_constraints=False, extra=rules)
-        f, _ = _repair_factors(dataset, tes, None, DEFAULT_CAP, False)
+        f, _ = _repair_factors(dataset, tes, _simple(dataset, tes), DEFAULT_CAP, False)
         if len(f.units) < 2:
             continue
         facts = [frozenset().union(*results) for results in f.units]
-        shared = f.core | infer_meta(tes, dataset, f.core)
+        shared = f.core | meta_rows(tes, dataset, f.core)  # event rows
         find = link_classes(tes, dataset, f.core.union(*facts), shared, facts)
         want: dict = {}
         for u, unit_facts in enumerate(facts):

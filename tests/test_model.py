@@ -39,6 +39,7 @@ from timeloom.model import (
     eval_term,
     fact_key,
     fact_row,
+    row_of,
 )
 
 from oracle import reference_fact_key
@@ -238,8 +239,8 @@ def test_dataset_dedups_and_rejects_events():
 
 
 def test_event_store():
-    f1 = AnnotatedEventFact("e", ("a",), Interval(0, 2), 1)
-    f2 = AnnotatedEventFact("e", ("b",), Interval(1, 3), 2)
+    f1 = row_of(AnnotatedEventFact("e", ("a",), Interval(0, 2), 1))
+    f2 = row_of(AnnotatedEventFact("e", ("b",), Interval(1, 3), 2))
     s = EventStore([f1])
     assert s.add(f2)
     assert not s.add(f1)
@@ -282,8 +283,9 @@ def test_dataset_probe_matches_filters_and_keeps_kinds_apart():
 
 
 def test_event_store_probe_and_by_key_follow_adds():
-    """After interleaved adds and index-building probes, `probe` and
-    `by_key` find exactly what literal filters find, in first-seen order."""
+    """After interleaved adds of event rows and index-building probes,
+    `probe` and `by_key` find exactly what literal filters find, in
+    first-seen order."""
     rng = random.Random(31)
     values = ("a", "b", 0)
     arity = {"e": 2, "f": 1, "g": 0}
@@ -291,9 +293,9 @@ def test_event_store_probe_and_by_key_follow_adds():
     def fact():
         pred = rng.choice(list(arity))
         lo = rng.randrange(4)
-        return AnnotatedEventFact(pred, tuple(rng.choice(values) for _ in range(arity[pred])),
-                                  Interval(lo, rng.choice([lo + rng.randrange(3), STAR])),
-                                  rng.randint(1, 2))
+        return row_of(AnnotatedEventFact(
+            pred, tuple(rng.choice(values) for _ in range(arity[pred])),
+            Interval(lo, rng.choice([lo + rng.randrange(3), STAR])), rng.randint(1, 2)))
 
     for _ in range(100):
         first = [fact() for _ in range(rng.randint(0, 5))]
@@ -310,13 +312,13 @@ def test_event_store_probe_and_by_key_follow_adds():
                 positions = _positions(rng, n + 2)
                 key = tuple(rng.choice(values + (1, 2, 3, STAR)) if i >= n
                             else rng.choice(values) for i in positions)
-                vals = {f: f.args + (f.interval.start, f.interval.end) for f in held}
-                want = [f for f in held if f.pred == pred
+                vals = {f: f[1] + (f[2], f[3]) for f in held}
+                want = [f for f in held if f[0] == pred
                         and all(vals[f][i] == v for i, v in zip(positions, key))]
                 assert list(store.probe(pred, positions, key)) == want
                 args = tuple(rng.choice(values) for _ in range(n))
                 assert store.by_key(pred, args) == tuple(
-                    f for f in held if f.pred == pred and f.args == args)
+                    f for f in held if f[0] == pred and f[1] == args)
         assert store.facts == set(held) and len(store) == len(held)
 
 

@@ -41,7 +41,9 @@ from timeloom.model import (
     allen_relation,
     args_key,
     fact_key,
+    fact_of,
     fact_row,
+    row_of,
     term_vars,
 )
 from timeloom.query import AuxStore, JoinPlan
@@ -53,16 +55,23 @@ from oracle import max_level, points_at, window_values
 
 def eval_body(body, sorts, dataset, events=None, delta=None, witnesses=False):
     """All variable bindings satisfying the body, as dicts: `JoinPlan.solve`
-    with each tuple of slots named by the plan's binder variables. A
-    `delta` of dataset facts is passed as their rows. With `witnesses`,
-    each result is a (binding, facts) pair."""
+    over an `EventStore` of the rows of the event facts `events`, with each
+    tuple of slots named by the plan's binder variables and each interval,
+    a (start, end) pair there, as an `Interval`. A `delta` of facts is
+    passed as their rows. With `witnesses`, each result is a (binding,
+    facts) pair."""
     plan = JoinPlan(body, sorts)
-    if delta is not None and not isinstance(body[delta[0]].atom, EventAtom):
-        delta = (delta[0], [fact_row(f) for f in delta[1]])
-    results = plan.solve(dataset, events, delta, witnesses)
+    if delta is not None:
+        event = isinstance(body[delta[0]].atom, EventAtom)
+        delta = (delta[0], [row_of(f) if event else fact_row(f) for f in delta[1]])
+    store = None if events is None else EventStore(map(row_of, events))
+    results = plan.solve(dataset, store, delta, witnesses)
+
+    def binding(s):
+        return {n: Interval(*v) if v.__class__ is tuple else v for n, v in zip(plan.names, s)}
     if witnesses:
-        return [(dict(zip(plan.names, s)), m) for s, m in results]
-    return [dict(zip(plan.names, s)) for s in results]
+        return [(binding(s), tuple(map(fact_of, m))) for s, m in results]
+    return [binding(s) for s in results]
 
 
 def body_of(rule_text, which="meta"):
@@ -101,11 +110,11 @@ def test_eval_body_negated_event_atom():
     body, sorts = body_of(
         "decl persistent p/1.\ndecl persistent q/1.\ndecl meta m/1.\n"
         "meta m(X, I, L) :- p(X, I, L), not q(X, I, _).")
-    events = EventStore([
+    events = [
         AnnotatedEventFact("p", ("a",), Interval(1, 4), 1),
         AnnotatedEventFact("p", ("b",), Interval(2, 5), 1),
         AnnotatedEventFact("q", ("b",), Interval(2, 5), 2),
-    ])
+    ]
     got = eval_body(body, sorts, Dataset([]), events)
     assert [b["X"] for b in got] == ["a"]
 
@@ -114,10 +123,10 @@ def test_eval_body_comparisons_with_star():
     body, sorts = body_of(
         "decl persistent p/0.\ndecl meta m/0.\n"
         "meta m([T1, T2], 1) :- p([T1, T2], L), T2 != *.")
-    events = EventStore([
+    events = [
         AnnotatedEventFact("p", (), Interval(0, STAR), 1),
         AnnotatedEventFact("p", (), Interval(0, 3), 1),
-    ])
+    ]
     got = eval_body(body, sorts, Dataset([]), events)
     assert [b["T2"] for b in got] == [3]
 
@@ -126,10 +135,10 @@ def test_eval_body_matches_literal_star():
     body, sorts = body_of(
         "decl persistent p/0.\ndecl meta m/0.\n"
         "meta m([T1, T1], 1) :- p([T1, *], L).")
-    events = EventStore([
+    events = [
         AnnotatedEventFact("p", (), Interval(0, STAR), 1),
         AnnotatedEventFact("p", (), Interval(4, 6), 1),
-    ])
+    ]
     got = eval_body(body, sorts, Dataset([]), events)
     assert [b["T1"] for b in got] == [0]
 
@@ -138,11 +147,11 @@ def test_eval_body_allen_test():
     body, sorts = body_of(
         "decl persistent p/0.\ndecl persistent q/0.\ndecl meta m/0.\n"
         "meta m(inter(I, J), 1) :- p(I, L1), q(J, L2), overlaps(I, J).")
-    events = EventStore([
+    events = [
         AnnotatedEventFact("p", (), Interval(1, 4), 1),
         AnnotatedEventFact("q", (), Interval(3, 8), 1),
         AnnotatedEventFact("q", (), Interval(6, 9), 1),
-    ])
+    ]
     got = eval_body(body, sorts, Dataset([]), events)
     assert [b["J"] for b in got] == [Interval(3, 8)]
 
@@ -151,10 +160,10 @@ def test_eval_body_extremum_with_ongoing_end():
     body, sorts = body_of(
         "decl persistent p/0.\ndecl meta m/0.\n"
         "meta m([T1, T2], 1) :- p([T1, T2], L), end(p, T2).")
-    events = EventStore([
+    events = [
         AnnotatedEventFact("p", (), Interval(2, 5), 1),
         AnnotatedEventFact("p", (), Interval(1, STAR), 1),
-    ])
+    ]
     got = eval_body(body, sorts, Dataset([]), events)
     assert [(b["T1"], b["T2"]) for b in got] == [(1, STAR)]
 
@@ -163,11 +172,11 @@ def test_eval_body_extremum_start():
     body, sorts = body_of(
         "decl persistent p/1.\ndecl meta m/1.\n"
         "meta m(X, [T1, T2], 1) :- p(X, [T1, T2], L), start(p(X), T1).")
-    events = EventStore([
+    events = [
         AnnotatedEventFact("p", ("a",), Interval(2, 5), 1),
         AnnotatedEventFact("p", ("a",), Interval(4, 9), 1),
         AnnotatedEventFact("p", ("b",), Interval(4, 6), 1),
-    ])
+    ]
     got = eval_body(body, sorts, Dataset([]), events)
     assert sorted((b["X"], b["T1"]) for b in got) == [("a", 2), ("b", 4)]
 
@@ -179,7 +188,7 @@ def test_eval_body_delta_restricts_one_binder():
     p1 = AnnotatedEventFact("p", (), Interval(0, 1), 1)
     p2 = AnnotatedEventFact("p", (), Interval(2, 3), 1)
     q1 = AnnotatedEventFact("q", (), Interval(5, 6), 1)
-    events = EventStore([p1, p2, q1])
+    events = [p1, p2, q1]
     full = eval_body(body, sorts, Dataset([]), events)
     assert len(full) == 2
     narrowed = eval_body(body, sorts, Dataset([]), events, delta=(0, (p2,)))
@@ -312,14 +321,14 @@ def random_facts(rng):
            for _ in range(rng.randint(0, 6))]
         + [ObservationFact("o", (rng.choice(VALUES), rng.choice(VALUES)), rng.randrange(4))
            for _ in range(rng.randint(0, 6))])
-    events = EventStore()
+    events = []
     for _ in range(rng.randint(0, 10)):
         pred = rng.choice(("p", "q"))
         start = rng.randrange(4)
         end = STAR if rng.random() < 0.2 else start + rng.randrange(3)
         args = tuple(rng.choice(VALUES) for _ in range(ARITY[pred]))
-        events.add(AnnotatedEventFact(pred, args, Interval(start, end), rng.randint(1, 2)))
-    return dataset, events
+        events.append(AnnotatedEventFact(pred, args, Interval(start, end), rng.randint(1, 2)))
+    return dataset, list(dict.fromkeys(events))
 
 
 def random_body(rng):
@@ -406,7 +415,7 @@ def _all_facts(a, dataset, events):
         return [f for f in dataset.facts if isinstance(f, AtemporalFact) and f.pred == a.pred]
     if isinstance(a, ObservationAtom):
         return [f for f in dataset.facts if isinstance(f, ObservationFact) and f.pred == a.pred]
-    return [f for f in events.facts if f.pred == a.pred]
+    return [f for f in events if f.pred == a.pred]
 
 
 def _unify(a, f, binding):
@@ -470,15 +479,15 @@ def sorted_facts(rng):
     dataset, _ = random_facts(rng)
     dataset = Dataset(list(dataset.facts) + [
         AtemporalFact("a", (rng.choice(SORTED_VALUES),)) for _ in range(rng.randint(0, 3))])
-    events = EventStore()
+    events = []
     for _ in range(rng.randint(0, 16)):
         pred = rng.choice(("p", "q"))
         start = rng.randrange(3)
         end = STAR if rng.random() < 0.2 else start + rng.randrange(2)
         args = tuple(rng.choice(SORTED_VALUES) for _ in range(ARITY[pred]))
         level = rng.choice((0, 1, 1, 2))
-        events.add(AnnotatedEventFact(pred, args, Interval(start, end), level))
-    return dataset, events
+        events.append(AnnotatedEventFact(pred, args, Interval(start, end), level))
+    return dataset, list(dict.fromkeys(events))
 
 
 def sorted_body(rng):
@@ -622,7 +631,7 @@ def _holds(lit, binding, dataset, events, sorts):
         result = i is not None and j is not None and allen_relation(i, j) == a.name
     elif isinstance(a, ExtremumTest):
         args = tuple(_value(x, binding) for x in a.args)
-        held = [f.interval for f in events.facts if f.pred == a.pred and f.args == args]
+        held = [f.interval for f in events if f.pred == a.pred and f.args == args]
         if not held:
             result = False
         elif a.name == "start":
@@ -687,10 +696,10 @@ def test_compiled_plans_match_nested_loop_reference_on_tests_and_sorts():
 
 
 def test_event_store_index_follows_later_adds():
-    first = AnnotatedEventFact("q", ("a", "b"), Interval(0, 1), 1)
+    first = row_of(AnnotatedEventFact("q", ("a", "b"), Interval(0, 1), 1))
     store = EventStore([first])
     assert list(store.probe("q", (1,), ("b",))) == [first]  # builds the index
-    late = AnnotatedEventFact("q", ("c", "b"), Interval(2, 3), 1)
+    late = row_of(AnnotatedEventFact("q", ("c", "b"), Interval(2, 3), 1))
     store.add(late)
     assert list(store.probe("q", (1,), ("b",))) == [first, late]
     assert list(store.probe("q", (0, 1), ("c", "b"))) == [late]

@@ -24,7 +24,7 @@ from timeloom import (
     temporal_conflict,
     timeline,
 )
-from timeloom.model import fact_key
+from timeloom.model import fact_key, fact_of, row_of
 from timeloom.repair import (
     _Budget,
     _downward_closed,
@@ -87,6 +87,13 @@ def test_temporal_conflict_table():
     assert not temporal_conflict(fig(9, 9, 1), fig(1, 7, 2))
 
 
+def hypergraph(se, tes, dataset) -> list[frozenset]:
+    """`conflict_hypergraph` over the rows of the event facts `se`, each
+    edge as event facts."""
+    edges = conflict_hypergraph(frozenset(map(row_of, se)), tes, dataset, lambda: None)
+    return [frozenset(map(fact_of, e)) for e in edges]
+
+
 def test_clash_pairs_match_all_pairs_scan():
     rng = random.Random(3)
     shared = [Interval(2, 5), Interval(2, 7), Interval(4, STAR), Interval(6, 6)]
@@ -99,14 +106,14 @@ def test_clash_pairs_match_all_pairs_scan():
         facts = sorted(facts, key=repr)
         want = {frozenset((a, b)) for i, a in enumerate(facts) for b in facts[i + 1:]
                 if temporal_conflict(a, b)}
-        got = [frozenset(pair) for pair in clash_pairs(facts)]
+        got = [frozenset(map(fact_of, pair)) for pair in clash_pairs(list(map(row_of, facts)))]
         assert len(got) == len(set(got))
         assert set(got) == want
         assert is_consistent(facts, PLAIN_TES, EMPTY) == (not want)
 
 
 def test_clash_pairs_sweep_disjoint_intervals_of_one_instance():
-    facts = [AnnotatedEventFact("e", (), Interval(2 * i, 2 * i + 1), 1) for i in range(4800)]
+    facts = [("e", (), 2 * i, 2 * i + 1, 1) for i in range(4800)]  # event rows
     began = time.perf_counter()
     assert next(clash_pairs(facts), None) is None
     assert time.perf_counter() - began < 1.0
@@ -116,7 +123,7 @@ def test_meeting_interval_constraint_joins_on_the_shared_end():
     """The second atom probes the start its interval shares with the first
     atom's end, so the join costs the edges, not all pairs."""
     tes = parse_tes("decl persistent e/0.\nconstraint :- e([T1, T2]), e([T2, T3]).")
-    facts = [AnnotatedEventFact("e", (), Interval(i, i + 1), 1) for i in range(2400)]
+    facts = [("e", (), i, i + 1, 1) for i in range(2400)]  # event rows
     began = time.perf_counter()
     edges = conflict_hypergraph(frozenset(facts), tes, EMPTY, lambda: None)
     assert time.perf_counter() - began < 1.0
@@ -475,14 +482,14 @@ def test_hyperedges_are_minimal_constraint_witnesses():
         "constraint :- m([T, _]), T < 5.")
     e1, e2 = fig(0, 9, 1), fig(3, 9, 2)  # e1 and e2 clash
     p = AnnotatedEventFact("p", (), Interval(3, 4), 1)
-    edges = conflict_hypergraph(frozenset({e1, e2, p}), tes, EMPTY, lambda: None)
+    edges = hypergraph({e1, e2, p}, tes, EMPTY)
     # m([3,4]) at level 1 from {e1, p} and at level 2 from {e2, p}
     assert len(edges) == 3
     assert set(edges) == {frozenset({e1, e2}), frozenset({e1, p}), frozenset({e2, p})}
     always = parse_tes("decl atemporal flag/0.\ndecl persistent e/0.\n"
                        "constraint :- flag.")
     flagged = Dataset([AtemporalFact("flag", ())])
-    assert conflict_hypergraph(frozenset({e1}), always, flagged, lambda: None) == [frozenset()]
+    assert hypergraph({e1}, always, flagged) == [frozenset()]
 
 
 def test_hypergraph_path_matches_brute_on_varied_constraints():
@@ -521,7 +528,7 @@ def test_hypergraph_path_matches_brute_on_varied_constraints():
                 assert recognize_timeline(dataset, tes, full) == (cand in reps)
                 assert recognize_timeline(dataset, tes, full, mode="preferred") == (
                     cand in pref.repairs)
-            edges = conflict_hypergraph(se, tes, dataset, lambda: None)
+            edges = hypergraph(se, tes, dataset)
             widest = max([widest] + [len(e) for e in edges])
             none += not reps
             checked += 1

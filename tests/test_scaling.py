@@ -10,6 +10,10 @@ The rule-file axis: rule files of k copies of the `guard` workload's rule
 set, each copy over its own predicates, read by `parse_tes`, with every
 rule's join plan compiled in every state it can reach.
 
+The entity axis: one naive `timeloom run` over the `ward` workload
+(bench/workloads.py, read only) at a number of patients: grounding,
+interval inference, the meta closure and rendering.
+
     PYTHONPATH=src python tests/test_scaling.py 4 16
 
 prints the rule-file calls at each number of copies.
@@ -19,12 +23,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from timeloom import parse_tes
+from timeloom import cli, parse_tes
 from timeloom.language import is_schematic_window
 from timeloom.query import rule_plan
+
+TESTS = Path(__file__).resolve().parent
 
 # the guard workload's rule set (bench/workloads.py: BASE_RULES and
 # GUARD_RULES at the default window)
@@ -98,24 +105,56 @@ def rule_file_calls(copies: int) -> int:
     return python_calls(read_and_compile, guard_rule_file(copies))
 
 
+def ward_run_calls(patients: int) -> int:
+    """The Python calls of one naive `timeloom run` over the ward workload
+    (seed 1) at `patients` patients."""
+    sys.path.insert(0, str(TESTS.parent / "bench"))
+    try:
+        from workloads import WARD_PATIENTS, generate
+    finally:
+        sys.path.remove(str(TESTS.parent / "bench"))
+    wl = generate("ward", 1, patients / WARD_PATIENTS)
+    with tempfile.TemporaryDirectory() as tmp:
+        rules, facts = Path(tmp, "ward.tes"), Path(tmp, "ward.facts")
+        rules.write_text(wl.rules)
+        facts.write_text(wl.facts)
+        argv = ["run", "--rules", str(rules), "--data", str(facts), "--out", str(Path(tmp, "out"))]
+        cli.main(argv)  # the first run compiles the join plans of its rules
+        return python_calls(cli.main, argv)
+
+
+def calls_under_hash_seeds(fn: str, *sizes: int) -> list[tuple[int, ...]]:
+    """`fn`'s call counts at each size, each in a fresh interpreter under
+    hash seeds 0 and 1."""
+    src = str(TESTS.parent / "src")
+    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            f"from test_scaling import {fn}; "
+            f"print(*map({fn}, map(int, sys.argv[3:])))")
+    counts = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, src, str(TESTS), *map(str, sizes)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed})
+        counts.append(tuple(map(int, proc.stdout.split())))
+    return counts
+
+
 def test_rule_file_calls_grow_linearly_under_two_hash_seeds():
     """Reading and compiling 16 copies of the guard rule set makes at most 5
     times the Python calls of 4 copies, with the same counts under hash
     seeds 0 and 1."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
-            "from test_scaling import rule_file_calls; "
-            "print(rule_file_calls(4), rule_file_calls(16))")
-    counts = set()
-    for seed in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-c", code, src, str(Path(__file__).parent)],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONHASHSEED": seed})
-        counts.add(tuple(map(int, proc.stdout.split())))
+    counts = set(calls_under_hash_seeds("rule_file_calls", 4, 16))
     assert len(counts) == 1, counts
     (small, large), = counts
     assert large <= 5 * small, (small, large)
+
+
+def test_ward_run_calls_grow_linearly_in_the_patients_under_two_hash_seeds():
+    """A naive run over 80 ward patients makes at most 5 times the Python
+    calls of one over 20, under hash seeds 0 and 1 alike."""
+    for small, large in calls_under_hash_seeds("ward_run_calls", 20, 80):
+        assert large <= 5 * small, (small, large)
 
 
 def test_rule_file_time_grows_linearly():
