@@ -183,9 +183,9 @@ def _json_rows(rows: list, pad: str, now: int | None) -> list[str]:
     star = '"*"' if now is None else f'"*"{sep}"clamped_end": {now + 1}'
     lead = {p: f'{{{p1}"pred": {encode_basestring_ascii(p)},{p1}"args": '
             for p in {r[0] for r in rows}}
-    args = {r[1] for r in rows}
-    text = {v: _json_scalar(v) for v in {v for a in args for v in a}}.__getitem__
-    args_of = {a: f"[{p2}{sep.join(map(text, a))}{p1}]" if a else "[]" for a in args}
+    distinct = {r[1] for r in rows}
+    text = {v: _json_scalar(v) for v in {v for a in distinct for v in a}}.__getitem__
+    args_of = {a: f"[{p2}{sep.join(map(text, a))}{p1}]" if a else "[]" for a in distinct}
     return [f'{lead[pred]}{args_of[args]},{p1}"interval": {{{p2}"start": {start}{sep}"end": '
             f'{star if end == STAR else end}{p1}}},{p1}"level": {level}{pad}}}'
             for pred, args, start, end, level in rows]
