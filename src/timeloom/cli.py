@@ -108,10 +108,7 @@ def _positioned(result: TimelineResult, tes: TES, now: int | None) -> dict:
     models = result.factored
     rows = models.core.union(*[r for rs in models.units for r in rs])
     preds = sorted({r[0] for r in rows}, key=lambda p: (not tes.is_simple_pred(p), p))
-    try:  # argument tuples sort as `args_key` does unless a natural meets a symbol, which raises
-        order = sorted({r[1] for r in rows})
-    except TypeError:
-        order = sorted({r[1] for r in rows}, key=args_key)
+    order = sorted({r[1] for r in rows}, key=args_key)
     place, rank = {p: i for i, p in enumerate(preds)}, {a: i for i, a in enumerate(order)}
     facts = sorted(rows, key=lambda r: (place[r[0]], rank[r[1]], r[2], r[3], r[4]))
     # the simple rows come first, their predicates placed before every meta one
@@ -181,12 +178,9 @@ def _json_rows(rows: list, pad: str, now: int | None) -> list[str]:
     p1, p2 = pad + "  ", pad + "    "
     sep = "," + p2
     star = '"*"' if now is None else f'"*"{sep}"clamped_end": {now + 1}'
-    lead = {p: f'{{{p1}"pred": {encode_basestring_ascii(p)},{p1}"args": '
-            for p in {r[0] for r in rows}}
-    distinct = {r[1] for r in rows}
-    text = {v: _json_scalar(v) for v in {v for a in distinct for v in a}}.__getitem__
-    args_of = {a: f"[{p2}{sep.join(map(text, a))}{p1}]" if a else "[]" for a in distinct}
-    return [f'{lead[pred]}{args_of[args]},{p1}"interval": {{{p2}"start": {start}{sep}"end": '
+    return [f'{{{p1}"pred": {encode_basestring_ascii(pred)},{p1}"args": '
+            + (f"[{p2}{sep.join(map(_json_scalar, args))}{p1}]" if args else "[]")
+            + f',{p1}"interval": {{{p2}"start": {start}{sep}"end": '
             f'{star if end == STAR else end}{p1}}},{p1}"level": {level}{pad}}}'
             for pred, args, start, end, level in rows]
 
@@ -197,16 +191,21 @@ def _models(out: list, models, fmt: str, at: str, with_clamp: bool) -> None:
     a model section is its runs' texts, appended as they are. `models` is
     what `_positioned` gives, or a list of model dicts that is reduced to
     it by the identity of their fact dicts, each read back as a row
-    (`fact_from_json`) and a run of its own, their ongoing facts clamped
-    alike, as `result_to_json` gives them. For JSON `at` is the newline and
-    indent before a model; for TSV the fields before its index."""
+    (`fact_from_json`, refusals raising ValueError) and a run of its own;
+    ongoing facts whose clamped ends differ, or an end clamped though not
+    ongoing, raise ValueError. For JSON `at` is the newline and indent
+    before a model; for TSV the fields before its index."""
     if isinstance(models, list):
         dicts = {id(fj): fj for m in models for k in ("simple", "meta") for fj in m[k]}
         place = {i: p for p, i in enumerate(dicts)}
         ranked = [[[place[id(fj)] for fj in m[k]] for k in ("simple", "meta")] for m in models]
-        rows = [row_of(fact_from_json(fj)) for fj in dicts.values()]
-        now = next((fj["interval"]["clamped_end"] - 1 for fj in dicts.values()
-                    if "clamped_end" in fj["interval"]), None)
+        given = list(dicts.values())
+        rows = [row_of(_nth_fact(n, fj)) for n, fj in enumerate(given, 1)]
+        now = next((c - 1 for fj in given if type(c := fj["interval"].get("clamped_end")) is int),
+                   None)
+        if [fj["interval"].get("clamped_end") for fj in given] != [
+                None if now is None or r[3] != STAR else now + 1 for r in rows]:
+            raise ValueError("ongoing facts with different clamped ends, or a clamped finite end")
         models = rows, [slice(p, p + 1) for p in range(len(rows))], ranked, now
     facts, runs, ranked, now = models
     if fmt != "json":
@@ -239,7 +238,8 @@ def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
     indent=2)` or as tab-separated rows: a check verdict, a run, or a
     partitioned run whose entities are runs led by their "entity". A run's
     models may also be given as runs of facts, as `run` gives them (see
-    `_positioned`). TSV leaves out every key but the models' sections and
+    `_positioned`); model dicts are written as `result_to_json` writes them
+    (see `_models`). TSV leaves out every key but the models' sections and
     the verdict."""
     out: list[str] = []
     if fmt != "json":

@@ -3,10 +3,10 @@
 Event facts are rows (`model.row_of`) here. Each stratum is evaluated to
 a fixpoint before the next begins, so negated event references and
 extremum tests always see a completed collection. Within a stratum,
-repeated passes restrict one body literal at a time to the newest facts. Under monotone rules, models in factored form are
-closed by one closure of their core and every result, whose recorded
-firings give the core's closure, the units that meta rules join, and
-each result's closure.
+repeated passes restrict one body literal at a time to the newest facts.
+Under monotone rules, models in factored form are closed by one closure
+of their core and every result, whose recorded firings give the core's
+closure, the units that meta rules join, and each result's closure.
 """
 
 from __future__ import annotations

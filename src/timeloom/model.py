@@ -122,11 +122,6 @@ class Interval(Record):
     def ongoing(self) -> bool:
         return self.end == STAR
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        """Intersection of two intervals, or None when they are disjoint."""
-        lo, hi = max(self.start, other.start), min(self.end, other.end)
-        return None if hi < lo else Interval(lo, hi)
-
     def __repr__(self) -> str:
         return f"[{self.start},{'*' if self.ongoing else self.end}]"
 
@@ -423,9 +418,6 @@ class EventStore:
         self._indexes: dict[str, dict[tuple[int, ...], dict[tuple, list]]] = {}
         self.add_all(facts)
 
-    def add(self, f: tuple) -> bool:
-        return bool(self.add_all((f,)))
-
     def add_all(self, facts: Iterable) -> list:
         """Add each row not yet held, in order; returns the rows added."""
         have, by_pred, indexes, new = self._facts, self._by_pred, self._indexes, []
@@ -449,7 +441,7 @@ class EventStore:
         """Rows of `pred` whose `event_values` at `positions` (ascending:
         its arguments, then its start and end) equal `values`,
         without copying; the result must not be mutated or held across an
-        `add`."""
+        `add_all`."""
         facts = self._by_pred.get(pred, ())
         if not positions or not facts:
             return facts

@@ -1114,6 +1114,39 @@ def test_render_document_encodes_shared_objects_like_json_dumps():
     assert render_document({"recognized": False}, "tsv") == "recognized\tfalse\n"
 
 
+def test_render_document_refuses_model_facts_result_to_json_would_not_write():
+    # model dicts are read back as rows and written as result_to_json
+    # writes them; one it would not write, in JSON and in TSV, is refused
+    # rather than rendered otherwise
+    def fact(start, end, **interval):
+        return {"pred": "e", "args": ["a", 3], "interval": {"start": start, "end": end, **interval},
+                "level": 1}
+
+    def run_of(*facts):
+        return {"mode": "naive", "models": [{"simple": list(facts), "meta": []}],
+                "exhaustive": True}
+
+    clamped = fact(1, "*", clamped_end=41)
+    refused = [run_of(clamped, fact(2, "*", clamped_end=9)),  # two clamped ends
+               run_of(clamped, fact(2, "*")),  # an ongoing fact without one
+               run_of(fact(2, 5, clamped_end=41)),  # a clamped end that is not ongoing
+               run_of(fact(1, "*", clamped_end="41")), run_of(dict(clamped, level=0)),
+               run_of(fact(5, 2)), run_of(dict(clamped, args=("a", 3))),
+               {"mode": "consistent", "partition_by": 0, "exhaustive": True,
+                "entities": [{"entity": "p", **run_of(fact(1, 2)), "models": [{"simple": [1], "meta": []}]}]}]
+    for doc in refused:
+        for fmt in ("json", "tsv"):
+            with pytest.raises(ValueError):
+                render_document(doc, fmt, with_clamp=True)
+    doc = run_of(clamped, fact(2, 3), fact(4, "*", clamped_end=41))
+    assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
+    assert render_document(doc, "tsv", with_clamp=True) == (
+        "0\tsimple\te\ta,3\t1\t*\t1\t41\n0\tsimple\te\ta,3\t2\t3\t1\t\n"
+        "0\tsimple\te\ta,3\t4\t*\t1\t41\n")
+    shuffled = {"level": 1, "interval": {"end": 3, "start": 2}, "args": ["a", 3], "pred": "e"}
+    assert render_document(run_of(shuffled), "json") == render_document(run_of(fact(2, 3)), "json")
+
+
 def test_render_document_matches_json_dumps_on_random_documents():
     # run, partitioned and check documents, with empty args, sections,
     # models and entities among them

@@ -83,10 +83,15 @@ def test_ongoing_interval_pickles_and_prints_star():
 
 
 def test_interval_intersect():
-    assert Interval(2, STAR).intersect(Interval(5, 9)) == Interval(5, 9)
-    assert Interval(1, 3).intersect(Interval(5, 9)) is None
-    assert Interval(1, STAR).intersect(Interval(4, STAR)) == Interval(4, STAR)
-    assert Interval(1, 4).intersect(Interval(4, 9)) == Interval(4, 4)
+    # `inter` of two literal intervals, evaluated on no binding
+    def inter(a: tuple, b: tuple):
+        lit = [IntervalTerm(Nat(lo), StarTerm() if hi == STAR else Nat(hi)) for lo, hi in (a, b)]
+        return eval_term(IntervalFn(tuple(lit)), {})
+
+    assert inter((2, STAR), (5, 9)) == Interval(5, 9)
+    assert inter((1, 3), (5, 9)) is None
+    assert inter((1, STAR), (4, STAR)) == Interval(4, STAR)
+    assert inter((1, 4), (4, 9)) == Interval(4, 4)
 
 
 ALLEN_INVERSE = {
@@ -242,8 +247,8 @@ def test_event_store():
     f1 = row_of(AnnotatedEventFact("e", ("a",), Interval(0, 2), 1))
     f2 = row_of(AnnotatedEventFact("e", ("b",), Interval(1, 3), 2))
     s = EventStore([f1])
-    assert s.add(f2)
-    assert not s.add(f1)
+    assert s.add_all([f2]) == [f2]
+    assert s.add_all([f1]) == []
     assert s.add_all([f1, f2]) == []
     assert set(s.probe("e", (), ())) == {f1, f2}
     assert s.by_key("e", ("a",)) == (f1,)
@@ -303,7 +308,7 @@ def test_event_store_probe_and_by_key_follow_adds():
         for _ in range(40):
             if rng.random() < 0.4:
                 f = fact()
-                assert store.add(f) == (f not in held)
+                assert store.add_all([f]) == ([] if f in held else [f])
                 if f not in held:
                     held.append(f)
             else:

@@ -700,7 +700,7 @@ def test_event_store_index_follows_later_adds():
     store = EventStore([first])
     assert list(store.probe("q", (1,), ("b",))) == [first]  # builds the index
     late = row_of(AnnotatedEventFact("q", ("c", "b"), Interval(2, 3), 1))
-    store.add(late)
+    store.add_all([late])
     assert list(store.probe("q", (1,), ("b",))) == [first, late]
     assert list(store.probe("q", (0, 1), ("c", "b"))) == [late]
     assert not store.probe("q", (0,), ("zz",))
