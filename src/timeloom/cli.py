@@ -39,7 +39,6 @@ from .model import (
     Value,
     args_key,
     fact_of,
-    row_of,
     value_key,
 )
 from .repair import DEFAULT_CAP, TimelineResult, recognize_timeline, timeline
@@ -159,10 +158,11 @@ def _tsv_value(v: Value) -> str:
     return v
 
 
-def _tsv_rows(rows: list, now: int | None, with_clamp: bool) -> list[str]:
-    """Each event row's TSV fields after the section, with the line end."""
-    tail = "\t\n" if with_clamp else "\n"
-    ongoing = f"\t{now + 1}\n" if with_clamp and now is not None else tail
+def _tsv_rows(rows: list, now: int | None) -> list[str]:
+    """Each event row's TSV fields after the section, with the line end;
+    under --now a last field holds an ongoing fact's clamped end."""
+    tail = "\n" if now is None else "\t\n"
+    ongoing = tail if now is None else f"\t{now + 1}\n"
     return [f"{pred}\t{','.join(map(_tsv_value, args))}\t{start}\t"
             + (f"*\t{level}{ongoing}" if end == STAR else f"{end}\t{level}{tail}")
             for pred, args, start, end, level in rows]
@@ -185,31 +185,15 @@ def _json_rows(rows: list, pad: str, now: int | None) -> list[str]:
             for pred, args, start, end, level in rows]
 
 
-def _models(out: list, models, fmt: str, at: str, with_clamp: bool) -> None:
-    """Append a run's models to `out`, each fact's text built once from its
-    row (for JSON at the facts' depth) and, for JSON, each run's text once:
-    a model section is its runs' texts, appended as they are. `models` is
-    what `_positioned` gives, or a list of model dicts that is reduced to
-    it by the identity of their fact dicts, each read back as a row
-    (`fact_from_json`, refusals raising ValueError) and a run of its own;
-    ongoing facts whose clamped ends differ, or an end clamped though not
-    ongoing, raise ValueError. For JSON `at` is the newline and indent
-    before a model; for TSV the fields before its index."""
-    if isinstance(models, list):
-        dicts = {id(fj): fj for m in models for k in ("simple", "meta") for fj in m[k]}
-        place = {i: p for p, i in enumerate(dicts)}
-        ranked = [[[place[id(fj)] for fj in m[k]] for k in ("simple", "meta")] for m in models]
-        given = list(dicts.values())
-        rows = [row_of(_nth_fact(n, fj)) for n, fj in enumerate(given, 1)]
-        now = next((c - 1 for fj in given if type(c := fj["interval"].get("clamped_end")) is int),
-                   None)
-        if [fj["interval"].get("clamped_end") for fj in given] != [
-                None if now is None or r[3] != STAR else now + 1 for r in rows]:
-            raise ValueError("ongoing facts with different clamped ends, or a clamped finite end")
-        models = rows, [slice(p, p + 1) for p in range(len(rows))], ranked, now
+def _models(out: list, models: tuple, fmt: str, at: str) -> None:
+    """Append a run's models, as `_positioned` gives them, to `out`: each
+    fact's text built once from its row (for JSON at the facts' depth) and,
+    for JSON, each run's text once, a model section being its runs' texts
+    appended as they are. For JSON `at` is the newline and indent before a
+    model; for TSV the fields before its index."""
     facts, runs, ranked, now = models
     if fmt != "json":
-        text = _tsv_rows(facts, now, with_clamp)
+        text = _tsv_rows(facts, now)
         texts = [text[r] for r in runs]
         for j, sections in enumerate(ranked):
             for name, ks in zip(("simple", "meta"), sections):
@@ -233,21 +217,24 @@ def _models(out: list, models, fmt: str, at: str, with_clamp: bool) -> None:
     out.append(at[:-2] + "]" if ranked else "[]")
 
 
-def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
+def render_document(doc: dict, fmt: str) -> str:
     """Render a document `run` writes, as the text of `json.dumps(doc,
     indent=2)` or as tab-separated rows: a check verdict, a run, or a
-    partitioned run whose entities are runs led by their "entity". A run's
-    models may also be given as runs of facts, as `run` gives them (see
-    `_positioned`); model dicts are written as `result_to_json` writes them
-    (see `_models`). TSV leaves out every key but the models' sections and
-    the verdict."""
+    partitioned run whose entities are runs led by their "entity", each
+    run's models as `_positioned` gives them. TSV leaves out every key but
+    the models' sections and the verdict. Any other document, such as a run
+    whose models are dicts, is written by `json.dumps`, in JSON only."""
+    runs = doc.get("entities", [doc])
+    if "recognized" in doc and fmt != "json":
+        return f"recognized\t{json.dumps(doc['recognized'])}\n"
+    if not all(type(r.get("models")) is tuple for r in runs):
+        if fmt != "json":
+            raise ValueError("TSV is written for the documents of run only")
+        return json.dumps(doc, indent=2) + "\n"
     out: list[str] = []
     if fmt != "json":
-        if "recognized" in doc:
-            return f"recognized\t{json.dumps(doc['recognized'])}\n"
-        for r in doc.get("entities", [doc]):
-            lead = _tsv_value(r["entity"]) + "\t" if "entity" in r else ""
-            _models(out, r["models"], fmt, lead, with_clamp)
+        for r in runs:
+            _models(out, r["models"], fmt, _tsv_value(r["entity"]) + "\t" if "entity" in r else "")
         return "".join(out)
 
     def walk(d: dict, depth: int) -> None:
@@ -255,7 +242,7 @@ def render_document(doc: dict, fmt: str, with_clamp: bool = False) -> str:
         for i, (k, v) in enumerate(d.items()):
             out.append(f'{"," if i else "{"}{pad}"{k}": ')
             if k == "models":
-                _models(out, v, fmt, pad + "  ", with_clamp)
+                _models(out, v, fmt, pad + "  ")
             elif k == "entities":
                 for j, sub in enumerate(v):
                     out.append(f'{"," if j else "["}{pad}  ')
@@ -361,7 +348,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _write(args: argparse.Namespace, doc: dict) -> None:
-    text = render_document(doc, args.format, with_clamp=args.now is not None)
+    text = render_document(doc, args.format)
     if args.out:
         try:
             Path(args.out).write_text(text, encoding="utf-8")

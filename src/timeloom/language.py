@@ -66,6 +66,7 @@ ALLEN_BUILTINS = (
 )
 EXTREMUM_BUILTINS = ("start", "end")
 MAX_TERM_DEPTH = 100
+MAX_BODY_LITERALS = 100  # the join recurses, and plans a step, once per body atom
 
 KEYWORDS = frozenset(
     ("decl", "atemporal", "observation", "nonpersistent", "persistent", "meta",
@@ -510,7 +511,14 @@ class _Parser:
         if self.toks[self.i][0] != "ARROW":
             return ()
         self.i += 1
-        return tuple(self.comma_list(lambda: self.parse_literal(context)))
+        body = [self.parse_literal(context)]
+        while self.toks[self.i][0] == "COMMA":
+            if len(body) == MAX_BODY_LITERALS:
+                raise ParseError(f"a rule body holds at most {MAX_BODY_LITERALS} literals",
+                                 *self.peek(1)[2:])
+            self.i += 1
+            body.append(self.parse_literal(context))
+        return tuple(body)
 
     def parse_literal(self, context: str) -> Literal:
         negated = False

@@ -700,6 +700,26 @@ def test_deeply_nested_rule_term_exits_1(tmp_path, capsys):
     assert err.startswith(f"error: {rules}: terms may nest at most") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("literals,code", [(100, 0), (101, 1), (1500, 1)])
+def test_rule_body_of_more_than_100_literals_exits_1(tmp_path, capsys, literals, code):
+    # a body of more than 100 literals is refused when the rule file is
+    # read, in every mode, before any join recurses once per body atom
+    body = ", ".join(["adm(P, T)"] + [f"adm(P, T{i})" for i in range(1, literals)])
+    rules = tmp_path / "long.tes"
+    rules.write_text("decl observation adm/1.\ndecl nonpersistent e/1.\nwindow(e(P), 2).\n"
+                     f"exists(e(P), T, 1) :- {body}.\n")
+    (tmp_path / "e.facts").write_text("obs adm(p1, 0).\n")  # one binding of the body
+    for mode in ("naive", "cautious"):
+        assert run_cli("run", "--rules", str(rules), "--data", str(tmp_path / "e.facts"),
+                       "--mode", mode) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith(f"error: {rules}: a rule body holds at most 100 literals at "
+                                  "line 4") and err.count("\n") == 1 and not out
+        else:
+            assert len(json.loads(out)["models"][0]["simple"]) == 1 and not err
+
+
 def test_ordering_over_intervals_exits_1(ward, capsys):
     rules = ward / "order.tes"
     rules.write_text("decl observation adm/1.\ndecl persistent e/1.\ndecl meta m/1.\n"
@@ -1023,9 +1043,7 @@ def test_output_bytes_match_json_dumps(rendered, capsys, rules, mode, extra):
     assert run_cli(*args) == 0
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
     assert run_cli(*args, "--format", "tsv") == 0
-    tsv = capsys.readouterr().out
-    assert tsv == render_document(doc, "tsv", with_clamp=now is not None)
-    assert tsv == reference_tsv(doc, with_clamp=now is not None)
+    assert capsys.readouterr().out == reference_tsv(doc, with_clamp=now is not None)
 
 
 def test_max_models_closes_only_the_units_of_the_models_it_keeps(rendered, monkeypatch, capsys):
@@ -1090,34 +1108,30 @@ def random_partitioned(rng: random.Random, facts: list) -> dict:
             "exhaustive": rng.random() < 0.5}
 
 
-def assert_renders_like_references(doc: dict, now) -> None:
+def assert_renders_like_json_dumps(doc: dict) -> None:
     assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
     if "recognized" in doc:
         assert render_document(doc, "tsv") == f"recognized\t{json.dumps(doc['recognized'])}\n"
-        return
-    for with_clamp in {now is not None, False}:
-        assert (render_document(doc, "tsv", with_clamp=with_clamp)
-                == reference_tsv(doc, with_clamp=with_clamp))
 
 
 def test_render_document_encodes_shared_objects_like_json_dumps():
-    # one pool of fact dicts in a run, then in a partitioned run: the text
-    # of a fact is built once per call, at the depth of that call's facts,
-    # and in TSV apart from its section
+    # one pool of fact dicts in a run, then in a partitioned run: model
+    # dicts are not the form run gives, so each document is written as
+    # json.dumps writes it, a dict shared by models or sections included
     rng = random.Random(29)
     for _ in range(200):
         now = rng.choice((None, 40))
         facts = random_facts(rng, now)
         for doc in (random_run(rng, facts), random_partitioned(rng, facts), random_run(rng, facts)):
-            assert_renders_like_references(doc, now)
+            assert_renders_like_json_dumps(doc)
     assert render_document({"recognized": True}, "json") == '{\n  "recognized": true\n}\n'
     assert render_document({"recognized": False}, "tsv") == "recognized\tfalse\n"
 
 
-def test_render_document_refuses_model_facts_result_to_json_would_not_write():
-    # model dicts are read back as rows and written as result_to_json
-    # writes them; one it would not write, in JSON and in TSV, is refused
-    # rather than rendered otherwise
+def test_render_document_writes_other_documents_as_json_dumps():
+    # model dicts, whatever their facts hold, are not read back: the
+    # document is written as json.dumps writes it, and TSV, which is
+    # written for run's documents only, is refused
     def fact(start, end, **interval):
         return {"pred": "e", "args": ["a", 3], "interval": {"start": start, "end": end, **interval},
                 "level": 1}
@@ -1127,24 +1141,20 @@ def test_render_document_refuses_model_facts_result_to_json_would_not_write():
                 "exhaustive": True}
 
     clamped = fact(1, "*", clamped_end=41)
-    refused = [run_of(clamped, fact(2, "*", clamped_end=9)),  # two clamped ends
-               run_of(clamped, fact(2, "*")),  # an ongoing fact without one
-               run_of(fact(2, 5, clamped_end=41)),  # a clamped end that is not ongoing
-               run_of(fact(1, "*", clamped_end="41")), run_of(dict(clamped, level=0)),
-               run_of(fact(5, 2)), run_of(dict(clamped, args=("a", 3))),
-               {"mode": "consistent", "partition_by": 0, "exhaustive": True,
-                "entities": [{"entity": "p", **run_of(fact(1, 2)), "models": [{"simple": [1], "meta": []}]}]}]
-    for doc in refused:
-        for fmt in ("json", "tsv"):
-            with pytest.raises(ValueError):
-                render_document(doc, fmt, with_clamp=True)
-    doc = run_of(clamped, fact(2, 3), fact(4, "*", clamped_end=41))
-    assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
-    assert render_document(doc, "tsv", with_clamp=True) == (
-        "0\tsimple\te\ta,3\t1\t*\t1\t41\n0\tsimple\te\ta,3\t2\t3\t1\t\n"
-        "0\tsimple\te\ta,3\t4\t*\t1\t41\n")
     shuffled = {"level": 1, "interval": {"end": 3, "start": 2}, "args": ["a", 3], "pred": "e"}
-    assert render_document(run_of(shuffled), "json") == render_document(run_of(fact(2, 3)), "json")
+    docs = [run_of(clamped, fact(2, "*", clamped_end=9)),  # two clamped ends
+            run_of(clamped, fact(2, "*")),  # an ongoing fact without one
+            run_of(fact(2, 5, clamped_end=41)),  # a clamped end that is not ongoing
+            run_of(fact(1, "*", clamped_end="41")), run_of(dict(clamped, level=0)),
+            run_of(fact(5, 2)), run_of(dict(clamped, args=("a", 3))),
+            {"mode": "consistent", "partition_by": 0, "exhaustive": True,
+             "entities": [{"entity": "p", **run_of(fact(1, 2)), "models": [{"simple": [1], "meta": []}]}]},
+            run_of(clamped, fact(2, 3), fact(4, "*", clamped_end=41)), run_of(shuffled)]
+    for doc in docs:
+        assert render_document(doc, "json") == json.dumps(doc, indent=2) + "\n"
+        with pytest.raises(ValueError, match="TSV is written for the documents of run only"):
+            render_document(doc, "tsv")
+    assert render_document(run_of(shuffled), "json") != render_document(run_of(fact(2, 3)), "json")
 
 
 def test_render_document_matches_json_dumps_on_random_documents():
@@ -1162,7 +1172,7 @@ def test_render_document_matches_json_dumps_on_random_documents():
         kinds[kind] += 1
         kinds["no models"] += doc.get("models") == []
         kinds["no entities"] += doc.get("entities") == []
-        assert_renders_like_references(doc, now)
+        assert_renders_like_json_dumps(doc)
     assert min(kinds.values()) > 30, kinds
 
 
@@ -1191,12 +1201,15 @@ def random_result(rng: random.Random) -> TimelineResult:
 def test_run_renders_models_by_position_like_json_dumps(tmp_path, monkeypatch, capsys):
     # the command renders each run from its distinct facts and each model's
     # runs among them; its output must be the standard encoder's text
-    # of result_to_json's document, its TSV what render_document makes of
-    # that document, and result_to_json must hold each model's facts sorted
-    # into its sections, for one run and for partitioned ones
+    # of result_to_json's document, its TSV the rows built from that
+    # document, and result_to_json must hold each model's facts sorted
+    # into its sections, for one run and for partitioned ones, whose
+    # entities are a natural and symbols TSV writes as JSON literals
     tes = parse_tes(POSITIONED_RULES)
     (tmp_path / "r.tes").write_text(POSITIONED_RULES + "decl observation adm/1.\n")
-    (tmp_path / "d.facts").write_text("obs adm(p1, 0).\nobs adm(p2, 0).\nobs adm(p3, 0).\n")
+    (tmp_path / "d.facts").write_text("obs adm('a,b', 0).\nobs adm(7, 0).\nobs adm('12', 0).\n")
+    keys = [k for k, _ in partition_dataset(ingest([(str(tmp_path / "d.facts"), None)]), 0)]
+    assert keys == [7, "12", "a,b"]
     rng = random.Random(37)
     kinds = {"no models": 0, "every model holds every fact": 0, "no simple": 0, "no meta": 0,
              "ongoing": 0}
@@ -1221,7 +1234,7 @@ def test_run_renders_models_by_position_like_json_dumps(tmp_path, monkeypatch, c
             kinds["ongoing"] += now is not None and "clamped_end" in json.dumps(doc)
         if partition:
             doc = {"mode": "consistent", "partition_by": 0,
-                   "entities": [{"entity": f"p{i + 1}", **d} for i, d in enumerate(docs)],
+                   "entities": [{"entity": k, **d} for k, d in zip(keys, docs)],
                    "exhaustive": all(d["exhaustive"] for d in docs)}
         else:
             doc = docs[0]
@@ -1232,7 +1245,7 @@ def test_run_renders_models_by_position_like_json_dumps(tmp_path, monkeypatch, c
             argv += ["--partition-by", "0"] * partition + ["--now", str(now)] * (now is not None)
             assert main(argv) == (0 if doc["exhaustive"] else 2)
             expected = (json.dumps(doc, indent=2) + "\n" if fmt == "json"
-                        else render_document(doc, "tsv", with_clamp=now is not None))
+                        else reference_tsv(doc, with_clamp=now is not None))
             assert capsys.readouterr().out == expected
     assert min(kinds.values()) > 10, kinds
 
@@ -1356,11 +1369,14 @@ def test_run_output_equals_documents_built_from_the_public_objects(tmp_path, cap
     # the command writes each fact's text from its event row; its output
     # must be json.dumps of the document built from timeline().models, each
     # model's facts as fact_to_json dicts in fact_key order, and its TSV
-    # the rows built from those dicts
+    # the rows built from those dicts; render_document writes
+    # result_to_json's document as json.dumps writes that same document
     for seed in (1, 7):
         rules, facts, tes, dataset = workload_files(tmp_path, name, seed)
         for mode in RUN_MODES:
             doc = reference_doc(dataset, tes, mode)
+            given = result_to_json(timeline(dataset, tes, mode), tes)
+            assert render_document(given, "json") == json.dumps(doc, indent=2) + "\n"
             argv = ("run", "--rules", rules, "--data", facts, "--mode", mode)
             assert run_cli(*argv) == (0 if doc["exhaustive"] else 2)
             assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
@@ -1374,21 +1390,30 @@ def test_run_output_equals_documents_built_from_the_public_objects(tmp_path, cap
 def test_repeated_runs_leave_no_objects_behind_and_keep_the_collector_settings(tmp_path, capsys):
     # the benchmark loops cli.main in one process: a cache or a cycle kept
     # across runs would grow the tracked objects; nor may a run change the
-    # collector's settings
+    # collector's settings, on any exit path
     import gc
+
+    def settings():
+        return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
 
     rules, facts, _, _ = workload_files(tmp_path, "clash", 1)
     argv = ["run", "--rules", rules, "--data", facts, "--mode", "consistent",
             "--out", str(tmp_path / "out.json")]
-    settings = gc.isenabled(), gc.get_threshold()
+    before = settings()
     counts = []
     for n in range(201):
         assert main(argv) == 0
-        assert (gc.isenabled(), gc.get_threshold()) == settings
+        assert settings() == before
         if n % 100 == 0:
             gc.collect()
             counts.append(len(gc.get_objects()))
     assert counts[2] <= counts[1] <= counts[0], counts  # after 1, 101 and 201 runs
+    (tmp_path / "bad.tes").write_text("decl observation adm/1.\nexists(\n")
+    (tmp_path / "none.json").write_text('{"facts": []}')
+    for code, extra in ((1, ["--rules", str(tmp_path / "bad.tes")]), (2, ["--cap", "1"]),
+                        (3, ["--mode", "check", "--check", str(tmp_path / "none.json")])):
+        assert main(argv + extra) == code
+        assert settings() == before, code
     capsys.readouterr()
 
 

@@ -20,7 +20,12 @@ from timeloom import (
     parse_tes,
     print_tes,
 )
-from timeloom.language import MAX_TERM_DEPTH, _tokenize, is_schematic_window
+from timeloom.language import (
+    MAX_BODY_LITERALS,
+    MAX_TERM_DEPTH,
+    _tokenize,
+    is_schematic_window,
+)
 from timeloom.model import IntervalTerm, Nat, StarTerm, Var
 
 from conftest import THERAPY_RULES, TWO_LEVEL_NONPERSISTENT, TWO_LEVEL_PERSISTENT
@@ -281,6 +286,26 @@ def test_terms_nest_at_most_max_term_depth():
     assert (err.value.line, err.value.col) == (3, 11 + 4 * MAX_TERM_DEPTH)
     with pytest.raises(ParseError):
         parse_tes(_nested_min_rules(1000))
+
+
+def _long_body_rules(literals):
+    body = ", ".join(["adm(P, T)"] + [f"adm(P, T{i})" for i in range(1, literals)])
+    return ("decl observation adm/1.\ndecl nonpersistent e/1.\nwindow(e(P), 2).\n"
+            f"exists(e(P), T, 1) :- {body}.\n")
+
+
+def test_rule_bodies_hold_at_most_max_body_literals():
+    tes = parse_tes(_long_body_rules(MAX_BODY_LITERALS))
+    assert len(tes.existence[0].body) == MAX_BODY_LITERALS
+    assert parse_tes(print_tes(tes)) == tes
+    with pytest.raises(ParseError) as err:
+        parse_tes(_long_body_rules(MAX_BODY_LITERALS + 1))
+    assert err.value.message == f"a rule body holds at most {MAX_BODY_LITERALS} literals"
+    # the first literal beyond the limit
+    text = _long_body_rules(MAX_BODY_LITERALS + 1).splitlines()[3]
+    assert (err.value.line, err.value.col) == (4, text.index(f"adm(P, T{MAX_BODY_LITERALS})") + 1)
+    with pytest.raises(ParseError):
+        parse_tes(_long_body_rules(1500))
 
 
 def test_end_of_input_is_the_column_after_a_one_character_token():
